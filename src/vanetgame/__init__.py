@@ -13,16 +13,18 @@ from .analysis import (CheckResult, CoreConditions, CoreMembership, StabilityVer
                        run_identity_checks, stability_verdict, structure_payoffs,
                        structure_reports, vehicle_coalition_profitability)
 from .analytic import (ABS_TOL, PayoffReport, avg_payment, cost, fee_per_transmission,
-                       oracle_relay_mean, player_payoffs, rate_gain, relay_usage_prob,
-                       relay_weighted_mean, revenue, throughput, transmission_share)
+                       oracle_relay_mean, player_payoffs, rate_gain, relay_choice_probs,
+                       relay_usage_prob, relay_weighted_mean, revenue, throughput,
+                       transmission_share)
 from .configio import (ConfigError, LoadedConfig, default_game_config, default_geometry,
                        load_config, resolve_encounter)
 from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounter,
                        estimate_encounter_matrix)
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
                     canonical_structure, check_structure, enumerate_partitions,
-                    format_structure, make_config, normalize_structure,
-                    parse_structure, split_members, validate_config)
+                    format_structure, iter_partitions, make_config,
+                    normalize_structure, parse_structure, split_members,
+                    unrank_partition, validate_config)
 from .slotsim import EmpiricalReport, simulate_slots
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "estimate_encounter_matrix",
     "fee_per_transmission",
     "format_structure",
+    "iter_partitions",
     "load_config",
     "make_config",
     "normalize_structure",
@@ -64,6 +67,7 @@ __all__ = [
     "pricing_cancellation_check",
     "proper_coalitions",
     "rate_gain",
+    "relay_choice_probs",
     "relay_usage_prob",
     "relay_weighted_mean",
     "resolve_encounter",
@@ -76,6 +80,7 @@ __all__ = [
     "structure_reports",
     "throughput",
     "transmission_share",
+    "unrank_partition",
     "validate_config",
     "vehicle_coalition_profitability",
 ]

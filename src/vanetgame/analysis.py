@@ -39,6 +39,16 @@ def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
     return [player_payoffs(block, cfg) for block in cs]
 
 
+def _payoff_vector(reports, n_players: int) -> np.ndarray:
+    out = np.zeros(n_players)
+    for rep in reports:
+        for i, u in rep.vehicle_payoff.items():
+            out[i - 1] = u
+        for j, u in rep.rsu_payoff.items():
+            out[j - 1] = u
+    return out
+
+
 def structure_payoffs(cs, cfg: GameConfig) -> np.ndarray:
     """Payoff of every player under a coalition structure.
 
@@ -46,13 +56,7 @@ def structure_payoffs(cs, cfg: GameConfig) -> np.ndarray:
     coalition. Throughput already discounts for all outside vehicles, so the
     vector does not depend on how the outsiders are grouped among themselves.
     """
-    out = np.zeros(cfg.n_players)
-    for rep in structure_reports(cs, cfg):
-        for i, u in rep.vehicle_payoff.items():
-            out[i - 1] = u
-        for j, u in rep.rsu_payoff.items():
-            out[j - 1] = u
-    return out
+    return _payoff_vector(structure_reports(cs, cfg), cfg.n_players)
 
 
 def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
@@ -146,6 +150,95 @@ class CoreConditions:
         return self.weights_positive and self.gains_strict and self.grand_preferred
 
 
+def _require_enumerable(cfg: GameConfig) -> None:
+    if cfg.n_players > _ENUM_MAX_PLAYERS:
+        raise ValueError(f"enumeration bound exceeded: {cfg.n_players} players "
+                         f"> {_ENUM_MAX_PLAYERS}")
+
+
+def _grand_report(cfg: GameConfig, relay_cache: dict) -> PayoffReport:
+    return player_payoffs(frozenset(range(1, cfg.n_players + 1)), cfg, relay_cache)
+
+
+def _weight_witness(cfg: GameConfig) -> int | None:
+    for i in cfg.vehicles:
+        if not (cfg.alpha[cfg.vrow(i)] > 0.0 and cfg.beta[cfg.vrow(i)] > 0.0):
+            return i
+    for j in cfg.rsus:
+        if not (cfg.gamma[cfg.rrow(j)] > 0.0 and cfg.mu[cfg.rrow(j)] > 0.0):
+            return j
+    return None
+
+
+def _gain_violator(vehicles, rsus, rep: PayoffReport, cfg: GameConfig) -> int | None:
+    """First member (vehicles, then RSUs) without a strict gain inside the coalition."""
+    for i in vehicles:
+        vi = cfg.vrow(i)
+        if not (cfg.alpha[vi] * rep.throughput[i] > cfg.beta[vi] * rep.payment[i]):
+            return i
+    for j in rsus:
+        rj = cfg.rrow(j)
+        if not (cfg.gamma[rj] * rep.revenue[j] > cfg.mu[rj] * rep.cost[j]):
+            return j
+    return None
+
+
+def _sweep(cfg: GameConfig, grand: PayoffReport, relay_cache: dict, *,
+           conditions: bool, x=None):
+    """The one pass over coalitions behind every core analysis.
+
+    Visits the non-empty coalitions in bitmask order and evaluates each at
+    most once, keeping only the current report (the grand coalition's report
+    is passed in and reused). Returns (gain witness, preference witness,
+    blocker):
+      - with `conditions`, the first (player, coalition) violating condition
+        2 and condition 3 of core_sufficient_conditions among the proper
+        coalitions; the sweep stops early once both are found and no payoff
+        vector is given;
+      - with a payoff vector `x`, the lexicographically smallest sorted member
+        tuple of a coalition whose every member earns strictly more than x.
+    """
+    n = cfg.n_players
+    full = (1 << n) - 1
+    bar = None if x is None else [float(v) for v in x]
+    gain_witness = preference_witness = blocker = None
+    for mask in range(1, full + 1):
+        searching = (conditions and mask != full
+                     and (gain_witness is None or preference_witness is None))
+        if not searching and bar is None:
+            break
+        members = tuple(k + 1 for k in range(n) if mask >> k & 1)   # ascending
+        S = frozenset(members)
+        rep = grand if mask == full else player_payoffs(S, cfg, relay_cache)
+        if searching:
+            vehicles = [m for m in members if m <= cfg.K]
+            if vehicles and gain_witness is None:
+                m = _gain_violator(vehicles, members[len(vehicles):], rep, cfg)
+                if m is not None:
+                    gain_witness = (m, S)
+            if preference_witness is None:
+                for m in members:
+                    if not (grand.payoff_of(m) > rep.payoff_of(m)):
+                        preference_witness = (m, S)
+                        break
+        if bar is not None and all(rep.payoff_of(m) > bar[m - 1] for m in members):
+            if blocker is None or members < blocker:
+                blocker = members
+    return gain_witness, preference_witness, blocker
+
+
+def _conditions(cfg: GameConfig, gain_witness, preference_witness) -> CoreConditions:
+    weight_witness = _weight_witness(cfg)
+    return CoreConditions(
+        weights_positive=weight_witness is None,
+        weight_witness=weight_witness,
+        gains_strict=gain_witness is None,
+        gain_witness=gain_witness,
+        grand_preferred=preference_witness is None,
+        preference_witness=preference_witness,
+    )
+
+
 def core_sufficient_conditions(cfg: GameConfig) -> CoreConditions:
     """Check three conditions that together make the grand vector unblockable.
 
@@ -164,60 +257,28 @@ def core_sufficient_conditions(cfg: GameConfig) -> CoreConditions:
     implies that no coalition can block, so whenever all three hold the grand
     payoff vector is in the core.
     """
-    n = cfg.n_players
-    if n > _ENUM_MAX_PLAYERS:
-        raise ValueError(f"enumeration bound exceeded: {n} players > {_ENUM_MAX_PLAYERS}")
-
-    weight_witness = None
-    for i in cfg.vehicles:
-        if not (cfg.alpha[cfg.vrow(i)] > 0.0 and cfg.beta[cfg.vrow(i)] > 0.0):
-            weight_witness = i
-            break
-    if weight_witness is None:
-        for j in cfg.rsus:
-            if not (cfg.gamma[cfg.rrow(j)] > 0.0 and cfg.mu[cfg.rrow(j)] > 0.0):
-                weight_witness = j
-                break
-
-    grand = player_payoffs(frozenset(range(1, n + 1)), cfg)
-    gain_witness = None
-    preference_witness = None
-    for S in proper_coalitions(n):
-        vehicles, rsus = split_members(S, cfg.K)
-        rep = player_payoffs(S, cfg)
-        if vehicles and gain_witness is None:
-            for i in vehicles:
-                vi = cfg.vrow(i)
-                if not (cfg.alpha[vi] * rep.throughput[i] > cfg.beta[vi] * rep.payment[i]):
-                    gain_witness = (i, S)
-                    break
-            if gain_witness is None:
-                for j in rsus:
-                    rj = cfg.rrow(j)
-                    if not (cfg.gamma[rj] * rep.revenue[j] > cfg.mu[rj] * rep.cost[j]):
-                        gain_witness = (j, S)
-                        break
-        if preference_witness is None:
-            for m in sorted(S):
-                if not (grand.payoff_of(m) > rep.payoff_of(m)):
-                    preference_witness = (m, S)
-                    break
-        if gain_witness is not None and preference_witness is not None:
-            break
-    return CoreConditions(
-        weights_positive=weight_witness is None,
-        weight_witness=weight_witness,
-        gains_strict=gain_witness is None,
-        gain_witness=gain_witness,
-        grand_preferred=preference_witness is None,
-        preference_witness=preference_witness,
-    )
+    _require_enumerable(cfg)
+    cache: dict = {}
+    gain_witness, preference_witness, _ = _sweep(
+        cfg, _grand_report(cfg, cache), cache, conditions=True)
+    return _conditions(cfg, gain_witness, preference_witness)
 
 
 @dataclass(frozen=True)
 class CoreMembership:
     in_core: bool
     blocking: Coalition | None
+
+
+def _membership(x, blocker, cfg: GameConfig, relay_cache: dict) -> CoreMembership:
+    """Re-verify the blocker member by member before reporting it."""
+    if blocker is None:
+        return CoreMembership(True, None)
+    rep = player_payoffs(frozenset(blocker), cfg, relay_cache)
+    if not all(rep.payoff_of(m) > x[m - 1] for m in blocker):
+        raise RuntimeError(f"internal invariant breach: blocker {list(blocker)} "
+                           "does not dominate on re-evaluation")
+    return CoreMembership(False, frozenset(blocker))
 
 
 def core_membership(x, cfg: GameConfig) -> CoreMembership:
@@ -234,21 +295,10 @@ def core_membership(x, cfg: GameConfig) -> CoreMembership:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.n_players,):
         raise ValueError(f"payoff vector has shape {x.shape}, expected ({cfg.n_players},)")
-    if cfg.n_players > _ENUM_MAX_PLAYERS:
-        raise ValueError(f"enumeration bound exceeded: {cfg.n_players} players")
-    n = cfg.n_players
-    blockers = []
-    for mask in range(1, 1 << n):
-        S = frozenset(k + 1 for k in range(n) if mask >> k & 1)
-        rep = player_payoffs(S, cfg)
-        if all(rep.payoff_of(m) > x[m - 1] for m in S):
-            blockers.append(tuple(sorted(S)))
-    if not blockers:
-        return CoreMembership(True, None)
-    best = min(blockers)
-    rep = player_payoffs(frozenset(best), cfg)
-    assert all(rep.payoff_of(m) > x[m - 1] for m in best)
-    return CoreMembership(False, frozenset(best))
+    _require_enumerable(cfg)
+    cache: dict = {}
+    _, _, blocker = _sweep(cfg, _grand_report(cfg, cache), cache, conditions=False, x=x)
+    return _membership(x, blocker, cfg, cache)
 
 
 @dataclass(frozen=True)
@@ -259,11 +309,19 @@ class StabilityVerdict:
 
 
 def stability_verdict(cfg: GameConfig) -> StabilityVerdict:
-    """Sufficient conditions plus direct core membership of the grand vector."""
-    conditions = core_sufficient_conditions(cfg)
-    grand: CoalitionStructure = (frozenset(range(1, cfg.n_players + 1)),)
-    vec = structure_payoffs(grand, cfg)
-    membership = core_membership(vec, cfg)
+    """Sufficient conditions plus direct core membership of the grand vector.
+
+    Same results as core_sufficient_conditions followed by core_membership of
+    the grand vector, from a single sweep that evaluates every coalition once.
+    """
+    _require_enumerable(cfg)
+    cache: dict = {}
+    grand = _grand_report(cfg, cache)
+    vec = _payoff_vector([grand], cfg.n_players)
+    gain_witness, preference_witness, blocker = _sweep(cfg, grand, cache,
+                                                       conditions=True, x=vec)
+    conditions = _conditions(cfg, gain_witness, preference_witness)
+    membership = _membership(vec, blocker, cfg, cache)
     if conditions.all_hold and not membership.in_core:
         raise RuntimeError("internal invariant breach: sufficient conditions hold "
                            f"but the grand vector is blocked by {sorted(membership.blocking)}")
@@ -287,18 +345,16 @@ def _uniformized(cfg: GameConfig) -> GameConfig:
 def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
-    Runs over every coalition of every partition when the player count is
-    small (a deterministic sample of partitions otherwise) and reports one
-    result per identity. Used by the CLI `check` subcommand.
+    Runs over every coalition of the first `max_structures` partitions of all
+    players in canonical order (every partition when there are at most that
+    many) and reports one result per identity. Used by the CLI `check`
+    subcommand.
     """
-    from .model import enumerate_partitions, normalize_structure
+    from .model import iter_partitions, normalize_structure
     from .analytic import (fee_per_transmission, oracle_relay_mean, rate_gain,
                            relay_usage_prob, transmission_share)
 
-    n = cfg.n_players
-    partitions = enumerate_partitions(n) if n <= 8 else None
-    if partitions is None or len(partitions) > max_structures:
-        partitions = (partitions or enumerate_partitions(min(n, 8)))[:max_structures]
+    partitions = list(itertools.islice(iter_partitions(cfg.n_players), max_structures))
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
 
     results: list[CheckResult] = []

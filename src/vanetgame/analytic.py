@@ -12,7 +12,6 @@ are pure and side-effect free.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .model import Coalition, GameConfig, split_members
@@ -21,6 +20,7 @@ __all__ = [
     "ABS_TOL",
     "PayoffReport",
     "transmission_share",
+    "relay_choice_probs",
     "relay_usage_prob",
     "relay_weighted_mean",
     "oracle_relay_mean",
@@ -49,6 +49,14 @@ def _require_rsu_member(S, j: int, cfg: GameConfig) -> None:
         raise ValueError(f"player {j} is not an RSU member of coalition {sorted(S)}")
 
 
+def _share(vehicles, i: int, cfg: GameConfig) -> float:
+    share = float(cfg.p[cfg.vrow(i)])
+    for v in vehicles:
+        if v < i:
+            share *= 1.0 - cfg.p[cfg.vrow(v)]
+    return float(share)
+
+
 def transmission_share(S, i: int, cfg: GameConfig) -> float:
     """Long-run fraction of slots in which vehicle i is the one scheduled.
 
@@ -56,12 +64,7 @@ def transmission_share(S, i: int, cfg: GameConfig) -> float:
     transmits only when active while all smaller-id members are inactive.
     """
     _require_vehicle_member(S, i, cfg)
-    vehicles, _ = split_members(S, cfg.K)
-    share = float(cfg.p[cfg.vrow(i)])
-    for v in vehicles:
-        if v < i:
-            share *= 1.0 - cfg.p[cfg.vrow(v)]
-    return float(share)
+    return _share(split_members(S, cfg.K)[0], i, cfg)
 
 
 def _member_encounters(S, i: int, cfg: GameConfig):
@@ -71,61 +74,75 @@ def _member_encounters(S, i: int, cfg: GameConfig):
     return rsus, q
 
 
-def relay_usage_prob(S, i: int, j: int, cfg: GameConfig) -> float:
-    """Probability that vehicle i both encounters RSU j and picks it as relay.
+def _choice_prob(q: list, j: int) -> float:
+    """P(RSU j chosen) = q_j * integral over [0, 1] of prod_{k != j} (1 - q_k + q_k t) dt."""
+    others = q[:j] + q[j + 1:]
+    coef = [1.0] + [0.0] * len(others)   # coef[b] = P(b of the others encountered)
+    for deg, qk in enumerate(others, start=1):
+        idle = 1.0 - qk
+        for b in range(deg, 0, -1):
+            coef[b] = coef[b] * idle + coef[b - 1] * qk
+        coef[0] *= idle
+    bracket = 0.0
+    for b, c in enumerate(coef):
+        bracket += c / (b + 1.0)
+    return q[j] * bracket
 
-    Grouped by the number of competing encountered RSUs: a set of b competitors
-    leaves j a 1/(b+1) chance under the uniform pick.
+
+def relay_choice_probs(q) -> list[float]:
+    """Probability that each RSU ends up as the relay, given encounter probabilities q.
+
+    RSU j wins the uniform pick against the B other encountered RSUs, so
+    P(j chosen) = q_j E[1/(B+1)]: q_j times the integral over [0, 1] of the
+    probability-generating function of the Poisson-binomial count B, whose
+    coefficients follow from the O(m^2) recursion of Hong (2013). O(m^3) in all.
     """
+    q = [float(x) for x in q]
+    return [_choice_prob(q, j) for j in range(len(q))]
+
+
+def _relay_terms(cfg: GameConfig, i: int, rsus: tuple, cache: dict):
+    """(relay-choice vector, rate gain, fee, per-RSU (price, forwarding cost,
+    expected receiving cost)) of vehicle i over the coalition's sorted RSUs,
+    memoised in the caller's `cache`: it depends only on (i, rsus)."""
+    key = (i, rsus)
+    terms = cache.get(key)
+    if terms is None:
+        vi = cfg.vrow(i)
+        rows = [cfg.rrow(j) for j in rsus]
+        probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
+        gain = fee = 0.0
+        for r, pr in zip(rows, probs):
+            gain += pr * cfg.delta[vi, r]
+            fee += pr * cfg.price[r, vi]
+        charges = [(float(cfg.price[r, vi]), float(cfg.cost_fwd[r, vi]),
+                    float(cfg.enc[r, vi] * cfg.cost_rcv[r, vi])) for r in rows]
+        terms = cache[key] = (probs, float(gain), float(fee), charges)
+    return terms
+
+
+def relay_usage_prob(S, i: int, j: int, cfg: GameConfig) -> float:
+    """Probability that vehicle i both encounters RSU j and picks it as relay."""
     _require_vehicle_member(S, i, cfg)
     _require_rsu_member(S, j, cfg)
     rsus, q = _member_encounters(S, i, cfg)
-    jpos = rsus.index(j)
-    others = [q[k] for k in range(len(q)) if k != jpos]
-    m = len(others)
-    bracket = 0.0
-    for n_competitors in range(m + 1):
-        level = 0.0
-        for comb in itertools.combinations(range(m), n_competitors):
-            inside = set(comb)
-            prob = 1.0
-            for k in range(m):
-                prob *= others[k] if k in inside else 1.0 - others[k]
-            level += prob
-        bracket += level / (n_competitors + 1.0)
-    return q[jpos] * bracket
+    return _choice_prob(q, rsus.index(j))
 
 
 def relay_weighted_mean(S, i: int, weights, cfg: GameConfig) -> float:
     """Expected weight of the relay vehicle i ends up using (0 if none).
 
-    `weights` maps each coalition RSU id to a weight. The expectation runs over
-    every non-empty encounter set, grouped by size, taking the plain mean of
-    the weights inside the set: exactly the distribution induced by the
-    uniform relay pick. With the rate-increase column as weights this is the
-    average rate boost; with the price column it is the average fee per
-    scheduled transmission. Returns 0 when the coalition has no RSUs.
+    `weights` maps each coalition RSU id to a weight: the rate-increase column
+    gives the rate gain, the price column the fee per scheduled transmission.
     """
     _require_vehicle_member(S, i, cfg)
     rsus, q = _member_encounters(S, i, cfg)
     missing = [j for j in rsus if j not in weights]
     if missing:
         raise ValueError(f"weights missing for RSUs {missing}")
-    w = [float(weights[j]) for j in rsus]
-    n = len(rsus)
     total = 0.0
-    for size in range(1, n + 1):
-        level = 0.0
-        for comb in itertools.combinations(range(n), size):
-            inside = set(comb)
-            prob = 1.0
-            for k in range(n):
-                prob *= q[k] if k in inside else 1.0 - q[k]
-            wsum = 0.0
-            for k in comb:
-                wsum += w[k]
-            level += wsum * prob
-        total += level / size
+    for j, pr in zip(rsus, relay_choice_probs(q)):
+        total += pr * float(weights[j])
     return total
 
 
@@ -166,24 +183,16 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     return value, chosen
 
 
-def _delta_weights(S, i: int, cfg: GameConfig) -> dict:
-    _, rsus = split_members(S, cfg.K)
-    return {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
-
-
-def _price_weights(S, i: int, cfg: GameConfig) -> dict:
-    _, rsus = split_members(S, cfg.K)
-    return {j: float(cfg.price[cfg.rrow(j), cfg.vrow(i)]) for j in rsus}
-
-
 def rate_gain(S, i: int, cfg: GameConfig) -> float:
     """Average data-rate increase vehicle i gets from coalition relaying."""
-    return relay_weighted_mean(S, i, _delta_weights(S, i, cfg), cfg)
+    _require_vehicle_member(S, i, cfg)
+    return _relay_terms(cfg, i, split_members(S, cfg.K)[1], {})[1]
 
 
 def fee_per_transmission(S, i: int, cfg: GameConfig) -> float:
     """Average fee vehicle i owes per scheduled transmission."""
-    return relay_weighted_mean(S, i, _price_weights(S, i, cfg), cfg)
+    _require_vehicle_member(S, i, cfg)
+    return _relay_terms(cfg, i, split_members(S, cfg.K)[1], {})[2]
 
 
 def throughput(S, i: int, cfg: GameConfig) -> float:
@@ -195,13 +204,7 @@ def throughput(S, i: int, cfg: GameConfig) -> float:
     however the outsiders are grouped.
     """
     _require_vehicle_member(S, i, cfg)
-    vehicles, _ = split_members(S, cfg.K)
-    su = set(vehicles)
-    t = transmission_share(S, i, cfg) * (1.0 + rate_gain(S, i, cfg))
-    for v in cfg.vehicles:
-        if v not in su:
-            t *= 1.0 - cfg.p[cfg.vrow(v)]
-    return float(t)
+    return player_payoffs(S, cfg).throughput[i]
 
 
 def avg_payment(S, i: int, cfg: GameConfig) -> float:
@@ -210,19 +213,14 @@ def avg_payment(S, i: int, cfg: GameConfig) -> float:
     Charged whenever the vehicle is scheduled and relayed, collisions
     included, so there is no outside-inactivity factor here.
     """
-    return transmission_share(S, i, cfg) * fee_per_transmission(S, i, cfg)
+    _require_vehicle_member(S, i, cfg)
+    return player_payoffs(S, cfg).payment[i]
 
 
 def revenue(S, j: int, cfg: GameConfig) -> float:
     """Average fee income per slot of RSU j across the coalition's vehicles."""
     _require_rsu_member(S, j, cfg)
-    vehicles, _ = split_members(S, cfg.K)
-    total = 0.0
-    for i in vehicles:
-        total += (transmission_share(S, i, cfg)
-                  * relay_usage_prob(S, i, j, cfg)
-                  * cfg.price[cfg.rrow(j), cfg.vrow(i)])
-    return float(total)
+    return player_payoffs(S, cfg).revenue[j]
 
 
 def cost(S, j: int, cfg: GameConfig) -> float:
@@ -232,14 +230,7 @@ def cost(S, j: int, cfg: GameConfig) -> float:
     if another relay is picked; forwarding cost only when j is the one chosen.
     """
     _require_rsu_member(S, j, cfg)
-    vehicles, _ = split_members(S, cfg.K)
-    total = 0.0
-    for i in vehicles:
-        vi, rj = cfg.vrow(i), cfg.rrow(j)
-        total += transmission_share(S, i, cfg) * (
-            cfg.cost_fwd[rj, vi] * relay_usage_prob(S, i, j, cfg)
-            + cfg.enc[rj, vi] * cfg.cost_rcv[rj, vi])
-    return float(total)
+    return player_payoffs(S, cfg).cost[j]
 
 
 @dataclass(frozen=True)
@@ -269,33 +260,39 @@ class PayoffReport:
         return self.rsu_payoff[player]
 
 
-def player_payoffs(S, cfg: GameConfig) -> PayoffReport:
-    """Full closed-form report for one coalition.
+def player_payoffs(S, cfg: GameConfig, relay_cache: dict | None = None) -> PayoffReport:
+    """Full closed-form report for one coalition, in one pass over its vehicles.
 
     Vehicle payoff: alpha * throughput - beta * payment.
-    RSU payoff: gamma * revenue - mu * cost.
+    RSU payoff: gamma * revenue - mu * cost. `relay_cache`, a dict owned by the
+    caller, shares the relay terms per (vehicle, RSU subset) across calls.
     """
     S = frozenset(S)
     if not S:
         raise ValueError("empty coalition")
+    cache = {} if relay_cache is None else relay_cache
     vehicles, rsus = split_members(S, cfg.K)
-    share = {i: transmission_share(S, i, cfg) for i in vehicles}
-    gain = {i: rate_gain(S, i, cfg) for i in vehicles}
-    fee = {i: fee_per_transmission(S, i, cfg) for i in vehicles}
-    thr = {i: throughput(S, i, cfg) for i in vehicles}
-    pay = {i: share[i] * fee[i] for i in vehicles}
-    relay = {j: {i: relay_usage_prob(S, i, j, cfg) for i in vehicles} for j in rsus}
-    rev = {j: revenue(S, j, cfg) for j in rsus}
-    cst = {j: cost(S, j, cfg) for j in rsus}
-    u_veh = {i: float(cfg.alpha[cfg.vrow(i)]) * thr[i] - float(cfg.beta[cfg.vrow(i)]) * pay[i]
-             for i in vehicles}
+    idle_outside = [float(1.0 - cfg.p[cfg.vrow(v)]) for v in cfg.vehicles if v not in vehicles]
+    share, gain, fee, thr, pay, u_veh = {}, {}, {}, {}, {}, {}
+    relay, rev, cst = {j: {} for j in rsus}, dict.fromkeys(rsus, 0.0), dict.fromkeys(rsus, 0.0)
+    for i in vehicles:
+        s = share[i] = _share(vehicles, i, cfg)
+        probs, gain[i], fee[i], charges = _relay_terms(cfg, i, rsus, cache)
+        t = s * (1.0 + gain[i])
+        for idle in idle_outside:
+            t *= idle
+        thr[i] = t
+        pay[i] = s * fee[i]
+        u_veh[i] = float(cfg.alpha[cfg.vrow(i)]) * t - float(cfg.beta[cfg.vrow(i)]) * pay[i]
+        for j, pr, (price, fwd, rcv) in zip(rsus, probs, charges):
+            relay[j][i] = pr
+            rev[j] += s * pr * price
+            cst[j] += s * (fwd * pr + rcv)
     u_rsu = {j: float(cfg.gamma[cfg.rrow(j)]) * rev[j] - float(cfg.mu[cfg.rrow(j)]) * cst[j]
              for j in rsus}
     total = 0.0
-    for i in vehicles:
-        total += u_veh[i]
-    for j in rsus:
-        total += u_rsu[j]
+    for u in (*u_veh.values(), *u_rsu.values()):
+        total += u
     return PayoffReport(
         members=S, share=share, rate_gain=gain, fee=fee, relay_prob=relay,
         throughput=thr, payment=pay, revenue=rev, cost=cst,

@@ -24,7 +24,7 @@ from .configio import (ConfigError, LoadedConfig, default_game_config,
                        default_geometry, load_config, resolve_encounter)
 from .geometry import analytic_pair_encounter, estimate_encounter_matrix
 from .model import (enumerate_partitions, format_structure, normalize_structure,
-                    parse_structure)
+                    parse_structure, unrank_partition)
 from .slotsim import simulate_slots
 
 DEFAULT_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -99,11 +99,7 @@ def _resolve_structure(arg, cfg):
     if arg.strip().isdigit():
         if n > 12:
             raise ValueError("structure ids require at most 12 players; pass explicit blocks")
-        partitions = enumerate_partitions(n)
-        idx = int(arg)
-        if not 1 <= idx <= len(partitions):
-            raise ValueError(f"structure id {idx} out of range 1..{len(partitions)}")
-        return partitions[idx - 1]
+        return unrank_partition(n, int(arg))
     return parse_structure(arg, n)
 
 

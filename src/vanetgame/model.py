@@ -23,6 +23,8 @@ __all__ = [
     "parse_structure",
     "format_structure",
     "enumerate_partitions",
+    "iter_partitions",
+    "unrank_partition",
     "bell_number",
     "normalize_structure",
 ]
@@ -225,35 +227,85 @@ def format_structure(cs) -> str:
     return "|".join(",".join(str(m) for m in sorted(b)) for b in canonical_structure(cs))
 
 
-def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:
-    """All set partitions of {1..n}, each once, in a fixed canonical order.
+def _blocks_of(labels) -> CoalitionStructure:
+    blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for idx, lab in enumerate(labels):
+        blocks[lab].append(idx + 1)
+    return tuple(frozenset(b) for b in blocks)
+
+
+def iter_partitions(n_players: int):
+    """Lazily yield every set partition of {1..n}, each once, in canonical order.
 
     The order is lexicographic over restricted-growth strings, so the first
-    partition is the single block {1..n} and the last is all singletons. The
-    result has Bell-number length and is stable across runs and platforms.
+    partition is the single block {1..n} and the last is all singletons; it is
+    stable across runs and platforms. `top[i]` holds max(labels[:i]), kept up
+    to date as the string advances instead of being recomputed.
     """
     n = int(n_players)
     if n < 1:
         raise ValueError("need at least one player to partition")
     labels = [0] * n
-    out: list[CoalitionStructure] = []
+    top = [0] * n
     while True:
-        n_blocks = max(labels) + 1
-        blocks: list[list[int]] = [[] for _ in range(n_blocks)]
-        for idx, lab in enumerate(labels):
-            blocks[lab].append(idx + 1)
-        out.append(tuple(frozenset(b) for b in blocks))
+        yield _blocks_of(labels)
         # advance to the next restricted-growth string
         i = n - 1
-        while i > 0:
-            if labels[i] <= max(labels[:i]):
-                labels[i] += 1
-                for k in range(i + 1, n):
-                    labels[k] = 0
-                break
+        while i > 0 and labels[i] > top[i]:
             i -= 1
-        else:
-            return out
+        if i == 0:
+            return
+        labels[i] += 1
+        reach = max(top[i], labels[i])
+        for k in range(i + 1, n):
+            labels[k] = 0
+            top[k] = reach
+
+
+def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:
+    """All set partitions of {1..n} in the order of iter_partitions.
+
+    The result has Bell-number length.
+    """
+    return list(iter_partitions(n_players))
+
+
+def _completions(remaining: int, used: int, memo: dict) -> int:
+    """Restricted-growth suffixes of a given length after `used` labels are taken."""
+    if remaining == 0:
+        return 1
+    key = (remaining, used)
+    if key not in memo:
+        memo[key] = (used * _completions(remaining - 1, used, memo)
+                     + _completions(remaining - 1, used + 1, memo))
+    return memo[key]
+
+
+def unrank_partition(n_players: int, index: int) -> CoalitionStructure:
+    """The partition at 1-based `index` of the canonical order, without enumerating.
+
+    Walks the restricted-growth string label by label, skipping over the
+    number of completions of every smaller label.
+    """
+    n = int(n_players)
+    if n < 1:
+        raise ValueError("need at least one player to partition")
+    total = bell_number(n)
+    if not 1 <= index <= total:
+        raise ValueError(f"structure id {index} out of range 1..{total}")
+    rank = index - 1
+    memo: dict = {}
+    labels = [0] * n
+    used = 1
+    for i in range(1, n):
+        for lab in range(used + 1):
+            count = _completions(n - i - 1, max(used, lab + 1), memo)
+            if rank < count:
+                break
+            rank -= count
+        labels[i] = lab
+        used = max(used, lab + 1)
+    return _blocks_of(labels)
 
 
 def bell_number(n: int) -> int:

@@ -176,6 +176,18 @@ def test_membership_grand_coalition_blocks_dominated_vectors(default_cfg):
     assert not result.in_core
 
 
+def test_preference_witness_is_the_smallest_id_member():
+    # vehicle 1 and its exclusive relay 2 both beat the grand coalition, where
+    # the expensive, useless RSU 3 takes half of the relaying
+    cfg = make_config(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
+                      cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
+    verdict = stability_verdict(cfg)
+    assert verdict.conditions.gains_strict
+    assert verdict.conditions.preference_witness == (1, frozenset({1, 2}))
+    assert verdict.membership.blocking == frozenset({1, 2})
+    assert core_sufficient_conditions(cfg) == verdict.conditions
+
+
 def test_membership_dimension_check(default_cfg):
     with pytest.raises(ValueError, match="shape"):
         core_membership(np.zeros(3), default_cfg)

@@ -108,6 +108,30 @@ def test_check_passes_on_default_config(capsys, config_file):
     assert out.count("[PASS]") >= 8
 
 
+def test_check_samples_partitions_of_all_players_beyond_eight(capsys):
+    import pathlib
+    config = pathlib.Path(__file__).parent / "data" / "core_k4m8.json"
+    assert main(["check", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    assert out.count("[PASS]") >= 8
+
+
+def test_structure_id_out_of_range_exits_3(capsys):
+    assert main(["payoffs", "--structure", "16"]) == 3
+    assert "structure id 16 out of range 1..15" in capsys.readouterr().err
+
+
+def test_structure_ids_resolve_in_enumeration_order(capsys):
+    assert main(["enumerate"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    for idx, blocks, _, _ in rows:
+        assert main(["payoffs", "--structure", idx]) == 0
+        by_id = capsys.readouterr().out
+        assert main(["payoffs", "--structure", blocks]) == 0
+        assert capsys.readouterr().out == by_id
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -1,0 +1,50 @@
+"""Frozen `core` output for fixed configs, produced by the subset-enumeration
+closed forms and the two-sweep core analysis that preceded the current code.
+
+Every verdict, witness and blocker line must match byte for byte. The
+grand-coalition payoffs are printed with repr: they match exactly for the
+default config, and elsewhere to ABS_TOL, because the polynomial closed forms
+round differently from the enumeration (both stay within a few ulps of the
+exact value).
+"""
+
+import pathlib
+
+import pytest
+
+from vanetgame.analytic import ABS_TOL
+from vanetgame.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+PAYOFF_LINE = "grand-coalition payoffs: "
+
+
+def _payoffs(line):
+    return [float(tok.split("=", 1)[1]) for tok in line[len(PAYOFF_LINE):].split(", ")]
+
+
+def _core_stdout(name, capsys):
+    argv = ["core"]
+    if name != "default":
+        argv += ["--config", str(DATA / f"core_{name}.json")]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_core_stdout_of_default_config_is_byte_identical(capsys):
+    assert _core_stdout("default", capsys) == (DATA / "core_default.golden.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["k4m8", "k4m8_blocked"])
+def test_core_stdout_matches_golden(name, capsys):
+    got = _core_stdout(name, capsys).splitlines()
+    want = (DATA / f"core_{name}.golden.txt").read_text().splitlines()
+    assert len(got) == len(want)
+    for line, frozen in zip(got, want):
+        if frozen.startswith(PAYOFF_LINE):
+            assert line.startswith(PAYOFF_LINE)
+            new, old = _payoffs(line), _payoffs(frozen)
+            assert len(new) == len(old)
+            assert max(abs(a - b) for a, b in zip(new, old)) <= ABS_TOL
+        else:
+            assert line == frozen

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vanetgame import (bell_number, canonical_structure, check_structure,
-                       enumerate_partitions, format_structure, make_config,
-                       normalize_structure, parse_structure, validate_config)
+                       enumerate_partitions, format_structure, iter_partitions,
+                       make_config, normalize_structure, parse_structure,
+                       unrank_partition, validate_config)
 
 
 def count_partitions_recursive(n):
@@ -52,6 +53,34 @@ def test_partition_order_is_deterministic_and_canonical():
     # blocks come out ordered by smallest member
     for cs in parts:
         assert list(cs) == sorted(cs, key=min)
+
+
+def test_iter_partitions_is_lazy_and_matches_the_list():
+    gen = iter_partitions(12)
+    assert next(gen) == (frozenset(range(1, 13)),)
+    for n in range(1, 7):
+        assert list(iter_partitions(n)) == enumerate_partitions(n)
+
+
+def test_unrank_matches_enumeration_for_every_id():
+    for n in range(1, 9):
+        parts = enumerate_partitions(n)
+        for idx, cs in enumerate(parts, start=1):
+            assert unrank_partition(n, idx) == cs
+
+
+def test_unrank_matches_enumeration_on_seeded_ids_at_ten_players():
+    parts = enumerate_partitions(10)
+    rng = np.random.default_rng(20240808)
+    ids = [1, 2, len(parts) - 1, len(parts)] + [int(v) for v in rng.integers(1, len(parts) + 1, 40)]
+    for idx in ids:
+        assert unrank_partition(10, idx) == parts[idx - 1]
+
+
+def test_unrank_rejects_ids_out_of_range():
+    for bad in (0, 16, -3):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.15"):
+            unrank_partition(4, bad)
 
 
 def test_single_player_partition():

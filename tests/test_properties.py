@@ -1,0 +1,121 @@
+"""Property tests (hypothesis) for the relay-choice primitive and the core sweep."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
+                       oracle_relay_mean, player_payoffs, relay_choice_probs,
+                       stability_verdict, structure_payoffs)
+
+probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _array(draw, shape, elements):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+
+
+@st.composite
+def configs(draw):
+    """Valid configs with at most 8 players, probabilities including 0 and 1."""
+    K = draw(st.integers(1, 4))
+    M = draw(st.integers(0, 4))
+    amount = st.floats(0.0, 2.0)
+    weight = st.floats(0.2, 3.0)
+    return make_config(
+        K, M,
+        p=_array(draw, (K,), probability),
+        enc=_array(draw, (M, K), probability),
+        delta=_array(draw, (K, M), amount),
+        price=_array(draw, (M, K), amount),
+        cost_fwd=_array(draw, (M, K), amount),
+        cost_rcv=_array(draw, (M, K), amount),
+        alpha=_array(draw, (K,), st.floats(0.5, 12.0)),
+        beta=_array(draw, (K,), weight),
+        gamma=_array(draw, (M,), weight),
+        mu=_array(draw, (M,), weight),
+    )
+
+
+def _coalitions(n):
+    for mask in range(1, 1 << n):
+        yield frozenset(k + 1 for k in range(n) if mask >> k & 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(probability, min_size=0, max_size=10))
+def test_relay_choice_probs_match_brute_force(q):
+    M = len(q)
+    cfg = make_config(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
+                      delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
+    rsus = range(2, M + 2)
+    _, chosen = oracle_relay_mean(frozenset(range(1, M + 2)), 1, dict.fromkeys(rsus, 1.0), cfg)
+    probs = relay_choice_probs(q)
+    assert len(probs) == M
+    for pr, j in zip(probs, rsus):
+        assert abs(pr - chosen[j]) <= ABS_TOL
+
+
+def test_relay_choice_probs_edges():
+    assert relay_choice_probs([]) == []
+    assert relay_choice_probs([0.0, 0.0]) == [0.0, 0.0]
+    assert relay_choice_probs([1.0, 1.0, 1.0, 1.0]) == [0.25] * 4
+    assert relay_choice_probs([1.0, 0.0, 0.5]) == [0.75, 0.0, 0.25]
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_payments_equal_revenues_in_every_coalition(cfg):
+    for S in _coalitions(cfg.n_players):
+        rep = player_payoffs(S, cfg)
+        paid = sum(rep.payment.values())
+        earned = sum(rep.revenue.values())
+        assert abs(paid - earned) <= ABS_TOL
+
+
+def _reference_analysis(cfg):
+    """Conditions 2 and 3 and the smallest blocker straight from the definitions."""
+    n = cfg.n_players
+    grand = player_payoffs(frozenset(range(1, n + 1)), cfg)
+    gain = preference = None
+    blockers = []
+    for S in _coalitions(n):
+        rep = player_payoffs(S, cfg)
+        members = sorted(S)
+        if len(S) < n:
+            if gain is None and any(m <= cfg.K for m in members):
+                for m in members:
+                    if m <= cfg.K:
+                        ok = (cfg.alpha[m - 1] * rep.throughput[m]
+                              > cfg.beta[m - 1] * rep.payment[m])
+                    else:
+                        r = cfg.rrow(m)
+                        ok = cfg.gamma[r] * rep.revenue[m] > cfg.mu[r] * rep.cost[m]
+                    if not ok:
+                        gain = (m, S)
+                        break
+            if preference is None:
+                for m in members:
+                    if not grand.payoff_of(m) > rep.payoff_of(m):
+                        preference = (m, S)
+                        break
+        if all(rep.payoff_of(m) > grand.payoff_of(m) for m in members):
+            blockers.append(tuple(members))
+    return gain, preference, (frozenset(min(blockers)) if blockers else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_fused_verdict_matches_separate_analyses(cfg):
+    verdict = stability_verdict(cfg)
+    grand = structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
+    assert np.array_equal(verdict.payoff_vector, grand)
+    assert verdict.conditions == core_sufficient_conditions(cfg)
+    assert verdict.membership == core_membership(grand, cfg)
+    gain, preference, blocker = _reference_analysis(cfg)
+    assert verdict.conditions.gain_witness == gain
+    assert verdict.conditions.preference_witness == preference
+    assert verdict.membership.blocking == blocker
+    assert verdict.membership.in_core == (blocker is None)
