@@ -1,142 +1,8 @@
-"""Hot slot-loop kernels: a numba-compiled path and a vectorized numpy path.
+"""Name of the slot simulator's kernel, for callers that record it.
 
-Both paths consume the same pre-drawn randomness (activity indicators,
-encounter indicators, selection uniforms) and fill the same integer event
-counters, so for a given seed they produce identical results; tests assert
-this bit-for-bit. The environment variable VANETGAME_DISABLE_NUMBA=1 makes
-numpy the default path (an explicit backend argument still wins); numpy is
-also the automatic fallback when numba is missing.
+The simulator has one kernel, the numpy one in `slotsim`.
 """
-
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-DISABLE_ENV = "VANETGAME_DISABLE_NUMBA"
-
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() not in ("", "0", "false", "no")
 
 
 def default_backend() -> str:
-    return "numpy" if (_env_disabled() or not HAS_NUMBA) else "numba"
-
-
-def _chunk_loop(active, enc_ind, u_sel,
-                veh_flat, veh_start, rsu_flat, rsu_start,
-                scheduled, enc_cnt, relay_succ, relay_fail,
-                succ_norelay, fail_norelay):
-    n_slots = active.shape[0]
-    n_vehicles = active.shape[1]
-    n_coal = veh_start.shape[0] - 1
-    n_rsus = enc_ind.shape[1]
-    enc_list = np.empty(n_rsus if n_rsus > 0 else 1, np.int64)
-    for t in range(n_slots):
-        total_active = 0
-        for v in range(n_vehicles):
-            if active[t, v]:
-                total_active += 1
-        for c in range(n_coal):
-            sched = -1
-            active_here = 0
-            for k in range(veh_start[c], veh_start[c + 1]):
-                v = veh_flat[k]
-                if active[t, v]:
-                    active_here += 1
-                    if sched < 0:
-                        sched = v
-            if sched < 0:
-                continue
-            scheduled[sched] += 1
-            success = total_active == active_here
-            n_enc = 0
-            for k in range(rsu_start[c], rsu_start[c + 1]):
-                r = rsu_flat[k]
-                if enc_ind[t, r, sched]:
-                    enc_cnt[r, sched] += 1
-                    enc_list[n_enc] = r
-                    n_enc += 1
-            if n_enc > 0:
-                pick = int(u_sel[t, c] * n_enc)
-                if pick >= n_enc:
-                    pick = n_enc - 1
-                r = enc_list[pick]
-                if success:
-                    relay_succ[r, sched] += 1
-                else:
-                    relay_fail[r, sched] += 1
-            else:
-                if success:
-                    succ_norelay[sched] += 1
-                else:
-                    fail_norelay[sched] += 1
-
-
-if HAS_NUMBA:
-    _chunk_loop_numba = njit(cache=True)(_chunk_loop)
-
-
-def _chunk_numpy(active, enc_ind, u_sel,
-                 veh_flat, veh_start, rsu_flat, rsu_start,
-                 scheduled, enc_cnt, relay_succ, relay_fail,
-                 succ_norelay, fail_norelay):
-    """Slot-parallel implementation of the same per-coalition bookkeeping."""
-    n_coal = veh_start.shape[0] - 1
-    total_active = active.sum(axis=1)
-    for c in range(n_coal):
-        vcols = veh_flat[veh_start[c]:veh_start[c + 1]]
-        amask = active[:, vcols]
-        any_active = amask.any(axis=1)
-        if not any_active.any():
-            continue
-        idx = np.flatnonzero(any_active)
-        # vcols is ascending, so the first active column is the smallest id
-        sched = vcols[amask[idx].argmax(axis=1)]
-        success = total_active[idx] == amask[idx].sum(axis=1)
-        np.add.at(scheduled, sched, 1)
-        rsus = rsu_flat[rsu_start[c]:rsu_start[c + 1]]
-        if rsus.size == 0:
-            np.add.at(succ_norelay, sched[success], 1)
-            np.add.at(fail_norelay, sched[~success], 1)
-            continue
-        emask = enc_ind[idx[:, None], rsus[None, :], sched[:, None]]
-        rows, cols = np.nonzero(emask)
-        np.add.at(enc_cnt, (rsus[cols], sched[rows]), 1)
-        n_enc = emask.sum(axis=1)
-        has_relay = n_enc > 0
-        if has_relay.any():
-            pick = (u_sel[idx[has_relay], c] * n_enc[has_relay]).astype(np.int64)
-            np.minimum(pick, n_enc[has_relay] - 1, out=pick)
-            ranks = np.cumsum(emask[has_relay], axis=1)
-            chosen_col = (ranks == (pick + 1)[:, None]).argmax(axis=1)
-            r_sel = rsus[chosen_col]
-            v_sel = sched[has_relay]
-            ok = success[has_relay]
-            np.add.at(relay_succ, (r_sel[ok], v_sel[ok]), 1)
-            np.add.at(relay_fail, (r_sel[~ok], v_sel[~ok]), 1)
-        bare = ~has_relay
-        if bare.any():
-            v_bare = sched[bare]
-            ok = success[bare]
-            np.add.at(succ_norelay, v_bare[ok], 1)
-            np.add.at(fail_norelay, v_bare[~ok], 1)
-
-
-def run_chunk(backend: str, *args) -> None:
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        _chunk_loop_numba(*args)
-    elif backend == "numpy":
-        _chunk_numpy(*args)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    return "numpy"

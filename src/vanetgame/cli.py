@@ -269,7 +269,7 @@ def cmd_simulate(args, loaded) -> int:
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
     _emit(args, ("player", "quantity", "estimate", "stderr", "analytic", "n_slots", "seed"),
-          rows, extra={"structure_blocks": format_structure(cs), "backend": report.backend})
+          rows, extra={"structure_blocks": format_structure(cs)})
     return 0
 
 

@@ -63,6 +63,25 @@ def _parse_geometry(section, K: int) -> GeometryConfig:
     )
 
 
+def _section(doc, name, errors, default=None):
+    """doc[name] (default when absent) if it is a JSON object; else records an error."""
+    if name not in doc:
+        return default
+    section = doc[name]
+    if not isinstance(section, dict):
+        errors.append(f"'{name}' section must be a JSON object, got {type(section).__name__}")
+        return None
+    return section
+
+
+def _count(game, key, errors):
+    value = game[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        errors.append(f"game.{key} must be a nonnegative integer, got {value!r}")
+        return None
+    return value
+
+
 def load_config(path) -> LoadedConfig:
     """Parse and validate a config file, reporting every problem at once."""
     try:
@@ -72,30 +91,44 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError([f"{path}: top level must be a JSON object, got {type(doc).__name__}"])
 
     errors = []
     game = doc.get("game")
+    encounter = _section(doc, "encounter", errors, default={})
+    geo_section = _section(doc, "geometry", errors)
+    K = M = None
     if not isinstance(game, dict):
-        raise ConfigError([f"{path}: missing or malformed 'game' section"])
-    missing = [k for k in ("K", "M", *_GAME_KEYS) if k not in game]
-    if missing:
-        raise ConfigError([f"{path}: 'game' section missing keys {missing}"])
-    K, M = int(game["K"]), int(game["M"])
-
-    encounter = doc.get("encounter", {})
-    from_geometry = bool(encounter.get("from_geometry", False))
-    if "matrix" in encounter:
-        enc = np.asarray(encounter["matrix"], dtype=np.float64)
-    elif from_geometry:
-        enc = np.zeros((M, K))   # placeholder until resolve_encounter runs
+        errors.append(f"{path}: missing or malformed 'game' section")
+    elif missing := [k for k in ("K", "M", *_GAME_KEYS) if k not in game]:
+        errors.append(f"{path}: 'game' section missing keys {missing}")
     else:
-        errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
-        enc = np.zeros((M, K))
+        K, M = _count(game, "K", errors), _count(game, "M", errors)
+
+    from_geometry = False
+    enc = None
+    if encounter is not None:
+        from_geometry = encounter.get("from_geometry", False)
+        if not isinstance(from_geometry, bool):
+            errors.append(f"encounter.from_geometry must be true or false, got {from_geometry!r}")
+            from_geometry = False
+        if "matrix" in encounter:
+            try:
+                enc = np.asarray(encounter["matrix"], dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"encounter.matrix is not a numeric matrix: {exc}")
+        elif not from_geometry:
+            errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
+    if K is None or M is None:
+        raise ConfigError(errors)
+    if enc is None:
+        enc = np.zeros((M, K))   # placeholder until resolve_encounter runs
 
     geometry = None
-    if "geometry" in doc:
+    if geo_section is not None:
         try:
-            geometry = _parse_geometry(doc["geometry"], K)
+            geometry = _parse_geometry(geo_section, K)
         except (ValueError, TypeError) as exc:
             errors.append(f"geometry: {exc}")
     if from_geometry and geometry is None:

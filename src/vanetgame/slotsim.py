@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import default_backend, run_chunk
 from .geometry import GeometryConfig, positions_from_uniforms
 from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
@@ -40,7 +39,6 @@ class EmpiricalReport:
     structure: CoalitionStructure
     n_slots: int
     seed: int
-    backend: str
     # per vehicle (K,)
     throughput: np.ndarray
     throughput_se: np.ndarray
@@ -91,20 +89,58 @@ class EmpiricalReport:
 
 
 def _layout(cs, cfg):
-    """Flatten the vehicle-containing coalitions into kernel-friendly arrays."""
-    veh_flat, rsu_flat = [], []
-    veh_start, rsu_start = [0], [0]
+    """(vehicles, RSUs) of each vehicle-containing coalition as ascending 0-based ids.
+
+    Coalitions come in canonical order, which fixes the selection uniform each
+    one draws.
+    """
+    layout = []
     for block in canonical_structure(cs):
         vehicles = sorted(m - 1 for m in block if m <= cfg.K)
-        if not vehicles:
+        if vehicles:
+            rsus = sorted(m - cfg.K - 1 for m in block if m > cfg.K)
+            layout.append((np.asarray(vehicles, np.int64), np.asarray(rsus, np.int64)))
+    return layout
+
+
+def _count_chunk(active, encounters, u_sel, layout, counts) -> None:
+    """Add one chunk of slots to the integer event counters.
+
+    active (slots, K) marks the vehicles that want to transmit and u_sel
+    (slots, coalitions) holds the relay-selection uniforms.
+    encounters(rows, rsus, vehicles) returns a (rows, rsus) boolean array: for
+    each slot row and the vehicle scheduled in it, which coalition RSUs
+    encountered that vehicle.
+    """
+    M, K = counts["encounters"].shape
+    total_active = active.sum(axis=1)
+    for c, (vcols, rsus) in enumerate(layout):
+        amask = active[:, vcols]
+        rows = np.flatnonzero(amask.any(axis=1))
+        if rows.size == 0:
             continue
-        rsus = sorted(m - cfg.K - 1 for m in block if m > cfg.K)
-        veh_flat.extend(vehicles)
-        rsu_flat.extend(rsus)
-        veh_start.append(len(veh_flat))
-        rsu_start.append(len(rsu_flat))
-    return (np.asarray(veh_flat, np.int64), np.asarray(veh_start, np.int64),
-            np.asarray(rsu_flat, np.int64), np.asarray(rsu_start, np.int64))
+        amask = amask[rows]
+        # vcols is ascending, so the first active column is the smallest id
+        sched = vcols[amask.argmax(axis=1)]
+        success = total_active[rows] == amask.sum(axis=1)
+        counts["scheduled"] += np.bincount(sched, minlength=K)
+        emask = encounters(rows, rsus, sched)
+        for col, r in enumerate(rsus):
+            counts["encounters"][r] += np.bincount(sched[emask[:, col]], minlength=K)
+        n_enc = emask.sum(axis=1)
+        relayed = n_enc > 0
+        if relayed.any():
+            pick = (u_sel[rows[relayed], c] * n_enc[relayed]).astype(np.int64)
+            np.minimum(pick, n_enc[relayed] - 1, out=pick)
+            ranks = np.cumsum(emask[relayed], axis=1)
+            chosen = rsus[(ranks == (pick + 1)[:, None]).argmax(axis=1)]
+            pair = chosen * K + sched[relayed]
+            ok = success[relayed]
+            counts["relays_success"] += np.bincount(pair[ok], minlength=M * K).reshape(M, K)
+            counts["relays_fail"] += np.bincount(pair[~ok], minlength=M * K).reshape(M, K)
+        bare = ~relayed
+        counts["success_no_relay"] += np.bincount(sched[bare & success], minlength=K)
+        counts["fail_no_relay"] += np.bincount(sched[bare & ~success], minlength=K)
 
 
 def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):
@@ -118,15 +154,15 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):
 
 
 def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
-                   use_numba: bool | None = None,
                    geometry: GeometryConfig | None = None,
                    chunk_slots: int = DEFAULT_CHUNK) -> EmpiricalReport:
     """Simulate a coalition structure for n_slots slots.
 
     Deterministic for a given seed and independent of chunk_slots: randomness
-    comes from one PCG64 stream consumed in a fixed order. use_numba=None
-    picks the compiled path when available (see _kernels.DISABLE_ENV),
-    True/False forces one path; both paths give identical reports.
+    comes from one PCG64 stream consumed in a fixed order. Each slot row draws
+    K activity uniforms, then one encounter uniform per RSU (matrix mode) or
+    x, y uniforms per node, vehicles first (geometry mode), then one
+    selection uniform per vehicle-containing coalition.
     """
     errors = check_structure(cs, cfg.n_players)
     if errors:
@@ -136,59 +172,50 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
     if geometry is not None and len(geometry.range_km) != cfg.K:
         raise ValueError(f"geometry has {len(geometry.range_km)} ranges, expected {cfg.K}")
 
-    if use_numba is None:
-        backend = default_backend()
-    else:
-        backend = "numba" if use_numba else "numpy"
-
     K, M = cfg.K, cfg.M
-    veh_flat, veh_start, rsu_flat, rsu_start = _layout(cs, cfg)
-    n_coal = len(veh_start) - 1
+    layout = _layout(cs, cfg)
+    n_coal = len(layout)
+    counts = {
+        "scheduled": np.zeros(K, np.int64),
+        "success_no_relay": np.zeros(K, np.int64),
+        "fail_no_relay": np.zeros(K, np.int64),
+        "encounters": np.zeros((M, K), np.int64),
+        "relays_success": np.zeros((M, K), np.int64),
+        "relays_fail": np.zeros((M, K), np.int64),
+    }
 
-    scheduled = np.zeros(K, np.int64)
-    enc_cnt = np.zeros((M, K), np.int64)
-    relay_succ = np.zeros((M, K), np.int64)
-    relay_fail = np.zeros((M, K), np.int64)
-    succ_norelay = np.zeros(K, np.int64)
-    fail_norelay = np.zeros(K, np.int64)
-
-    # keep the (chunk, M, K) encounter block modest for large games
+    # keep geometry mode's (chunk, M, K) distance block modest for large games
     chunk_slots = max(1024, min(chunk_slots, (1 << 24) // max(1, M * K)))
     rng = np.random.default_rng(seed)
-    ranges_sq = None
+    enc_width = M if geometry is None else 2 * (K + M)
     if geometry is not None:
-        ranges_sq = (np.asarray(geometry.range_km, np.float64) ** 2)[None, None, :]
+        ranges_sq = np.asarray(geometry.range_km, np.float64) ** 2
 
     done = 0
     while done < n_slots:
         m = min(chunk_slots, n_slots - done)
+        u = rng.random((m, K + enc_width + n_coal))
+        u_enc = u[:, K:K + enc_width]
         if geometry is None:
-            u = rng.random((m, K + M + n_coal))
-            active = u[:, :K] < cfg.p[None, :]
-            enc_ind = u[:, K:K + M, None] < cfg.enc[None, :, :]
-            u_sel = u[:, K + M:]
+            def encounters(rows, rsus, veh):
+                return u_enc[rows][:, rsus] < cfg.enc[rsus].T[veh]
         else:
-            n_nodes = K + M
-            u = rng.random((m, K + 2 * n_nodes + n_coal))
-            active = u[:, :K] < cfg.p[None, :]
-            pos = positions_from_uniforms(u[:, K:K + 2 * n_nodes],
-                                          geometry.side_km, geometry.placement)
+            pos = positions_from_uniforms(u_enc, geometry.side_km, geometry.placement)
             diff = pos[:, K:, None, :] - pos[:, None, :K, :]
             dist_sq = np.einsum("smkc,smkc->smk", diff, diff)
-            enc_ind = dist_sq <= ranges_sq
-            u_sel = u[:, K + 2 * n_nodes:]
-        enc_ind = np.ascontiguousarray(enc_ind)
-        run_chunk(backend, active, enc_ind, u_sel,
-                  veh_flat, veh_start, rsu_flat, rsu_start,
-                  scheduled, enc_cnt, relay_succ, relay_fail,
-                  succ_norelay, fail_norelay)
+
+            def encounters(rows, rsus, veh):
+                return dist_sq[rows[:, None], rsus, veh[:, None]] <= ranges_sq[veh][:, None]
+        _count_chunk(u[:, :K] < cfg.p, encounters, u[:, K + enc_width:], layout, counts)
         done += m
 
     n = n_slots
+    relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
+    succ_norelay = counts["success_no_relay"]
     relays = relay_succ + relay_fail
     rate = 1.0 + cfg.delta.T          # (M, K): rate when relayed by that RSU
     fee = cfg.price                   # (M, K)
-    enc_only = enc_cnt - relays
+    enc_only = counts["encounters"] - relays
 
     sum_t = succ_norelay + (relay_succ * rate).sum(axis=0)
     sumsq_t = succ_norelay + (relay_succ * rate * rate).sum(axis=0)
@@ -220,12 +247,11 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
     upr, upr_se = _mean_se(sum_ut, sumsq_ut, n)
 
     return EmpiricalReport(
-        structure=canonical_structure(cs), n_slots=n_slots, seed=seed, backend=backend,
+        structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
         throughput=thr, throughput_se=thr_se,
         payment=pay, payment_se=pay_se,
         vehicle_payoff=upv, vehicle_payoff_se=upv_se,
         revenue=rev, revenue_se=rev_se,
         cost=cst, cost_se=cst_se,
         rsu_payoff=upr, rsu_payoff_se=upr_se,
-        scheduled=scheduled, success_no_relay=succ_norelay, fail_no_relay=fail_norelay,
-        encounters=enc_cnt, relays_success=relay_succ, relays_fail=relay_fail)
+        **counts)

@@ -4,6 +4,10 @@ import pytest
 from vanetgame import make_config
 from vanetgame.configio import default_game_config
 
+# EmpiricalReport's integer event counters: three per vehicle, three per (RSU, vehicle)
+COUNTERS = ("scheduled", "success_no_relay", "fail_no_relay",
+            "encounters", "relays_success", "relays_fail")
+
 
 @pytest.fixture
 def default_cfg():

@@ -241,7 +241,7 @@ def test_ac07_slot_simulation_cross_validates_closed_forms():
         check(f"payoff[{j}]", rep.rsu_payoff[r], rep.rsu_payoff_se[r], block.rsu_payoff[j])
     ok = not failures and elapsed < 60.0
     _report("AC-07", ok,
-            f"1e6 slots ({rep.backend}) in {elapsed:.1f}s, worst |z| {worst_z:.2f}")
+            f"1e6 slots in {elapsed:.1f}s, worst |z| {worst_z:.2f}")
     assert not failures, failures
     assert elapsed < 60.0
 

@@ -150,6 +150,30 @@ def test_invalid_config_exits_3(tmp_path, capsys):
     assert "shape mismatch" in err
 
 
+def _malformed(edit):
+    doc = default_config_dict()
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([default_config_dict()], "top level must be a JSON object"),
+    (_malformed(lambda d: d.update(encounter=[[0.5, 0.5], [0.5, 0.5]])),
+     "'encounter' section must be a JSON object"),
+    (_malformed(lambda d: d.update(geometry=[1.0])), "'geometry' section must be a JSON object"),
+    (_malformed(lambda d: d["game"].update(K="x")), "game.K must be a nonnegative integer"),
+    (_malformed(lambda d: d.update(encounter={"matrix": "ab"})),
+     "encounter.matrix is not a numeric matrix"),
+    (_malformed(lambda d: d.update(encounter=None)), "'encounter' section must be a JSON object"),
+], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
+        "null-encounter"])
+def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["core", "--config", str(bad)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_3(capsys):
     assert main(["core", "--config", "/nonexistent/cfg.json"]) == 3
     assert "cannot read" in capsys.readouterr().err

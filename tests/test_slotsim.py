@@ -3,18 +3,50 @@ import pytest
 
 from vanetgame import (GeometryConfig, analytic_pair_encounter, canonical_structure,
                        make_config, simulate_slots, structure_reports)
-from vanetgame._kernels import HAS_NUMBA
-from conftest import random_config
+from conftest import COUNTERS, random_config
 
 GRAND = (frozenset({1, 2, 3, 4}),)
 
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+
+def reference_counters(cs, cfg, n_slots, seed):
+    """Plain-Python slot loop over the uniforms simulate_slots draws in matrix mode.
+
+    Each slot row holds K activity uniforms, one encounter uniform per RSU and
+    one selection uniform per vehicle-containing coalition (canonical order).
+    """
+    K, M = cfg.K, cfg.M
+    coalitions = []
+    for block in canonical_structure(cs):
+        vehicles = sorted(m - 1 for m in block if m <= K)
+        if vehicles:
+            coalitions.append((vehicles, sorted(m - K - 1 for m in block if m > K)))
+    u = np.random.default_rng(seed).random((n_slots, K + M + len(coalitions)))
+    counts = {name: np.zeros(K if name in COUNTERS[:3] else (M, K), np.int64)
+              for name in COUNTERS}
+    for t in range(n_slots):
+        active = [v for v in range(K) if u[t, v] < cfg.p[v]]
+        for c, (vehicles, rsus) in enumerate(coalitions):
+            here = [v for v in vehicles if v in active]
+            if not here:
+                continue
+            sched = here[0]
+            success = len(here) == len(active)
+            counts["scheduled"][sched] += 1
+            met = [r for r in rsus if u[t, K + r] < cfg.enc[r, sched]]
+            for r in met:
+                counts["encounters"][r, sched] += 1
+            if met:
+                pick = min(int(u[t, K + M + c] * len(met)), len(met) - 1)
+                counts["relays_success" if success else "relays_fail"][met[pick], sched] += 1
+            else:
+                counts["success_no_relay" if success else "fail_no_relay"][sched] += 1
+    return counts
 
 
 def test_all_idle_vehicles_produce_zero_estimates(default_cfg):
     import dataclasses
     silent = dataclasses.replace(default_cfg, p=np.zeros(2))
-    rep = simulate_slots(GRAND, silent, 5_000, seed=1, use_numba=False)
+    rep = simulate_slots(GRAND, silent, 5_000, seed=1)
     assert (rep.throughput == 0.0).all() and (rep.payment == 0.0).all()
     assert (rep.revenue == 0.0).all() and (rep.cost == 0.0).all()
     assert rep.scheduled.sum() == 0
@@ -24,46 +56,51 @@ def test_single_vehicle_throughput_converges():
     cfg = make_config(1, 0, p=0.37, enc=np.zeros((0, 1)), delta=np.zeros((1, 0)),
                       price=np.zeros((0, 1)), cost_fwd=np.zeros((0, 1)),
                       cost_rcv=np.zeros((0, 1)))
-    rep = simulate_slots((frozenset({1}),), cfg, 200_000, seed=2, use_numba=False)
+    rep = simulate_slots((frozenset({1}),), cfg, 200_000, seed=2)
     assert abs(rep.throughput[0] - 0.37) <= 3.0 * rep.throughput_se[0]
 
 
 def test_same_seed_same_report(default_cfg):
-    a = simulate_slots(GRAND, default_cfg, 30_000, seed=9, use_numba=False)
-    b = simulate_slots(GRAND, default_cfg, 30_000, seed=9, use_numba=False)
+    a = simulate_slots(GRAND, default_cfg, 30_000, seed=9)
+    b = simulate_slots(GRAND, default_cfg, 30_000, seed=9)
     assert (a.throughput == b.throughput).all()
     assert (a.relays_success == b.relays_success).all()
 
 
 def test_chunk_size_does_not_change_the_stream(default_cfg):
-    a = simulate_slots(GRAND, default_cfg, 30_000, seed=9, use_numba=False)
-    b = simulate_slots(GRAND, default_cfg, 30_000, seed=9, use_numba=False,
-                       chunk_slots=1_111)
+    a = simulate_slots(GRAND, default_cfg, 30_000, seed=9)
+    b = simulate_slots(GRAND, default_cfg, 30_000, seed=9, chunk_slots=1_111)
     assert (a.scheduled == b.scheduled).all()
     assert (a.encounters == b.encounters).all()
     assert (a.relays_success == b.relays_success).all()
     assert (a.relays_fail == b.relays_fail).all()
 
 
-@needs_numba
-def test_backends_produce_identical_counters(default_cfg):
-    structures = [
-        GRAND,
-        canonical_structure([{1, 3}, {2, 4}]),
-        canonical_structure([{1, 2, 3}, {4}]),
-        canonical_structure([{1}, {2}, {3}, {4}]),
+def test_kernel_matches_plain_python_reference(default_cfg):
+    cases = [
+        (default_cfg, GRAND),
+        (default_cfg, canonical_structure([{1, 3}, {2, 4}])),
+        (default_cfg, canonical_structure([{1, 2, 3}, {4}])),
+        (default_cfg, canonical_structure([{1}, {2}, {3}, {4}])),
     ]
-    for seed, cs in enumerate(structures):
-        a = simulate_slots(cs, default_cfg, 20_000, seed=seed, use_numba=False)
-        b = simulate_slots(cs, default_cfg, 20_000, seed=seed, use_numba=True)
-        for field in ("scheduled", "success_no_relay", "fail_no_relay",
-                      "encounters", "relays_success", "relays_fail"):
-            assert (getattr(a, field) == getattr(b, field)).all(), field
-        assert (a.throughput == b.throughput).all()
+    rng = np.random.default_rng(31)
+    while len(cases) < 10:
+        cfg = random_config(rng, k_max=4, m_max=4)
+        labels = rng.integers(0, 3, size=cfg.n_players)
+        blocks = {}
+        for player, lab in enumerate(labels, start=1):
+            blocks.setdefault(int(lab), set()).add(player)
+        cases.append((cfg, canonical_structure(blocks.values())))
+    for seed, (cfg, cs) in enumerate(cases):
+        # 1024-slot chunks: the kernel crosses chunk boundaries, the reference does not
+        rep = simulate_slots(cs, cfg, 2_500, seed=seed, chunk_slots=1_024)
+        want = reference_counters(cs, cfg, 2_500, seed)
+        for field in COUNTERS:
+            assert (getattr(rep, field) == want[field]).all(), (seed, field)
 
 
 def test_counter_consistency(default_cfg):
-    rep = simulate_slots(GRAND, default_cfg, 50_000, seed=4, use_numba=False)
+    rep = simulate_slots(GRAND, default_cfg, 50_000, seed=4)
     # at most one scheduled vehicle per coalition per slot (grand: per slot)
     assert rep.scheduled.sum() <= rep.n_slots
     # relays and bare transmissions partition the scheduled slots
@@ -74,7 +111,7 @@ def test_counter_consistency(default_cfg):
 
 
 def test_exact_payment_revenue_conservation(default_cfg):
-    rep = simulate_slots(GRAND, default_cfg, 50_000, seed=4, use_numba=False)
+    rep = simulate_slots(GRAND, default_cfg, 50_000, seed=4)
     # integer event accounting: both sides derive from the same relay counts
     fee_total = float((rep.relays * default_cfg.price).sum())
     per_vehicle = (rep.relays * default_cfg.price).sum(axis=0)
@@ -87,7 +124,7 @@ def test_success_requires_outside_silence(default_cfg):
     # two singleton-vehicle coalitions: a success for one implies the other
     # was idle, so successes never exceed sole-activity counts
     cs = canonical_structure([{1, 3}, {2, 4}])
-    rep = simulate_slots(cs, default_cfg, 50_000, seed=6, use_numba=False)
+    rep = simulate_slots(cs, default_cfg, 50_000, seed=6)
     successes = rep.success_no_relay + rep.relays_success.sum(axis=0)
     p = default_cfg.p
     expected = np.array([p[0] * (1 - p[1]), p[1] * (1 - p[0])]) * rep.n_slots
@@ -134,8 +171,7 @@ def test_random_structures_and_configs_cross_validate():
 def test_geometry_mode_agrees_qualitatively(default_cfg):
     import dataclasses
     geo = GeometryConfig(side_km=1.0, range_km=(0.45, 0.45), n_slots=1, seed=0)
-    rep = simulate_slots(GRAND, default_cfg, 150_000, seed=77, geometry=geo,
-                         use_numba=False)
+    rep = simulate_slots(GRAND, default_cfg, 150_000, seed=77, geometry=geo)
     q = analytic_pair_encounter(0.45, 1.0)
     cfg_q = dataclasses.replace(default_cfg, enc=np.full((2, 2), q))
     block = structure_reports(GRAND, cfg_q)[0]
@@ -158,7 +194,7 @@ def test_bad_inputs_rejected(default_cfg):
 
 
 def test_report_rows_shape(default_cfg):
-    rep = simulate_slots(GRAND, default_cfg, 1_000, seed=3, use_numba=False)
+    rep = simulate_slots(GRAND, default_cfg, 1_000, seed=3)
     rows = rep.rows()
     assert len(rows) == 2 * 3 + 2 * 3
     players = {r[0] for r in rows}
