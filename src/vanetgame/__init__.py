@@ -22,7 +22,7 @@ from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounte
                        estimate_encounter_matrix)
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
                     canonical_structure, check_structure, enumerate_partitions,
-                    format_structure, iter_partitions, make_config,
+                    format_structure, iter_partitions, iter_structure_rows, make_config,
                     normalize_structure, parse_structure, split_members,
                     unrank_partition, validate_config)
 from .slotsim import EmpiricalReport, simulate_slots
@@ -58,6 +58,7 @@ __all__ = [
     "fee_per_transmission",
     "format_structure",
     "iter_partitions",
+    "iter_structure_rows",
     "load_config",
     "make_config",
     "normalize_structure",

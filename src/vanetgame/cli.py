@@ -23,8 +23,8 @@ from .analytic import player_payoffs
 from .configio import (ConfigError, LoadedConfig, default_game_config,
                        default_geometry, load_config, resolve_encounter)
 from .geometry import analytic_pair_encounter, estimate_encounter_matrix
-from .model import (enumerate_partitions, format_structure, normalize_structure,
-                    parse_structure, unrank_partition)
+from .model import (format_structure, iter_structure_rows, parse_structure,
+                    unrank_partition)
 from .slotsim import simulate_slots
 
 DEFAULT_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -103,11 +103,14 @@ def _resolve_structure(arg, cfg):
     return parse_structure(arg, n)
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_rows(fh, header, rows) -> int:
+    """Write the header and every row of an iterable as CSV; return the row count."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    count = 0
+    for count, row in enumerate(rows, start=1):
+        writer.writerow(row)
+    return count
 
 
 def _write_manifest(out_path, args, extra=None) -> None:
@@ -133,14 +136,14 @@ def _write_manifest(out_path, args, extra=None) -> None:
 
 
 def _emit(args, header, rows, extra=None) -> None:
+    """Stream rows as CSV to --out, with a manifest that counts them, or to stdout."""
     if args.out:
-        _write_csv(args.out, header, rows)
-        _write_manifest(args.out, args, extra)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        with open(args.out, "w", newline="") as fh:
+            count = _write_rows(fh, header, rows)
+        _write_manifest(args.out, args, {**(extra or {}), "rows": count})
+        print(f"wrote {count} rows to {args.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(sys.stdout, header, rows)
 
 
 def cmd_enumerate(args, loaded) -> int:
@@ -148,11 +151,10 @@ def cmd_enumerate(args, loaded) -> int:
     if cfg.n_players > 12:
         print(f"refusing to enumerate partitions of {cfg.n_players} players", file=sys.stderr)
         return 3
-    rows = []
-    for idx, cs in enumerate(enumerate_partitions(cfg.n_players), start=1):
-        rows.append((idx, format_structure(cs),
-                     format_structure(normalize_structure(cs, cfg.K)), len(cs)))
-    _emit(args, ("id", "structure", "normalized", "n_coalitions"), rows)
+    rows = ((idx, *row) for idx, row in
+            enumerate(iter_structure_rows(cfg.n_players, cfg.K), start=1))
+    _emit(args, ("id", "structure", "normalized", "n_coalitions"), rows,
+          extra={"n_players": cfg.n_players, "K": cfg.K})
     return 0
 
 
@@ -161,7 +163,7 @@ def cmd_encounter(args, loaded) -> int:
     geo = loaded.geometry or default_geometry(cfg.K)
     if args.placement:
         geo = dataclasses.replace(geo, placement=args.placement)
-    if args.slots:
+    if args.slots is not None:
         geo = dataclasses.replace(geo, n_slots=args.slots)
     if args.seed is not None:
         geo = dataclasses.replace(geo, seed=args.seed)

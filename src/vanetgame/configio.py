@@ -50,17 +50,26 @@ class LoadedConfig:
 _GAME_KEYS = ("p", "delta", "price", "cost_fwd", "cost_rcv", "alpha", "beta", "gamma", "mu")
 
 
-def _parse_geometry(section, K: int) -> GeometryConfig:
-    rng_km = section.get("range_km", 0.2)
-    if np.isscalar(rng_km):
-        rng_km = (float(rng_km),) * K
-    return GeometryConfig(
-        side_km=float(section.get("side_km", 1.0)),
-        range_km=tuple(float(r) for r in rng_km),
-        placement=str(section.get("placement", "continuous")),
-        n_slots=int(section.get("n_slots", 1_000_000)),
-        seed=int(section.get("seed", 0)),
-    )
+def _parse_geometry(section, K: int, errors) -> GeometryConfig | None:
+    """The geometry section as a GeometryConfig, or None after recording its errors."""
+    n_slots = _count(section.get("n_slots", 1_000_000), "geometry.n_slots", errors)
+    seed = _count(section.get("seed", 0), "geometry.seed", errors)
+    if n_slots is None or seed is None:
+        return None
+    try:
+        rng_km = section.get("range_km", 0.2)
+        if np.isscalar(rng_km):
+            rng_km = (float(rng_km),) * K
+        return GeometryConfig(
+            side_km=float(section.get("side_km", 1.0)),
+            range_km=tuple(float(r) for r in rng_km),
+            placement=str(section.get("placement", "continuous")),
+            n_slots=n_slots,
+            seed=seed,
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
+        errors.append(f"geometry: {exc}")
+        return None
 
 
 def _section(doc, name, errors, default=None):
@@ -74,10 +83,10 @@ def _section(doc, name, errors, default=None):
     return section
 
 
-def _count(game, key, errors):
-    value = game[key]
+def _count(value, name, errors):
+    """value if it is a nonnegative JSON integer (not a bool); else records an error."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        errors.append(f"game.{key} must be a nonnegative integer, got {value!r}")
+        errors.append(f"{name} must be a nonnegative integer, got {value!r}")
         return None
     return value
 
@@ -104,7 +113,7 @@ def load_config(path) -> LoadedConfig:
     elif missing := [k for k in ("K", "M", *_GAME_KEYS) if k not in game]:
         errors.append(f"{path}: 'game' section missing keys {missing}")
     else:
-        K, M = _count(game, "K", errors), _count(game, "M", errors)
+        K, M = _count(game["K"], "game.K", errors), _count(game["M"], "game.M", errors)
 
     from_geometry = False
     enc = None
@@ -116,7 +125,7 @@ def load_config(path) -> LoadedConfig:
         if "matrix" in encounter:
             try:
                 enc = np.asarray(encounter["matrix"], dtype=np.float64)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 errors.append(f"encounter.matrix is not a numeric matrix: {exc}")
         elif not from_geometry:
             errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
@@ -127,11 +136,8 @@ def load_config(path) -> LoadedConfig:
 
     geometry = None
     if geo_section is not None:
-        try:
-            geometry = _parse_geometry(geo_section, K)
-        except (ValueError, TypeError) as exc:
-            errors.append(f"geometry: {exc}")
-    if from_geometry and geometry is None:
+        geometry = _parse_geometry(geo_section, K, errors)
+    elif from_geometry:
         errors.append("encounter.from_geometry requires a 'geometry' section")
     if geometry is not None and len(geometry.range_km) != K:
         errors.append(f"geometry.range_km needs {K} entries, got {len(geometry.range_km)}")
@@ -139,7 +145,7 @@ def load_config(path) -> LoadedConfig:
     try:
         cfg = make_config(K, M, enc=enc, check=False,
                           **{k: game[k] for k in _GAME_KEYS})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(errors + [f"game section: {exc}"]) from exc
     errors.extend(validate_config(cfg))
     if errors:

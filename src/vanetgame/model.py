@@ -7,6 +7,7 @@ not a player and has no payoff.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "format_structure",
     "enumerate_partitions",
     "iter_partitions",
+    "iter_structure_rows",
     "unrank_partition",
     "bell_number",
     "normalize_structure",
@@ -234,32 +236,61 @@ def _blocks_of(labels) -> CoalitionStructure:
     return tuple(frozenset(b) for b in blocks)
 
 
-def iter_partitions(n_players: int):
-    """Lazily yield every set partition of {1..n}, each once, in canonical order.
+def _walk(n_players: int):
+    """Every set partition of {1..n} once, in canonical order, as in-place lists.
 
-    The order is lexicographic over restricted-growth strings, so the first
-    partition is the single block {1..n} and the last is all singletons; it is
-    stable across runs and platforms. `top[i]` holds max(labels[:i]), kept up
-    to date as the string advances instead of being recomputed.
+    Player m joins each existing block in turn, then opens a new one:
+    lexicographic restricted-growth order (Knuth, TAOCP 7.2.1.5), from {1..n}
+    to all singletons, blocks ordered by smallest member, members ascending.
+    Every step yields the same two lists, each block's members and each
+    block's text ("1,5,6"), updated in place; readers copy what they keep.
     """
     n = int(n_players)
     if n < 1:
         raise ValueError("need at least one player to partition")
-    labels = [0] * n
-    top = [0] * n
-    while True:
-        yield _blocks_of(labels)
-        # advance to the next restricted-growth string
-        i = n - 1
-        while i > 0 and labels[i] > top[i]:
-            i -= 1
-        if i == 0:
+    blocks: list[list[int]] = []
+    texts: list[str] = []
+
+    def place(m):
+        if m > n:
+            yield blocks, texts
             return
-        labels[i] += 1
-        reach = max(top[i], labels[i])
-        for k in range(i + 1, n):
-            labels[k] = 0
-            top[k] = reach
+        tok = str(m)
+        for b in range(len(blocks)):
+            old = texts[b]
+            blocks[b].append(m)
+            texts[b] = old + "," + tok
+            yield from place(m + 1)
+            blocks[b].pop()
+            texts[b] = old
+        blocks.append([m])
+        texts.append(tok)
+        yield from place(m + 1)
+        blocks.pop()
+        texts.pop()
+
+    return place(1)
+
+
+def iter_partitions(n_players: int):
+    """Lazily yield every set partition of {1..n}, each once, in canonical order."""
+    return (tuple(frozenset(b) for b in blocks) for blocks, _ in _walk(n_players))
+
+
+def iter_structure_rows(n_players: int, K: int):
+    """Yield (structure, normalized, n_coalitions) of every partition in canonical order.
+
+    Equal to format_structure(cs), format_structure(normalize_structure(cs, K))
+    and len(cs), but built from the walk's block texts: the blocks holding a
+    vehicle are a prefix of the block order, and the RSUs of the other blocks
+    (ascending runs, which sorted() merges) become singletons.
+    """
+    for blocks, texts in _walk(n_players):
+        v = len(blocks)
+        while v and blocks[v - 1][0] > K:
+            v -= 1
+        loose = sorted(itertools.chain.from_iterable(blocks[v:]))
+        yield "|".join(texts), "|".join([*texts[:v], *map(str, loose)]), len(blocks)
 
 
 def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,37 @@ def test_enumerate_writes_csv_and_manifest(tmp_path, config_file):
     manifest = json.loads((tmp_path / "partitions.csv.manifest.json").read_text())
     assert manifest["command"] == "enumerate"
     assert manifest["version"]
+    assert (manifest["n_players"], manifest["K"], manifest["rows"]) == (4, 2, 15)
+
+
+def _scalar_config(tmp_path, K, M):
+    """A config of K vehicles and M RSUs with every parameter given as a scalar."""
+    doc = {"game": {"K": K, "M": M, "p": 0.5, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5,
+                    "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0},
+           "encounter": {"matrix": 0.5}}
+    path = tmp_path / f"k{K}m{M}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# sha256 of the enumerate CSV for 10 players, frozen from the enumeration that
+# built frozensets and re-sorted them for every row
+ENUMERATE_SHA256 = {
+    (4, 6): "2e08d7e772a7402ecc983399c62e142942158fd9e35cb8b7d95af8b7e16ab94d",
+    (10, 0): "a92da9633a2a074e989e5cc52a8875bc896d69c34a440bc887dbd727c708167c",
+}
+
+
+@pytest.mark.parametrize("K, M", sorted(ENUMERATE_SHA256))
+def test_enumerate_csv_matches_frozen_hash(tmp_path, capsys, K, M):
+    config = _scalar_config(tmp_path, K, M)
+    out = tmp_path / "partitions.csv"
+    assert main(["enumerate", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 115975 rows to {out}\n"
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ENUMERATE_SHA256[(K, M)]
+    assert main(["enumerate", "--config", config]) == 0
+    assert capsys.readouterr().out.encode() == data
 
 
 def test_payoffs_all_singletons(capsys):
@@ -165,13 +197,31 @@ def _malformed(edit):
     (_malformed(lambda d: d.update(encounter={"matrix": "ab"})),
      "encounter.matrix is not a numeric matrix"),
     (_malformed(lambda d: d.update(encounter=None)), "'encounter' section must be a JSON object"),
+    (_malformed(lambda d: d["geometry"].update(n_slots=1.9)),
+     "geometry.n_slots must be a nonnegative integer"),
+    (_malformed(lambda d: d["geometry"].update(n_slots=True)),
+     "geometry.n_slots must be a nonnegative integer"),
+    (_malformed(lambda d: d["geometry"].update(seed="7")),
+     "geometry.seed must be a nonnegative integer"),
+    (_malformed(lambda d: d["geometry"].update(seed=2.5)),
+     "geometry.seed must be a nonnegative integer"),
+    # json.dumps writes inf as Infinity, which loads as the same value as 1e400
+    (_malformed(lambda d: d["geometry"].update(n_slots=float("inf"))),
+     "geometry.n_slots must be a nonnegative integer"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
-        "null-encounter"])
+        "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
+        "inf-n_slots"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["core", "--config", str(bad)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slots", ["0", "-5"])
+def test_encounter_nonpositive_slots_exit_3(capsys, slots):
+    assert main(["encounter", "--slots", slots, "--d-sweep", "0.2"]) == 3
+    assert "n_slots must be at least 1" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_3(capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from vanetgame import (bell_number, canonical_structure, check_structure,
                        enumerate_partitions, format_structure, iter_partitions,
-                       make_config, normalize_structure, parse_structure,
-                       unrank_partition, validate_config)
+                       iter_structure_rows, make_config, normalize_structure,
+                       parse_structure, unrank_partition, validate_config)
 
 
 def count_partitions_recursive(n):
@@ -60,6 +60,15 @@ def test_iter_partitions_is_lazy_and_matches_the_list():
     assert next(gen) == (frozenset(range(1, 13)),)
     for n in range(1, 7):
         assert list(iter_partitions(n)) == enumerate_partitions(n)
+
+
+def test_structure_rows_match_formatted_partitions():
+    for n in range(1, 9):
+        parts = enumerate_partitions(n)
+        for K in range(1, n + 1):
+            want = [(format_structure(cs), format_structure(normalize_structure(cs, K)), len(cs))
+                    for cs in parts]
+            assert list(iter_structure_rows(n, K)) == want
 
 
 def test_unrank_matches_enumeration_for_every_id():

@@ -1,4 +1,6 @@
-"""Property tests (hypothesis) for the relay-choice primitive and the core sweep."""
+"""Property tests (hypothesis): relay-choice primitive, core sweep and config loading."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
                        oracle_relay_mean, player_payoffs, relay_choice_probs,
                        stability_verdict, structure_payoffs)
+from vanetgame.configio import ConfigError, default_config_dict, load_config
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -119,3 +122,36 @@ def test_fused_verdict_matches_separate_analyses(cfg):
     assert verdict.conditions.preference_witness == preference
     assert verdict.membership.blocking == blocker
     assert verdict.membership.in_core == (blocker is None)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -10 ** 400])
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+
+_DEFAULT = default_config_dict()
+# (section, key): key None replaces the whole section; "unknown" is a key no
+# reader knows
+CONFIG_SLOTS = ([(name, None) for name in (*_DEFAULT, "unknown")]
+                + [(name, key) for name, section in _DEFAULT.items()
+                   for key in (*section, "unknown")]
+                + [("encounter", "from_geometry")])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CONFIG_SLOTS), json_values)
+def test_any_json_value_in_any_key_loads_or_raises_config_error(tmp_path_factory, slot, value):
+    doc = default_config_dict()
+    name, key = slot
+    if key is None:
+        doc[name] = value
+    else:
+        doc[name][key] = value
+    path = tmp_path_factory.getbasetemp() / "any_value.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
