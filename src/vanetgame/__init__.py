@@ -9,13 +9,11 @@ __version__ = "0.1.0"
 
 from .analysis import (CheckResult, CoreConditions, CoreMembership, StabilityVerdict,
                        core_membership, core_sufficient_conditions,
-                       pricing_cancellation_check, proper_coalitions,
-                       run_identity_checks, stability_verdict, structure_payoffs,
-                       structure_reports, vehicle_coalition_profitability)
-from .analytic import (ABS_TOL, PayoffReport, avg_payment, cost, fee_per_transmission,
-                       oracle_relay_mean, player_payoffs, rate_gain, relay_choice_probs,
-                       relay_usage_prob, relay_weighted_mean, revenue, throughput,
-                       transmission_share)
+                       pricing_cancellation_check, run_identity_checks,
+                       stability_verdict, structure_payoffs, structure_reports,
+                       vehicle_coalition_profitability)
+from .analytic import (ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs,
+                       relay_choice_probs)
 from .configio import (ConfigError, LoadedConfig, default_game_config, default_geometry,
                        load_config, resolve_encounter)
 from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounter,
@@ -44,18 +42,15 @@ __all__ = [
     "ConfigError",
     "LoadedConfig",
     "analytic_pair_encounter",
-    "avg_payment",
     "bell_number",
     "canonical_structure",
     "check_structure",
     "core_membership",
     "core_sufficient_conditions",
-    "cost",
     "default_game_config",
     "default_geometry",
     "enumerate_partitions",
     "estimate_encounter_matrix",
-    "fee_per_transmission",
     "format_structure",
     "iter_partitions",
     "iter_structure_rows",
@@ -66,21 +61,14 @@ __all__ = [
     "parse_structure",
     "player_payoffs",
     "pricing_cancellation_check",
-    "proper_coalitions",
-    "rate_gain",
     "relay_choice_probs",
-    "relay_usage_prob",
-    "relay_weighted_mean",
     "resolve_encounter",
-    "revenue",
     "run_identity_checks",
     "simulate_slots",
     "split_members",
     "stability_verdict",
     "structure_payoffs",
     "structure_reports",
-    "throughput",
-    "transmission_share",
     "unrank_partition",
     "validate_config",
     "vehicle_coalition_profitability",

@@ -8,16 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ABS_TOL, PayoffReport, player_payoffs
-from .model import (Coalition, CoalitionStructure, GameConfig, check_structure,
-                    split_members)
+from .analytic import ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs
+from .model import (Coalition, GameConfig, check_structure, iter_partitions,
+                    normalize_structure, split_members)
 
 __all__ = [
     "structure_payoffs",
     "structure_reports",
     "vehicle_coalition_profitability",
     "pricing_cancellation_check",
-    "proper_coalitions",
     "CoreConditions",
     "CoreMembership",
     "StabilityVerdict",
@@ -121,13 +120,6 @@ def pricing_cancellation_check(S, cfg: GameConfig):
         earned += rep.revenue[j]
     residual = max(abs(rep.total_payoff - rep0.total_payoff), abs(paid - earned))
     return residual <= ABS_TOL, residual
-
-
-def proper_coalitions(n_players: int):
-    """Every non-empty proper subset of {1..n}, in a fixed bitmask order."""
-    full = (1 << n_players) - 1
-    for mask in range(1, full):
-        yield frozenset(k + 1 for k in range(n_players) if mask >> k & 1)
 
 
 @dataclass(frozen=True)
@@ -350,12 +342,11 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
     many) and reports one result per identity. Used by the CLI `check`
     subcommand.
     """
-    from .model import iter_partitions, normalize_structure
-    from .analytic import (fee_per_transmission, oracle_relay_mean, rate_gain,
-                           relay_usage_prob, transmission_share)
-
     partitions = list(itertools.islice(iter_partitions(cfg.n_players), max_structures))
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
+    uni = _uniformized(cfg)
+    reports = {S: player_payoffs(S, cfg) for S in coalitions}
+    uni_reports = {S: player_payoffs(S, uni) for S in coalitions}
 
     results: list[CheckResult] = []
 
@@ -363,7 +354,7 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
         worst = 0.0
         where = ""
         for S in coalitions:
-            r = fn(S)
+            r = fn(S, reports[S])
             if r is None:
                 continue
             if r > worst:
@@ -371,51 +362,48 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
         results.append(CheckResult(name, worst <= ABS_TOL,
                                    f"max residual {worst:.3e}{where}"))
 
-    def share_sum(S):
+    def share_sum(S, rep):
         vehicles, _ = split_members(S, cfg.K)
         if not vehicles:
             return None
-        total = sum(transmission_share(S, i, cfg) for i in vehicles)
+        total = sum(rep.share[i] for i in vehicles)
         miss = 1.0
         for i in vehicles:
             miss *= 1.0 - cfg.p[cfg.vrow(i)]
         return abs(total - (1.0 - miss))
 
-    def relay_row_sum(S):
+    def relay_row_sum(S, rep):
         vehicles, rsus = split_members(S, cfg.K)
         if not vehicles or not rsus:
             return None
         worst = 0.0
         for i in vehicles:
-            total = sum(relay_usage_prob(S, i, j, cfg) for j in rsus)
+            total = sum(rep.relay_prob[j][i] for j in rsus)
             none = 1.0
             for j in rsus:
                 none *= 1.0 - cfg.enc[cfg.rrow(j), cfg.vrow(i)]
             worst = max(worst, abs(total - (1.0 - none)))
         return worst
 
-    def mean_vs_relay_prob(S):
+    def mean_vs_relay_prob(S, rep):
         vehicles, rsus = split_members(S, cfg.K)
         if not vehicles or not rsus:
             return None
         worst = 0.0
         for i in vehicles:
-            fee_direct = fee_per_transmission(S, i, cfg)
-            gain_direct = rate_gain(S, i, cfg)
-            fee_sum = sum(relay_usage_prob(S, i, j, cfg) * cfg.price[cfg.rrow(j), cfg.vrow(i)]
+            fee_sum = sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
                           for j in rsus)
-            gain_sum = sum(relay_usage_prob(S, i, j, cfg) * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
+            gain_sum = sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
                            for j in rsus)
-            worst = max(worst, abs(fee_direct - fee_sum), abs(gain_direct - gain_sum))
+            worst = max(worst, abs(rep.fee[i] - fee_sum), abs(rep.rate_gain[i] - gain_sum))
         return worst
 
-    def payment_balance(S):
-        rep = player_payoffs(S, cfg)
+    def payment_balance(S, rep):
         paid = sum(rep.payment[i] for i in sorted(rep.payment))
         earned = sum(rep.revenue[j] for j in sorted(rep.revenue))
         return abs(paid - earned)
 
-    def oracle_agreement(S):
+    def oracle_agreement(S, rep):
         vehicles, rsus = split_members(S, cfg.K)
         if not vehicles or not rsus or len(rsus) > 12:
             return None
@@ -423,17 +411,16 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
         for i in vehicles:
             weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
             value, chosen = oracle_relay_mean(S, i, weights, cfg)
-            worst = max(worst, abs(value - rate_gain(S, i, cfg)))
+            worst = max(worst, abs(value - rep.rate_gain[i]))
             for j in rsus:
-                worst = max(worst, abs(chosen[j] - relay_usage_prob(S, i, j, cfg)))
+                worst = max(worst, abs(chosen[j] - rep.relay_prob[j][i]))
         return worst
 
-    uni = _uniformized(cfg)
-
-    def simplified_forms(S):
+    def simplified_forms(S, _):
         vehicles, rsus = split_members(S, cfg.K)
         if not vehicles:
             return None
+        rep = uni_reports[S]
         worst = 0.0
         for i in vehicles:
             reach = 1.0
@@ -443,8 +430,8 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
             d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
             xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
             worst = max(worst,
-                        abs(rate_gain(S, i, uni) - d_i * reach),
-                        abs(fee_per_transmission(S, i, uni) - xi_i * reach))
+                        abs(rep.rate_gain[i] - d_i * reach),
+                        abs(rep.fee[i] - xi_i * reach))
         return worst
 
     run("scheduled-share total matches 1 - P(all idle)", share_sum)
@@ -485,7 +472,7 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
         if rsus or not vehicles:
             continue
         verdict = vehicle_coalition_profitability(S, cfg)
-        rep = player_payoffs(S, cfg)
+        rep = reports[S]
         for i in vehicles:
             alone = player_payoffs(frozenset((i,)), cfg).vehicle_payoff[i]
             direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))

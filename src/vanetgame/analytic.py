@@ -19,17 +19,8 @@ from .model import Coalition, GameConfig, split_members
 __all__ = [
     "ABS_TOL",
     "PayoffReport",
-    "transmission_share",
     "relay_choice_probs",
-    "relay_usage_prob",
-    "relay_weighted_mean",
     "oracle_relay_mean",
-    "rate_gain",
-    "fee_per_transmission",
-    "throughput",
-    "avg_payment",
-    "revenue",
-    "cost",
     "player_payoffs",
 ]
 
@@ -44,27 +35,12 @@ def _require_vehicle_member(S, i: int, cfg: GameConfig) -> None:
         raise ValueError(f"player {i} is not a vehicle member of coalition {sorted(S)}")
 
 
-def _require_rsu_member(S, j: int, cfg: GameConfig) -> None:
-    if not cfg.is_rsu(j) or j not in S:
-        raise ValueError(f"player {j} is not an RSU member of coalition {sorted(S)}")
-
-
 def _share(vehicles, i: int, cfg: GameConfig) -> float:
     share = float(cfg.p[cfg.vrow(i)])
     for v in vehicles:
         if v < i:
             share *= 1.0 - cfg.p[cfg.vrow(v)]
     return float(share)
-
-
-def transmission_share(S, i: int, cfg: GameConfig) -> float:
-    """Long-run fraction of slots in which vehicle i is the one scheduled.
-
-    The smallest-id member transmits whenever it is active; every other member
-    transmits only when active while all smaller-id members are inactive.
-    """
-    _require_vehicle_member(S, i, cfg)
-    return _share(split_members(S, cfg.K)[0], i, cfg)
 
 
 def _member_encounters(S, i: int, cfg: GameConfig):
@@ -121,38 +97,13 @@ def _relay_terms(cfg: GameConfig, i: int, rsus: tuple, cache: dict):
     return terms
 
 
-def relay_usage_prob(S, i: int, j: int, cfg: GameConfig) -> float:
-    """Probability that vehicle i both encounters RSU j and picks it as relay."""
-    _require_vehicle_member(S, i, cfg)
-    _require_rsu_member(S, j, cfg)
-    rsus, q = _member_encounters(S, i, cfg)
-    return _choice_prob(q, rsus.index(j))
-
-
-def relay_weighted_mean(S, i: int, weights, cfg: GameConfig) -> float:
-    """Expected weight of the relay vehicle i ends up using (0 if none).
-
-    `weights` maps each coalition RSU id to a weight: the rate-increase column
-    gives the rate gain, the price column the fee per scheduled transmission.
-    """
-    _require_vehicle_member(S, i, cfg)
-    rsus, q = _member_encounters(S, i, cfg)
-    missing = [j for j in rsus if j not in weights]
-    if missing:
-        raise ValueError(f"weights missing for RSUs {missing}")
-    total = 0.0
-    for j, pr in zip(rsus, relay_choice_probs(q)):
-        total += pr * float(weights[j])
-    return total
-
-
 def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
-    """Brute-force counterpart of the grouped sums above, for validation.
+    """Brute-force counterpart of the relay terms above, for validation.
 
     Enumerates all 2^(#RSUs) encounter sets directly and, inside each set,
     averages over the uniform relay choices. Returns the expected weight and
     the per-RSU probability of being the chosen relay. Kept deliberately
-    independent of relay_weighted_mean / relay_usage_prob.
+    independent of relay_choice_probs and player_payoffs.
     """
     _require_vehicle_member(S, i, cfg)
     rsus, q = _member_encounters(S, i, cfg)
@@ -183,60 +134,16 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     return value, chosen
 
 
-def rate_gain(S, i: int, cfg: GameConfig) -> float:
-    """Average data-rate increase vehicle i gets from coalition relaying."""
-    _require_vehicle_member(S, i, cfg)
-    return _relay_terms(cfg, i, split_members(S, cfg.K)[1], {})[1]
-
-
-def fee_per_transmission(S, i: int, cfg: GameConfig) -> float:
-    """Average fee vehicle i owes per scheduled transmission."""
-    _require_vehicle_member(S, i, cfg)
-    return _relay_terms(cfg, i, split_members(S, cfg.K)[1], {})[2]
-
-
-def throughput(S, i: int, cfg: GameConfig) -> float:
-    """Average successful rate of vehicle i.
-
-    share * (1 + rate gain) * probability that every vehicle outside the
-    coalition is inactive. The outside product runs over all non-member
-    vehicles: any active outsider transmits in its own coalition and collides,
-    however the outsiders are grouped.
-    """
-    _require_vehicle_member(S, i, cfg)
-    return player_payoffs(S, cfg).throughput[i]
-
-
-def avg_payment(S, i: int, cfg: GameConfig) -> float:
-    """Average fee per slot: share times average fee per scheduled transmission.
-
-    Charged whenever the vehicle is scheduled and relayed, collisions
-    included, so there is no outside-inactivity factor here.
-    """
-    _require_vehicle_member(S, i, cfg)
-    return player_payoffs(S, cfg).payment[i]
-
-
-def revenue(S, j: int, cfg: GameConfig) -> float:
-    """Average fee income per slot of RSU j across the coalition's vehicles."""
-    _require_rsu_member(S, j, cfg)
-    return player_payoffs(S, cfg).revenue[j]
-
-
-def cost(S, j: int, cfg: GameConfig) -> float:
-    """Average outlay per slot of RSU j.
-
-    Receiving cost accrues whenever j encounters the scheduled vehicle, even
-    if another relay is picked; forwarding cost only when j is the one chosen.
-    """
-    _require_rsu_member(S, j, cfg)
-    return player_payoffs(S, cfg).cost[j]
-
-
 @dataclass(frozen=True)
 class PayoffReport:
     """Every per-player quantity for one coalition, keyed by player id.
 
+    Vehicles: share (fraction of slots in which the vehicle is the one
+    scheduled), rate_gain and fee (expected over its relay choice, per
+    scheduled transmission), throughput = share * (1 + rate_gain) * P(every
+    vehicle outside the coalition is inactive), payment = share * fee.
+    RSUs: revenue and cost per slot; receiving cost accrues whenever the RSU
+    encounters the scheduled vehicle, forwarding cost only when it is chosen.
     relay_prob maps RSU id -> {vehicle id -> probability of being its relay}.
     total_payoff is the sum of all member payoffs.
     """

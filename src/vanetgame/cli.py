@@ -2,8 +2,9 @@
 
 Every file-producing subcommand writes RFC-4180-style CSV with a frozen
 column order plus an adjacent <out>.manifest.json recording the invocation,
-so runs are reproducible from their outputs. Exit codes: 0 success, 2 usage
-error, 3 config problem, 4 internal invariant breach or failed check.
+so runs are reproducible from their outputs. Exit codes: 0 success, 1 stdout
+closed by its reader before the output was complete, 2 usage error, 3 config
+problem, 4 internal invariant breach or failed check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -304,13 +306,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        loaded = _load(args)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 3
-    try:
-        return _COMMANDS[args.command](args, loaded)
+        status = _COMMANDS[args.command](args, _load(args))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`). Point stdout at devnull
+        # so the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -43,10 +43,10 @@ class GeometryConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "side_km", float(self.side_km))
         object.__setattr__(self, "range_km", tuple(float(r) for r in self.range_km))
-        if self.side_km <= 0.0:
-            raise ValueError("side_km must be positive")
-        if any(r < 0.0 for r in self.range_km):
-            raise ValueError("transmission ranges must be nonnegative")
+        if not (math.isfinite(self.side_km) and self.side_km > 0.0):
+            raise ValueError("side_km must be positive and finite")
+        if not all(math.isfinite(r) and r >= 0.0 for r in self.range_km):
+            raise ValueError("transmission ranges must be nonnegative and finite")
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
         if self.placement not in PLACEMENTS:
@@ -59,9 +59,9 @@ def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
     With x = d/side: pi*x^2 - (8/3)*x^3 + x^4/2, valid for 0 <= d <= side
     (ranges beyond the side are rejected; the sweep never needs them).
     """
-    if side <= 0.0:
-        raise ValueError("side must be positive")
-    if d < 0.0 or d > side:
+    if not (math.isfinite(side) and side > 0.0):
+        raise ValueError("side must be positive and finite")
+    if not 0.0 <= d <= side:
         raise ValueError(f"range {d} outside [0, {side}]")
     x = d / side
     return math.pi * x * x - (8.0 / 3.0) * x ** 3 + 0.5 * x ** 4
@@ -86,10 +86,6 @@ class EncounterEstimate:
     stderr: np.ndarray   # (M, K)
     n_slots: int
     seed: int
-
-    def encounter_section(self) -> dict:
-        """The `encounter` config-file section this estimate corresponds to."""
-        return {"matrix": [[float(v) for v in row] for row in self.matrix]}
 
 
 def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int,

@@ -18,11 +18,10 @@ import numpy as np
 from vanetgame import (ABS_TOL, GeometryConfig, analytic_pair_encounter,
                        canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions,
-                       estimate_encounter_matrix, fee_per_transmission, make_config,
-                       normalize_structure, oracle_relay_mean, player_payoffs,
-                       rate_gain, relay_usage_prob, relay_weighted_mean,
-                       simulate_slots, structure_payoffs, structure_reports,
-                       transmission_share, vehicle_coalition_profitability)
+                       estimate_encounter_matrix, make_config, normalize_structure,
+                       oracle_relay_mean, player_payoffs, simulate_slots,
+                       structure_payoffs, structure_reports,
+                       vehicle_coalition_profitability)
 from vanetgame.configio import default_game_config
 from conftest import random_config, random_coalition
 
@@ -75,9 +74,9 @@ def test_ac01_partition_enumeration_matches_known_fifteen():
 
 def test_ac02_transmission_shares_exact():
     cfg = default_game_config()
-    S = frozenset({1, 2, 3, 4})
-    s1 = transmission_share(S, 1, cfg)
-    s2 = transmission_share(S, 2, cfg)
+    share = player_payoffs(frozenset({1, 2, 3, 4}), cfg).share
+    s1 = share[1]
+    s2 = share[2]
     ok = s1 == 0.6 and s2 == 0.6 * (1 - 0.6)
     _report("AC-02", ok, f"share(1)={s1!r}, share(2)={s2!r}")
     assert s1 == 0.6
@@ -93,17 +92,18 @@ def test_ac03_identity_suite_on_random_configs():
         S = random_coalition(rng, cfg)
         vehicles = sorted(m for m in S if m <= cfg.K)
         rsus = sorted(m for m in S if m > cfg.K)
+        rep = player_payoffs(S, cfg)
 
-        total = sum(transmission_share(S, i, cfg) for i in vehicles)
+        total = sum(rep.share[i] for i in vehicles)
         idle = 1.0
         for i in vehicles:
             idle *= 1.0 - cfg.p[i - 1]
         worst = max(worst, abs(total - (1.0 - idle)))
 
         for i in vehicles:
-            fee = fee_per_transmission(S, i, cfg)
-            gain = rate_gain(S, i, cfg)
-            eta_row = {j: relay_usage_prob(S, i, j, cfg) for j in rsus}
+            fee = rep.fee[i]
+            gain = rep.rate_gain[i]
+            eta_row = {j: rep.relay_prob[j][i] for j in rsus}
             if rsus:
                 none = 1.0
                 for j in rsus:
@@ -114,7 +114,6 @@ def test_ac03_identity_suite_on_random_configs():
             worst = max(worst, abs(gain - sum(eta_row[j] * cfg.delta[i - 1, j - cfg.K - 1]
                                               for j in rsus)))
 
-        rep = player_payoffs(S, cfg)
         paid = sum(rep.payment[i] for i in vehicles)
         earned = sum(rep.revenue[j] for j in rsus)
         worst = max(worst, abs(paid - earned))
@@ -123,6 +122,7 @@ def test_ac03_identity_suite_on_random_configs():
         uni = random_config(rng, k_max=4, m_max=5, uniform_relay=True)
         S2 = random_coalition(rng, uni)
         rsus2 = sorted(m for m in S2 if m > uni.K)
+        rep2 = player_payoffs(S2, uni)
         for i in sorted(m for m in S2 if m <= uni.K):
             reach = 1.0
             for j in rsus2:
@@ -130,10 +130,9 @@ def test_ac03_identity_suite_on_random_configs():
             reach = 1.0 - reach
             d_i = uni.delta[i - 1, 0] if rsus2 else 0.0
             xi_i = uni.price[0, i - 1] if rsus2 else 0.0
-            worst = max(worst, abs(rate_gain(S2, i, uni) - d_i * reach))
-            share = transmission_share(S2, i, uni)
-            worst = max(worst, abs(share * fee_per_transmission(S2, i, uni)
-                                   - share * (reach * xi_i)))
+            worst = max(worst, abs(rep2.rate_gain[i] - d_i * reach))
+            share = rep2.share[i]
+            worst = max(worst, abs(share * rep2.fee[i] - share * (reach * xi_i)))
     ok = worst <= ABS_TOL
     _report("AC-03", ok, f"{n_configs} configs, max residual {worst:.3e}")
     assert ok, f"identity residual {worst:.3e} exceeds {ABS_TOL}"
@@ -149,15 +148,16 @@ def test_ac04_oracle_equivalence():
             cfg = random_config(rng, k_max=3, m_max=5)
         S = random_coalition(rng, cfg, need_rsu=True)
         rsus = sorted(m for m in S if m > cfg.K)
+        rep = player_payoffs(S, cfg)
         for i in sorted(m for m in S if m <= cfg.K):
             weights = {j: float(cfg.delta[i - 1, j - cfg.K - 1]) for j in rsus}
             value, chosen = oracle_relay_mean(S, i, weights, cfg)
-            worst = max(worst, abs(value - relay_weighted_mean(S, i, weights, cfg)))
+            worst = max(worst, abs(value - rep.rate_gain[i]))
             prices = {j: float(cfg.price[j - cfg.K - 1, i - 1]) for j in rsus}
             pvalue, _ = oracle_relay_mean(S, i, prices, cfg)
-            worst = max(worst, abs(pvalue - fee_per_transmission(S, i, cfg)))
+            worst = max(worst, abs(pvalue - rep.fee[i]))
             for j in rsus:
-                worst = max(worst, abs(chosen[j] - relay_usage_prob(S, i, j, cfg)))
+                worst = max(worst, abs(chosen[j] - rep.relay_prob[j][i]))
     ok = worst <= ABS_TOL
     _report("AC-04", ok, f"{n_configs} configs, max |closed form - enumeration| {worst:.3e}")
     assert ok, f"oracle disagreement {worst:.3e} exceeds {ABS_TOL}"

@@ -3,9 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vanetgame import (ABS_TOL, avg_payment, cost, fee_per_transmission, make_config,
-                       oracle_relay_mean, player_payoffs, rate_gain, relay_usage_prob,
-                       relay_weighted_mean, revenue, throughput, transmission_share)
+from vanetgame import ABS_TOL, make_config, oracle_relay_mean, player_payoffs
 from conftest import random_config, random_coalition
 
 
@@ -26,24 +24,24 @@ def brute_force_shares(p_by_vehicle):
 
 
 def test_share_pair_matches_known_values(default_cfg):
-    S = frozenset({1, 2, 3, 4})
-    assert transmission_share(S, 1, default_cfg) == 0.6
-    assert transmission_share(S, 2, default_cfg) == 0.6 * (1 - 0.6)
+    share = player_payoffs(frozenset({1, 2, 3, 4}), default_cfg).share
+    assert share[1] == 0.6
+    assert share[2] == 0.6 * (1 - 0.6)
 
 
 def test_share_singleton_is_activity_probability(default_cfg):
-    assert transmission_share(frozenset({2}), 2, default_cfg) == 0.6
+    assert player_payoffs(frozenset({2}), default_cfg).share[2] == 0.6
 
 
 def test_share_three_vehicles_against_brute_force():
     cfg = make_config(3, 0, p=0.5, enc=np.zeros((0, 3)), delta=np.zeros((3, 0)),
                       price=np.zeros((0, 3)), cost_fwd=np.zeros((0, 3)),
                       cost_rcv=np.zeros((0, 3)))
-    S = frozenset({1, 2, 3})
+    share = player_payoffs(frozenset({1, 2, 3}), cfg).share
     expected = brute_force_shares({1: 0.5, 2: 0.5, 3: 0.5})
     assert expected == {1: 0.5, 2: 0.25, 3: 0.125}
     for i in (1, 2, 3):
-        assert abs(transmission_share(S, i, cfg) - expected[i]) <= ABS_TOL
+        assert abs(share[i] - expected[i]) <= ABS_TOL
 
 
 def test_share_brute_force_random():
@@ -53,8 +51,9 @@ def test_share_brute_force_random():
         S = random_coalition(rng, cfg)
         vehicles = [m for m in S if m <= cfg.K]
         expected = brute_force_shares({i: float(cfg.p[i - 1]) for i in vehicles})
+        share = player_payoffs(S, cfg).share
         for i in vehicles:
-            assert abs(transmission_share(S, i, cfg) - expected[i]) <= ABS_TOL
+            assert abs(share[i] - expected[i]) <= ABS_TOL
 
 
 def test_share_sum_identity():
@@ -63,35 +62,28 @@ def test_share_sum_identity():
         cfg = random_config(rng)
         S = random_coalition(rng, cfg)
         vehicles = [m for m in S if m <= cfg.K]
-        total = sum(transmission_share(S, i, cfg) for i in vehicles)
+        share = player_payoffs(S, cfg).share
+        total = sum(share[i] for i in vehicles)
         idle = np.prod([1.0 - cfg.p[i - 1] for i in vehicles])
         assert abs(total - (1.0 - idle)) <= ABS_TOL
 
 
-def test_share_requires_vehicle_membership(default_cfg):
-    with pytest.raises(ValueError, match="not a vehicle member"):
-        transmission_share(frozenset({1, 3}), 2, default_cfg)
-    with pytest.raises(ValueError, match="not a vehicle member"):
-        transmission_share(frozenset({1, 3}), 3, default_cfg)
-
-
 def test_relay_usage_single_rsu_is_encounter_probability(default_cfg):
-    S = frozenset({1, 3})
-    assert relay_usage_prob(S, 1, 3, default_cfg) == 0.5
+    assert player_payoffs(frozenset({1, 3}), default_cfg).relay_prob[3][1] == 0.5
 
 
 def test_relay_usage_pair_of_half_probability_rsus(default_cfg):
-    S = frozenset({1, 3, 4})
+    relay_prob = player_payoffs(frozenset({1, 3, 4}), default_cfg).relay_prob
     # one competitor at q=0.5: q*(1-q) + q*q/2
-    assert abs(relay_usage_prob(S, 1, 3, default_cfg) - 0.375) <= ABS_TOL
+    assert abs(relay_prob[3][1] - 0.375) <= ABS_TOL
 
 
 def test_relay_usage_certain_encounters_split_evenly():
     cfg = make_config(1, 2, p=0.5, enc=1.0, delta=0.5, price=1.0,
                       cost_fwd=0.1, cost_rcv=0.1)
-    S = frozenset({1, 2, 3})
-    assert abs(relay_usage_prob(S, 1, 2, cfg) - 0.5) <= ABS_TOL
-    assert abs(relay_usage_prob(S, 1, 3, cfg) - 0.5) <= ABS_TOL
+    relay_prob = player_payoffs(frozenset({1, 2, 3}), cfg).relay_prob
+    assert abs(relay_prob[2][1] - 0.5) <= ABS_TOL
+    assert abs(relay_prob[3][1] - 0.5) <= ABS_TOL
 
 
 def test_relay_usage_row_sum_identity():
@@ -102,20 +94,21 @@ def test_relay_usage_row_sum_identity():
             continue
         S = random_coalition(rng, cfg, need_rsu=True)
         rsus = [m for m in S if m > cfg.K]
+        relay_prob = player_payoffs(S, cfg).relay_prob
         for i in [m for m in S if m <= cfg.K]:
-            total = sum(relay_usage_prob(S, i, j, cfg) for j in rsus)
+            total = sum(relay_prob[j][i] for j in rsus)
             none = np.prod([1.0 - cfg.enc[j - cfg.K - 1, i - 1] for j in rsus])
             assert abs(total - (1.0 - none)) <= ABS_TOL
 
 
 def test_weighted_mean_single_rsu(default_cfg):
-    S = frozenset({2, 4})
-    assert abs(rate_gain(S, 2, default_cfg) - 0.5 * 0.5) <= ABS_TOL
+    rep = player_payoffs(frozenset({2, 4}), default_cfg)
+    assert abs(rep.rate_gain[2] - 0.5 * 0.5) <= ABS_TOL
 
 
 def test_weighted_mean_no_rsus_is_zero(default_cfg):
-    assert rate_gain(frozenset({1, 2}), 1, default_cfg) == 0.0
-    assert fee_per_transmission(frozenset({1}), 1, default_cfg) == 0.0
+    assert player_payoffs(frozenset({1, 2}), default_cfg).rate_gain[1] == 0.0
+    assert player_payoffs(frozenset({1}), default_cfg).fee[1] == 0.0
 
 
 def test_weighted_mean_uniform_weights_closed_form():
@@ -126,16 +119,11 @@ def test_weighted_mean_uniform_weights_closed_form():
             continue
         S = random_coalition(rng, cfg, need_rsu=True)
         rsus = [m for m in S if m > cfg.K]
+        rep = player_payoffs(S, cfg)
         for i in [m for m in S if m <= cfg.K]:
             reach = 1.0 - np.prod([1.0 - cfg.enc[j - cfg.K - 1, i - 1] for j in rsus])
             d_i = cfg.delta[i - 1, 0]
-            assert abs(rate_gain(S, i, cfg) - d_i * reach) <= ABS_TOL
-
-
-def test_weighted_mean_rejects_missing_weights(default_cfg):
-    S = frozenset({1, 3, 4})
-    with pytest.raises(ValueError, match="weights missing"):
-        relay_weighted_mean(S, 1, {3: 1.0}, default_cfg)
+            assert abs(rep.rate_gain[i] - d_i * reach) <= ABS_TOL
 
 
 def test_oracle_agreement_random():
@@ -146,12 +134,13 @@ def test_oracle_agreement_random():
             continue
         S = random_coalition(rng, cfg, need_rsu=True)
         rsus = [m for m in S if m > cfg.K]
+        rep = player_payoffs(S, cfg)
         for i in [m for m in S if m <= cfg.K]:
             weights = {j: float(cfg.delta[i - 1, j - cfg.K - 1]) for j in rsus}
             value, chosen = oracle_relay_mean(S, i, weights, cfg)
-            assert abs(value - relay_weighted_mean(S, i, weights, cfg)) <= ABS_TOL
+            assert abs(value - rep.rate_gain[i]) <= ABS_TOL
             for j in rsus:
-                assert abs(chosen[j] - relay_usage_prob(S, i, j, cfg)) <= ABS_TOL
+                assert abs(chosen[j] - rep.relay_prob[j][i]) <= ABS_TOL
 
 
 def test_oracle_symmetric_two_rsu_case():
@@ -171,58 +160,60 @@ def test_oracle_enumeration_bound():
 
 def test_throughput_singleton(default_cfg):
     # alone, a vehicle succeeds only when the other vehicle stays idle
-    assert abs(throughput(frozenset({1}), 1, default_cfg) - 0.6 * 0.4) <= ABS_TOL
+    rep = player_payoffs(frozenset({1}), default_cfg)
+    assert abs(rep.throughput[1] - 0.6 * 0.4) <= ABS_TOL
 
 
 def test_throughput_zero_when_an_outsider_is_always_active():
     cfg = make_config(2, 0, p=[0.5, 1.0], enc=np.zeros((0, 2)), delta=np.zeros((2, 0)),
                       price=np.zeros((0, 2)), cost_fwd=np.zeros((0, 2)),
                       cost_rcv=np.zeros((0, 2)))
-    assert throughput(frozenset({1}), 1, cfg) == 0.0
+    assert player_payoffs(frozenset({1}), cfg).throughput[1] == 0.0
 
 
 def test_throughput_grand_coalition_has_no_outside_discount(default_cfg):
-    S = frozenset({1, 2, 3, 4})
-    expected = 0.6 * (1.0 + rate_gain(S, 1, default_cfg))
-    assert abs(throughput(S, 1, default_cfg) - expected) <= ABS_TOL
+    rep = player_payoffs(frozenset({1, 2, 3, 4}), default_cfg)
+    expected = 0.6 * (1.0 + rep.rate_gain[1])
+    assert abs(rep.throughput[1] - expected) <= ABS_TOL
 
 
 def test_payment_single_pair():
     cfg = make_config(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
                       cost_fwd=0.0, cost_rcv=0.0)
-    assert abs(avg_payment(frozenset({1, 2}), 1, cfg) - 0.6 * 0.5 * 1.5) <= ABS_TOL
+    rep = player_payoffs(frozenset({1, 2}), cfg)
+    assert abs(rep.payment[1] - 0.6 * 0.5 * 1.5) <= ABS_TOL
 
 
 def test_payment_zero_without_rsus(default_cfg):
-    assert avg_payment(frozenset({1, 2}), 1, default_cfg) == 0.0
+    assert player_payoffs(frozenset({1, 2}), default_cfg).payment[1] == 0.0
 
 
 def test_payment_ignores_collisions_but_throughput_does_not(default_cfg):
     # same in-coalition quantities, different outside exposure
-    small = frozenset({1, 3, 4})
-    grand = frozenset({1, 2, 3, 4})
-    assert avg_payment(small, 1, default_cfg) == avg_payment(grand, 1, default_cfg)
-    assert throughput(small, 1, default_cfg) < throughput(grand, 1, default_cfg)
+    small = player_payoffs(frozenset({1, 3, 4}), default_cfg)
+    grand = player_payoffs(frozenset({1, 2, 3, 4}), default_cfg)
+    assert small.payment[1] == grand.payment[1]
+    assert small.throughput[1] < grand.throughput[1]
 
 
 def test_revenue_cost_single_pair():
     cfg = make_config(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
                       cost_fwd=0.5, cost_rcv=0.2)
-    S = frozenset({1, 2})
-    assert abs(revenue(S, 2, cfg) - 0.6 * 0.5 * 1.5) <= ABS_TOL
-    assert abs(cost(S, 2, cfg) - 0.6 * 0.5 * (0.5 + 0.2)) <= ABS_TOL
+    rep = player_payoffs(frozenset({1, 2}), cfg)
+    assert abs(rep.revenue[2] - 0.6 * 0.5 * 1.5) <= ABS_TOL
+    assert abs(rep.cost[2] - 0.6 * 0.5 * (0.5 + 0.2)) <= ABS_TOL
 
 
 def test_revenue_and_cost_zero_without_vehicles(default_cfg):
-    S = frozenset({3, 4})
-    assert revenue(S, 3, default_cfg) == 0.0
-    assert cost(S, 4, default_cfg) == 0.0
+    rep = player_payoffs(frozenset({3, 4}), default_cfg)
+    assert rep.revenue[3] == 0.0
+    assert rep.cost[4] == 0.0
 
 
 def test_cost_zero_when_costs_are_zero():
     cfg = make_config(2, 2, p=0.6, enc=0.5, delta=0.5, price=1.5,
                       cost_fwd=0.0, cost_rcv=0.0)
-    assert cost(frozenset({1, 2, 3, 4}), 3, cfg) == 0.0
+    assert player_payoffs(frozenset({1, 2, 3, 4}), cfg).cost[3] == 0.0
 
 
 def test_payment_revenue_balance_random():

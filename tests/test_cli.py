@@ -1,9 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import vanetgame
 from vanetgame.cli import main
 from vanetgame.configio import default_config_dict
 
@@ -141,7 +146,6 @@ def test_check_passes_on_default_config(capsys, config_file):
 
 
 def test_check_samples_partitions_of_all_players_beyond_eight(capsys):
-    import pathlib
     config = pathlib.Path(__file__).parent / "data" / "core_k4m8.json"
     assert main(["check", "--config", str(config)]) == 0
     out = capsys.readouterr().out
@@ -208,9 +212,16 @@ def _malformed(edit):
     # json.dumps writes inf as Infinity, which loads as the same value as 1e400
     (_malformed(lambda d: d["geometry"].update(n_slots=float("inf"))),
      "geometry.n_slots must be a nonnegative integer"),
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    (_malformed(lambda d: d["geometry"].update(side_km=float("nan"))),
+     "side_km must be positive and finite"),
+    (_malformed(lambda d: d["geometry"].update(side_km=float("inf"))),
+     "side_km must be positive and finite"),
+    (_malformed(lambda d: d["geometry"].update(range_km=[0.2, float("nan")])),
+     "transmission ranges must be nonnegative and finite"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
         "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
-        "inf-n_slots"])
+        "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -224,6 +235,26 @@ def test_encounter_nonpositive_slots_exit_3(capsys, slots):
     assert "n_slots must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["payoffs", "encounter"])
+def test_nan_range_in_sweep_exits_3(capsys, command):
+    assert main([command, "--d-sweep", "nan"]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
+    cmd = [sys.executable, "-m", "vanetgame.cli", "enumerate", "--config",
+           _scalar_config(tmp_path, 4, 6)]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vanetgame.__file__).parents[1])}
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline() == b"id,structure,normalized,n_coalitions\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err.seek(0)
+        stderr = err.read()
+    assert b"Traceback" not in stderr, stderr.decode()
+
+
 def test_missing_config_file_exits_3(capsys):
     assert main(["core", "--config", "/nonexistent/cfg.json"]) == 3
     assert "cannot read" in capsys.readouterr().err
@@ -235,7 +266,6 @@ def test_bad_structure_spec_exits_3(capsys, config_file):
 
 
 def test_shipped_default_config_matches_builtin_defaults():
-    import pathlib
     shipped = json.loads(
         (pathlib.Path(__file__).parent.parent / "configs" / "default.json").read_text())
     assert shipped == default_config_dict()

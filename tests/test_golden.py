@@ -1,11 +1,15 @@
-"""Frozen `core` output for fixed configs, produced by the subset-enumeration
-closed forms and the two-sweep core analysis that preceded the current code.
+"""Frozen `core` and `check` output for fixed configs.
 
-Every verdict, witness and blocker line must match byte for byte. The
-grand-coalition payoffs are printed with repr: they match exactly for the
-default config, and elsewhere to ABS_TOL, because the polynomial closed forms
-round differently from the enumeration (both stay within a few ulps of the
-exact value).
+`core` output was produced by the subset-enumeration closed forms and the
+two-sweep core analysis that preceded the current code. Every verdict,
+witness and blocker line must match byte for byte. The grand-coalition
+payoffs are printed with repr: they match exactly for the default config, and
+elsewhere to ABS_TOL, because the polynomial closed forms round differently
+from the enumeration (both stay within a few ulps of the exact value).
+
+`check` output was produced by the identity suite that read each quantity
+through its own per-(coalition, player) function; the residuals it prints
+must stay byte-identical.
 """
 
 import pathlib
@@ -23,8 +27,8 @@ def _payoffs(line):
     return [float(tok.split("=", 1)[1]) for tok in line[len(PAYOFF_LINE):].split(", ")]
 
 
-def _core_stdout(name, capsys):
-    argv = ["core"]
+def _stdout(command, name, capsys):
+    argv = [command]
     if name != "default":
         argv += ["--config", str(DATA / f"core_{name}.json")]
     assert main(argv) == 0
@@ -32,12 +36,17 @@ def _core_stdout(name, capsys):
 
 
 def test_core_stdout_of_default_config_is_byte_identical(capsys):
-    assert _core_stdout("default", capsys) == (DATA / "core_default.golden.txt").read_text()
+    assert _stdout("core", "default", capsys) == (DATA / "core_default.golden.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["default", "k4m8", "k4m8_blocked"])
+def test_check_stdout_is_byte_identical(name, capsys):
+    assert _stdout("check", name, capsys) == (DATA / f"check_{name}.golden.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ["k4m8", "k4m8_blocked"])
 def test_core_stdout_matches_golden(name, capsys):
-    got = _core_stdout(name, capsys).splitlines()
+    got = _stdout("core", name, capsys).splitlines()
     want = (DATA / f"core_{name}.golden.txt").read_text().splitlines()
     assert len(got) == len(want)
     for line, frozen in zip(got, want):

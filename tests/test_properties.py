@@ -1,4 +1,5 @@
-"""Property tests (hypothesis): relay-choice primitive, core sweep and config loading."""
+"""Property tests (hypothesis): relay-choice primitive, core sweep, simulator
+counters and config loading."""
 
 import json
 
@@ -6,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
-                       oracle_relay_mean, player_payoffs, relay_choice_probs,
-                       stability_verdict, structure_payoffs)
+from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient_conditions,
+                       make_config, oracle_relay_mean, player_payoffs, relay_choice_probs,
+                       simulate_slots, stability_verdict, structure_payoffs)
 from vanetgame.configio import ConfigError, default_config_dict, load_config
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -122,6 +123,27 @@ def test_fused_verdict_matches_separate_analyses(cfg):
     assert verdict.conditions.preference_witness == preference
     assert verdict.membership.blocking == blocker
     assert verdict.membership.in_core == (blocker is None)
+
+
+@st.composite
+def structures(draw, n):
+    """Any partition of players 1..n, from one block label per player."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return tuple(frozenset(m + 1 for m in range(n) if labels[m] == b) for b in set(labels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), configs(), st.integers(1, 600), st.integers(0, 2 ** 32),
+       st.sampled_from([64, 65_536]), st.one_of(st.none(), st.floats(0.0, 1.5)))
+def test_simulator_counters_are_conserved(data, cfg, n_slots, seed, chunk_slots, range_km):
+    cs = data.draw(structures(cfg.n_players))
+    geometry = (None if range_km is None else
+                GeometryConfig(side_km=1.0, range_km=(range_km,) * cfg.K, n_slots=1))
+    rep = simulate_slots(cs, cfg, n_slots, seed, geometry=geometry, chunk_slots=chunk_slots)
+    relays = rep.relays
+    assert np.array_equal(rep.scheduled,
+                          rep.success_no_relay + rep.fail_no_relay + relays.sum(axis=0))
+    assert (rep.encounters >= relays).all()
 
 
 json_values = st.recursive(
