@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs
+from .analytic import (ABS_TOL, PayoffReport, _assemble, _relay_terms, oracle_relay_mean,
+                       player_payoffs)
 from .model import (Coalition, GameConfig, check_structure, iter_partitions,
                     normalize_structure, split_members)
 
@@ -109,17 +110,24 @@ def pricing_cancellation_check(S, cfg: GameConfig):
     off += [j for j in rsus if cfg.gamma[cfg.rrow(j)] != 1.0]
     if off:
         raise ValueError(f"weights not 1 for players {off}")
-    rep = player_payoffs(S, cfg)
-    no_fees = dataclasses.replace(cfg, price=np.zeros_like(cfg.price))
-    rep0 = player_payoffs(S, no_fees)
-    paid = 0.0
-    for i in vehicles:
-        paid += rep.payment[i]
-    earned = 0.0
-    for j in rsus:
-        earned += rep.revenue[j]
-    residual = max(abs(rep.total_payoff - rep0.total_payoff), abs(paid - earned))
+    residual = _pricing_residual(player_payoffs(S, cfg), player_payoffs(S, _without_fees(cfg)))
     return residual <= ABS_TOL, residual
+
+
+def _without_fees(cfg: GameConfig) -> GameConfig:
+    return dataclasses.replace(cfg, price=np.zeros_like(cfg.price))
+
+
+def _pricing_residual(rep: PayoffReport, rep0: PayoffReport) -> float:
+    """Larger of the sum-payoff change at zero prices (rep0) and the
+    payment/revenue imbalance of one coalition's report."""
+    paid = 0.0
+    for u in rep.payment.values():
+        paid += u
+    earned = 0.0
+    for u in rep.revenue.values():
+        earned += u
+    return max(abs(rep.total_payoff - rep0.total_payoff), abs(paid - earned))
 
 
 @dataclass(frozen=True)
@@ -148,8 +156,8 @@ def _require_enumerable(cfg: GameConfig) -> None:
                          f"> {_ENUM_MAX_PLAYERS}")
 
 
-def _grand_report(cfg: GameConfig, relay_cache: dict) -> PayoffReport:
-    return player_payoffs(frozenset(range(1, cfg.n_players + 1)), cfg, relay_cache)
+def _grand_report(cfg: GameConfig) -> PayoffReport:
+    return player_payoffs(frozenset(range(1, cfg.n_players + 1)), cfg)
 
 
 def _weight_witness(cfg: GameConfig) -> int | None:
@@ -175,47 +183,45 @@ def _gain_violator(vehicles, rsus, rep: PayoffReport, cfg: GameConfig) -> int | 
     return None
 
 
-def _sweep(cfg: GameConfig, grand: PayoffReport, relay_cache: dict, *,
-           conditions: bool, x=None):
+def _sweep(cfg: GameConfig, grand: PayoffReport, x):
     """The one pass over coalitions behind every core analysis.
 
-    Visits the non-empty coalitions in bitmask order and evaluates each at
-    most once, keeping only the current report (the grand coalition's report
-    is passed in and reused). Returns (gain witness, preference witness,
-    blocker):
-      - with `conditions`, the first (player, coalition) violating condition
-        2 and condition 3 of core_sufficient_conditions among the proper
-        coalitions; the sweep stops early once both are found and no payoff
-        vector is given;
-      - with a payoff vector `x`, the lexicographically smallest sorted member
-        tuple of a coalition whose every member earns strictly more than x.
+    Visits the non-empty coalitions in bitmask order. RSU ids are the high
+    bits, so each RSU set's 2^K vehicle subsets come one after another: the K
+    vehicles' relay terms are computed once per RSU set and every proper
+    coalition's report is assembled from them once, keeping only the current
+    report (the grand coalition's report is passed in). Returns
+    (gain witness, preference witness, blocker): the first (player, coalition)
+    violating condition 2 and condition 3 of core_sufficient_conditions among
+    the proper coalitions, and the lexicographically smallest sorted member
+    tuple of a coalition whose every member earns strictly more than x.
     """
-    n = cfg.n_players
-    full = (1 << n) - 1
-    bar = None if x is None else [float(v) for v in x]
+    K, n = cfg.K, cfg.n_players
+    bar = [float(v) for v in x]
     gain_witness = preference_witness = blocker = None
-    for mask in range(1, full + 1):
-        searching = (conditions and mask != full
-                     and (gain_witness is None or preference_witness is None))
-        if not searching and bar is None:
-            break
-        members = tuple(k + 1 for k in range(n) if mask >> k & 1)   # ascending
-        S = frozenset(members)
-        rep = grand if mask == full else player_payoffs(S, cfg, relay_cache)
-        if searching:
-            vehicles = [m for m in members if m <= cfg.K]
-            if vehicles and gain_witness is None:
-                m = _gain_violator(vehicles, members[len(vehicles):], rep, cfg)
-                if m is not None:
-                    gain_witness = (m, S)
-            if preference_witness is None:
-                for m in members:
-                    if not (grand.payoff_of(m) > rep.payoff_of(m)):
-                        preference_witness = (m, S)
-                        break
-        if bar is not None and all(rep.payoff_of(m) > bar[m - 1] for m in members):
-            if blocker is None or members < blocker:
-                blocker = members
+    for rsu_mask in range(1 << cfg.M):
+        rsus = tuple(j for b, j in enumerate(cfg.rsus) if rsu_mask >> b & 1)
+        terms = [_relay_terms(cfg, i, rsus) for i in cfg.vehicles]
+        for vehicle_mask in range(0 if rsus else 1, 1 << K):   # skips the empty coalition
+            vehicles = tuple(i for i in cfg.vehicles if vehicle_mask >> (i - 1) & 1)
+            members = vehicles + rsus   # ascending
+            if len(members) == n:
+                rep = grand
+            else:
+                S = frozenset(members)
+                rep = _assemble(S, vehicles, rsus, [terms[i - 1] for i in vehicles], cfg)
+                if vehicles and gain_witness is None:
+                    m = _gain_violator(vehicles, rsus, rep, cfg)
+                    if m is not None:
+                        gain_witness = (m, S)
+                if preference_witness is None:
+                    for m in members:
+                        if not (grand.payoff_of(m) > rep.payoff_of(m)):
+                            preference_witness = (m, S)
+                            break
+            if all(rep.payoff_of(m) > bar[m - 1] for m in members):
+                if blocker is None or members < blocker:
+                    blocker = members
     return gain_witness, preference_witness, blocker
 
 
@@ -249,11 +255,7 @@ def core_sufficient_conditions(cfg: GameConfig) -> CoreConditions:
     implies that no coalition can block, so whenever all three hold the grand
     payoff vector is in the core.
     """
-    _require_enumerable(cfg)
-    cache: dict = {}
-    gain_witness, preference_witness, _ = _sweep(
-        cfg, _grand_report(cfg, cache), cache, conditions=True)
-    return _conditions(cfg, gain_witness, preference_witness)
+    return stability_verdict(cfg).conditions
 
 
 @dataclass(frozen=True)
@@ -262,11 +264,11 @@ class CoreMembership:
     blocking: Coalition | None
 
 
-def _membership(x, blocker, cfg: GameConfig, relay_cache: dict) -> CoreMembership:
+def _membership(x, blocker, cfg: GameConfig) -> CoreMembership:
     """Re-verify the blocker member by member before reporting it."""
     if blocker is None:
         return CoreMembership(True, None)
-    rep = player_payoffs(frozenset(blocker), cfg, relay_cache)
+    rep = player_payoffs(frozenset(blocker), cfg)
     if not all(rep.payoff_of(m) > x[m - 1] for m in blocker):
         raise RuntimeError(f"internal invariant breach: blocker {list(blocker)} "
                            "does not dominate on re-evaluation")
@@ -288,9 +290,8 @@ def core_membership(x, cfg: GameConfig) -> CoreMembership:
     if x.shape != (cfg.n_players,):
         raise ValueError(f"payoff vector has shape {x.shape}, expected ({cfg.n_players},)")
     _require_enumerable(cfg)
-    cache: dict = {}
-    _, _, blocker = _sweep(cfg, _grand_report(cfg, cache), cache, conditions=False, x=x)
-    return _membership(x, blocker, cfg, cache)
+    _, _, blocker = _sweep(cfg, _grand_report(cfg), x)
+    return _membership(x, blocker, cfg)
 
 
 @dataclass(frozen=True)
@@ -303,17 +304,15 @@ class StabilityVerdict:
 def stability_verdict(cfg: GameConfig) -> StabilityVerdict:
     """Sufficient conditions plus direct core membership of the grand vector.
 
-    Same results as core_sufficient_conditions followed by core_membership of
-    the grand vector, from a single sweep that evaluates every coalition once.
+    Same membership as core_membership of the grand vector, from a single
+    sweep that evaluates every coalition once.
     """
     _require_enumerable(cfg)
-    cache: dict = {}
-    grand = _grand_report(cfg, cache)
+    grand = _grand_report(cfg)
     vec = _payoff_vector([grand], cfg.n_players)
-    gain_witness, preference_witness, blocker = _sweep(cfg, grand, cache,
-                                                       conditions=True, x=vec)
+    gain_witness, preference_witness, blocker = _sweep(cfg, grand, vec)
     conditions = _conditions(cfg, gain_witness, preference_witness)
-    membership = _membership(vec, blocker, cfg, cache)
+    membership = _membership(vec, blocker, cfg)
     if conditions.all_hold and not membership.in_core:
         raise RuntimeError("internal invariant breach: sufficient conditions hold "
                            f"but the grand vector is blocked by {sorted(membership.blocking)}")
@@ -342,10 +341,14 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
     many) and reports one result per identity. Used by the CLI `check`
     subcommand.
     """
-    partitions = list(itertools.islice(iter_partitions(cfg.n_players), max_structures))
+    n = cfg.n_players
+    partitions = list(itertools.islice(iter_partitions(n), max_structures))
+    normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
     uni = _uniformized(cfg)
-    reports = {S: player_payoffs(S, cfg) for S in coalitions}
+    evaluated = {*coalitions, *(block for cs in normalized for block in cs),
+                 *(frozenset((i,)) for i in cfg.vehicles)}
+    reports = {S: player_payoffs(S, cfg) for S in evaluated}
     uni_reports = {S: player_payoffs(S, uni) for S in coalitions}
 
     results: list[CheckResult] = []
@@ -442,10 +445,10 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
     run("uniform-weight closed forms match general formulas", simplified_forms)
 
     if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
+        no_fees = _without_fees(cfg)
         worst = 0.0
         for S in coalitions:
-            _, residual = pricing_cancellation_check(S, cfg)
-            worst = max(worst, residual)
+            worst = max(worst, _pricing_residual(reports[S], player_payoffs(S, no_fees)))
         results.append(CheckResult("fees cancel out of every coalition's sum payoff",
                                    worst <= ABS_TOL, f"max residual {worst:.3e}"))
     else:
@@ -454,13 +457,13 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
 
     rsu_only_ok = True
     norm_ok = True
-    for cs in partitions:
-        vec = structure_payoffs(cs, cfg)
+    for cs, norm in zip(partitions, normalized):
+        vec = _payoff_vector([reports[block] for block in cs], n)
         for block in cs:
             if all(m > cfg.K for m in block):
                 rsu_only_ok &= all(vec[m - 1] == 0.0 for m in block)
-        normalized = normalize_structure(cs, cfg.K)
-        norm_ok &= bool((structure_payoffs(normalized, cfg) == vec).all())
+        norm_ok &= (not check_structure(norm, n)
+                    and bool((_payoff_vector([reports[block] for block in norm], n) == vec).all()))
     results.append(CheckResult("RSU-only coalitions earn exactly zero",
                                rsu_only_ok, "checked over enumerated structures"))
     results.append(CheckResult("normalization preserves every payoff exactly",
@@ -474,7 +477,7 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
         verdict = vehicle_coalition_profitability(S, cfg)
         rep = reports[S]
         for i in vehicles:
-            alone = player_payoffs(frozenset((i,)), cfg).vehicle_payoff[i]
+            alone = reports[frozenset((i,))].vehicle_payoff[i]
             direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))
             profit_ok &= verdict[i] == direct
     results.append(CheckResult("share-ratio profitability agrees with payoff comparison",

@@ -77,24 +77,19 @@ def relay_choice_probs(q) -> list[float]:
     return [_choice_prob(q, j) for j in range(len(q))]
 
 
-def _relay_terms(cfg: GameConfig, i: int, rsus: tuple, cache: dict):
+def _relay_terms(cfg: GameConfig, i: int, rsus: tuple):
     """(relay-choice vector, rate gain, fee, per-RSU (price, forwarding cost,
-    expected receiving cost)) of vehicle i over the coalition's sorted RSUs,
-    memoised in the caller's `cache`: it depends only on (i, rsus)."""
-    key = (i, rsus)
-    terms = cache.get(key)
-    if terms is None:
-        vi = cfg.vrow(i)
-        rows = [cfg.rrow(j) for j in rsus]
-        probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
-        gain = fee = 0.0
-        for r, pr in zip(rows, probs):
-            gain += pr * cfg.delta[vi, r]
-            fee += pr * cfg.price[r, vi]
-        charges = [(float(cfg.price[r, vi]), float(cfg.cost_fwd[r, vi]),
-                    float(cfg.enc[r, vi] * cfg.cost_rcv[r, vi])) for r in rows]
-        terms = cache[key] = (probs, float(gain), float(fee), charges)
-    return terms
+    expected receiving cost)) of vehicle i over the coalition's sorted RSUs."""
+    vi = cfg.vrow(i)
+    rows = [cfg.rrow(j) for j in rsus]
+    probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
+    gain = fee = 0.0
+    for r, pr in zip(rows, probs):
+        gain += pr * cfg.delta[vi, r]
+        fee += pr * cfg.price[r, vi]
+    charges = [(float(cfg.price[r, vi]), float(cfg.cost_fwd[r, vi]),
+                float(cfg.enc[r, vi] * cfg.cost_rcv[r, vi])) for r in rows]
+    return probs, float(gain), float(fee), charges
 
 
 def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
@@ -167,24 +162,27 @@ class PayoffReport:
         return self.rsu_payoff[player]
 
 
-def player_payoffs(S, cfg: GameConfig, relay_cache: dict | None = None) -> PayoffReport:
+def player_payoffs(S, cfg: GameConfig) -> PayoffReport:
     """Full closed-form report for one coalition, in one pass over its vehicles.
 
     Vehicle payoff: alpha * throughput - beta * payment.
-    RSU payoff: gamma * revenue - mu * cost. `relay_cache`, a dict owned by the
-    caller, shares the relay terms per (vehicle, RSU subset) across calls.
+    RSU payoff: gamma * revenue - mu * cost.
     """
     S = frozenset(S)
     if not S:
         raise ValueError("empty coalition")
-    cache = {} if relay_cache is None else relay_cache
     vehicles, rsus = split_members(S, cfg.K)
+    return _assemble(S, vehicles, rsus, [_relay_terms(cfg, i, rsus) for i in vehicles], cfg)
+
+
+def _assemble(S: Coalition, vehicles, rsus: tuple, terms: list, cfg: GameConfig) -> PayoffReport:
+    """The report of coalition S, given `_relay_terms` over `rsus` for each of its vehicles."""
     idle_outside = [float(1.0 - cfg.p[cfg.vrow(v)]) for v in cfg.vehicles if v not in vehicles]
     share, gain, fee, thr, pay, u_veh = {}, {}, {}, {}, {}, {}
     relay, rev, cst = {j: {} for j in rsus}, dict.fromkeys(rsus, 0.0), dict.fromkeys(rsus, 0.0)
-    for i in vehicles:
+    for i, term in zip(vehicles, terms):
         s = share[i] = _share(vehicles, i, cfg)
-        probs, gain[i], fee[i], charges = _relay_terms(cfg, i, rsus, cache)
+        probs, gain[i], fee[i], charges = term
         t = s * (1.0 + gain[i])
         for idle in idle_outside:
             t *= idle

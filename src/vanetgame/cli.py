@@ -4,7 +4,8 @@ Every file-producing subcommand writes RFC-4180-style CSV with a frozen
 column order plus an adjacent <out>.manifest.json recording the invocation,
 so runs are reproducible from their outputs. Exit codes: 0 success, 1 stdout
 closed by its reader before the output was complete, 2 usage error, 3 config
-problem, 4 internal invariant breach or failed check.
+or argument problem (an --out that cannot be written included), 4 internal
+invariant breach or failed check.
 """
 
 from __future__ import annotations
@@ -169,11 +170,11 @@ def cmd_encounter(args, loaded) -> int:
         geo = dataclasses.replace(geo, n_slots=args.slots)
     if args.seed is not None:
         geo = dataclasses.replace(geo, seed=args.seed)
+    references = [analytic_pair_encounter(d, geo.side_km) for d in args.d_sweep]
     rows = []
-    for d in args.d_sweep:
+    for d, reference in zip(args.d_sweep, references):
         est = estimate_encounter_matrix(
             dataclasses.replace(geo, range_km=(d,) * cfg.K), cfg.K, cfg.M)
-        reference = analytic_pair_encounter(d, geo.side_km)
         for j in range(cfg.M):
             for i in range(cfg.K):
                 rows.append((d, i + 1, cfg.K + j + 1,
@@ -184,22 +185,25 @@ def cmd_encounter(args, loaded) -> int:
     return 0
 
 
+def _report_items(rep):
+    """(player, quantity, value) for every quantity of one coalition's report."""
+    for i in rep.vehicle_payoff:
+        yield i, "share", rep.share[i]
+        yield i, "rate_gain", rep.rate_gain[i]
+        yield i, "fee", rep.fee[i]
+        yield i, "throughput", rep.throughput[i]
+        yield i, "payment", rep.payment[i]
+        yield i, "payoff", rep.vehicle_payoff[i]
+    for j in rep.rsu_payoff:
+        for i in rep.relay_prob[j]:
+            yield j, f"relay_prob_v{i}", rep.relay_prob[j][i]
+        yield j, "revenue", rep.revenue[j]
+        yield j, "cost", rep.cost[j]
+        yield j, "payoff", rep.rsu_payoff[j]
+
+
 def _payoff_rows(cs, cfg, d_label):
-    rows = []
-    for rep in structure_reports(cs, cfg):
-        for i in sorted(rep.vehicle_payoff):
-            rows.append((d_label, i, "share", rep.share[i]))
-            rows.append((d_label, i, "rate_gain", rep.rate_gain[i]))
-            rows.append((d_label, i, "fee", rep.fee[i]))
-            rows.append((d_label, i, "throughput", rep.throughput[i]))
-            rows.append((d_label, i, "payment", rep.payment[i]))
-            rows.append((d_label, i, "payoff", rep.vehicle_payoff[i]))
-        for j in sorted(rep.rsu_payoff):
-            for i in sorted(rep.relay_prob[j]):
-                rows.append((d_label, j, f"relay_prob_v{i}", rep.relay_prob[j][i]))
-            rows.append((d_label, j, "revenue", rep.revenue[j]))
-            rows.append((d_label, j, "cost", rep.cost[j]))
-            rows.append((d_label, j, "payoff", rep.rsu_payoff[j]))
+    rows = [(d_label, *item) for rep in structure_reports(cs, cfg) for item in _report_items(rep)]
     rows.sort(key=lambda r: (float(r[0]) if r[0] != "" else -1.0, r[1], r[2]))
     return rows
 
@@ -260,16 +264,8 @@ def cmd_simulate(args, loaded) -> int:
     cs = _resolve_structure(args.structure, cfg)
     seed = 0 if args.seed is None else args.seed
     report = simulate_slots(cs, cfg, args.slots, seed)
-    analytic = {}
-    for rep in structure_reports(cs, cfg):
-        for i in rep.vehicle_payoff:
-            analytic[(i, "throughput")] = rep.throughput[i]
-            analytic[(i, "payment")] = rep.payment[i]
-            analytic[(i, "payoff")] = rep.vehicle_payoff[i]
-        for j in rep.rsu_payoff:
-            analytic[(j, "revenue")] = rep.revenue[j]
-            analytic[(j, "cost")] = rep.cost[j]
-            analytic[(j, "payoff")] = rep.rsu_payoff[j]
+    analytic = {(player, qty): value for rep in structure_reports(cs, cfg)
+                for player, qty, value in _report_items(rep)}
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
     _emit(args, ("player", "quantity", "estimate", "stderr", "analytic", "n_slots", "seed"),
@@ -314,6 +310,9 @@ def main(argv=None) -> int:
         # so the interpreter's final flush does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:   # a failed write: load_config reports read failures as ConfigError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -86,9 +86,6 @@ class GameConfig:
     def is_vehicle(self, player: int) -> bool:
         return 1 <= player <= self.K
 
-    def is_rsu(self, player: int) -> bool:
-        return self.K < player <= self.n_players
-
     def vrow(self, vehicle: int) -> int:
         """0-based index of a vehicle id into the (K, ...) arrays."""
         return vehicle - 1

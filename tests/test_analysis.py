@@ -1,8 +1,11 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+from vanetgame import analysis
+from vanetgame.configio import load_config
 from vanetgame import (canonical_structure, core_membership, core_sufficient_conditions,
                        enumerate_partitions, make_config, normalize_structure,
                        player_payoffs, pricing_cancellation_check, run_identity_checks,
@@ -226,3 +229,20 @@ def test_identity_checks_pass_on_default(default_cfg):
     results = run_identity_checks(default_cfg)
     for res in results:
         assert res.passed is not False, f"{res.name}: {res.detail}"
+
+
+def test_identity_checks_evaluate_each_coalition_once_per_config(monkeypatch):
+    cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
+    evaluated = {}
+    original = analysis.player_payoffs
+
+    def once(S, c):
+        key = (frozenset(S), id(c))
+        assert key not in evaluated, f"coalition {sorted(S)} evaluated twice"
+        evaluated[key] = c   # holds c, so its id is not reused by a later config
+        return original(S, c)
+
+    monkeypatch.setattr(analysis, "player_payoffs", once)
+    results = analysis.run_identity_checks(cfg)
+    assert [r.passed for r in results] == [True] * len(results)
+    assert len({id(c) for c in evaluated.values()}) == 3   # cfg, uniformized, fee-free

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -239,6 +240,25 @@ def test_encounter_nonpositive_slots_exit_3(capsys, slots):
 def test_nan_range_in_sweep_exits_3(capsys, command):
     assert main([command, "--d-sweep", "nan"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["enumerate"], ["encounter", "--slots", "10"],
+                                  ["payoffs"], ["simulate", "--slots", "100"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "missing-dir" / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+
+
+def test_encounter_checks_every_range_before_estimating(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["encounter", "--slots", "10", "--d-sweep", "1e308"]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):

@@ -1,12 +1,15 @@
 """Property tests (hypothesis): relay-choice primitive, core sweep, simulator
 counters and config loading."""
 
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanetgame import analysis
 from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient_conditions,
                        make_config, oracle_relay_mean, player_payoffs, relay_choice_probs,
                        simulate_slots, stability_verdict, structure_payoffs)
@@ -123,6 +126,29 @@ def test_fused_verdict_matches_separate_analyses(cfg):
     assert verdict.conditions.preference_witness == preference
     assert verdict.membership.blocking == blocker
     assert verdict.membership.in_core == (blocker is None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_sweep_assembles_each_proper_coalition_once_as_player_payoffs(cfg):
+    built = []
+    assemble = analysis._assemble
+
+    def recording(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_assemble", recording)
+        stability_verdict(cfg)
+    n = cfg.n_players
+    assert sorted(sorted(rep.members) for rep in built) == sorted(
+        sorted(S) for S in _coalitions(n) if len(S) < n)
+    for rep in built:
+        ref = player_payoffs(rep.members, cfg)
+        for field in dataclasses.fields(rep):
+            assert getattr(rep, field.name) == getattr(ref, field.name), (
+                sorted(rep.members), field.name)
 
 
 @st.composite
