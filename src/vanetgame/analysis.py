@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _ENUM_MAX_PLAYERS = 20
+# run_identity_checks covers every coalition of this many partitions of all players
+_CHECK_STRUCTURES = 64
 
 
 def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
@@ -66,6 +68,9 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
     in-coalition payoff reduces to the product of (1 - p) over the
     larger-id members, which never exceeds one: scheduling priority can only
     help. Ties (in particular the largest-id member) count as profitable.
+    Requires a nonnegative throughput weight on every member (raises
+    "negative throughput weight" otherwise: a negative weight turns the
+    larger payoff into the smaller one, and the ratio no longer decides).
     """
     vehicles, rsus = split_members(S, cfg.K)
     if rsus:
@@ -73,25 +78,15 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
                          "condition is defined for vehicle-only coalitions")
     if not vehicles:
         raise ValueError("empty coalition")
-    desc = sorted(vehicles, reverse=True)
-    size = len(desc)
+    negative = [i for i in vehicles if cfg.alpha[cfg.vrow(i)] < 0.0]
+    if negative:
+        raise ValueError(f"negative throughput weight for players {negative}")
     out = {}
-    for pos, member in enumerate(desc, start=1):
-        numerator = 1.0
-        for v in desc:
-            if v != member:
-                numerator *= 1.0 - cfg.p[cfg.vrow(v)]
-        if pos == size:
-            ratio = numerator
-        else:
-            denominator = 1.0
-            for v in desc[pos:]:
-                denominator *= 1.0 - cfg.p[cfg.vrow(v)]
-            if denominator == 0.0:
-                # some smaller-id member is always active; both payoffs are 0
-                out[member] = True
-                continue
-            ratio = numerator / denominator
+    for member in vehicles:
+        ratio = 1.0
+        for v in vehicles:
+            if v > member:
+                ratio *= 1.0 - cfg.p[cfg.vrow(v)]
         out[member] = ratio <= 1.0 + ABS_TOL
     return out
 
@@ -333,16 +328,16 @@ def _uniformized(cfg: GameConfig) -> GameConfig:
     return dataclasses.replace(cfg, delta=delta, price=price)
 
 
-def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[CheckResult]:
+def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
-    Runs over every coalition of the first `max_structures` partitions of all
+    Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
     players in canonical order (every partition when there are at most that
     many) and reports one result per identity. Used by the CLI `check`
     subcommand.
     """
     n = cfg.n_players
-    partitions = list(itertools.islice(iter_partitions(n), max_structures))
+    partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
     normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
     uni = _uniformized(cfg)
@@ -469,6 +464,10 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
     results.append(CheckResult("normalization preserves every payoff exactly",
                                norm_ok, "checked over enumerated structures"))
 
+    name = "share-ratio profitability agrees with payoff comparison"
+    if (cfg.alpha < 0.0).any():
+        results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
+        return results
     profit_ok = True
     for S in coalitions:
         vehicles, rsus = split_members(S, cfg.K)
@@ -480,6 +479,5 @@ def run_identity_checks(cfg: GameConfig, max_structures: int = 64) -> list[Check
             alone = reports[frozenset((i,))].vehicle_payoff[i]
             direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))
             profit_ok &= verdict[i] == direct
-    results.append(CheckResult("share-ratio profitability agrees with payoff comparison",
-                               profit_ok, "checked over vehicle-only coalitions"))
+    results.append(CheckResult(name, profit_ok, "checked over vehicle-only coalitions"))
     return results

@@ -22,15 +22,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import run_identity_checks, stability_verdict, structure_reports
-from .analytic import player_payoffs
-from .configio import (ConfigError, LoadedConfig, default_game_config,
-                       default_geometry, load_config, resolve_encounter)
-from .geometry import analytic_pair_encounter, estimate_encounter_matrix
+from .configio import ConfigError, load_config, resolve_encounter
+from .geometry import PLACEMENTS, analytic_pair_encounter, estimate_encounter_matrix
 from .model import (format_structure, iter_structure_rows, parse_structure,
                     unrank_partition)
 from .slotsim import simulate_slots
 
 DEFAULT_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
+# Most players for which `enumerate` lists the partitions and `--structure` takes an id
+_STRUCTURE_ID_MAX_PLAYERS = 12
 
 
 def _sweep(text: str) -> tuple:
@@ -51,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vanetgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file (built-in defaults when omitted)")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--out", required=out_required, help="output CSV path")
+        p.add_argument("--out", help="output CSV path")
 
     p = sub.add_parser("enumerate", help="list every coalition structure with ids")
     common(p)
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-sweep", type=_sweep, default=DEFAULT_SWEEP,
                    help="comma-separated transmission ranges in km")
     p.add_argument("--slots", type=int, default=None, help="placement slots per range")
-    p.add_argument("--placement", choices=("continuous", "grid"), default=None)
+    p.add_argument("--placement", choices=PLACEMENTS, default=None)
 
     p = sub.add_parser("payoffs", help="closed-form per-player quantities for a structure")
     common(p)
@@ -87,21 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> LoadedConfig:
-    if args.config:
-        return load_config(args.config)
-    return LoadedConfig(game=default_game_config(),
-                        geometry=default_geometry(),
-                        encounter_from_geometry=False)
-
-
 def _resolve_structure(arg, cfg):
     n = cfg.n_players
     if arg is None:
         return (frozenset(range(1, n + 1)),)
     if arg.strip().isdigit():
-        if n > 12:
-            raise ValueError("structure ids require at most 12 players; pass explicit blocks")
+        if n > _STRUCTURE_ID_MAX_PLAYERS:
+            raise ValueError(f"structure ids require at most {_STRUCTURE_ID_MAX_PLAYERS} "
+                             "players; pass explicit blocks")
         return unrank_partition(n, int(arg))
     return parse_structure(arg, n)
 
@@ -151,7 +144,7 @@ def _emit(args, header, rows, extra=None) -> None:
 
 def cmd_enumerate(args, loaded) -> int:
     cfg = loaded.game
-    if cfg.n_players > 12:
+    if cfg.n_players > _STRUCTURE_ID_MAX_PLAYERS:
         print(f"refusing to enumerate partitions of {cfg.n_players} players", file=sys.stderr)
         return 3
     rows = ((idx, *row) for idx, row in
@@ -163,7 +156,7 @@ def cmd_enumerate(args, loaded) -> int:
 
 def cmd_encounter(args, loaded) -> int:
     cfg = loaded.game
-    geo = loaded.geometry or default_geometry(cfg.K)
+    geo = loaded.geometry
     if args.placement:
         geo = dataclasses.replace(geo, placement=args.placement)
     if args.slots is not None:
@@ -213,12 +206,10 @@ def cmd_payoffs(args, loaded) -> int:
     cs = _resolve_structure(args.structure, cfg)
     rows = []
     if args.d_sweep is None:
-        cfg_resolved, _ = resolve_encounter(loaded)
-        rows.extend(_payoff_rows(cs, cfg_resolved, ""))
+        rows.extend(_payoff_rows(cs, resolve_encounter(loaded), ""))
     else:
-        side = (loaded.geometry or default_geometry(cfg.K)).side_km
         for d in args.d_sweep:
-            q = analytic_pair_encounter(d, side)
+            q = analytic_pair_encounter(d, loaded.geometry.side_km)
             cfg_d = dataclasses.replace(cfg, enc=np.full((cfg.M, cfg.K), q))
             rows.extend(_payoff_rows(cs, cfg_d, d))
     _emit(args, ("d_km", "player", "quantity", "value"), rows,
@@ -227,7 +218,7 @@ def cmd_payoffs(args, loaded) -> int:
 
 
 def cmd_core(args, loaded) -> int:
-    cfg, _ = resolve_encounter(loaded)
+    cfg = resolve_encounter(loaded)
     verdict = stability_verdict(cfg)
     cond = verdict.conditions
 
@@ -260,7 +251,7 @@ def cmd_core(args, loaded) -> int:
 
 
 def cmd_simulate(args, loaded) -> int:
-    cfg, _ = resolve_encounter(loaded)
+    cfg = resolve_encounter(loaded)
     cs = _resolve_structure(args.structure, cfg)
     seed = 0 if args.seed is None else args.seed
     report = simulate_slots(cs, cfg, args.slots, seed)
@@ -269,12 +260,12 @@ def cmd_simulate(args, loaded) -> int:
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
     _emit(args, ("player", "quantity", "estimate", "stderr", "analytic", "n_slots", "seed"),
-          rows, extra={"structure_blocks": format_structure(cs)})
+          rows, extra={"structure_blocks": format_structure(cs), "seed": seed})
     return 0
 
 
 def cmd_check(args, loaded) -> int:
-    cfg, _ = resolve_encounter(loaded)
+    cfg = resolve_encounter(loaded)
     results = run_identity_checks(cfg)
     failed = False
     for res in results:
@@ -302,7 +293,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = _COMMANDS[args.command](args, _load(args))
+        status = _COMMANDS[args.command](args, load_config(args.config))
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -14,11 +14,11 @@ See README.md for the full schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import EncounterEstimate, GeometryConfig, estimate_encounter_matrix
+from .geometry import GeometryConfig, estimate_encounter_matrix
 from .model import GameConfig, make_config, validate_config
 
 __all__ = [
@@ -43,7 +43,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class LoadedConfig:
     game: GameConfig
-    geometry: GeometryConfig | None
+    geometry: GeometryConfig   # default_geometry(K) when the file has no geometry section
     encounter_from_geometry: bool
 
 
@@ -91,8 +91,15 @@ def _count(value, name, errors):
     return value
 
 
-def load_config(path) -> LoadedConfig:
-    """Parse and validate a config file, reporting every problem at once."""
+def load_config(path=None) -> LoadedConfig:
+    """Parse and validate a config file, reporting every problem at once.
+
+    Without a path, the built-in default parameter set.
+    """
+    if path is None:
+        game = default_game_config()
+        return LoadedConfig(game=game, geometry=default_geometry(game.K),
+                            encounter_from_geometry=False)
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -134,7 +141,7 @@ def load_config(path) -> LoadedConfig:
     if enc is None:
         enc = np.zeros((M, K))   # placeholder until resolve_encounter runs
 
-    geometry = None
+    geometry = default_geometry(K)
     if geo_section is not None:
         geometry = _parse_geometry(geo_section, K, errors)
     elif from_geometry:
@@ -154,13 +161,12 @@ def load_config(path) -> LoadedConfig:
                         encounter_from_geometry=from_geometry)
 
 
-def resolve_encounter(loaded: LoadedConfig) -> tuple[GameConfig, EncounterEstimate | None]:
-    """Fill the encounter matrix from geometry when the file asked for it."""
+def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
+    """The game, its encounter matrix estimated from geometry when the file asked for it."""
     if not loaded.encounter_from_geometry:
-        return loaded.game, None
+        return loaded.game
     est = estimate_encounter_matrix(loaded.geometry, loaded.game.K, loaded.game.M)
-    import dataclasses
-    return dataclasses.replace(loaded.game, enc=est.matrix), est
+    return replace(loaded.game, enc=est.matrix)
 
 
 def default_game_config(encounter=0.5) -> GameConfig:

@@ -14,9 +14,11 @@ import numpy as np
 
 __all__ = [
     "GRID_CELLS",
+    "PLACEMENTS",
     "GeometryConfig",
     "EncounterEstimate",
     "analytic_pair_encounter",
+    "encounter_block",
     "estimate_encounter_matrix",
 ]
 
@@ -78,6 +80,20 @@ def positions_from_uniforms(u: np.ndarray, side: float, placement: str) -> np.nd
     raise ValueError(f"unknown placement {placement!r}")
 
 
+def encounter_block(u: np.ndarray, geo: GeometryConfig, K: int) -> np.ndarray:
+    """Which RSU encounters which vehicle in each slot, as a (slots, M, K) boolean block.
+
+    u holds (slots, 2*(K+M)) uniforms: x, y per node, vehicles 1..K first,
+    then RSUs 1..M. Vehicle i's range is geo.range_km[i-1].
+    """
+    if len(geo.range_km) != K:
+        raise ValueError(f"range_km has {len(geo.range_km)} transmission ranges, expected {K}")
+    pos = positions_from_uniforms(u, geo.side_km, geo.placement)
+    diff = pos[:, K:, None, :] - pos[:, None, :K, :]
+    dist_sq = np.einsum("smkc,smkc->smk", diff, diff)
+    return dist_sq <= np.asarray(geo.range_km, dtype=np.float64) ** 2
+
+
 @dataclass(frozen=True)
 class EncounterEstimate:
     """Empirical encounter matrix with binomial standard errors."""
@@ -96,22 +112,12 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int,
     stream seeded with geo.seed, so results are bit-for-bit reproducible for
     a given config. Standard errors are binomial: sqrt(p*(1-p)/n).
     """
-    if len(geo.range_km) != K:
-        raise ValueError(f"range_km has {len(geo.range_km)} entries, expected {K}")
-    n_nodes = K + M
-    ranges_sq = (np.asarray(geo.range_km, dtype=np.float64) ** 2)[None, None, :]
     rng = np.random.default_rng(geo.seed)
     counts = np.zeros((M, K), dtype=np.int64)
     done = 0
     while done < geo.n_slots:
         m = min(chunk_slots, geo.n_slots - done)
-        u = rng.random((m, n_nodes * 2))
-        pos = positions_from_uniforms(u, geo.side_km, geo.placement)
-        veh = pos[:, :K, :]
-        rsu = pos[:, K:, :]
-        diff = rsu[:, :, None, :] - veh[:, None, :, :]
-        dist_sq = np.einsum("smkc,smkc->smk", diff, diff)
-        counts += (dist_sq <= ranges_sq).sum(axis=0)
+        counts += encounter_block(rng.random((m, 2 * (K + M))), geo, K).sum(axis=0)
         done += m
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))

@@ -212,9 +212,14 @@ def parse_structure(text: str, n_players: int) -> CoalitionStructure:
         if not part:
             raise ValueError(f"bad structure spec {text!r}: empty coalition")
         try:
-            blocks.append(frozenset(int(tok) for tok in part.split(",")))
+            members = [int(tok) for tok in part.split(",")]
         except ValueError:
             raise ValueError(f"bad structure spec {text!r}: non-integer member") from None
+        repeated = sorted(m for m in set(members) if members.count(m) > 1)
+        if repeated:
+            raise ValueError(f"bad structure spec {text!r}: "
+                             f"player {repeated[0]} appears more than once")
+        blocks.append(frozenset(members))
     cs = canonical_structure(blocks)
     errors = check_structure(cs, n_players)
     if errors:

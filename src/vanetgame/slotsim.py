@@ -24,12 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryConfig, positions_from_uniforms
+from .geometry import GeometryConfig, encounter_block
 from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
 DEFAULT_CHUNK = 65_536
+
+# Each estimate as (report field, CSV quantity), in row order; its standard
+# error is the report field of the same name plus "_se".
+_VEHICLE_ESTIMATES = (("throughput", "throughput"), ("payment", "payment"),
+                      ("vehicle_payoff", "payoff"))
+_RSU_ESTIMATES = (("revenue", "revenue"), ("cost", "cost"), ("rsu_payoff", "payoff"))
 
 
 @dataclass(frozen=True)
@@ -68,24 +74,12 @@ class EmpiricalReport:
 
     def rows(self) -> list[tuple]:
         """Flat (player, quantity, estimate, stderr, n_slots, seed) rows."""
-        out = []
         k = self.throughput.shape[0]
-        for i in range(k):
-            out.append((i + 1, "throughput", float(self.throughput[i]),
-                        float(self.throughput_se[i]), self.n_slots, self.seed))
-            out.append((i + 1, "payment", float(self.payment[i]),
-                        float(self.payment_se[i]), self.n_slots, self.seed))
-            out.append((i + 1, "payoff", float(self.vehicle_payoff[i]),
-                        float(self.vehicle_payoff_se[i]), self.n_slots, self.seed))
-        for j in range(self.revenue.shape[0]):
-            player = k + j + 1
-            out.append((player, "revenue", float(self.revenue[j]),
-                        float(self.revenue_se[j]), self.n_slots, self.seed))
-            out.append((player, "cost", float(self.cost[j]),
-                        float(self.cost_se[j]), self.n_slots, self.seed))
-            out.append((player, "payoff", float(self.rsu_payoff[j]),
-                        float(self.rsu_payoff_se[j]), self.n_slots, self.seed))
-        return out
+        players = [(i + 1, i, _VEHICLE_ESTIMATES) for i in range(k)]
+        players += [(k + j + 1, j, _RSU_ESTIMATES) for j in range(self.revenue.shape[0])]
+        return [(player, qty, float(getattr(self, field)[idx]),
+                 float(getattr(self, field + "_se")[idx]), self.n_slots, self.seed)
+                for player, idx, table in players for field, qty in table]
 
 
 def _layout(cs, cfg):
@@ -169,8 +163,6 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
         raise ValueError("invalid structure: " + "; ".join(errors))
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
-    if geometry is not None and len(geometry.range_km) != cfg.K:
-        raise ValueError(f"geometry has {len(geometry.range_km)} ranges, expected {cfg.K}")
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)
@@ -188,8 +180,6 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
     chunk_slots = max(1024, min(chunk_slots, (1 << 24) // max(1, M * K)))
     rng = np.random.default_rng(seed)
     enc_width = M if geometry is None else 2 * (K + M)
-    if geometry is not None:
-        ranges_sq = np.asarray(geometry.range_km, np.float64) ** 2
 
     done = 0
     while done < n_slots:
@@ -200,58 +190,44 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
             def encounters(rows, rsus, veh):
                 return u_enc[rows][:, rsus] < cfg.enc[rsus].T[veh]
         else:
-            pos = positions_from_uniforms(u_enc, geometry.side_km, geometry.placement)
-            diff = pos[:, K:, None, :] - pos[:, None, :K, :]
-            dist_sq = np.einsum("smkc,smkc->smk", diff, diff)
+            block = encounter_block(u_enc, geometry, K)
 
             def encounters(rows, rsus, veh):
-                return dist_sq[rows[:, None], rsus, veh[:, None]] <= ranges_sq[veh][:, None]
+                return block[rows[:, None], rsus, veh[:, None]]
         _count_chunk(u[:, :K] < cfg.p, encounters, u[:, K + enc_width:], layout, counts)
         done += m
 
-    n = n_slots
     relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
     succ_norelay = counts["success_no_relay"]
     relays = relay_succ + relay_fail
     rate = 1.0 + cfg.delta.T          # (M, K): rate when relayed by that RSU
     fee = cfg.price                   # (M, K)
     enc_only = counts["encounters"] - relays
-
-    sum_t = succ_norelay + (relay_succ * rate).sum(axis=0)
-    sumsq_t = succ_norelay + (relay_succ * rate * rate).sum(axis=0)
-    sum_p = (relays * fee).sum(axis=0)
-    sumsq_p = (relays * fee * fee).sum(axis=0)
     u_relay_ok = cfg.alpha[None, :] * rate - cfg.beta[None, :] * fee
     u_relay_bad = -cfg.beta[None, :] * fee
-    sum_u = succ_norelay * cfg.alpha + (relay_succ * u_relay_ok).sum(axis=0) \
-        + (relay_fail * u_relay_bad).sum(axis=0)
-    sumsq_u = succ_norelay * cfg.alpha ** 2 + (relay_succ * u_relay_ok ** 2).sum(axis=0) \
-        + (relay_fail * u_relay_bad ** 2).sum(axis=0)
-
-    sum_r = (relays * fee).sum(axis=1)
-    sumsq_r = (relays * fee * fee).sum(axis=1)
     cost_enc = cfg.cost_rcv
     cost_relay = cfg.cost_rcv + cfg.cost_fwd
-    sum_c = (enc_only * cost_enc + relays * cost_relay).sum(axis=1)
-    sumsq_c = (enc_only * cost_enc ** 2 + relays * cost_relay ** 2).sum(axis=1)
     ut_enc = -cfg.mu[:, None] * cost_enc
     ut_relay = cfg.gamma[:, None] * fee - cfg.mu[:, None] * cost_relay
-    sum_ut = (enc_only * ut_enc + relays * ut_relay).sum(axis=1)
-    sumsq_ut = (enc_only * ut_enc ** 2 + relays * ut_relay ** 2).sum(axis=1)
 
-    thr, thr_se = _mean_se(sum_t, sumsq_t, n)
-    pay, pay_se = _mean_se(sum_p, sumsq_p, n)
-    upv, upv_se = _mean_se(sum_u, sumsq_u, n)
-    rev, rev_se = _mean_se(sum_r, sumsq_r, n)
-    cst, cst_se = _mean_se(sum_c, sumsq_c, n)
-    upr, upr_se = _mean_se(sum_ut, sumsq_ut, n)
-
-    return EmpiricalReport(
-        structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
-        throughput=thr, throughput_se=thr_se,
-        payment=pay, payment_se=pay_se,
-        vehicle_payoff=upv, vehicle_payoff_se=upv_se,
-        revenue=rev, revenue_se=rev_se,
-        cost=cst, cost_se=cst_se,
-        rsu_payoff=upr, rsu_payoff_se=upr_se,
-        **counts)
+    # per player, the sum and the sum of squares of each estimated quantity over all slots
+    sums = {
+        "throughput": (succ_norelay + (relay_succ * rate).sum(axis=0),
+                       succ_norelay + (relay_succ * rate * rate).sum(axis=0)),
+        "payment": ((relays * fee).sum(axis=0), (relays * fee * fee).sum(axis=0)),
+        "vehicle_payoff": (
+            succ_norelay * cfg.alpha + (relay_succ * u_relay_ok).sum(axis=0)
+            + (relay_fail * u_relay_bad).sum(axis=0),
+            succ_norelay * cfg.alpha ** 2 + (relay_succ * u_relay_ok ** 2).sum(axis=0)
+            + (relay_fail * u_relay_bad ** 2).sum(axis=0)),
+        "revenue": ((relays * fee).sum(axis=1), (relays * fee * fee).sum(axis=1)),
+        "cost": ((enc_only * cost_enc + relays * cost_relay).sum(axis=1),
+                 (enc_only * cost_enc ** 2 + relays * cost_relay ** 2).sum(axis=1)),
+        "rsu_payoff": ((enc_only * ut_enc + relays * ut_relay).sum(axis=1),
+                       (enc_only * ut_enc ** 2 + relays * ut_relay ** 2).sum(axis=1)),
+    }
+    estimates = {}
+    for field, _ in _VEHICLE_ESTIMATES + _RSU_ESTIMATES:
+        estimates[field], estimates[field + "_se"] = _mean_se(*sums[field], n_slots)
+    return EmpiricalReport(structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
+                           **estimates, **counts)

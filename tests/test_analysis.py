@@ -62,6 +62,12 @@ def test_profitability_rejects_rsus(default_cfg):
         vehicle_coalition_profitability(frozenset({1, 3}), default_cfg)
 
 
+def test_profitability_rejects_negative_throughput_weight(default_cfg):
+    cfg = dataclasses.replace(default_cfg, alpha=np.array([-1.0, 10.0]))
+    with pytest.raises(ValueError, match="negative throughput weight for players \\[1\\]"):
+        vehicle_coalition_profitability(frozenset({1, 2}), cfg)
+
+
 def test_profitability_singleton_indifferent(default_cfg):
     assert vehicle_coalition_profitability(frozenset({2}), default_cfg) == {2: True}
 

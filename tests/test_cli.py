@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,11 +8,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import vanetgame
 from vanetgame.cli import main
-from vanetgame.configio import default_config_dict
+from vanetgame.configio import (ConfigError, default_config_dict, default_game_config,
+                                default_geometry, load_config)
 
 
 @pytest.fixture
@@ -77,6 +80,26 @@ def test_enumerate_csv_matches_frozen_hash(tmp_path, capsys, K, M):
     assert capsys.readouterr().out.encode() == data
 
 
+# sha256 of Monte Carlo CSVs on the built-in config, frozen from the simulator
+# and placement estimator that each built their own distance block. On the
+# grid, node distances can equal a range exactly, which pins "within range" to <=.
+MONTE_CARLO_SHA256 = {
+    "encounter --slots 20000 --d-sweep 0.1,0.3":
+        "b5379de89b627f9780ba3b90e8efdcf91c8441d4826b88eeed28e7ab49118f38",
+    "encounter --slots 20000 --d-sweep 0.2,0.3 --placement grid":
+        "a683af4c4b383371165f85bbe355923672fa094425fab9a11884c6b99816afe6",
+    "simulate --slots 20000 --structure 1,3|2,4 --seed 5":
+        "731f7430a3daacc296982515ea6bce53da4a91d551feed252f8e16b1bb8a7f7d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MONTE_CARLO_SHA256))
+def test_monte_carlo_csv_matches_frozen_hash(capsys, command):
+    assert main(command.split()) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == MONTE_CARLO_SHA256[command]
+
+
 def test_payoffs_all_singletons(capsys):
     assert main(["payoffs", "--structure", "1|2|3|4"]) == 0
     out = capsys.readouterr().out
@@ -137,6 +160,11 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     for row in rows[1:]:
         est, se, ana = float(row[2]), float(row[3]), float(row[4])
         assert abs(est - ana) <= max(4 * se, 5e-3)
+    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["seed"] == 3
+    # without --seed the run uses seed 0, and the manifest says so
+    assert main(["simulate", "--slots", "100", "--out", str(out)]) == 0
+    assert {row[-1] for row in read_csv(out)[1:]} == {"0"}
+    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["seed"] == 0
 
 
 def test_check_passes_on_default_config(capsys, config_file):
@@ -289,6 +317,36 @@ def test_shipped_default_config_matches_builtin_defaults():
     shipped = json.loads(
         (pathlib.Path(__file__).parent.parent / "configs" / "default.json").read_text())
     assert shipped == default_config_dict()
+
+
+def test_check_skips_profitability_for_a_negative_throughput_weight(tmp_path, capsys):
+    doc = default_config_dict()
+    doc["game"]["alpha"] = [-1, 10]
+    path = tmp_path / "negative-alpha.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    assert ("[SKIP] share-ratio profitability agrees with payoff comparison: "
+            "skipped: needs nonnegative throughput weights\n") in out
+
+
+def test_load_config_fills_in_the_defaults(tmp_path):
+    builtin = load_config()
+    expected = default_game_config()
+    for field in dataclasses.fields(expected):
+        assert np.array_equal(getattr(builtin.game, field.name), getattr(expected, field.name))
+    assert builtin.geometry == default_geometry(2)
+    assert not builtin.encounter_from_geometry
+    doc = default_config_dict()
+    del doc["geometry"]
+    path = tmp_path / "no-geometry.json"
+    path.write_text(json.dumps(doc))
+    assert load_config(path).geometry == default_geometry(2)
+    doc["encounter"] = {"from_geometry": True}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="requires a 'geometry' section"):
+        load_config(path)
 
 
 def test_from_geometry_fills_encounter_matrix(tmp_path, capsys):

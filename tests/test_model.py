@@ -167,6 +167,8 @@ def test_structure_parsing_rejects_bad_specs():
         parse_structure("1,2|3", 4)
     with pytest.raises(ValueError, match="more than one"):
         parse_structure("1,2|2,3,4", 4)
+    with pytest.raises(ValueError, match="player 1 appears more than once"):
+        parse_structure("1,1|2,3,4", 4)
     with pytest.raises(ValueError, match="out of range"):
         parse_structure("1,2|3,4,5", 4)
     with pytest.raises(ValueError, match="non-integer"):

@@ -1,7 +1,9 @@
 """Property tests (hypothesis): relay-choice primitive, core sweep, simulator
-counters and config loading."""
+counters, config loading and command lines."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -13,6 +15,7 @@ from vanetgame import analysis
 from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient_conditions,
                        make_config, oracle_relay_mean, player_payoffs, relay_choice_probs,
                        simulate_slots, stability_verdict, structure_payoffs)
+from vanetgame.cli import main
 from vanetgame.configio import ConfigError, default_config_dict, load_config
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -203,3 +206,43 @@ def test_any_json_value_in_any_key_loads_or_raises_config_error(tmp_path_factory
         load_config(path)
     except ConfigError:
         pass
+
+
+# The flags each subcommand takes besides --out (argv never writes files here)
+ARGV_FLAGS = {
+    "enumerate": ("--config", "--seed"),
+    "encounter": ("--config", "--seed", "--d-sweep", "--placement"),
+    "payoffs": ("--config", "--seed", "--structure", "--d-sweep"),
+    "core": ("--config", "--seed"),
+    "simulate": ("--config", "--seed", "--structure"),
+    "check": ("--config", "--seed"),
+}
+ARGV_VALUES = ("nan", "NaN", "inf", "-inf", "1e308", "-1e308", "-7", "-1", "0", "3", "15",
+               "99999999999999999999", "", "0.1,0.3", "0.2,nan", "1,2|3,4", "1,1|2,3,4",
+               "1|2|3|4", "1,2,3,4,5", "a|b", "grid")
+# encounter and simulate run a million slots unless told otherwise
+SLOT_VALUES = ("0", "-1", "1", "7", "64", "nan", "inf", "1e308", "-1e308", "")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [command]
+    if command in ("encounter", "simulate"):
+        argv += ["--slots", draw(st.sampled_from(SLOT_VALUES))]
+    for flag in draw(st.lists(st.sampled_from(ARGV_FLAGS[command]), max_size=3)):
+        argv += [flag, draw(st.sampled_from(ARGV_VALUES))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_exits_0_to_3_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse reports usage errors this way
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
