@@ -293,7 +293,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = _COMMANDS[args.command](args, load_config(args.config))
+        status = _COMMANDS[args.command](args, load_config(args.config or None))
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -50,20 +50,26 @@ class LoadedConfig:
 _GAME_KEYS = ("p", "delta", "price", "cost_fwd", "cost_rcv", "alpha", "beta", "gamma", "mu")
 
 
+# The built-in placement model; range_km is spread to one entry per vehicle
+_GEOMETRY_DEFAULTS = {"side_km": 1.0, "range_km": 0.2, "placement": "continuous",
+                      "n_slots": 1_000_000, "seed": 20_240_808}
+
+
 def _parse_geometry(section, K: int, errors) -> GeometryConfig | None:
     """The geometry section as a GeometryConfig, or None after recording its errors."""
-    n_slots = _count(section.get("n_slots", 1_000_000), "geometry.n_slots", errors)
-    seed = _count(section.get("seed", 0), "geometry.seed", errors)
+    fallback = {**_GEOMETRY_DEFAULTS, "seed": 0}   # a section without a seed uses seed 0
+    n_slots = _count(section.get("n_slots", fallback["n_slots"]), "geometry.n_slots", errors)
+    seed = _count(section.get("seed", fallback["seed"]), "geometry.seed", errors)
     if n_slots is None or seed is None:
         return None
     try:
-        rng_km = section.get("range_km", 0.2)
+        rng_km = section.get("range_km", fallback["range_km"])
         if np.isscalar(rng_km):
             rng_km = (float(rng_km),) * K
         return GeometryConfig(
-            side_km=float(section.get("side_km", 1.0)),
+            side_km=float(section.get("side_km", fallback["side_km"])),
             range_km=tuple(float(r) for r in rng_km),
-            placement=str(section.get("placement", "continuous")),
+            placement=str(section.get("placement", fallback["placement"])),
             n_slots=n_slots,
             seed=seed,
         )
@@ -141,7 +147,7 @@ def load_config(path=None) -> LoadedConfig:
     if enc is None:
         enc = np.zeros((M, K))   # placeholder until resolve_encounter runs
 
-    geometry = default_geometry(K)
+    geometry = None
     if geo_section is not None:
         geometry = _parse_geometry(geo_section, K, errors)
     elif from_geometry:
@@ -157,7 +163,8 @@ def load_config(path=None) -> LoadedConfig:
     errors.extend(validate_config(cfg))
     if errors:
         raise ConfigError(errors)
-    return LoadedConfig(game=cfg, geometry=geometry,
+    # validated: K == len(cfg.p), so the default geometry's size is bounded
+    return LoadedConfig(game=cfg, geometry=geometry or default_geometry(K),
                         encounter_from_geometry=from_geometry)
 
 
@@ -177,8 +184,8 @@ def default_game_config(encounter=0.5) -> GameConfig:
 
 
 def default_geometry(K: int = 2) -> GeometryConfig:
-    return GeometryConfig(side_km=1.0, range_km=(0.2,) * K,
-                          placement="continuous", n_slots=1_000_000, seed=20_240_808)
+    return GeometryConfig(**{**_GEOMETRY_DEFAULTS,
+                             "range_km": (_GEOMETRY_DEFAULTS["range_km"],) * K})
 
 
 def default_config_dict() -> dict:

@@ -18,7 +18,6 @@ __all__ = [
     "GeometryConfig",
     "EncounterEstimate",
     "analytic_pair_encounter",
-    "encounter_block",
     "estimate_encounter_matrix",
 ]
 

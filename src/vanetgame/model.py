@@ -215,10 +215,10 @@ def parse_structure(text: str, n_players: int) -> CoalitionStructure:
             members = [int(tok) for tok in part.split(",")]
         except ValueError:
             raise ValueError(f"bad structure spec {text!r}: non-integer member") from None
-        repeated = sorted(m for m in set(members) if members.count(m) > 1)
-        if repeated:
+        if len(set(members)) < len(members):
+            repeated = min(m for m in members if members.count(m) > 1)
             raise ValueError(f"bad structure spec {text!r}: "
-                             f"player {repeated[0]} appears more than once")
+                             f"player {repeated} appears more than once")
         blocks.append(frozenset(members))
     cs = canonical_structure(blocks)
     errors = check_structure(cs, n_players)

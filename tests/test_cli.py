@@ -343,10 +343,33 @@ def test_load_config_fills_in_the_defaults(tmp_path):
     path = tmp_path / "no-geometry.json"
     path.write_text(json.dumps(doc))
     assert load_config(path).geometry == default_geometry(2)
+    doc["geometry"] = {}   # a section takes the built-in values, except seed 0
+    path.write_text(json.dumps(doc))
+    assert load_config(path).geometry == dataclasses.replace(default_geometry(2), seed=0)
+    del doc["geometry"]
     doc["encounter"] = {"from_geometry": True}
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="requires a 'geometry' section"):
         load_config(path)
+
+
+@pytest.mark.parametrize("with_geometry", [True, False], ids=["geometry", "no-geometry"])
+def test_huge_vehicle_count_is_a_config_error(tmp_path, with_geometry):
+    doc = default_config_dict()
+    doc["game"]["K"] = 10 ** 400
+    if not with_geometry:
+        del doc["geometry"]
+    path = tmp_path / "huge-K.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="p: shape mismatch"):
+        load_config(path)
+
+
+def test_empty_config_path_means_the_builtin_config(capsys):
+    assert main(["core"]) == 0
+    builtin = capsys.readouterr().out
+    assert main(["core", "--config", ""]) == 0
+    assert capsys.readouterr().out == builtin
 
 
 def test_from_geometry_fills_encounter_matrix(tmp_path, capsys):
