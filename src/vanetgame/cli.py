@@ -51,39 +51,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vanetgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file (built-in defaults when omitted)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--out", help="output CSV path")
+    def command(name, help, seed=False, out=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file (built-in config when omitted)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="seed of the random draws")
+        if out:
+            p.add_argument("--out", help="output CSV path")
+        return p
 
-    p = sub.add_parser("enumerate", help="list every coalition structure with ids")
-    common(p)
+    command("enumerate", "list every coalition structure with ids", out=True)
 
-    p = sub.add_parser("encounter", help="estimate encounter probabilities over a range sweep")
-    common(p)
+    p = command("encounter", "estimate encounter probabilities over a range sweep",
+                seed=True, out=True)
     p.add_argument("--d-sweep", type=_sweep, default=DEFAULT_SWEEP,
                    help="comma-separated transmission ranges in km")
     p.add_argument("--slots", type=int, default=None, help="placement slots per range")
     p.add_argument("--placement", choices=PLACEMENTS, default=None)
 
-    p = sub.add_parser("payoffs", help="closed-form per-player quantities for a structure")
-    common(p)
+    p = command("payoffs", "closed-form per-player quantities for a structure", out=True)
     p.add_argument("--structure", default=None,
                    help="canonical id or explicit blocks like '1,2|3|4' (default: grand coalition)")
     p.add_argument("--d-sweep", type=_sweep, default=None,
                    help="derive symmetric encounter matrices from these ranges; "
                         "omitted: use the config's matrix")
 
-    p = sub.add_parser("core", help="sufficient conditions and core membership of the grand vector")
-    common(p)
+    command("core", "sufficient conditions and core membership of the grand vector")
 
-    p = sub.add_parser("simulate", help="slot simulation vs closed forms for a structure")
-    common(p)
+    p = command("simulate", "slot simulation vs closed forms for a structure",
+                seed=True, out=True)
     p.add_argument("--structure", default=None)
     p.add_argument("--slots", type=int, default=1_000_000)
 
-    p = sub.add_parser("check", help="run the exact-identity suite on the config")
-    common(p)
+    command("check", "run the exact-identity suite on the config")
     return parser
 
 
@@ -116,10 +116,9 @@ def _write_manifest(out_path, args, extra=None) -> None:
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "command": args.command,
         "config": args.config,
-        "seed": getattr(args, "seed", None),
         "out": args.out,
     }
-    for key in ("structure", "slots", "placement"):
+    for key in ("seed", "structure", "slots", "placement"):
         if hasattr(args, key):
             manifest[key] = getattr(args, key)
     if getattr(args, "d_sweep", None) is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import GeometryConfig, estimate_encounter_matrix
-from .model import GameConfig, make_config, validate_config
+from .model import ConfigError, GameConfig, make_config
 
 __all__ = [
     "ConfigError",
@@ -32,44 +32,40 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
-    """Invalid config file; .errors carries the full violation list."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
 @dataclass(frozen=True)
 class LoadedConfig:
     game: GameConfig
-    geometry: GeometryConfig   # default_geometry(K) when the file has no geometry section
+    geometry: GeometryConfig   # the built-in values for any key the file leaves out
     encounter_from_geometry: bool
 
 
-_GAME_KEYS = ("p", "delta", "price", "cost_fwd", "cost_rcv", "alpha", "beta", "gamma", "mu")
-
-
-# The built-in placement model; range_km is spread to one entry per vehicle
-_GEOMETRY_DEFAULTS = {"side_km": 1.0, "range_km": 0.2, "placement": "continuous",
-                      "n_slots": 1_000_000, "seed": 20_240_808}
+# The built-in 2-vehicle / 2-RSU scenario as a config document. It is parsed
+# like a file, its scalars spread, and a file's geometry section falls back to
+# it key by key.
+_BUILTIN = {
+    "game": {"K": 2, "M": 2, "p": 0.6, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5,
+             "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0},
+    "encounter": {"matrix": 0.5},
+    "geometry": {"side_km": 1.0, "placement": "continuous", "range_km": 0.2,
+                 "n_slots": 1_000_000, "seed": 20_240_808},
+}
 
 
 def _parse_geometry(section, K: int, errors) -> GeometryConfig | None:
     """The geometry section as a GeometryConfig, or None after recording its errors."""
-    fallback = {**_GEOMETRY_DEFAULTS, "seed": 0}   # a section without a seed uses seed 0
-    n_slots = _count(section.get("n_slots", fallback["n_slots"]), "geometry.n_slots", errors)
-    seed = _count(section.get("seed", fallback["seed"]), "geometry.seed", errors)
+    section = {**_BUILTIN["geometry"], **section}
+    n_slots = _count(section["n_slots"], "geometry.n_slots", errors)
+    seed = _count(section["seed"], "geometry.seed", errors)
     if n_slots is None or seed is None:
         return None
     try:
-        rng_km = section.get("range_km", fallback["range_km"])
+        rng_km = section["range_km"]
         if np.isscalar(rng_km):
             rng_km = (float(rng_km),) * K
         return GeometryConfig(
-            side_km=float(section.get("side_km", fallback["side_km"])),
+            side_km=float(section["side_km"]),
             range_km=tuple(float(r) for r in rng_km),
-            placement=str(section.get("placement", fallback["placement"])),
+            placement=str(section["placement"]),
             n_slots=n_slots,
             seed=seed,
         )
@@ -100,12 +96,11 @@ def _count(value, name, errors):
 def load_config(path=None) -> LoadedConfig:
     """Parse and validate a config file, reporting every problem at once.
 
-    Without a path, the built-in default parameter set.
+    Without a path, the built-in config. The geometry section is checked
+    once the game is valid, so its size is bounded by a game that was built.
     """
     if path is None:
-        game = default_game_config()
-        return LoadedConfig(game=game, geometry=default_geometry(game.K),
-                            encounter_from_geometry=False)
+        return _parse(_BUILTIN, "built-in config")
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -115,21 +110,25 @@ def load_config(path=None) -> LoadedConfig:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"{path}: top level must be a JSON object, got {type(doc).__name__}"])
+    return _parse(doc, path)
 
+
+def _parse(doc: dict, source) -> LoadedConfig:
+    """The config one JSON document describes; `source` names the document in messages."""
     errors = []
     game = doc.get("game")
     encounter = _section(doc, "encounter", errors, default={})
     geo_section = _section(doc, "geometry", errors)
     K = M = None
     if not isinstance(game, dict):
-        errors.append(f"{path}: missing or malformed 'game' section")
-    elif missing := [k for k in ("K", "M", *_GAME_KEYS) if k not in game]:
-        errors.append(f"{path}: 'game' section missing keys {missing}")
+        errors.append(f"{source}: missing or malformed 'game' section")
+    elif missing := [k for k in _BUILTIN["game"] if k not in game]:
+        errors.append(f"{source}: 'game' section missing keys {missing}")
     else:
         K, M = _count(game["K"], "game.K", errors), _count(game["M"], "game.M", errors)
 
     from_geometry = False
-    enc = None
+    enc = 0.0   # placeholder until resolve_encounter runs
     if encounter is not None:
         from_geometry = encounter.get("from_geometry", False)
         if not isinstance(from_geometry, bool):
@@ -142,30 +141,25 @@ def load_config(path=None) -> LoadedConfig:
                 errors.append(f"encounter.matrix is not a numeric matrix: {exc}")
         elif not from_geometry:
             errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
+    if geo_section is None and from_geometry:
+        errors.append("encounter.from_geometry requires a 'geometry' section")
     if K is None or M is None:
         raise ConfigError(errors)
-    if enc is None:
-        enc = np.zeros((M, K))   # placeholder until resolve_encounter runs
-
-    geometry = None
-    if geo_section is not None:
-        geometry = _parse_geometry(geo_section, K, errors)
-    elif from_geometry:
-        errors.append("encounter.from_geometry requires a 'geometry' section")
-    if geometry is not None and len(geometry.range_km) != K:
-        errors.append(f"geometry.range_km needs {K} entries, got {len(geometry.range_km)}")
 
     try:
-        cfg = make_config(K, M, enc=enc, check=False,
-                          **{k: game[k] for k in _GAME_KEYS})
+        cfg = make_config(enc=enc, **{k: game[k] for k in _BUILTIN["game"]})
+    except ConfigError as exc:
+        raise ConfigError(errors + exc.errors) from exc
+    except MemoryError as exc:
+        raise ConfigError(errors + [f"game section: K={K}, M={M} is too large to build"]) from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(errors + [f"game section: {exc}"]) from exc
-    errors.extend(validate_config(cfg))
+    geometry = _parse_geometry(geo_section or {}, K, errors)
+    if geometry is not None and len(geometry.range_km) != K:
+        errors.append(f"geometry.range_km needs {K} entries, got {len(geometry.range_km)}")
     if errors:
         raise ConfigError(errors)
-    # validated: K == len(cfg.p), so the default geometry's size is bounded
-    return LoadedConfig(game=cfg, geometry=geometry or default_geometry(K),
-                        encounter_from_geometry=from_geometry)
+    return LoadedConfig(game=cfg, geometry=geometry, encounter_from_geometry=from_geometry)
 
 
 def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
@@ -177,40 +171,19 @@ def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
 
 
 def default_game_config(encounter=0.5) -> GameConfig:
-    """Built-in 2-vehicle / 2-RSU parameter set used by the docs and tests."""
-    return make_config(
-        2, 2, p=0.6, enc=encounter, delta=0.5, price=1.5,
-        cost_fwd=0.5, cost_rcv=0.2, alpha=10.0, beta=1.0, gamma=1.0, mu=1.0)
+    """The built-in game, with `encounter` as its encounter matrix (a scalar spreads)."""
+    return _parse({**_BUILTIN, "encounter": {"matrix": encounter}}, "built-in config").game
 
 
 def default_geometry(K: int = 2) -> GeometryConfig:
-    return GeometryConfig(**{**_GEOMETRY_DEFAULTS,
-                             "range_km": (_GEOMETRY_DEFAULTS["range_km"],) * K})
+    """The built-in placement model, with one transmission range per vehicle."""
+    return _parse_geometry({}, K, [])
 
 
 def default_config_dict() -> dict:
-    """The default parameter set in config-file form (see configs/default.json)."""
-    cfg = default_game_config()
-    geo = default_geometry(cfg.K)
-    return {
-        "game": {
-            "K": cfg.K, "M": cfg.M,
-            "p": cfg.p.tolist(),
-            "delta": cfg.delta.tolist(),
-            "price": cfg.price.tolist(),
-            "cost_fwd": cfg.cost_fwd.tolist(),
-            "cost_rcv": cfg.cost_rcv.tolist(),
-            "alpha": cfg.alpha.tolist(),
-            "beta": cfg.beta.tolist(),
-            "gamma": cfg.gamma.tolist(),
-            "mu": cfg.mu.tolist(),
-        },
-        "encounter": {"matrix": cfg.enc.tolist()},
-        "geometry": {
-            "side_km": geo.side_km,
-            "placement": geo.placement,
-            "range_km": list(geo.range_km),
-            "n_slots": geo.n_slots,
-            "seed": geo.seed,
-        },
-    }
+    """The built-in config with every value spread out (see configs/default.json)."""
+    loaded = load_config()
+    fields = {"game": loaded.game, "geometry": loaded.geometry}
+    doc = {name: {key: np.asarray(getattr(fields[name], key)).tolist() for key in keys}
+           for name, keys in _BUILTIN.items() if name in fields}
+    return {**doc, "encounter": {"matrix": loaded.game.enc.tolist()}}

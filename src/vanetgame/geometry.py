@@ -79,6 +79,12 @@ def positions_from_uniforms(u: np.ndarray, side: float, placement: str) -> np.nd
     raise ValueError(f"unknown placement {placement!r}")
 
 
+def block_slots(chunk_slots: int, K: int, M: int) -> int:
+    """Slots per encounter_block call: at most chunk_slots (and at least 1,024),
+    few enough that the (slots, M, K) block stays near 2**24 entries."""
+    return max(1024, min(chunk_slots, (1 << 24) // max(1, M * K)))
+
+
 def encounter_block(u: np.ndarray, geo: GeometryConfig, K: int) -> np.ndarray:
     """Which RSU encounters which vehicle in each slot, as a (slots, M, K) boolean block.
 
@@ -113,6 +119,7 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int,
     """
     rng = np.random.default_rng(geo.seed)
     counts = np.zeros((M, K), dtype=np.int64)
+    chunk_slots = block_slots(chunk_slots, K, M)
     done = 0
     while done < geo.n_slots:
         m = min(chunk_slots, geo.n_slots - done)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "Coalition",
     "CoalitionStructure",
     "GameConfig",
@@ -42,25 +43,25 @@ CoalitionStructure = tuple
 class GameConfig:
     """Exogenous parameters of one game instance.
 
-    Matrix layout follows the config-file schema: `enc`, `price`, `cost_fwd`
-    and `cost_rcv` are (M, K) with one row per RSU and one column per vehicle;
-    `delta` is (K, M) with one row per vehicle. All arrays become read-only
-    float64 on construction, so instances can be shared freely across
-    parallel evaluations.
+    Matrix layout follows the config-file schema (each shape is in _SHAPES):
+    `enc`, `price`, `cost_fwd` and `cost_rcv` have one row per RSU and one
+    column per vehicle; `delta` has one row per vehicle. All arrays become
+    read-only float64 on construction, so instances can be shared freely
+    across parallel evaluations.
     """
 
     K: int
     M: int
-    p: np.ndarray          # (K,) per-slot activity probability per vehicle
-    enc: np.ndarray        # (M, K) encounter probability, RSU row x vehicle col
-    delta: np.ndarray      # (K, M) rate increase when the RSU relays the vehicle
-    price: np.ndarray      # (M, K) fee charged per relayed transmission
-    cost_fwd: np.ndarray   # (M, K) RSU cost of forwarding one transmission
-    cost_rcv: np.ndarray   # (M, K) RSU cost of receiving one transmission
-    alpha: np.ndarray      # (K,) vehicle weight on throughput
-    beta: np.ndarray       # (K,) vehicle weight on payment
-    gamma: np.ndarray      # (M,) RSU weight on revenue
-    mu: np.ndarray         # (M,) RSU weight on cost
+    p: np.ndarray          # per-slot activity probability per vehicle
+    enc: np.ndarray        # encounter probability, RSU row x vehicle col
+    delta: np.ndarray      # rate increase when the RSU relays the vehicle
+    price: np.ndarray      # fee charged per relayed transmission
+    cost_fwd: np.ndarray   # RSU cost of forwarding one transmission
+    cost_rcv: np.ndarray   # RSU cost of receiving one transmission
+    alpha: np.ndarray      # vehicle weight on throughput
+    beta: np.ndarray       # vehicle weight on payment
+    gamma: np.ndarray      # RSU weight on revenue
+    mu: np.ndarray         # RSU weight on cost
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "K", int(self.K))
@@ -95,71 +96,64 @@ class GameConfig:
         return rsu - self.K - 1
 
 
-def _spread(value, shape) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    return arr
+class ConfigError(ValueError):
+    """Invalid game config or config file; .errors carries the full violation list."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
 
 
-def make_config(K, M, *, p, enc, delta, price, cost_fwd, cost_rcv,
-                alpha=1.0, beta=1.0, gamma=1.0, mu=1.0,
-                check: bool = True) -> GameConfig:
-    """Build a GameConfig, spreading scalar parameters to full arrays.
-
-    With check=True (the default) the config is validated and a ValueError
-    listing every violation is raised if it is not well formed.
-    """
-    K, M = int(K), int(M)
-    cfg = GameConfig(
-        K=K, M=M,
-        p=_spread(p, (K,)),
-        enc=_spread(enc, (M, K)),
-        delta=_spread(delta, (K, M)),
-        price=_spread(price, (M, K)),
-        cost_fwd=_spread(cost_fwd, (M, K)),
-        cost_rcv=_spread(cost_rcv, (M, K)),
-        alpha=_spread(alpha, (K,)),
-        beta=_spread(beta, (K,)),
-        gamma=_spread(gamma, (M,)),
-        mu=_spread(mu, (M,)),
-    )
-    if check:
-        errors = validate_config(cfg)
-        if errors:
-            raise ValueError("invalid game config: " + "; ".join(errors))
-    return cfg
-
-
+# The one statement of each parameter's shape, as a function of (K, M)
 _SHAPES = {
-    "p": lambda c: (c.K,),
-    "enc": lambda c: (c.M, c.K),
-    "delta": lambda c: (c.K, c.M),
-    "price": lambda c: (c.M, c.K),
-    "cost_fwd": lambda c: (c.M, c.K),
-    "cost_rcv": lambda c: (c.M, c.K),
-    "alpha": lambda c: (c.K,),
-    "beta": lambda c: (c.K,),
-    "gamma": lambda c: (c.M,),
-    "mu": lambda c: (c.M,),
+    "p": lambda K, M: (K,),
+    "enc": lambda K, M: (M, K),
+    "delta": lambda K, M: (K, M),
+    "price": lambda K, M: (M, K),
+    "cost_fwd": lambda K, M: (M, K),
+    "cost_rcv": lambda K, M: (M, K),
+    "alpha": lambda K, M: (K,),
+    "beta": lambda K, M: (K,),
+    "gamma": lambda K, M: (M,),
+    "mu": lambda K, M: (M,),
 }
 
 
-def validate_config(cfg: GameConfig) -> list[str]:
-    """Check every invariant and return the full list of violations.
+def make_config(K, M, *, p, enc, delta, price, cost_fwd, cost_rcv,
+                alpha=1.0, beta=1.0, gamma=1.0, mu=1.0) -> GameConfig:
+    """Build a GameConfig, spreading scalar parameters to full arrays.
 
-    An empty list means the config is valid. Validation never aborts early,
-    so callers see all problems at once.
+    The values are checked before any of them is spread, so a bad K or M
+    builds nothing of its size; ConfigError lists every violation. A scalar
+    spreads to its parameter's shape, and an empty list stands for any shape
+    with a zero dimension (an RSU matrix when M = 0).
     """
+    K, M = int(K), int(M)
+    given = dict(p=p, enc=enc, delta=delta, price=price, cost_fwd=cost_fwd,
+                 cost_rcv=cost_rcv, alpha=alpha, beta=beta, gamma=gamma, mu=mu)
+    arrays = {name: np.asarray(value, dtype=np.float64) for name, value in given.items()}
+    errors = _violations(K, M, arrays, spreads=True)
+    if errors:
+        raise ConfigError(errors)
+    return GameConfig(K=K, M=M, **{
+        name: np.full(shape(K, M), float(arrays[name])) if arrays[name].ndim == 0
+        else arrays[name].reshape(shape(K, M)) for name, shape in _SHAPES.items()})
+
+
+def _violations(K: int, M: int, arrays, spreads: bool) -> list[str]:
+    """Every violation in K, M and the parameter arrays; `spreads` says whether they spread."""
     errors: list[str] = []
-    if cfg.K < 1:
+    if K < 1:
         errors.append("K: need at least one vehicle")
-    if cfg.M < 0:
+    if M < 0:
         errors.append("M: RSU count must be nonnegative")
-    for name, want in _SHAPES.items():
-        arr = getattr(cfg, name)
-        expected = want(cfg)
-        if arr.shape != expected:
+    for name, shape in _SHAPES.items():
+        arr = arrays[name]
+        expected = shape(K, M)
+        # the shape rule: the expected shape or, where values spread, a scalar or
+        # an empty list for an expected shape with a zero dimension
+        spreadable = arr.shape == () or arr.shape == (0,) and 0 in expected
+        if arr.shape != expected and not (spreads and spreadable):
             errors.append(f"{name}: shape mismatch, expected {expected}, got {arr.shape}")
             continue
         if arr.size and not np.isfinite(arr).all():
@@ -170,6 +164,17 @@ def validate_config(cfg: GameConfig) -> list[str]:
         if name in ("delta", "price", "cost_fwd", "cost_rcv") and arr.size and (arr < 0.0).any():
             errors.append(f"{name}: negative entries")
     return errors
+
+
+def validate_config(cfg: GameConfig) -> list[str]:
+    """Check every invariant and return the full list of violations.
+
+    An empty list means the config is valid. Validation never aborts early,
+    so callers see all problems at once. Every array must have its full
+    shape here: nothing spreads in a built GameConfig.
+    """
+    return _violations(cfg.K, cfg.M, {name: getattr(cfg, name) for name in _SHAPES},
+                       spreads=False)
 
 
 def split_members(members, K: int):

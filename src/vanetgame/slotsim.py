@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryConfig, encounter_block
+from .geometry import GeometryConfig, block_slots, encounter_block
 from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
@@ -176,8 +176,7 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
         "relays_fail": np.zeros((M, K), np.int64),
     }
 
-    # keep geometry mode's (chunk, M, K) distance block modest for large games
-    chunk_slots = max(1024, min(chunk_slots, (1 << 24) // max(1, M * K)))
+    chunk_slots = block_slots(chunk_slots, K, M)
     rng = np.random.default_rng(seed)
     enc_width = M if geometry is None else 2 * (K + M)
 

@@ -4,15 +4,17 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import vanetgame
-from vanetgame.cli import main
+from vanetgame.cli import build_parser, main
 from vanetgame.configio import (ConfigError, default_config_dict, default_game_config,
                                 default_geometry, load_config)
 
@@ -48,15 +50,20 @@ def test_enumerate_writes_csv_and_manifest(tmp_path, config_file):
     assert manifest["command"] == "enumerate"
     assert manifest["version"]
     assert (manifest["n_players"], manifest["K"], manifest["rows"]) == (4, 2, 15)
+    assert "seed" not in manifest   # enumerate draws nothing
+
+
+def _scalar_doc(K, M):
+    """A config document of K vehicles and M RSUs with every parameter a scalar."""
+    return {"game": {"K": K, "M": M, "p": 0.5, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5,
+                     "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0},
+            "encounter": {"matrix": 0.5}}
 
 
 def _scalar_config(tmp_path, K, M):
-    """A config of K vehicles and M RSUs with every parameter given as a scalar."""
-    doc = {"game": {"K": K, "M": M, "p": 0.5, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5,
-                    "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0},
-           "encounter": {"matrix": 0.5}}
+    """A config file of K vehicles and M RSUs with every parameter given as a scalar."""
     path = tmp_path / f"k{K}m{M}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_scalar_doc(K, M)))
     return str(path)
 
 
@@ -203,6 +210,31 @@ def test_unknown_subcommand_exits_2():
     assert err.value.code == 2
 
 
+# --seed only where the command draws random numbers, --out only where it writes CSV
+@pytest.mark.parametrize("argv", [["enumerate", "--seed", "1"], ["payoffs", "--seed", "1"],
+                                  ["core", "--seed", "1"], ["check", "--seed", "1"],
+                                  ["core", "--out"], ["check", "--out"]],
+                         ids=lambda argv: "-".join(a.strip("-") for a in argv[:2]))
+def test_flag_a_subcommand_does_not_use_exits_2(tmp_path, capsys, argv):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_quick_start_commands_parse():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("vanetgame ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+
+
 def test_invalid_config_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = default_config_dict()
@@ -319,6 +351,28 @@ def test_shipped_default_config_matches_builtin_defaults():
     assert shipped == default_config_dict()
 
 
+def test_builtin_config_loads_like_the_shipped_file():
+    shipped = load_config(pathlib.Path(__file__).parent.parent / "configs" / "default.json")
+    builtin = load_config()
+    for field in dataclasses.fields(builtin.game):
+        assert np.array_equal(getattr(builtin.game, field.name), getattr(shipped.game, field.name))
+    assert builtin.geometry == shipped.geometry
+    assert builtin.encounter_from_geometry == shipped.encounter_from_geometry is False
+
+
+def test_empty_lists_stand_for_rsu_matrices_without_rsus(tmp_path, capsys):
+    doc = {"game": {"K": 1, "M": 0, "p": [0.5], "delta": [], "price": [], "cost_fwd": [],
+                    "cost_rcv": [], "alpha": [10.0], "beta": [1.0], "gamma": [], "mu": []},
+           "encounter": {"matrix": []}}
+    lists = tmp_path / "k1m0-lists.json"
+    lists.write_text(json.dumps(doc))
+    for command in ("core", "check"):
+        assert main([command, "--config", _scalar_config(tmp_path, 1, 0)]) == 0
+        scalars = capsys.readouterr().out
+        assert main([command, "--config", str(lists)]) == 0
+        assert capsys.readouterr().out == scalars
+
+
 def test_check_skips_profitability_for_a_negative_throughput_weight(tmp_path, capsys):
     doc = default_config_dict()
     doc["game"]["alpha"] = [-1, 10]
@@ -343,9 +397,9 @@ def test_load_config_fills_in_the_defaults(tmp_path):
     path = tmp_path / "no-geometry.json"
     path.write_text(json.dumps(doc))
     assert load_config(path).geometry == default_geometry(2)
-    doc["geometry"] = {}   # a section takes the built-in values, except seed 0
+    doc["geometry"] = {}   # a section takes the built-in values, seed included
     path.write_text(json.dumps(doc))
-    assert load_config(path).geometry == dataclasses.replace(default_geometry(2), seed=0)
+    assert load_config(path).geometry == default_geometry(2)
     del doc["geometry"]
     doc["encounter"] = {"from_geometry": True}
     path.write_text(json.dumps(doc))
@@ -353,16 +407,36 @@ def test_load_config_fills_in_the_defaults(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("with_geometry", [True, False], ids=["geometry", "no-geometry"])
-def test_huge_vehicle_count_is_a_config_error(tmp_path, with_geometry):
-    doc = default_config_dict()
-    doc["game"]["K"] = 10 ** 400
-    if not with_geometry:
-        del doc["geometry"]
+# (document, expected error); 2**40 vehicles fail to allocate at once
+HUGE_CONFIGS = {
+    # list-valued parameters and a K that is no array size
+    "geometry": (_malformed(lambda d: d["game"].update(K=10 ** 400)), "p: shape mismatch"),
+    "no-geometry": (_malformed(lambda d: (d["game"].update(K=10 ** 400), d.pop("geometry"))),
+                    "p: shape mismatch"),
+    # scalar parameters and the 2x2 matrix: rejected before anything K-sized is built
+    "scalar-million": ({**_scalar_doc(10 ** 6, 2), "encounter": {"matrix": [[0.5] * 2] * 2}},
+                       r"enc: shape mismatch, expected \(2, 1000000\), got \(2, 2\)"),
+    # every parameter scalar: valid, but too large to build
+    "scalar-2**40": (_scalar_doc(2 ** 40, 2), "too large to build"),
+    "from-geometry-2**40": ({**_scalar_doc(2 ** 40, 2), "encounter": {"from_geometry": True},
+                             "geometry": {}}, "too large to build"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_CONFIGS))
+def test_huge_vehicle_count_is_a_config_error(tmp_path, case):
+    doc, message = HUGE_CONFIGS[case]
     path = tmp_path / "huge-K.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="p: shape mismatch"):
-        load_config(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if not case.endswith("2**40"):   # numpy reports even a failed allocation to tracemalloc
+        assert peak < 1 << 20, peak
 
 
 def test_empty_config_path_means_the_builtin_config(capsys):

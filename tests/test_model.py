@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vanetgame import (bell_number, canonical_structure, check_structure,
-                       enumerate_partitions, format_structure, iter_partitions,
+from vanetgame import (ConfigError, GameConfig, bell_number, canonical_structure,
+                       check_structure, enumerate_partitions, format_structure, iter_partitions,
                        iter_structure_rows, make_config, normalize_structure,
                        parse_structure, unrank_partition, validate_config)
 
@@ -123,24 +125,38 @@ def test_validate_accepts_good_config(default_cfg):
     assert validate_config(default_cfg) == []
 
 
+def _full(K, M, **changes):
+    """K, M and full-shape arrays of a valid game, with `changes` swapped in."""
+    good = make_config(K, M, p=0.5, enc=0.4, delta=0.5, price=1.0, cost_fwd=0.1, cost_rcv=0.1)
+    return {**{f.name: getattr(good, f.name) for f in dataclasses.fields(good)}, **changes}
+
+
+def _errors_both_ways(params):
+    """validate_config's list for a GameConfig built directly from params, after
+    checking that make_config raises a ConfigError with the same list."""
+    errors = validate_config(GameConfig(**params))
+    with pytest.raises(ConfigError) as err:
+        make_config(**params)
+    assert err.value.errors == errors
+    return errors
+
+
 def test_validate_reports_probability_out_of_range():
-    cfg = make_config(2, 1, p=[0.5, 1.2], enc=0.4, delta=0.5, price=1.0,
-                      cost_fwd=0.1, cost_rcv=0.1, check=False)
-    errors = validate_config(cfg)
+    errors = _errors_both_ways(_full(2, 1, p=[0.5, 1.2]))
     assert any("probability out of range" in e for e in errors)
 
 
 def test_validate_reports_shape_mismatch():
-    cfg = make_config(2, 2, p=0.5, enc=0.4, delta=np.zeros((2, 1)), price=1.0,
-                      cost_fwd=0.1, cost_rcv=0.1, check=False)
-    errors = validate_config(cfg)
+    errors = _errors_both_ways(_full(2, 2, delta=np.zeros((2, 1))))
     assert any("delta: shape mismatch" in e for e in errors)
+    # nothing spreads in a built config: a 0-d array is a shape mismatch there
+    assert validate_config(GameConfig(**_full(2, 2, mu=np.float64(1.0)))) == [
+        "mu: shape mismatch, expected (2,), got ()"]
 
 
 def test_validate_reports_all_violations_at_once():
-    cfg = make_config(2, 1, p=[0.5, -0.1], enc=2.0, delta=-1.0, price=1.0,
-                      cost_fwd=0.1, cost_rcv=np.zeros((9, 9)), check=False)
-    errors = validate_config(cfg)
+    errors = _errors_both_ways(_full(2, 1, p=[0.5, -0.1], enc=np.full((1, 2), 2.0),
+                                     delta=np.full((2, 1), -1.0), cost_rcv=np.zeros((9, 9))))
     assert len(errors) >= 3
 
 

@@ -210,12 +210,12 @@ def test_any_json_value_in_any_key_loads_or_raises_config_error(tmp_path_factory
 
 # The flags each subcommand takes besides --out (argv never writes files here)
 ARGV_FLAGS = {
-    "enumerate": ("--config", "--seed"),
+    "enumerate": ("--config",),
     "encounter": ("--config", "--seed", "--d-sweep", "--placement"),
-    "payoffs": ("--config", "--seed", "--structure", "--d-sweep"),
-    "core": ("--config", "--seed"),
+    "payoffs": ("--config", "--structure", "--d-sweep"),
+    "core": ("--config",),
     "simulate": ("--config", "--seed", "--structure"),
-    "check": ("--config", "--seed"),
+    "check": ("--config",),
 }
 ARGV_VALUES = ("nan", "NaN", "inf", "-inf", "1e308", "-1e308", "-7", "-1", "0", "3", "15",
                "99999999999999999999", "", "0.1,0.3", "0.2,nan", "1,2|3,4", "1,1|2,3,4",
