@@ -172,8 +172,7 @@ def cmd_encounter(args, loaded) -> int:
                 rows.append((d, i + 1, cfg.K + j + 1,
                              float(est.matrix[j, i]), float(est.stderr[j, i]), reference))
     _emit(args, ("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"),
-          rows, extra={"n_slots": geo.n_slots, "placement": geo.placement,
-                       "geometry_seed": geo.seed})
+          rows, extra={"seed": geo.seed, "slots": geo.n_slots, "placement": geo.placement})
     return 0
 
 

@@ -56,7 +56,8 @@ def _parse_geometry(section, K: int, errors) -> GeometryConfig | None:
     section = {**_BUILTIN["geometry"], **section}
     n_slots = _count(section["n_slots"], "geometry.n_slots", errors)
     seed = _count(section["seed"], "geometry.seed", errors)
-    if n_slots is None or seed is None:
+    numeric = [_numbers(section[key], f"geometry.{key}", errors) for key in ("side_km", "range_km")]
+    if n_slots is None or seed is None or not all(numeric):
         return None
     try:
         rng_km = section["range_km"]
@@ -93,6 +94,20 @@ def _count(value, name, errors):
     return value
 
 
+def _numbers(value, name, errors) -> bool:
+    """Whether value is a JSON number or nested lists of them (no bool, no string);
+    else records an error. An explicit stack walks any nesting depth."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))   # the first bad entry in document order is named
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            errors.append(f"{name} must be a JSON number or nested lists of them, got {item!r}")
+            return False
+    return True
+
+
 def load_config(path=None) -> LoadedConfig:
     """Parse and validate a config file, reporting every problem at once.
 
@@ -106,7 +121,7 @@ def load_config(path=None) -> LoadedConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nesting too deep
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"{path}: top level must be a JSON object, got {type(doc).__name__}"])
@@ -120,12 +135,16 @@ def _parse(doc: dict, source) -> LoadedConfig:
     encounter = _section(doc, "encounter", errors, default={})
     geo_section = _section(doc, "geometry", errors)
     K = M = None
+    numeric = False
     if not isinstance(game, dict):
         errors.append(f"{source}: missing or malformed 'game' section")
     elif missing := [k for k in _BUILTIN["game"] if k not in game]:
         errors.append(f"{source}: 'game' section missing keys {missing}")
     else:
         K, M = _count(game["K"], "game.K", errors), _count(game["M"], "game.M", errors)
+        # a list, not a generator: every parameter's error is recorded
+        numeric = all([_numbers(game[k], f"game.{k}", errors) for k in _BUILTIN["game"]
+                       if k not in ("K", "M")])
 
     from_geometry = False
     enc = 0.0   # placeholder until resolve_encounter runs
@@ -134,16 +153,17 @@ def _parse(doc: dict, source) -> LoadedConfig:
         if not isinstance(from_geometry, bool):
             errors.append(f"encounter.from_geometry must be true or false, got {from_geometry!r}")
             from_geometry = False
-        if "matrix" in encounter:
+        if "matrix" not in encounter:
+            if not from_geometry:
+                errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
+        elif _numbers(encounter["matrix"], "encounter.matrix", errors):
             try:
                 enc = np.asarray(encounter["matrix"], dtype=np.float64)
             except (ValueError, TypeError, OverflowError) as exc:
                 errors.append(f"encounter.matrix is not a numeric matrix: {exc}")
-        elif not from_geometry:
-            errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
     if geo_section is None and from_geometry:
         errors.append("encounter.from_geometry requires a 'geometry' section")
-    if K is None or M is None:
+    if K is None or M is None or not numeric:
         raise ConfigError(errors)
 
     try:
@@ -172,7 +192,8 @@ def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
 
 def default_game_config(encounter=0.5) -> GameConfig:
     """The built-in game, with `encounter` as its encounter matrix (a scalar spreads)."""
-    return _parse({**_BUILTIN, "encounter": {"matrix": encounter}}, "built-in config").game
+    matrix = np.asarray(encounter).tolist()   # an array as the JSON value it stands for
+    return _parse({**_BUILTIN, "encounter": {"matrix": matrix}}, "built-in config").game
 
 
 def default_geometry(K: int = 2) -> GeometryConfig:

@@ -25,6 +25,9 @@ GRID_CELLS = 10
 
 PLACEMENTS = ("continuous", "grid")
 
+# Most rows in one uniform_chunks block
+CHUNK_SLOTS = 65_536
+
 
 @dataclass(frozen=True)
 class GeometryConfig:
@@ -79,10 +82,14 @@ def positions_from_uniforms(u: np.ndarray, side: float, placement: str) -> np.nd
     raise ValueError(f"unknown placement {placement!r}")
 
 
-def block_slots(chunk_slots: int, K: int, M: int) -> int:
-    """Slots per encounter_block call: at most chunk_slots (and at least 1,024),
-    few enough that the (slots, M, K) block stays near 2**24 entries."""
-    return max(1024, min(chunk_slots, (1 << 24) // max(1, M * K)))
+def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
+    """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
+    CHUNK_SLOTS rows, or fewer (but at least 1,024) when a block's (slots, M, K)
+    encounter block would pass 2**22 RSU-vehicle pairs."""
+    rng = np.random.default_rng(seed)
+    step = min(CHUNK_SLOTS, max(1024, (1 << 22) // max(1, M * K)))
+    for start in range(0, n_slots, step):
+        yield rng.random((min(step, n_slots - start), width))
 
 
 def encounter_block(u: np.ndarray, geo: GeometryConfig, K: int) -> np.ndarray:
@@ -94,8 +101,8 @@ def encounter_block(u: np.ndarray, geo: GeometryConfig, K: int) -> np.ndarray:
     if len(geo.range_km) != K:
         raise ValueError(f"range_km has {len(geo.range_km)} transmission ranges, expected {K}")
     pos = positions_from_uniforms(u, geo.side_km, geo.placement)
-    diff = pos[:, K:, None, :] - pos[:, None, :K, :]
-    dist_sq = np.einsum("smkc,smkc->smk", diff, diff)
+    dist_sq = (pos[:, K:, None, 0] - pos[:, None, :K, 0]) ** 2   # (slots, M, K)
+    dist_sq += (pos[:, K:, None, 1] - pos[:, None, :K, 1]) ** 2
     return dist_sq <= np.asarray(geo.range_km, dtype=np.float64) ** 2
 
 
@@ -109,22 +116,16 @@ class EncounterEstimate:
     seed: int
 
 
-def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int,
-                              chunk_slots: int = 65_536) -> EncounterEstimate:
+def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int) -> EncounterEstimate:
     """Estimate the (M, K) encounter matrix by redrawing placements per slot.
 
     Positions are drawn vehicle 1..K then RSU 1..M, x before y, from a PCG64
     stream seeded with geo.seed, so results are bit-for-bit reproducible for
     a given config. Standard errors are binomial: sqrt(p*(1-p)/n).
     """
-    rng = np.random.default_rng(geo.seed)
     counts = np.zeros((M, K), dtype=np.int64)
-    chunk_slots = block_slots(chunk_slots, K, M)
-    done = 0
-    while done < geo.n_slots:
-        m = min(chunk_slots, geo.n_slots - done)
-        counts += encounter_block(rng.random((m, 2 * (K + M))), geo, K).sum(axis=0)
-        done += m
+    for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
+        counts += encounter_block(u, geo, K).sum(axis=0)
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     return EncounterEstimate(matrix=phat, stderr=stderr,

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryConfig, block_slots, encounter_block
+from .geometry import GeometryConfig, encounter_block, uniform_chunks
 from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
-
-DEFAULT_CHUNK = 65_536
 
 # Each estimate as (report field, CSV quantity), in row order; its standard
 # error is the report field of the same name plus "_se".
@@ -148,15 +146,14 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):
 
 
 def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
-                   geometry: GeometryConfig | None = None,
-                   chunk_slots: int = DEFAULT_CHUNK) -> EmpiricalReport:
+                   geometry: GeometryConfig | None = None) -> EmpiricalReport:
     """Simulate a coalition structure for n_slots slots.
 
-    Deterministic for a given seed and independent of chunk_slots: randomness
-    comes from one PCG64 stream consumed in a fixed order. Each slot row draws
-    K activity uniforms, then one encounter uniform per RSU (matrix mode) or
-    x, y uniforms per node, vehicles first (geometry mode), then one
-    selection uniform per vehicle-containing coalition.
+    Deterministic for a given seed and independent of geometry.CHUNK_SLOTS:
+    randomness comes from one PCG64 stream consumed in a fixed order. Each
+    slot row draws K activity uniforms, then one encounter uniform per RSU
+    (matrix mode) or x, y uniforms per node, vehicles first (geometry mode),
+    then one selection uniform per vehicle-containing coalition.
     """
     errors = check_structure(cs, cfg.n_players)
     if errors:
@@ -176,14 +173,8 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
         "relays_fail": np.zeros((M, K), np.int64),
     }
 
-    chunk_slots = block_slots(chunk_slots, K, M)
-    rng = np.random.default_rng(seed)
     enc_width = M if geometry is None else 2 * (K + M)
-
-    done = 0
-    while done < n_slots:
-        m = min(chunk_slots, n_slots - done)
-        u = rng.random((m, K + enc_width + n_coal))
+    for u in uniform_chunks(seed, n_slots, K + enc_width + n_coal, K, M):
         u_enc = u[:, K:K + enc_width]
         if geometry is None:
             def encounters(rows, rsus, veh):
@@ -194,7 +185,6 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
             def encounters(rows, rsus, veh):
                 return block[rows[:, None], rsus, veh[:, None]]
         _count_chunk(u[:, :K] < cfg.p, encounters, u[:, K + enc_width:], layout, counts)
-        done += m
 
     relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
     succ_norelay = counts["success_no_relay"]

@@ -148,6 +148,21 @@ def test_encounter_csv_is_byte_identical_across_runs(tmp_path, config_file):
     assert len(rows) == 1 + 2 * 4   # two sweep points, four pairs
 
 
+@pytest.mark.parametrize("flags, used", [
+    ([], (20_240_808, 2_000, "continuous")),   # the built-in seed, the file's slot count
+    (["--seed", "5", "--slots", "1000", "--placement", "grid"], (5, 1_000, "grid")),
+], ids=["from-config", "from-flags"])
+def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**default_config_dict(), "geometry": {"n_slots": 2_000}}))
+    out = tmp_path / "enc.csv"
+    assert main(["encounter", "--config", str(config), "--d-sweep", "0.2", *flags,
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
+    assert (manifest["seed"], manifest["slots"], manifest["placement"]) == used
+    assert "geometry_seed" not in manifest and "n_slots" not in manifest
+
+
 def test_core_reports_membership(capsys, config_file):
     assert main(["core", "--config", config_file]) == 0
     out = capsys.readouterr().out
@@ -260,7 +275,21 @@ def _malformed(edit):
     (_malformed(lambda d: d.update(geometry=[1.0])), "'geometry' section must be a JSON object"),
     (_malformed(lambda d: d["game"].update(K="x")), "game.K must be a nonnegative integer"),
     (_malformed(lambda d: d.update(encounter={"matrix": "ab"})),
-     "encounter.matrix is not a numeric matrix"),
+     "encounter.matrix must be a JSON number"),
+    (_malformed(lambda d: d.update(encounter={"matrix": [[0.5, "0.5"], [0.5, 0.5]]})),
+     "encounter.matrix must be a JSON number"),
+    (_malformed(lambda d: d.update(encounter={"matrix": [[0.5, True], [0.5, 0.5]]})),
+     "encounter.matrix must be a JSON number"),
+    (_malformed(lambda d: d["game"].update(p=["0.6", True])), "game.p must be a JSON number"),
+    (_malformed(lambda d: d["game"].update(alpha=True)), "game.alpha must be a JSON number"),
+    (_malformed(lambda d: d["game"].update(delta=[[0.5, 0.5], [0.5, [None]]])),
+     "game.delta must be a JSON number"),
+    (_malformed(lambda d: d["geometry"].update(side_km="1.0")),
+     "geometry.side_km must be a JSON number"),
+    (_malformed(lambda d: d["geometry"].update(range_km=True)),
+     "geometry.range_km must be a JSON number"),
+    (_malformed(lambda d: d["geometry"].update(range_km=[0.2, "0.2"])),
+     "geometry.range_km must be a JSON number"),
     (_malformed(lambda d: d.update(encounter=None)), "'encounter' section must be a JSON object"),
     (_malformed(lambda d: d["geometry"].update(n_slots=1.9)),
      "geometry.n_slots must be a nonnegative integer"),
@@ -281,13 +310,29 @@ def _malformed(edit):
     (_malformed(lambda d: d["geometry"].update(range_km=[0.2, float("nan")])),
      "transmission ranges must be nonnegative and finite"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
-        "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
+        "string-matrix-entry", "bool-matrix-entry", "string-p", "bool-alpha", "null-delta",
+        "string-side_km", "bool-range_km", "string-range_km-entry", "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
         "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["core", "--config", str(bad)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000 + "]" * 100_000, "is not valid JSON"),
+    # deep, but within what the JSON decoder takes: the value checks walk it without recursion
+    ('{"game": {"K": 2, "M": 2, "p": %s0.6%s, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5, '
+     '"cost_rcv": 0.2, "alpha": 10, "beta": 1, "gamma": 1, "mu": 1}}' % ("[" * 900, "]" * 900),
+     "config error: game section"),
+], ids=["deep-document", "deep-p"])
+def test_deeply_nested_config_exits_3(tmp_path, capsys, text, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert main(["core", "--config", str(deep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err, err
 
 
 @pytest.mark.parametrize("slots", ["0", "-5"])
@@ -358,6 +403,12 @@ def test_builtin_config_loads_like_the_shipped_file():
         assert np.array_equal(getattr(builtin.game, field.name), getattr(shipped.game, field.name))
     assert builtin.geometry == shipped.geometry
     assert builtin.encounter_from_geometry == shipped.encounter_from_geometry is False
+
+
+def test_default_game_config_takes_numpy_encounter_values():
+    enc = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert np.array_equal(default_game_config(enc).enc, enc)
+    assert (default_game_config(np.float64(0.3)).enc == 0.3).all()
 
 
 def test_empty_lists_stand_for_rsu_matrices_without_rsus(tmp_path, capsys):

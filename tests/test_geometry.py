@@ -1,9 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix
+from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry
 
 
 def test_closed_form_boundaries():
@@ -49,8 +51,57 @@ def test_estimate_is_deterministic_bit_for_bit():
     assert (a.matrix == b.matrix).all()
     assert (a.stderr == b.stderr).all()
     # chunking must not change the stream
-    c = estimate_encounter_matrix(geo, 2, 2, chunk_slots=1_234)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_SLOTS", 1_234)
+        c = estimate_encounter_matrix(geo, 2, 2)
     assert (c.matrix == a.matrix).all()
+
+
+# sha256 of matrix then stderr bytes, frozen from the estimator that summed a
+# (slots, M, K, 2) difference block with einsum. Unequal ranges and K != M
+# expose an axis slip; 70,000 placements cross a chunk boundary.
+ESTIMATE_SHA256 = {
+    "continuous": "052dad5e926526bbd43dad5d9c632c84368d1fc967e7565fd94f1c71be611d9e",
+    "grid": "054493b4e118b2fdc162d2ef28503432dc1380ceea5d01be650d8f029f783919",
+}
+
+
+@pytest.mark.parametrize("placement", sorted(ESTIMATE_SHA256))
+def test_estimate_matches_frozen_hash(placement):
+    geo = GeometryConfig(side_km=1.0, range_km=(0.1, 0.3, 0.5), placement=placement,
+                         n_slots=70_000, seed=21)
+    est = estimate_encounter_matrix(geo, 3, 5)
+    digest = hashlib.sha256(est.matrix.tobytes() + est.stderr.tobytes()).hexdigest()
+    assert digest == ESTIMATE_SHA256[placement]
+
+
+@pytest.mark.parametrize("n_slots, K, M, chunk, sizes", [
+    (1, 2, 2, 64, [1]),
+    (64, 2, 2, 64, [64]),
+    (600, 3, 5, 64, [64] * 9 + [24]),
+    (600, 100, 100, 64, [64] * 9 + [24]),       # the 1,024 floor bounds only the cap
+    (30_000, 20, 20, 65_536, [10_485, 10_485, 9_030]),   # 2**22 // 400 slots
+    (3_000, 100, 100, 65_536, [1_024, 1_024, 952]),
+], ids=["one-row", "one-block", "blocks-of-64", "small-chunk-below-floor", "pair-cap",
+        "floor"])
+def test_uniform_chunks_split_one_draw(n_slots, K, M, chunk, sizes):
+    width = 2 * (K + M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_SLOTS", chunk)
+        blocks = list(geometry.uniform_chunks(5, n_slots, width, K, M))
+    assert [len(b) for b in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), np.random.default_rng(5).random((n_slots, width)))
+
+
+def test_wide_estimate_memory_is_bounded():
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
+    tracemalloc.start()
+    try:
+        estimate_encounter_matrix(geo, 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
 
 
 def test_zero_range_never_encounters():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetgame import analysis
+from vanetgame import analysis, geometry
 from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient_conditions,
                        make_config, oracle_relay_mean, player_payoffs, relay_choice_probs,
                        simulate_slots, stability_verdict, structure_payoffs)
@@ -166,9 +166,14 @@ def structures(draw, n):
        st.sampled_from([64, 65_536]), st.one_of(st.none(), st.floats(0.0, 1.5)))
 def test_simulator_counters_are_conserved(data, cfg, n_slots, seed, chunk_slots, range_km):
     cs = data.draw(structures(cfg.n_players))
-    geometry = (None if range_km is None else
-                GeometryConfig(side_km=1.0, range_km=(range_km,) * cfg.K, n_slots=1))
-    rep = simulate_slots(cs, cfg, n_slots, seed, geometry=geometry, chunk_slots=chunk_slots)
+    geo = (None if range_km is None else
+           GeometryConfig(side_km=1.0, range_km=(range_km,) * cfg.K, n_slots=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_SLOTS", chunk_slots)
+        rep = simulate_slots(cs, cfg, n_slots, seed, geometry=geo)
+        # the run crosses every chunk boundary that n_slots allows
+        blocks = len(list(geometry.uniform_chunks(seed, n_slots, 1, cfg.K, cfg.M)))
+    assert blocks == -(-n_slots // chunk_slots)
     relays = rep.relays
     assert np.array_equal(rep.scheduled,
                           rep.success_no_relay + rep.fail_no_relay + relays.sum(axis=0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vanetgame import (GeometryConfig, analytic_pair_encounter, canonical_structure,
+from vanetgame import (GeometryConfig, analytic_pair_encounter, canonical_structure, geometry,
                        make_config, simulate_slots, structure_reports)
 from conftest import COUNTERS, random_config
 
@@ -69,7 +69,9 @@ def test_same_seed_same_report(default_cfg):
 
 def test_chunk_size_does_not_change_the_stream(default_cfg):
     a = simulate_slots(GRAND, default_cfg, 30_000, seed=9)
-    b = simulate_slots(GRAND, default_cfg, 30_000, seed=9, chunk_slots=1_111)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_SLOTS", 1_111)
+        b = simulate_slots(GRAND, default_cfg, 30_000, seed=9)
     assert (a.scheduled == b.scheduled).all()
     assert (a.encounters == b.encounters).all()
     assert (a.relays_success == b.relays_success).all()
@@ -93,7 +95,9 @@ def test_kernel_matches_plain_python_reference(default_cfg):
         cases.append((cfg, canonical_structure(blocks.values())))
     for seed, (cfg, cs) in enumerate(cases):
         # 1024-slot chunks: the kernel crosses chunk boundaries, the reference does not
-        rep = simulate_slots(cs, cfg, 2_500, seed=seed, chunk_slots=1_024)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "CHUNK_SLOTS", 1_024)
+            rep = simulate_slots(cs, cfg, 2_500, seed=seed)
         want = reference_counters(cs, cfg, 2_500, seed)
         for field in COUNTERS:
             assert (getattr(rep, field) == want[field]).all(), (seed, field)
