@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -252,13 +253,19 @@ def cmd_simulate(args, loaded) -> int:
     cfg = resolve_encounter(loaded)
     cs = _resolve_structure(args.structure, cfg)
     seed = 0 if args.seed is None else args.seed
+    start = time.perf_counter()
     report = simulate_slots(cs, cfg, args.slots, seed)
+    mslot_per_s = args.slots / (time.perf_counter() - start) / 1e6
     analytic = {(player, qty): value for rep in structure_reports(cs, cfg)
                 for player, qty, value in _report_items(rep)}
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
+    # agreement with the closed forms; null when no estimate has a positive stderr
+    max_abs_z = max((abs(est - ana) / se for _, _, est, se, ana, _, _ in rows if se > 0),
+                    default=None)
     _emit(args, ("player", "quantity", "estimate", "stderr", "analytic", "n_slots", "seed"),
-          rows, extra={"structure_blocks": format_structure(cs), "seed": seed})
+          rows, extra={"structure_blocks": format_structure(cs), "seed": seed,
+                       "mslot_per_s": mslot_per_s, "max_abs_z": max_abs_z})
     return 0
 
 

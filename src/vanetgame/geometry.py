@@ -26,7 +26,7 @@ GRID_CELLS = 10
 PLACEMENTS = ("continuous", "grid")
 
 # Most rows in one uniform_chunks block
-CHUNK_SLOTS = 65_536
+CHUNK_SLOTS = 16_384
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from the counts. By default encounters are drawn straight from the encounter
 matrix; pass a GeometryConfig to draw node placements instead (end-to-end
 mode, where encounters of one vehicle with different RSUs are correlated
 through its position and only qualitative agreement with the closed forms is
-expected).
+expected). The kernel packs each slot's vehicle and RSU bits into bytes and
+answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ __all__ = ["EmpiricalReport", "simulate_slots"]
 _VEHICLE_ESTIMATES = (("throughput", "throughput"), ("payment", "payment"),
                       ("vehicle_payoff", "payoff"))
 _RSU_ESTIMATES = (("revenue", "revenue"), ("cost", "cost"), ("rsu_payoff", "payoff"))
+
+# Rank and select within one byte (Vigna, WEA 2008): bit i of x is BITS[x, i], its
+# popcount POP[x], and SEL[x, k] the position of its k-th set bit for k < POP[x].
+BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1, bitorder="little").astype(int)
+POP = BITS.sum(axis=1)
+SEL = np.argsort(BITS == 0, axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class EmpiricalReport:
 
 
 def _layout(cs, cfg):
-    """(vehicles, RSUs) of each vehicle-containing coalition as ascending 0-based ids.
+    """(packed vehicle mask, ascending 0-based RSU ids) of each vehicle-containing coalition.
 
     Coalitions come in canonical order, which fixes the selection uniform each
     one draws.
@@ -91,8 +98,17 @@ def _layout(cs, cfg):
         vehicles = sorted(m - 1 for m in block if m <= cfg.K)
         if vehicles:
             rsus = sorted(m - cfg.K - 1 for m in block if m > cfg.K)
-            layout.append((np.asarray(vehicles, np.int64), np.asarray(rsus, np.int64)))
+            mask = np.isin(np.arange(cfg.K), vehicles)
+            layout.append((_pack(mask[None])[0], np.asarray(rsus, np.int64)))
     return layout
+
+
+def _pack(bits):
+    """(n, w) booleans as (n, max(1, ceil(w/8))) bytes; column 8*b + i is bit i of byte b."""
+    # one flat packbits over padded rows: packbits along axis 1 is 25-40x slower on narrow rows
+    padded = np.zeros((bits.shape[0], max(8, -(-bits.shape[1] // 8) * 8)), bool)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded, bitorder="little").reshape(bits.shape[0], -1)
 
 
 def _count_chunk(active, encounters, u_sel, layout, counts) -> None:
@@ -102,30 +118,35 @@ def _count_chunk(active, encounters, u_sel, layout, counts) -> None:
     (slots, coalitions) holds the relay-selection uniforms.
     encounters(rows, rsus, vehicles) returns a (rows, rsus) boolean array: for
     each slot row and the vehicle scheduled in it, which coalition RSUs
-    encountered that vehicle.
+    encountered that vehicle. Both sides are packed into bytes: the scheduled
+    vehicle is the lowest set bit, the relay the pick-th set bit of the
+    encounter bytes, found by running POP counts and SEL (rank and select).
     """
     M, K = counts["encounters"].shape
-    total_active = active.sum(axis=1)
-    for c, (vcols, rsus) in enumerate(layout):
-        amask = active[:, vcols]
-        rows = np.flatnonzero(amask.any(axis=1))
+    packed = _pack(active)
+    for c, (vmask, rsus) in enumerate(layout):
+        mine = packed & vmask
+        rows = np.flatnonzero(mine.any(axis=1))
         if rows.size == 0:
             continue
-        amask = amask[rows]
-        # vcols is ascending, so the first active column is the smallest id
-        sched = vcols[amask.argmax(axis=1)]
-        success = total_active[rows] == amask.sum(axis=1)
+        byte = (mine[rows] != 0).argmax(axis=1)
+        sched = 8 * byte + SEL[mine[rows, byte], 0]
+        success = ~(packed[rows] & ~vmask).any(axis=1)
         counts["scheduled"] += np.bincount(sched, minlength=K)
-        emask = encounters(rows, rsus, sched)
-        for col, r in enumerate(rsus):
-            counts["encounters"][r] += np.bincount(sched[emask[:, col]], minlength=K)
-        n_enc = emask.sum(axis=1)
+        ecode = _pack(encounters(rows, rsus, sched))
+        for b in range(ecode.shape[1]):
+            seen = np.bincount(sched * 256 + ecode[:, b], minlength=K * 256).reshape(K, 256)
+            counts["encounters"][rsus[8 * b:8 * b + 8]] += (seen @ BITS).T[:rsus.size - 8 * b]
+        prefix = np.cumsum(POP[ecode], axis=1)
+        n_enc = prefix[:, -1]
         relayed = n_enc > 0
         if relayed.any():
             pick = (u_sel[rows[relayed], c] * n_enc[relayed]).astype(np.int64)
             np.minimum(pick, n_enc[relayed] - 1, out=pick)
-            ranks = np.cumsum(emask[relayed], axis=1)
-            chosen = rsus[(ranks == (pick + 1)[:, None]).argmax(axis=1)]
+            at = np.flatnonzero(relayed)
+            byte = (prefix[at] <= pick[:, None]).sum(axis=1)
+            code = ecode[at, byte]
+            chosen = rsus[8 * byte + SEL[code, pick - prefix[at, byte] + POP[code]]]
             pair = chosen * K + sched[relayed]
             ok = success[relayed]
             counts["relays_success"] += np.bincount(pair[ok], minlength=M * K).reshape(M, K)

@@ -15,15 +15,16 @@ def default_cfg():
     return default_game_config()
 
 
-def random_config(rng, k_max=4, m_max=5, *, unit_bg=False, uniform_relay=False):
+def random_config(rng, k_max=4, m_max=5, *, k_min=1, m_min=0, unit_bg=False,
+                  uniform_relay=False):
     """Random well-formed config for property checks.
 
     unit_bg pins the payment and revenue weights to 1 (needed by the fee
     cancellation identity); uniform_relay makes rate gains uniform per vehicle
     and fees uniform per vehicle (the simplified closed forms apply then).
     """
-    K = int(rng.integers(1, k_max + 1))
-    M = int(rng.integers(0, m_max + 1))
+    K = int(rng.integers(k_min, k_max + 1))
+    M = int(rng.integers(m_min, m_max + 1))
     delta = rng.uniform(0.0, 2.0, size=(K, M))
     price = rng.uniform(0.0, 2.0, size=(M, K))
     if uniform_relay:

@@ -179,14 +179,27 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     assert rows[0] == ["player", "quantity", "estimate", "stderr", "analytic",
                        "n_slots", "seed"]
     assert len(rows) == 1 + 12
+    z = []
     for row in rows[1:]:
         est, se, ana = float(row[2]), float(row[3]), float(row[4])
         assert abs(est - ana) <= max(4 * se, 5e-3)
-    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["seed"] == 3
+        if se > 0:
+            z.append(abs(est - ana) / se)
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["seed"] == 3
+    assert manifest["max_abs_z"] == max(z)
+    assert manifest["mslot_per_s"] > 0
     # without --seed the run uses seed 0, and the manifest says so
     assert main(["simulate", "--slots", "100", "--out", str(out)]) == 0
     assert {row[-1] for row in read_csv(out)[1:]} == {"0"}
     assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["seed"] == 0
+    # with every vehicle idle no estimate has a positive stderr: no z to report
+    idle = tmp_path / "idle.json"
+    doc = default_config_dict()
+    doc["game"]["p"] = [0.0, 0.0]
+    idle.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(idle), "--slots", "100", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["max_abs_z"] is None
 
 
 def test_check_passes_on_default_config(capsys, config_file):

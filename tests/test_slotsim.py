@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vanetgame import (GeometryConfig, analytic_pair_encounter, canonical_structure, geometry,
-                       make_config, simulate_slots, structure_reports)
+                       make_config, simulate_slots, slotsim, structure_reports)
 from conftest import COUNTERS, random_config
 
 GRAND = (frozenset({1, 2, 3, 4}),)
@@ -44,7 +47,6 @@ def reference_counters(cs, cfg, n_slots, seed):
 
 
 def test_all_idle_vehicles_produce_zero_estimates(default_cfg):
-    import dataclasses
     silent = dataclasses.replace(default_cfg, p=np.zeros(2))
     rep = simulate_slots(GRAND, silent, 5_000, seed=1)
     assert (rep.throughput == 0.0).all() and (rep.payment == 0.0).all()
@@ -86,13 +88,25 @@ def test_kernel_matches_plain_python_reference(default_cfg):
         (default_cfg, canonical_structure([{1}, {2}, {3}, {4}])),
     ]
     rng = np.random.default_rng(31)
+
+    def random_structure(n_labels, n_players):
+        blocks = {}
+        for player, lab in enumerate(rng.integers(0, n_labels, size=n_players), start=1):
+            blocks.setdefault(int(lab), set()).add(player)
+        return canonical_structure(blocks.values())
+
     while len(cases) < 10:
         cfg = random_config(rng, k_max=4, m_max=4)
-        labels = rng.integers(0, 3, size=cfg.n_players)
-        blocks = {}
-        for player, lab in enumerate(labels, start=1):
-            blocks.setdefault(int(lab), set()).add(player)
-        cases.append((cfg, canonical_structure(blocks.values())))
+        cases.append((cfg, random_structure(3, cfg.n_players)))
+    # wider games whose vehicle and RSU bits cross byte boundaries, with
+    # activity and encounter probabilities at 0, 1/2 and 1 mixed in
+    while len(cases) < 18:
+        cfg = random_config(rng, k_max=10, m_max=18, k_min=6, m_min=6)
+        p = np.where(rng.random(cfg.K) < 0.3, rng.integers(0, 3, cfg.K) / 2, cfg.p)
+        enc = np.where(rng.random(cfg.enc.shape) < 0.3,
+                       rng.integers(0, 3, cfg.enc.shape) / 2, cfg.enc)
+        cases.append((dataclasses.replace(cfg, p=p, enc=enc),
+                      random_structure(rng.integers(1, 4), cfg.n_players)))
     for seed, (cfg, cs) in enumerate(cases):
         # 1024-slot chunks: the kernel crosses chunk boundaries, the reference does not
         with pytest.MonkeyPatch.context() as mp:
@@ -101,6 +115,27 @@ def test_kernel_matches_plain_python_reference(default_cfg):
         want = reference_counters(cs, cfg, 2_500, seed)
         for field in COUNTERS:
             assert (getattr(rep, field) == want[field]).all(), (seed, field)
+
+
+def test_byte_tables_answer_rank_and_select():
+    for x in range(256):
+        ones = [i for i in range(8) if x >> i & 1]   # set bits by a direct scan
+        assert slotsim.BITS[x].tolist() == [x >> i & 1 for i in range(8)]
+        assert slotsim.POP[x] == bin(x).count("1") == len(ones)
+        assert slotsim.SEL[x, :len(ones)].tolist() == ones   # SEL[x, 0]: the lowest set bit
+
+
+def test_wide_simulation_memory_is_bounded():
+    rng = np.random.default_rng(8)
+    cfg = make_config(8, 8, p=0.2, enc=rng.uniform(0.4, 0.6, (8, 8)), delta=0.5, price=1.5,
+                      cost_fwd=0.3, cost_rcv=0.05)
+    tracemalloc.start()
+    try:
+        simulate_slots((frozenset(range(1, 17)),), cfg, 200_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_counter_consistency(default_cfg):
@@ -173,7 +208,6 @@ def test_random_structures_and_configs_cross_validate():
 
 
 def test_geometry_mode_agrees_qualitatively(default_cfg):
-    import dataclasses
     geo = GeometryConfig(side_km=1.0, range_km=(0.45, 0.45), n_slots=1, seed=0)
     rep = simulate_slots(GRAND, default_cfg, 150_000, seed=77, geometry=geo)
     q = analytic_pair_encounter(0.45, 1.0)

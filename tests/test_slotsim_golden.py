@@ -1,12 +1,13 @@
-"""Frozen event counters of `simulate_slots`, produced by the slot kernel that
-preceded the current one (numpy kernel over the full (slots, M, K) encounter
-block).
+"""Frozen event counters of `simulate_slots`. The first seven cases come from
+the numpy kernel over the full (slots, M, K) encounter block; `byte8` and
+`multibyte` from the boolean-matrix kernel that preceded the bit-packed one.
 
 A seed fixes the random stream and its draw order, so any rewrite of the
 kernel must reproduce every counter bit for bit. The cases cover the grand
 coalition, split structures (with a coalition that has no RSUs), all
-singletons, a game without RSUs, a wider game, geometry mode, and runs that
-span more than one chunk.
+singletons, a game without RSUs, a wider game, geometry mode, runs that span
+more than one chunk, and games wide enough to fill one or more bytes of packed
+vehicle and RSU bits.
 """
 
 import json
@@ -38,6 +39,20 @@ def _wide_game():
                        cost_fwd=0.3, cost_rcv=0.1)
 
 
+def _byte8_game():
+    # 8 vehicles and 8 RSUs: one full byte of packed bits on each side
+    enc = (np.arange(64).reshape(8, 8) * 5 % 9) / 8.0
+    return make_config(8, 8, p=np.linspace(0.15, 0.5, 8), enc=enc, delta=0.5, price=1.0,
+                       cost_fwd=0.3, cost_rcv=0.1)
+
+
+def _multibyte_game():
+    # 9 vehicles and 17 RSUs: vehicle 9 and RSUs 9-17 sit past the first byte
+    enc = (np.arange(153).reshape(17, 9) * 7 % 11) / 10.0
+    return make_config(9, 17, p=np.linspace(0.1, 0.5, 9), enc=enc, delta=0.5, price=1.0,
+                       cost_fwd=0.3, cost_rcv=0.1)
+
+
 # name -> (game, structure, n_slots, seed, geometry)
 CASES = {
     "grand": (default_game_config, "1,2,3,4", 70_000, 11, None),
@@ -46,6 +61,10 @@ CASES = {
     "singletons": (default_game_config, "1|2|3|4", 40_000, 14, None),
     "no_rsus": (_no_rsu_game, "1,2|3", 40_000, 15, None),
     "wide": (_wide_game, "1,3,5,7|2,6|4,8,9", 70_000, 16, None),
+    "byte8": (_byte8_game, "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", 40_000, 18, None),
+    "multibyte": (_multibyte_game,
+                  "1,5,9,10,11,12,13,14,15,16,17,18,19,20,21|2,3,4|6,7,8,22,23,24,25,26",
+                  40_000, 19, None),
     "geometry": (default_game_config, "1,3,4|2", 40_000, 17,
                  GeometryConfig(side_km=1.0, range_km=(0.3, 0.5))),
 }
