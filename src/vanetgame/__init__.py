@@ -8,8 +8,7 @@ for encounter probabilities, slot-level protocol simulation).
 __version__ = "0.1.0"
 
 from .analysis import (CheckResult, CoreConditions, CoreMembership, StabilityVerdict,
-                       core_membership, core_sufficient_conditions,
-                       pricing_cancellation_check, run_identity_checks,
+                       core_membership, core_sufficient_conditions, run_identity_checks,
                        stability_verdict, structure_payoffs, structure_reports,
                        vehicle_coalition_profitability)
 from .analytic import (ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs,
@@ -60,7 +59,6 @@ __all__ = [
     "oracle_relay_mean",
     "parse_structure",
     "player_payoffs",
-    "pricing_cancellation_check",
     "relay_choice_probs",
     "resolve_encounter",
     "run_identity_checks",

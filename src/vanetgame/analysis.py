@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (ABS_TOL, PayoffReport, _assemble, _relay_terms, oracle_relay_mean,
-                       player_payoffs)
+from .analytic import ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs
 from .model import (Coalition, GameConfig, check_structure, iter_partitions,
                     normalize_structure, split_members)
 
@@ -17,7 +16,6 @@ __all__ = [
     "structure_payoffs",
     "structure_reports",
     "vehicle_coalition_profitability",
-    "pricing_cancellation_check",
     "CoreConditions",
     "CoreMembership",
     "StabilityVerdict",
@@ -29,6 +27,10 @@ __all__ = [
 ]
 
 _ENUM_MAX_PLAYERS = 20
+# Coalitions per block of the sweep's payoff table (3 x n x 4096 floats: 2 MB at n = 20)
+_BLOCK_MASKS = 1 << 12
+# Low RSUs whose subsets share one block of Poisson-binomial coefficients
+_COEF_BITS = 10
 # run_identity_checks covers every coalition of this many partitions of all players
 _CHECK_STRUCTURES = 64
 
@@ -91,24 +93,6 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
     return out
 
 
-def pricing_cancellation_check(S, cfg: GameConfig):
-    """Verify that fees cancel out of the coalition's summed payoff.
-
-    Requires unit payment weight on every member vehicle and unit revenue
-    weight on every member RSU (raises "weights not 1" otherwise: with other
-    weights the cancellation does not hold and the check is vacuous). Returns
-    (holds, residual) where the residual is the larger of the zero-price
-    sum-payoff difference and the payment/revenue imbalance.
-    """
-    vehicles, rsus = split_members(S, cfg.K)
-    off = [i for i in vehicles if cfg.beta[cfg.vrow(i)] != 1.0]
-    off += [j for j in rsus if cfg.gamma[cfg.rrow(j)] != 1.0]
-    if off:
-        raise ValueError(f"weights not 1 for players {off}")
-    residual = _pricing_residual(player_payoffs(S, cfg), player_payoffs(S, _without_fees(cfg)))
-    return residual <= ABS_TOL, residual
-
-
 def _without_fees(cfg: GameConfig) -> GameConfig:
     return dataclasses.replace(cfg, price=np.zeros_like(cfg.price))
 
@@ -151,8 +135,8 @@ def _require_enumerable(cfg: GameConfig) -> None:
                          f"> {_ENUM_MAX_PLAYERS}")
 
 
-def _grand_report(cfg: GameConfig) -> PayoffReport:
-    return player_payoffs(frozenset(range(1, cfg.n_players + 1)), cfg)
+def _grand_vector(cfg: GameConfig) -> np.ndarray:
+    return structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
 
 
 def _weight_witness(cfg: GameConfig) -> int | None:
@@ -165,58 +149,132 @@ def _weight_witness(cfg: GameConfig) -> int | None:
     return None
 
 
-def _gain_violator(vehicles, rsus, rep: PayoffReport, cfg: GameConfig) -> int | None:
-    """First member (vehicles, then RSUs) without a strict gain inside the coalition."""
-    for i in vehicles:
-        vi = cfg.vrow(i)
-        if not (cfg.alpha[vi] * rep.throughput[i] > cfg.beta[vi] * rep.payment[i]):
-            return i
-    for j in rsus:
-        rj = cfg.rrow(j)
-        if not (cfg.gamma[rj] * rep.revenue[j] > cfg.mu[rj] * rep.cost[j]):
-            return j
-    return None
+def _extend(coef: np.ndarray, q: float) -> np.ndarray:
+    """Each row's Poisson-binomial coefficients after one more RSU, encountered
+    with probability q: the update step of analytic._choice_prob on every row."""
+    out = coef * (1.0 - q)
+    out[:, 1:] += coef[:, :-1] * q
+    return out
 
 
-def _sweep(cfg: GameConfig, grand: PayoffReport, x):
+def _brackets(q: list) -> np.ndarray:
+    """E[1/(B+1)] for the number B of RSUs in R that meet one vehicle, for every
+    RSU subset R (bit t: encounter probability q[t]). The coefficients of the
+    low RSUs' subsets double one RSU at a time, and each block sharing its high
+    RSUs adds those after them: the order in which _choice_prob adds RSUs."""
+    M = len(q)
+    low = min(M, _COEF_BITS)
+    coef = np.eye(1, M + 1)   # no RSU: P(B = 0) = 1
+    for t in range(low):   # rows R | 1 << t follow rows R
+        coef = np.concatenate([coef, _extend(coef, q[t])])
+    h = np.empty(1 << M)
+    for high in range(1 << (M - low)):
+        rows = coef
+        for t in range(low, M):
+            if high >> (t - low) & 1:
+                rows = _extend(rows, q[t])
+        acc = np.zeros(len(rows))
+        for b in range(M + 1):
+            acc += rows[:, b] / (b + 1.0)
+        h[high << low:(high + 1) << low] = acc
+    return h
+
+
+def _payoff_table(cfg: GameConfig):
+    """Every coalition's member quantities, in blocks of ascending masks.
+
+    Bit k of a mask is player k + 1, so vehicles are the low K bits. Yields
+    (masks, member, benefit, charge, payoff) per block: member[k] flags player
+    k + 1's coalitions; benefit and charge are throughput and payment for a
+    vehicle, revenue and cost for an RSU. Entries of non-members mean nothing.
+    Each sum and product runs in player_payoffs' order (loops over players,
+    np.where for skipped terms), so member entries equal its report exactly.
+    """
+    K, M, n = cfg.K, cfg.M, cfg.n_players
+    q = [[float(cfg.enc[t, i]) for t in range(M)] for i in range(K)]
+    h = [_brackets(qi) for qi in q]
+    w_benefit = np.concatenate([cfg.alpha, cfg.gamma])[:, None]
+    w_charge = np.concatenate([cfg.beta, cfg.mu])[:, None]
+    size = min(1 << n, _BLOCK_MASKS)
+    for base in range(0, 1 << n, size):
+        masks = np.arange(base, base + size)
+        member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
+        rsu_set = masks >> K
+        benefit, charge = np.zeros((n, size)), np.zeros((n, size))
+        for i in range(K):
+            s = np.full(size, float(cfg.p[i]))   # P(i is the vehicle scheduled)
+            for v in range(i):
+                s = np.where(member[v], s * (1.0 - cfg.p[v]), s)
+            gain = fee = np.zeros(size)
+            for t in range(M):
+                r, rev, cst = member[K + t], benefit[K + t], charge[K + t]
+                pr = q[i][t] * h[i][rsu_set & ~(1 << t)]   # P(t relays i | coalition RSUs)
+                gain = np.where(r, gain + pr * cfg.delta[i, t], gain)
+                fee = np.where(r, fee + pr * cfg.price[t, i], fee)
+                rcv = float(cfg.enc[t, i] * cfg.cost_rcv[t, i])
+                rev[:] = np.where(member[i], rev + s * pr * cfg.price[t, i], rev)
+                cst[:] = np.where(member[i], cst + s * (float(cfg.cost_fwd[t, i]) * pr + rcv), cst)
+            thr = s * (1.0 + gain)
+            for v in range(K):   # every vehicle outside the coalition stays idle
+                thr = np.where(member[v], thr, thr * (1.0 - cfg.p[v]))
+            benefit[i], charge[i] = thr, s * fee
+        payoff = w_benefit * benefit
+        payoff -= w_charge * charge
+        yield masks, member, benefit, charge, payoff
+
+
+def _preorder_key(masks: np.ndarray, n: int) -> np.ndarray:
+    """|S| + sum of 2^(n - j) over the non-members j below max S, per coalition
+    mask: the rank of S in the preorder walk of the subset tree, which orders
+    coalitions as their sorted member tuples compare."""
+    key = np.zeros(len(masks), dtype=np.int64)
+    seen_top = np.zeros(len(masks), dtype=bool)
+    for k in range(n - 1, -1, -1):   # player k + 1, from the top down
+        bit = (masks >> k & 1).astype(bool)
+        key += bit + np.where(seen_top & ~bit, 1 << (n - 1 - k), 0)
+        seen_top |= bit
+    return key
+
+
+def _first_offence(offends: np.ndarray, masks: np.ndarray, n: int):
+    """(first offending member, coalition) of the first mask with an offence."""
+    hit = offends.any(axis=0)
+    if not hit.any():
+        return None
+    k = int(hit.argmax())
+    return (int(offends[:, k].argmax()) + 1,
+            frozenset(m + 1 for m in range(n) if masks[k] >> m & 1))
+
+
+def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     """The one pass over coalitions behind every core analysis.
 
-    Visits the non-empty coalitions in bitmask order. RSU ids are the high
-    bits, so each RSU set's 2^K vehicle subsets come one after another: the K
-    vehicles' relay terms are computed once per RSU set and every proper
-    coalition's report is assembled from them once, keeping only the current
-    report (the grand coalition's report is passed in). Returns
+    Reads _payoff_table block by block in ascending mask order. Returns
     (gain witness, preference witness, blocker): the first (player, coalition)
     violating condition 2 and condition 3 of core_sufficient_conditions among
-    the proper coalitions, and the lexicographically smallest sorted member
-    tuple of a coalition whose every member earns strictly more than x.
+    the proper coalitions, given the grand coalition's payoff vector, and the
+    lexicographically smallest sorted member tuple of a coalition whose every
+    member earns strictly more than x.
     """
     K, n = cfg.K, cfg.n_players
-    bar = [float(v) for v in x]
-    gain_witness = preference_witness = blocker = None
-    for rsu_mask in range(1 << cfg.M):
-        rsus = tuple(j for b, j in enumerate(cfg.rsus) if rsu_mask >> b & 1)
-        terms = [_relay_terms(cfg, i, rsus) for i in cfg.vehicles]
-        for vehicle_mask in range(0 if rsus else 1, 1 << K):   # skips the empty coalition
-            vehicles = tuple(i for i in cfg.vehicles if vehicle_mask >> (i - 1) & 1)
-            members = vehicles + rsus   # ascending
-            if len(members) == n:
-                rep = grand
-            else:
-                S = frozenset(members)
-                rep = _assemble(S, vehicles, rsus, [terms[i - 1] for i in vehicles], cfg)
-                if vehicles and gain_witness is None:
-                    m = _gain_violator(vehicles, rsus, rep, cfg)
-                    if m is not None:
-                        gain_witness = (m, S)
-                if preference_witness is None:
-                    for m in members:
-                        if not (grand.payoff_of(m) > rep.payoff_of(m)):
-                            preference_witness = (m, S)
-                            break
-            if all(rep.payoff_of(m) > bar[m - 1] for m in members):
-                if blocker is None or members < blocker:
-                    blocker = members
+    grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
+    gain_witness = preference_witness = best = None
+    for masks, member, _, _, payoff in _payoff_table(cfg):
+        proper = masks != (1 << n) - 1
+        if gain_witness is None:
+            # weighted benefit minus weighted charge is > 0 exactly when the benefit
+            # is the larger: a difference of finite doubles never rounds to zero
+            with_vehicle = proper & (masks & ((1 << K) - 1) != 0)
+            gain_witness = _first_offence(member & ~(payoff > 0.0) & with_vehicle, masks, n)
+        if preference_witness is None:
+            preference_witness = _first_offence(member & ~(grand > payoff) & proper, masks, n)
+        blocking = masks[(~member | (payoff > bar)).all(axis=0) & (masks != 0)]
+        if blocking.size:
+            keys = _preorder_key(blocking, n)
+            k = int(keys.argmin())
+            if best is None or keys[k] < best[0]:
+                best = (keys[k], int(blocking[k]))
+    blocker = None if best is None else tuple(m + 1 for m in range(n) if best[1] >> m & 1)
     return gain_witness, preference_witness, blocker
 
 
@@ -285,7 +343,7 @@ def core_membership(x, cfg: GameConfig) -> CoreMembership:
     if x.shape != (cfg.n_players,):
         raise ValueError(f"payoff vector has shape {x.shape}, expected ({cfg.n_players},)")
     _require_enumerable(cfg)
-    _, _, blocker = _sweep(cfg, _grand_report(cfg), x)
+    _, _, blocker = _sweep(cfg, _grand_vector(cfg), x)
     return _membership(x, blocker, cfg)
 
 
@@ -303,9 +361,8 @@ def stability_verdict(cfg: GameConfig) -> StabilityVerdict:
     sweep that evaluates every coalition once.
     """
     _require_enumerable(cfg)
-    grand = _grand_report(cfg)
-    vec = _payoff_vector([grand], cfg.n_players)
-    gain_witness, preference_witness, blocker = _sweep(cfg, grand, vec)
+    vec = _grand_vector(cfg)
+    gain_witness, preference_witness, blocker = _sweep(cfg, vec, vec)
     conditions = _conditions(cfg, gain_witness, preference_witness)
     membership = _membership(vec, blocker, cfg)
     if conditions.all_hold and not membership.in_core:

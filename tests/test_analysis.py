@@ -1,14 +1,15 @@
 import dataclasses
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vanetgame import analysis
 from vanetgame.configio import load_config
-from vanetgame import (canonical_structure, core_membership, core_sufficient_conditions,
-                       enumerate_partitions, make_config, normalize_structure,
-                       player_payoffs, pricing_cancellation_check, run_identity_checks,
+from vanetgame import (ABS_TOL, canonical_structure, core_membership,
+                       core_sufficient_conditions, enumerate_partitions, make_config,
+                       normalize_structure, player_payoffs, run_identity_checks,
                        stability_verdict, structure_payoffs,
                        vehicle_coalition_profitability)
 from conftest import random_config, random_coalition
@@ -87,14 +88,18 @@ def test_profitability_agrees_with_direct_payoffs():
             assert verdict[i] == direct
 
 
+def _fee_residual(S, cfg):
+    """The fee-cancellation residual that `check` reports, for one coalition."""
+    return analysis._pricing_residual(player_payoffs(S, cfg),
+                                      player_payoffs(S, analysis._without_fees(cfg)))
+
+
 def test_pricing_cancellation_default(default_cfg):
-    holds, residual = pricing_cancellation_check(frozenset({1, 2, 3, 4}), default_cfg)
-    assert holds and residual <= 1e-12
+    assert _fee_residual(frozenset({1, 2, 3, 4}), default_cfg) <= ABS_TOL
 
 
 def test_pricing_cancellation_trivial_without_rsus(default_cfg):
-    holds, residual = pricing_cancellation_check(frozenset({1, 2}), default_cfg)
-    assert holds and residual == 0.0
+    assert _fee_residual(frozenset({1, 2}), default_cfg) == 0.0
 
 
 def test_pricing_cancellation_scaled_prices():
@@ -105,12 +110,15 @@ def test_pricing_cancellation_scaled_prices():
         base = player_payoffs(S, cfg).total_payoff
         doubled = dataclasses.replace(cfg, price=2.0 * cfg.price)
         assert abs(player_payoffs(S, doubled).total_payoff - base) <= 1e-12
+        assert _fee_residual(S, cfg) <= ABS_TOL
+        assert _fee_residual(S, doubled) <= ABS_TOL
 
 
 def test_pricing_cancellation_requires_unit_weights(default_cfg):
     lopsided = dataclasses.replace(default_cfg, beta=np.array([2.0, 1.0]))
-    with pytest.raises(ValueError, match="weights not 1"):
-        pricing_cancellation_check(frozenset({1, 2, 3, 4}), lopsided)
+    fees = [r for r in run_identity_checks(lopsided) if r.name.startswith("fees cancel")]
+    assert [(r.passed, r.detail) for r in fees] == [
+        (None, "skipped: needs unit payment/revenue weights")]
 
 
 def test_conditions_fail_on_nonpositive_weight(default_cfg):
@@ -195,6 +203,32 @@ def test_preference_witness_is_the_smallest_id_member():
     assert verdict.conditions.preference_witness == (1, frozenset({1, 2}))
     assert verdict.membership.blocking == frozenset({1, 2})
     assert core_sufficient_conditions(cfg) == verdict.conditions
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_preorder_key_orders_coalitions_as_sorted_tuples(n):
+    masks = np.arange(1, 1 << n)
+    keys = analysis._preorder_key(masks, n).tolist()
+    assert len(set(keys)) == len(keys)
+    by_key = [int(m) for _, m in sorted(zip(keys, masks.tolist()))]
+
+    def members(mask):
+        return tuple(k + 1 for k in range(n) if mask >> k & 1)
+
+    assert [members(m) for m in by_key] == sorted(members(m) for m in masks.tolist())
+
+
+def test_sweep_memory_is_bounded_at_sixteen_players():
+    # the table is walked in blocks: a whole 2^16-coalition table of n floats
+    # per quantity would take 8 MB each
+    cfg = random_config(np.random.default_rng(16), k_max=4, m_max=12, k_min=4, m_min=12)
+    tracemalloc.start()
+    try:
+        stability_verdict(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_membership_dimension_check(default_cfg):

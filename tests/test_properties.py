@@ -17,6 +17,7 @@ from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient
                        simulate_slots, stability_verdict, structure_payoffs)
 from vanetgame.cli import main
 from vanetgame.configio import ConfigError, default_config_dict, load_config
+from conftest import random_config
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -131,27 +132,50 @@ def test_fused_verdict_matches_separate_analyses(cfg):
     assert verdict.membership.in_core == (blocker is None)
 
 
+def _assert_table_equals_player_payoffs(cfg):
+    """Every member entry of the sweep's payoff table == player_payoffs, exactly."""
+    n, nxt = cfg.n_players, 0
+    for masks, member, benefit, charge, payoff in analysis._payoff_table(cfg):
+        assert masks.tolist() == list(range(nxt, nxt + len(masks)))
+        nxt += len(masks)
+        for k, mask in enumerate(masks.tolist()):
+            S = frozenset(m + 1 for m in range(n) if mask >> m & 1)
+            assert [m + 1 for m in np.flatnonzero(member[:, k])] == sorted(S)
+            if not S:
+                continue
+            rep = player_payoffs(S, cfg)
+            for m in S:
+                want = ((rep.throughput[m], rep.payment[m], rep.vehicle_payoff[m]) if m <= cfg.K
+                        else (rep.revenue[m], rep.cost[m], rep.rsu_payoff[m]))
+                assert (benefit[m - 1, k], charge[m - 1, k], payoff[m - 1, k]) == want, (
+                    sorted(S), m)
+    assert nxt == 1 << n
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs())
-def test_sweep_assembles_each_proper_coalition_once_as_player_payoffs(cfg):
-    built = []
-    assemble = analysis._assemble
+def test_payoff_table_equals_player_payoffs(cfg):
+    _assert_table_equals_player_payoffs(cfg)
 
-    def recording(*args):
-        built.append(assemble(*args))
-        return built[-1]
 
+@pytest.mark.parametrize("K, M, edges", [(1, 9, False), (4, 0, False), (4, 6, False),
+                                         (1, 9, True), (4, 0, True), (4, 6, True)])
+@pytest.mark.parametrize("blocks", [None, (16, 2)])
+def test_payoff_table_equals_player_payoffs_up_to_ten_players(K, M, edges, blocks):
+    """Fixed shapes; with edges, p and enc entries at 0, 1/2 and 1 mixed in; with
+    blocks, (coalitions per table block, low RSUs per coefficient block) so
+    small that every block boundary of the sweep is crossed."""
+    rng = np.random.default_rng(K * 100 + M)
+    cfg = random_config(rng, k_max=K, m_max=M, k_min=K, m_min=M)
+    if edges:
+        p = np.where(rng.random(K) < 0.6, rng.integers(0, 3, K) / 2, cfg.p)
+        enc = np.where(rng.random((M, K)) < 0.6, rng.integers(0, 3, (M, K)) / 2, cfg.enc)
+        cfg = dataclasses.replace(cfg, p=p, enc=enc)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_assemble", recording)
-        stability_verdict(cfg)
-    n = cfg.n_players
-    assert sorted(sorted(rep.members) for rep in built) == sorted(
-        sorted(S) for S in _coalitions(n) if len(S) < n)
-    for rep in built:
-        ref = player_payoffs(rep.members, cfg)
-        for field in dataclasses.fields(rep):
-            assert getattr(rep, field.name) == getattr(ref, field.name), (
-                sorted(rep.members), field.name)
+        if blocks:
+            mp.setattr(analysis, "_BLOCK_MASKS", blocks[0])
+            mp.setattr(analysis, "_COEF_BITS", blocks[1])
+        _assert_table_equals_player_payoffs(cfg)
 
 
 @st.composite
