@@ -92,7 +92,7 @@ def _resolve_structure(arg, cfg):
     n = cfg.n_players
     if arg is None:
         return (frozenset(range(1, n + 1)),)
-    if arg.strip().isdigit():
+    if arg.strip().isdecimal():   # isdigit() also takes '²', which int() rejects
         if n > _STRUCTURE_ID_MAX_PLAYERS:
             raise ValueError(f"structure ids require at most {_STRUCTURE_ID_MAX_PLAYERS} "
                              "players; pass explicit blocks")
@@ -145,7 +145,8 @@ def _emit(args, header, rows, extra=None) -> None:
 def cmd_enumerate(args, loaded) -> int:
     cfg = loaded.game
     if cfg.n_players > _STRUCTURE_ID_MAX_PLAYERS:
-        print(f"refusing to enumerate partitions of {cfg.n_players} players", file=sys.stderr)
+        print(f"error: refusing to enumerate partitions of {cfg.n_players} players",
+              file=sys.stderr)
         return 3
     rows = ((idx, *row) for idx, row in
             enumerate(iter_structure_rows(cfg.n_players, cfg.K), start=1))

@@ -71,39 +71,14 @@ def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
     return math.pi * x * x - (8.0 / 3.0) * x ** 3 + 0.5 * x ** 4
 
 
-def positions_from_uniforms(u: np.ndarray, side: float, placement: str) -> np.ndarray:
-    """Map uniforms of shape (n, nodes*2) to positions of shape (n, nodes, 2)."""
-    pos = u.reshape(u.shape[0], -1, 2)
-    if placement == "continuous":
-        return pos * side
-    if placement == "grid":
-        cells = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1)
-        return (cells + 0.5) * (side / GRID_CELLS)
-    raise ValueError(f"unknown placement {placement!r}")
-
-
 def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
     """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
     CHUNK_SLOTS rows, or fewer (but at least 1,024) when a block's (slots, M, K)
-    encounter block would pass 2**22 RSU-vehicle pairs."""
+    distance block would pass 2**22 RSU-vehicle pairs."""
     rng = np.random.default_rng(seed)
     step = min(CHUNK_SLOTS, max(1024, (1 << 22) // max(1, M * K)))
     for start in range(0, n_slots, step):
         yield rng.random((min(step, n_slots - start), width))
-
-
-def encounter_block(u: np.ndarray, geo: GeometryConfig, K: int) -> np.ndarray:
-    """Which RSU encounters which vehicle in each slot, as a (slots, M, K) boolean block.
-
-    u holds (slots, 2*(K+M)) uniforms: x, y per node, vehicles 1..K first,
-    then RSUs 1..M. Vehicle i's range is geo.range_km[i-1].
-    """
-    if len(geo.range_km) != K:
-        raise ValueError(f"range_km has {len(geo.range_km)} transmission ranges, expected {K}")
-    pos = positions_from_uniforms(u, geo.side_km, geo.placement)
-    dist_sq = (pos[:, K:, None, 0] - pos[:, None, :K, 0]) ** 2   # (slots, M, K)
-    dist_sq += (pos[:, K:, None, 1] - pos[:, None, :K, 1]) ** 2
-    return dist_sq <= np.asarray(geo.range_km, dtype=np.float64) ** 2
 
 
 @dataclass(frozen=True)
@@ -121,11 +96,23 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int) -> EncounterE
 
     Positions are drawn vehicle 1..K then RSU 1..M, x before y, from a PCG64
     stream seeded with geo.seed, so results are bit-for-bit reproducible for
-    a given config. Standard errors are binomial: sqrt(p*(1-p)/n).
+    a given config. Vehicle i's range is geo.range_km[i-1]. Standard errors
+    are binomial: sqrt(p*(1-p)/n).
     """
+    if len(geo.range_km) != K:
+        raise ValueError(f"range_km has {len(geo.range_km)} transmission ranges, expected {K}")
+    range_sq = np.asarray(geo.range_km, dtype=np.float64) ** 2
     counts = np.zeros((M, K), dtype=np.int64)
     for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
-        counts += encounter_block(u, geo, K).sum(axis=0)
+        pos = u.reshape(u.shape[0], -1, 2)   # (slots, nodes, 2): x, y per node
+        if geo.placement == "grid":
+            cells = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1)
+            pos = (cells + 0.5) * (geo.side_km / GRID_CELLS)
+        else:
+            pos = pos * geo.side_km
+        dist_sq = (pos[:, K:, None, 0] - pos[:, None, :K, 0]) ** 2   # (slots, M, K)
+        dist_sq += (pos[:, K:, None, 1] - pos[:, None, :K, 1]) ** 2
+        counts += (dist_sq <= range_sq).sum(axis=0)
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     return EncounterEstimate(matrix=phat, stderr=stderr,

@@ -11,11 +11,8 @@ the forward cost when it is the one picked.
 
 Everything is accumulated as integer event counts first, so vehicle payments
 and RSU revenues balance exactly and all means and standard errors derive
-from the counts. By default encounters are drawn straight from the encounter
-matrix; pass a GeometryConfig to draw node placements instead (end-to-end
-mode, where encounters of one vehicle with different RSUs are correlated
-through its position and only qualitative agreement with the closed forms is
-expected). The kernel packs each slot's vehicle and RSU bits into bytes and
+from the counts. Encounters are independent draws at the encounter matrix's
+probabilities. The kernel packs each slot's vehicle and RSU bits into bytes and
 answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables.
 """
 
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryConfig, encounter_block, uniform_chunks
+from .geometry import uniform_chunks
 from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
@@ -88,18 +85,18 @@ class EmpiricalReport:
 
 
 def _layout(cs, cfg):
-    """(packed vehicle mask, ascending 0-based RSU ids) of each vehicle-containing coalition.
+    """(packed vehicle mask, ascending 0-based RSU ids, K x |rsus| thresholds) per coalition.
 
-    Coalitions come in canonical order, which fixes the selection uniform each
-    one draws.
+    Only vehicle-containing coalitions appear, in canonical order, which fixes
+    the selection uniform each one draws.
     """
     layout = []
     for block in canonical_structure(cs):
         vehicles = sorted(m - 1 for m in block if m <= cfg.K)
         if vehicles:
-            rsus = sorted(m - cfg.K - 1 for m in block if m > cfg.K)
+            rsus = np.asarray(sorted(m - cfg.K - 1 for m in block if m > cfg.K), np.int64)
             mask = np.isin(np.arange(cfg.K), vehicles)
-            layout.append((_pack(mask[None])[0], np.asarray(rsus, np.int64)))
+            layout.append((_pack(mask[None])[0], rsus, cfg.enc[rsus].T))
     return layout
 
 
@@ -111,20 +108,20 @@ def _pack(bits):
     return np.packbits(padded, bitorder="little").reshape(bits.shape[0], -1)
 
 
-def _count_chunk(active, encounters, u_sel, layout, counts) -> None:
+def _count_chunk(active, u_enc, u_sel, layout, counts) -> None:
     """Add one chunk of slots to the integer event counters.
 
-    active (slots, K) marks the vehicles that want to transmit and u_sel
-    (slots, coalitions) holds the relay-selection uniforms.
-    encounters(rows, rsus, vehicles) returns a (rows, rsus) boolean array: for
-    each slot row and the vehicle scheduled in it, which coalition RSUs
-    encountered that vehicle. Both sides are packed into bytes: the scheduled
-    vehicle is the lowest set bit, the relay the pick-th set bit of the
-    encounter bytes, found by running POP counts and SEL (rank and select).
+    active (slots, K) marks the vehicles that want to transmit, u_enc (slots, M)
+    holds the encounter uniforms and u_sel (slots, coalitions) the
+    relay-selection uniforms. RSU j encounters the vehicle scheduled in a slot
+    when its uniform falls below that vehicle's threshold in the coalition's
+    table. Both sides are packed into bytes: the scheduled vehicle is the
+    lowest set bit, the relay the pick-th set bit of the encounter bytes, found
+    by running POP counts and SEL (rank and select).
     """
     M, K = counts["encounters"].shape
     packed = _pack(active)
-    for c, (vmask, rsus) in enumerate(layout):
+    for c, (vmask, rsus, thr) in enumerate(layout):
         mine = packed & vmask
         rows = np.flatnonzero(mine.any(axis=1))
         if rows.size == 0:
@@ -133,7 +130,8 @@ def _count_chunk(active, encounters, u_sel, layout, counts) -> None:
         sched = 8 * byte + SEL[mine[rows, byte], 0]
         success = ~(packed[rows] & ~vmask).any(axis=1)
         counts["scheduled"] += np.bincount(sched, minlength=K)
-        ecode = _pack(encounters(rows, rsus, sched))
+        # take, not fancy indexing: the gather is the costliest step of a chunk
+        ecode = _pack(u_enc.take(rows, 0).take(rsus, 1) < thr.take(sched, 0))
         for b in range(ecode.shape[1]):
             seen = np.bincount(sched * 256 + ecode[:, b], minlength=K * 256).reshape(K, 256)
             counts["encounters"][rsus[8 * b:8 * b + 8]] += (seen @ BITS).T[:rsus.size - 8 * b]
@@ -166,14 +164,12 @@ def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):
     return mean, se
 
 
-def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
-                   geometry: GeometryConfig | None = None) -> EmpiricalReport:
+def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> EmpiricalReport:
     """Simulate a coalition structure for n_slots slots.
 
     Deterministic for a given seed and independent of geometry.CHUNK_SLOTS:
     randomness comes from one PCG64 stream consumed in a fixed order. Each
-    slot row draws K activity uniforms, then one encounter uniform per RSU
-    (matrix mode) or x, y uniforms per node, vehicles first (geometry mode),
+    slot row draws K activity uniforms, then one encounter uniform per RSU,
     then one selection uniform per vehicle-containing coalition.
     """
     errors = check_structure(cs, cfg.n_players)
@@ -184,7 +180,6 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)
-    n_coal = len(layout)
     counts = {
         "scheduled": np.zeros(K, np.int64),
         "success_no_relay": np.zeros(K, np.int64),
@@ -194,18 +189,8 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0, *,
         "relays_fail": np.zeros((M, K), np.int64),
     }
 
-    enc_width = M if geometry is None else 2 * (K + M)
-    for u in uniform_chunks(seed, n_slots, K + enc_width + n_coal, K, M):
-        u_enc = u[:, K:K + enc_width]
-        if geometry is None:
-            def encounters(rows, rsus, veh):
-                return u_enc[rows][:, rsus] < cfg.enc[rsus].T[veh]
-        else:
-            block = encounter_block(u_enc, geometry, K)
-
-            def encounters(rows, rsus, veh):
-                return block[rows[:, None], rsus, veh[:, None]]
-        _count_chunk(u[:, :K] < cfg.p, encounters, u[:, K + enc_width:], layout, counts)
+    for u in uniform_chunks(seed, n_slots, K + M + len(layout), K, M):
+        _count_chunk(u[:, :K] < cfg.p, u[:, K:K + M], u[:, K + M:], layout, counts)
 
     relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
     succ_norelay = counts["success_no_relay"]

@@ -1,6 +1,9 @@
-"""Every exported name resolves: a stale `__all__` entry fails here."""
+"""Every exported name resolves, and every imported name is used: a stale
+`__all__` entry or an import orphaned by a deletion fails here."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -9,6 +12,8 @@ import vanetgame
 
 MODULES = ["vanetgame"] + [f"vanetgame.{m.name}"
                            for m in pkgutil.iter_modules(vanetgame.__path__)]
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "vanetgame").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +21,20 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts)
+    unused = sorted(imported - used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -398,9 +398,24 @@ def test_missing_config_file_exits_3(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_bad_structure_spec_exits_3(capsys, config_file):
-    assert main(["payoffs", "--config", config_file, "--structure", "1,2|9"]) == 3
-    assert "error" in capsys.readouterr().err
+def test_bad_structure_spec_exits_3(tmp_path, capsys):
+    for spec, players, reason in [
+        ("1,2|9", None, "player 9 out of range 1..4"),
+        ("\u00b2", None, "non-integer member"),   # a digit that int() rejects
+        ("\u00b2", (7, 6), "non-integer member"),
+    ]:
+        config = [] if players is None else ["--config", _scalar_config(tmp_path, *players)]
+        assert main(["payoffs", *config, "--structure", spec]) == 3, (spec, players)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad structure spec {spec!r}: {reason}"), (players, err)
+
+
+def test_enumerate_refuses_more_than_twelve_players(tmp_path, capsys):
+    out = tmp_path / "partitions.csv"
+    assert main(["enumerate", "--config", _scalar_config(tmp_path, 7, 6), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert list(tmp_path.glob("partitions.csv*")) == []
 
 
 def test_shipped_default_config_matches_builtin_defaults():
@@ -510,14 +525,38 @@ def test_empty_config_path_means_the_builtin_config(capsys):
     assert capsys.readouterr().out == builtin
 
 
-def test_from_geometry_fills_encounter_matrix(tmp_path, capsys):
+def _from_geometry_config(tmp_path):
+    """The built-in config with its encounter matrix estimated from 20,000 placements."""
     doc = default_config_dict()
     doc["encounter"] = {"from_geometry": True}
     doc["geometry"]["n_slots"] = 20000
     path = tmp_path / "geo.json"
     path.write_text(json.dumps(doc))
-    assert main(["payoffs", "--config", str(path)]) == 0
+    return str(path)
+
+
+def test_from_geometry_fills_encounter_matrix(tmp_path, capsys):
+    assert main(["payoffs", "--config", _from_geometry_config(tmp_path)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
     gain = {r[1]: float(r[3]) for r in rows if r[2] == "rate_gain"}
     # d=0.2 on a unit square: reach well below the 0.5-matrix default
     assert 0.0 < gain["1"] < 0.2
+
+
+def test_simulate_from_placement_agrees_with_payoffs(tmp_path, capsys):
+    # from_geometry is how placements reach the simulator: it draws independent
+    # encounters at the estimated probabilities, and its analytic column is payoffs'
+    config = _from_geometry_config(tmp_path)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", config, "--slots", "20000", "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["payoffs", "--config", config]) == 0
+    payoffs = {(player, qty): float(value) for _, player, qty, value
+               in csv.reader(capsys.readouterr().out.splitlines()[1:])}
+    rows = read_csv(out)[1:]
+    assert len(rows) == 12
+    for player, qty, _, _, analytic, _, _ in rows:
+        assert float(analytic) == payoffs[(player, qty)], (player, qty)
+    max_abs_z = json.loads((tmp_path / "sim.csv.manifest.json").read_text())["max_abs_z"]
+    assert np.isfinite(max_abs_z) and max_abs_z < 5

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanetgame import analysis, geometry
-from vanetgame import (ABS_TOL, GeometryConfig, core_membership, core_sufficient_conditions,
-                       make_config, oracle_relay_mean, player_payoffs, relay_choice_probs,
-                       simulate_slots, stability_verdict, structure_payoffs)
+from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
+                       oracle_relay_mean, player_payoffs, relay_choice_probs, simulate_slots,
+                       stability_verdict, structure_payoffs)
 from vanetgame.cli import main
 from vanetgame.configio import ConfigError, default_config_dict, load_config
 from conftest import random_config
@@ -187,14 +187,12 @@ def structures(draw, n):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), configs(), st.integers(1, 600), st.integers(0, 2 ** 32),
-       st.sampled_from([64, 65_536]), st.one_of(st.none(), st.floats(0.0, 1.5)))
-def test_simulator_counters_are_conserved(data, cfg, n_slots, seed, chunk_slots, range_km):
+       st.sampled_from([64, 65_536]))
+def test_simulator_counters_are_conserved(data, cfg, n_slots, seed, chunk_slots):
     cs = data.draw(structures(cfg.n_players))
-    geo = (None if range_km is None else
-           GeometryConfig(side_km=1.0, range_km=(range_km,) * cfg.K, n_slots=1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "CHUNK_SLOTS", chunk_slots)
-        rep = simulate_slots(cs, cfg, n_slots, seed, geometry=geo)
+        rep = simulate_slots(cs, cfg, n_slots, seed)
         # the run crosses every chunk boundary that n_slots allows
         blocks = len(list(geometry.uniform_chunks(seed, n_slots, 1, cfg.K, cfg.M)))
     assert blocks == -(-n_slots // chunk_slots)

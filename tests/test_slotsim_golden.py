@@ -5,9 +5,9 @@ the numpy kernel over the full (slots, M, K) encounter block; `byte8` and
 A seed fixes the random stream and its draw order, so any rewrite of the
 kernel must reproduce every counter bit for bit. The cases cover the grand
 coalition, split structures (with a coalition that has no RSUs), all
-singletons, a game without RSUs, a wider game, geometry mode, runs that span
-more than one chunk, and games wide enough to fill one or more bytes of packed
-vehicle and RSU bits.
+singletons, a game without RSUs, a wider game, runs that span more than one
+chunk, and games wide enough to fill one or more bytes of packed vehicle and
+RSU bits.
 """
 
 import json
@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from vanetgame import GeometryConfig, make_config, parse_structure, simulate_slots
+from vanetgame import make_config, parse_structure, simulate_slots
 from vanetgame.configio import default_game_config
 from conftest import COUNTERS
 
@@ -53,28 +53,26 @@ def _multibyte_game():
                        cost_fwd=0.3, cost_rcv=0.1)
 
 
-# name -> (game, structure, n_slots, seed, geometry)
+# name -> (game, structure, n_slots, seed)
 CASES = {
-    "grand": (default_game_config, "1,2,3,4", 70_000, 11, None),
-    "split": (default_game_config, "1,3|2,4", 40_000, 12, None),
-    "rsu_alone": (default_game_config, "1,2,3|4", 40_000, 13, None),
-    "singletons": (default_game_config, "1|2|3|4", 40_000, 14, None),
-    "no_rsus": (_no_rsu_game, "1,2|3", 40_000, 15, None),
-    "wide": (_wide_game, "1,3,5,7|2,6|4,8,9", 70_000, 16, None),
-    "byte8": (_byte8_game, "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", 40_000, 18, None),
+    "grand": (default_game_config, "1,2,3,4", 70_000, 11),
+    "split": (default_game_config, "1,3|2,4", 40_000, 12),
+    "rsu_alone": (default_game_config, "1,2,3|4", 40_000, 13),
+    "singletons": (default_game_config, "1|2|3|4", 40_000, 14),
+    "no_rsus": (_no_rsu_game, "1,2|3", 40_000, 15),
+    "wide": (_wide_game, "1,3,5,7|2,6|4,8,9", 70_000, 16),
+    "byte8": (_byte8_game, "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", 40_000, 18),
     "multibyte": (_multibyte_game,
                   "1,5,9,10,11,12,13,14,15,16,17,18,19,20,21|2,3,4|6,7,8,22,23,24,25,26",
-                  40_000, 19, None),
-    "geometry": (default_game_config, "1,3,4|2", 40_000, 17,
-                 GeometryConfig(side_km=1.0, range_km=(0.3, 0.5))),
+                  40_000, 19),
 }
 
 
 def run_case(name):
-    game, structure, n_slots, seed, geometry = CASES[name]
+    game, structure, n_slots, seed = CASES[name]
     cfg = game()
     cs = parse_structure(structure, cfg.n_players)
-    return simulate_slots(cs, cfg, n_slots, seed, geometry=geometry)
+    return simulate_slots(cs, cfg, n_slots, seed)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
