@@ -8,7 +8,7 @@ their Euclidean distance is at most the vehicle's transmission range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,18 +91,26 @@ class EncounterEstimate:
     seed: int
 
 
-def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int) -> EncounterEstimate:
+def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
+                              ranges=None) -> EncounterEstimate | list[EncounterEstimate]:
     """Estimate the (M, K) encounter matrix by redrawing placements per slot.
 
     Positions are drawn vehicle 1..K then RSU 1..M, x before y, from a PCG64
     stream seeded with geo.seed, so results are bit-for-bit reproducible for
     a given config. Vehicle i's range is geo.range_km[i-1]. Standard errors
     are binomial: sqrt(p*(1-p)/n).
+
+    With `ranges`, a sequence of per-vehicle range vectors, one draw serves
+    them all: the result is a list of one EncounterEstimate per vector, each
+    equal to the estimate of geo with that vector as its range_km. Without
+    it, the result is the one estimate of geo.range_km.
     """
-    if len(geo.range_km) != K:
-        raise ValueError(f"range_km has {len(geo.range_km)} transmission ranges, expected {K}")
-    range_sq = np.asarray(geo.range_km, dtype=np.float64) ** 2
-    counts = np.zeros((M, K), dtype=np.int64)
+    geos = [geo] if ranges is None else [replace(geo, range_km=r) for r in ranges]
+    for g in geos:
+        if len(g.range_km) != K:
+            raise ValueError(f"range_km has {len(g.range_km)} transmission ranges, expected {K}")
+    range_sq = [np.asarray(g.range_km, dtype=np.float64) ** 2 for g in geos]
+    counts = np.zeros((len(geos), M, K), dtype=np.int64)
     for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
         pos = u.reshape(u.shape[0], -1, 2)   # (slots, nodes, 2): x, y per node
         if geo.placement == "grid":
@@ -112,8 +120,10 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int) -> EncounterE
             pos = pos * geo.side_km
         dist_sq = (pos[:, K:, None, 0] - pos[:, None, :K, 0]) ** 2   # (slots, M, K)
         dist_sq += (pos[:, K:, None, 1] - pos[:, None, :K, 1]) ** 2
-        counts += (dist_sq <= range_sq).sum(axis=0)
+        for count, r_sq in zip(counts, range_sq):
+            count += (dist_sq <= r_sq).sum(axis=0)
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
-    return EncounterEstimate(matrix=phat, stderr=stderr,
-                             n_slots=geo.n_slots, seed=geo.seed)
+    estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)
+                 for m, s in zip(phat, stderr)]
+    return estimates[0] if ranges is None else estimates

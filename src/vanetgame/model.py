@@ -290,14 +290,32 @@ def iter_structure_rows(n_players: int, K: int):
     Equal to format_structure(cs), format_structure(normalize_structure(cs, K))
     and len(cs), but built from the walk's block texts: the blocks holding a
     vehicle are a prefix of the block order, and the RSUs of the other blocks
-    (ascending runs, which sorted() merges) become singletons.
+    (ascending runs, which sorted() merges) become singletons. The walk stops
+    one player short, and each partition of 1..n-1 yields the rows of player
+    n in one batch: n joins each block in turn, then opens its own. As the
+    largest id, n goes at the end of the block it joins and, as an RSU
+    outside the vehicle blocks, at the end of the loose run.
     """
-    for blocks, texts in _walk(n_players):
-        v = len(blocks)
+    n = int(n_players)
+    if n == 1:
+        yield "1", "1", 1
+        return
+    last = str(n)
+    tail = "," + last
+    for blocks, texts in _walk(n - 1):
+        k = len(blocks)
+        v = k
         while v and blocks[v - 1][0] > K:
             v -= 1
-        loose = sorted(itertools.chain.from_iterable(blocks[v:]))
-        yield "|".join(texts), "|".join([*texts[:v], *map(str, loose)]), len(blocks)
+        full = "|".join(texts)
+        norm = "|".join([*texts[:v], *map(str, sorted(itertools.chain.from_iterable(blocks[v:])))])
+        apart = norm + "|" + last   # normalized row when n is an RSU outside the vehicle blocks
+        end = -1   # where block b's text ends, in `full` and in `norm` alike when b < v
+        for b, text in enumerate(texts):
+            end += len(text) + 1
+            yield (full[:end] + tail + full[end:],
+                   norm[:end] + tail + norm[end:] if b < v else apart, k)
+        yield full + "|" + last, apart, k + 1
 
 
 def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:

@@ -68,8 +68,10 @@ def _scalar_config(tmp_path, K, M):
 
 
 # sha256 of the enumerate CSV for 10 players, frozen from the enumeration that
-# built frozensets and re-sorted them for every row
+# built frozensets and re-sorted them for every row; (1, 9) frozen from the walker
+# that built every row from its full partition
 ENUMERATE_SHA256 = {
+    (1, 9): "ebac7c5e2970e53e1338253c9de8b34fe05fdbdaaa2eb5045eb5412239804684",
     (4, 6): "2e08d7e772a7402ecc983399c62e142942158fd9e35cb8b7d95af8b7e16ab94d",
     (10, 0): "a92da9633a2a074e989e5cc52a8875bc896d69c34a440bc887dbd727c708167c",
 }
@@ -90,11 +92,17 @@ def test_enumerate_csv_matches_frozen_hash(tmp_path, capsys, K, M):
 # sha256 of Monte Carlo CSVs on the built-in config, frozen from the simulator
 # and placement estimator that each built their own distance block. On the
 # grid, node distances can equal a range exactly, which pins "within range" to <=.
+# The 40,000-slot sweeps (unsorted, a repeated range, two chunks) were frozen from
+# the estimator that redrew the placements for every range.
 MONTE_CARLO_SHA256 = {
     "encounter --slots 20000 --d-sweep 0.1,0.3":
         "b5379de89b627f9780ba3b90e8efdcf91c8441d4826b88eeed28e7ab49118f38",
     "encounter --slots 20000 --d-sweep 0.2,0.3 --placement grid":
         "a683af4c4b383371165f85bbe355923672fa094425fab9a11884c6b99816afe6",
+    "encounter --slots 40000 --d-sweep 0.3,0.1,0.3,0.5 --seed 7":
+        "2e487013f3d2832e442a14570105a673b6a77ec6b0eea7367446beb28c97e4b2",
+    "encounter --slots 40000 --d-sweep 0.3,0.1,0.3,0.5 --seed 7 --placement grid":
+        "fd98e9adaaba877d5d812e5cdb47102fde2e32e2f5534a7fdf1381f2c4f350e1",
     "simulate --slots 20000 --structure 1,3|2,4 --seed 5":
         "731f7430a3daacc296982515ea6bce53da4a91d551feed252f8e16b1bb8a7f7d",
 }
@@ -156,11 +164,23 @@ def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**default_config_dict(), "geometry": {"n_slots": 2_000}}))
     out = tmp_path / "enc.csv"
-    assert main(["encounter", "--config", str(config), "--d-sweep", "0.2", *flags,
+    assert main(["encounter", "--config", str(config), "--d-sweep", "0,0.2", *flags,
                  "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
     assert (manifest["seed"], manifest["slots"], manifest["placement"]) == used
     assert "geometry_seed" not in manifest and "n_slots" not in manifest
+    z = [abs(float(est) - float(ana)) / float(se)
+         for *_, est, se, ana in read_csv(out)[1:] if float(se) > 0]
+    assert manifest["max_abs_z"] == max(z)
+    assert manifest["mplace_per_s"] > 0
+
+
+def test_encounter_manifest_reports_no_z_without_a_positive_stderr(tmp_path):
+    out = tmp_path / "enc.csv"
+    # a zero range never meets anyone on continuous placement: every stderr is 0
+    assert main(["encounter", "--d-sweep", "0", "--slots", "500", "--out", str(out)]) == 0
+    assert {row[4] for row in read_csv(out)[1:]} == {"0.0"}
+    assert json.loads((tmp_path / "enc.csv.manifest.json").read_text())["max_abs_z"] is None
 
 
 def test_core_reports_membership(capsys, config_file):

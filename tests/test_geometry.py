@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry
+from vanetgame.geometry import PLACEMENTS
 
 
 def test_closed_form_boundaries():
@@ -93,14 +95,25 @@ def test_uniform_chunks_split_one_draw(n_slots, K, M, chunk, sizes):
     assert np.array_equal(np.concatenate(blocks), np.random.default_rng(5).random((n_slots, width)))
 
 
-def test_wide_estimate_memory_is_bounded():
-    geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
+def _estimate_peak(*args, **kwargs):
     tracemalloc.start()
     try:
-        estimate_encounter_matrix(geo, 20, 20)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_encounter_matrix(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_wide_estimate_memory_is_bounded():
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
+    peak = _estimate_peak(geo, 20, 20)
+    assert peak < 100e6, peak
+
+
+def test_wide_sweep_memory_is_bounded():
+    # one comparison block at a time: five ranges cost no more than one
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
+    peak = _estimate_peak(geo, 20, 20, ranges=[(d,) * 20 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
     assert peak < 100e6, peak
 
 
@@ -146,3 +159,35 @@ def test_range_count_must_match_vehicles():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=100, seed=0)
     with pytest.raises(ValueError, match="range_km"):
         estimate_encounter_matrix(geo, 3, 1)
+
+
+def test_range_vectors_are_checked_as_range_km_is():
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=100, seed=0)
+    with pytest.raises(ValueError) as alone:
+        estimate_encounter_matrix(dataclasses.replace(geo, range_km=(0.1, 0.2, 0.3)), 2, 1)
+    with pytest.raises(ValueError) as swept:
+        estimate_encounter_matrix(geo, 2, 1, ranges=[(0.1, 0.2), (0.1, 0.2, 0.3)])
+    assert str(swept.value) == str(alone.value) == "range_km has 3 transmission ranges, expected 2"
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        estimate_encounter_matrix(geo, 2, 1, ranges=[(0.1, -0.2)])
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_one_draw_serves_every_range_vector(placement):
+    # distinct per-vehicle ranges, a zero range, ranges at and past the diagonal
+    # (side_km * sqrt(2)) and a repeated vector; 20,000 placements cross a chunk
+    geo = GeometryConfig(side_km=2.0, range_km=(0.3, 0.3, 0.3), placement=placement,
+                         n_slots=20_000, seed=8)
+    diagonal = 2.0 * math.sqrt(2.0)
+    ranges = [(0.2, 0.5, 1.1), (0.0, 0.7, diagonal), (diagonal, 3.0, 0.0), (0.2, 0.5, 1.1)]
+    estimates = estimate_encounter_matrix(geo, 3, 4, ranges=ranges)
+    assert len(estimates) == len(ranges)
+    for r, est in zip(ranges, estimates):
+        alone = estimate_encounter_matrix(dataclasses.replace(geo, range_km=r), 3, 4)
+        assert np.array_equal(est.matrix, alone.matrix)
+        assert np.array_equal(est.stderr, alone.stderr)
+        assert (est.n_slots, est.seed) == (alone.n_slots, alone.seed)
+    assert (estimates[1].matrix[:, 2] == 1.0).all() and (estimates[2].matrix[:, :2] == 1.0).all()
+    if placement == "continuous":   # on the grid, a zero range still meets a node in its cell
+        assert (estimates[1].matrix[:, 0] == 0.0).all() and (estimates[2].matrix[:, 2] == 0.0).all()
+    assert 0.0 < estimates[0].matrix.min() and estimates[0].matrix.max() < 1.0
