@@ -19,9 +19,9 @@ from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounte
                        estimate_encounter_matrix)
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
                     canonical_structure, check_structure, enumerate_partitions,
-                    format_structure, iter_partitions, iter_structure_rows, make_config,
-                    normalize_structure, parse_structure, split_members,
-                    unrank_partition, validate_config)
+                    format_structure, iter_partitions, make_config, normalize_structure,
+                    parse_structure, split_members, structure_csv_blocks, unrank_partition,
+                    validate_config)
 from .slotsim import EmpiricalReport, simulate_slots
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "estimate_encounter_matrix",
     "format_structure",
     "iter_partitions",
-    "iter_structure_rows",
     "load_config",
     "make_config",
     "normalize_structure",
@@ -65,6 +64,7 @@ __all__ = [
     "simulate_slots",
     "split_members",
     "stability_verdict",
+    "structure_csv_blocks",
     "structure_payoffs",
     "structure_reports",
     "unrank_partition",

@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import run_identity_checks, stability_verdict, structure_reports
 from .configio import ConfigError, load_config, resolve_encounter
 from .geometry import PLACEMENTS, analytic_pair_encounter, estimate_encounter_matrix
-from .model import (format_structure, iter_structure_rows, parse_structure,
+from .model import (bell_number, format_structure, parse_structure, structure_csv_blocks,
                     unrank_partition)
 from .slotsim import simulate_slots
 
@@ -100,14 +100,12 @@ def _resolve_structure(arg, cfg):
     return parse_structure(arg, n)
 
 
-def _write_rows(fh, header, rows) -> int:
-    """Write the header and every row of an iterable as CSV; return the row count."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for count, row in enumerate(rows, start=1):
-        writer.writerow(row)
-    return count
+def _csv(header, rows: list):
+    """A write(fh) for _emit that writes the header and the rows as CSV."""
+    def write(fh) -> int:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        return len(rows)
+    return write
 
 
 def _write_manifest(out_path, args, extra=None) -> None:
@@ -131,15 +129,15 @@ def _write_manifest(out_path, args, extra=None) -> None:
         fh.write("\n")
 
 
-def _emit(args, header, rows, extra=None) -> None:
-    """Stream rows as CSV to --out, with a manifest that counts them, or to stdout."""
+def _emit(args, write, extra=None) -> None:
+    """Stream write(fh) to --out, with a manifest of the row count it returns, or to stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            count = _write_rows(fh, header, rows)
+            count = write(fh)
         _write_manifest(args.out, args, {**(extra or {}), "rows": count})
         print(f"wrote {count} rows to {args.out}")
     else:
-        _write_rows(sys.stdout, header, rows)
+        write(sys.stdout)
 
 
 def cmd_enumerate(args, loaded) -> int:
@@ -148,10 +146,13 @@ def cmd_enumerate(args, loaded) -> int:
         print(f"error: refusing to enumerate partitions of {cfg.n_players} players",
               file=sys.stderr)
         return 3
-    rows = ((idx, *row) for idx, row in
-            enumerate(iter_structure_rows(cfg.n_players, cfg.K), start=1))
-    _emit(args, ("id", "structure", "normalized", "n_coalitions"), rows,
-          extra={"n_players": cfg.n_players, "K": cfg.K})
+
+    def write(fh) -> int:
+        fh.write("id,structure,normalized,n_coalitions\n")
+        fh.writelines(structure_csv_blocks(cfg.n_players, cfg.K))
+        return bell_number(cfg.n_players)
+
+    _emit(args, write, extra={"n_players": cfg.n_players, "K": cfg.K})
     return 0
 
 
@@ -174,8 +175,8 @@ def cmd_encounter(args, loaded) -> int:
             for j in range(cfg.M) for i in range(cfg.K)]
     # agreement with the exact distance law; null when no estimate has a positive stderr
     max_abs_z = max((abs(est - ana) / se for *_, est, se, ana in rows if se > 0), default=None)
-    _emit(args, ("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"),
-          rows, extra={"seed": geo.seed, "slots": geo.n_slots, "placement": geo.placement,
+    _emit(args, _csv(("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"), rows),
+          extra={"seed": geo.seed, "slots": geo.n_slots, "placement": geo.placement,
                        "mplace_per_s": mplace_per_s, "max_abs_z": max_abs_z})
     return 0
 
@@ -214,7 +215,7 @@ def cmd_payoffs(args, loaded) -> int:
             q = analytic_pair_encounter(d, loaded.geometry.side_km)
             cfg_d = dataclasses.replace(cfg, enc=np.full((cfg.M, cfg.K), q))
             rows.extend(_payoff_rows(cs, cfg_d, d))
-    _emit(args, ("d_km", "player", "quantity", "value"), rows,
+    _emit(args, _csv(("d_km", "player", "quantity", "value"), rows),
           extra={"structure_blocks": format_structure(cs)})
     return 0
 
@@ -266,8 +267,9 @@ def cmd_simulate(args, loaded) -> int:
     # agreement with the closed forms; null when no estimate has a positive stderr
     max_abs_z = max((abs(est - ana) / se for _, _, est, se, ana, _, _ in rows if se > 0),
                     default=None)
-    _emit(args, ("player", "quantity", "estimate", "stderr", "analytic", "n_slots", "seed"),
-          rows, extra={"structure_blocks": format_structure(cs), "seed": seed,
+    _emit(args, _csv(("player", "quantity", "estimate", "stderr", "analytic", "n_slots",
+                      "seed"), rows),
+          extra={"structure_blocks": format_structure(cs), "seed": seed,
                        "mslot_per_s": mslot_per_s, "max_abs_z": max_abs_z})
     return 0
 

@@ -73,7 +73,7 @@ def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
 
 def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
     """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
-    CHUNK_SLOTS rows, or fewer (but at least 1,024) when a block's (slots, M, K)
+    CHUNK_SLOTS rows, or fewer (but at least 1,024) when a block's (M, K, slots)
     distance block would pass 2**22 RSU-vehicle pairs."""
     rng = np.random.default_rng(seed)
     step = min(CHUNK_SLOTS, max(1024, (1 << 22) // max(1, M * K)))
@@ -112,16 +112,18 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
     range_sq = [np.asarray(g.range_km, dtype=np.float64) ** 2 for g in geos]
     counts = np.zeros((len(geos), M, K), dtype=np.int64)
     for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
-        pos = u.reshape(u.shape[0], -1, 2)   # (slots, nodes, 2): x, y per node
+        # (2, nodes, slots): contiguous x and y rows, so each step runs over whole rows
+        pos = np.ascontiguousarray(u.reshape(u.shape[0], -1, 2).transpose(2, 1, 0))
         if geo.placement == "grid":
             cells = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1)
             pos = (cells + 0.5) * (geo.side_km / GRID_CELLS)
         else:
             pos = pos * geo.side_km
-        dist_sq = (pos[:, K:, None, 0] - pos[:, None, :K, 0]) ** 2   # (slots, M, K)
-        dist_sq += (pos[:, K:, None, 1] - pos[:, None, :K, 1]) ** 2
+        x, y = pos
+        dist_sq = (x[K:, None] - x[None, :K]) ** 2   # (M, K, slots)
+        dist_sq += (y[K:, None] - y[None, :K]) ** 2
         for count, r_sq in zip(counts, range_sq):
-            count += (dist_sq <= r_sq).sum(axis=0)
+            count += (dist_sq <= r_sq[:, None]).sum(axis=2)
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)

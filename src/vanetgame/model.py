@@ -7,7 +7,6 @@ not a player and has no payoff.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ __all__ = [
     "format_structure",
     "enumerate_partitions",
     "iter_partitions",
-    "iter_structure_rows",
+    "structure_csv_blocks",
     "unrank_partition",
     "bell_number",
     "normalize_structure",
@@ -37,6 +36,9 @@ __all__ = [
 # coalition's smallest member.
 Coalition = frozenset
 CoalitionStructure = tuple
+
+# Most label rows expanded at once, and so most CSV rows in one structure_csv_blocks block
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -244,78 +246,125 @@ def _blocks_of(labels) -> CoalitionStructure:
 
 
 def _walk(n_players: int):
-    """Every set partition of {1..n} once, in canonical order, as in-place lists.
+    """Every set partition of {1..n} once, in canonical order, as one in-place list.
 
     Player m joins each existing block in turn, then opens a new one:
     lexicographic restricted-growth order (Knuth, TAOCP 7.2.1.5), from {1..n}
     to all singletons, blocks ordered by smallest member, members ascending.
-    Every step yields the same two lists, each block's members and each
-    block's text ("1,5,6"), updated in place; readers copy what they keep.
+    Every step yields the same list of each block's members, updated in
+    place; readers copy what they keep.
     """
     n = int(n_players)
     if n < 1:
         raise ValueError("need at least one player to partition")
     blocks: list[list[int]] = []
-    texts: list[str] = []
 
     def place(m):
         if m > n:
-            yield blocks, texts
+            yield blocks
             return
-        tok = str(m)
-        for b in range(len(blocks)):
-            old = texts[b]
-            blocks[b].append(m)
-            texts[b] = old + "," + tok
+        for block in blocks:
+            block.append(m)
             yield from place(m + 1)
-            blocks[b].pop()
-            texts[b] = old
+            block.pop()
         blocks.append([m])
-        texts.append(tok)
         yield from place(m + 1)
         blocks.pop()
-        texts.pop()
 
     return place(1)
 
 
 def iter_partitions(n_players: int):
     """Lazily yield every set partition of {1..n}, each once, in canonical order."""
-    return (tuple(frozenset(b) for b in blocks) for blocks, _ in _walk(n_players))
+    return (tuple(frozenset(b) for b in blocks) for blocks in _walk(n_players))
 
 
-def iter_structure_rows(n_players: int, K: int):
-    """Yield (structure, normalized, n_coalitions) of every partition in canonical order.
+def _label_blocks(n: int):
+    """The restricted-growth label rows of every partition of {1..n}, in blocks.
 
-    Equal to format_structure(cs), format_structure(normalize_structure(cs, K))
-    and len(cs), but built from the walk's block texts: the blocks holding a
-    vehicle are a prefix of the block order, and the RSUs of the other blocks
-    (ascending runs, which sorted() merges) become singletons. The walk stops
-    one player short, and each partition of 1..n-1 yields the rows of player
-    n in one batch: n joins each block in turn, then opens its own. As the
-    largest id, n goes at the end of the block it joins and, as an RSU
-    outside the vehicle blocks, at the end of the loose run.
+    Column i holds the block of player i + 1, blocks numbered by smallest
+    member, and rows come in lexicographic order, the canonical one. Rows grow
+    one player at a time, each into one child per label in use and one with a
+    new label, depth first and at most _BLOCK_ROWS children at a time.
+    """
+    def expand(labels):
+        size = labels.shape[1]
+        if size == n:
+            yield labels
+            return
+        step = max(1, _BLOCK_ROWS // (size + 1))   # a row has at most size + 1 children
+        for start in range(0, labels.shape[0], step):
+            yield from expand(_children(labels[start:start + step]))
+
+    return expand(np.zeros((1, 1), np.int8))
+
+
+def _children(labels):
+    """Every one-player extension of each label row, in lexicographic order."""
+    width = labels.max(axis=1).astype(np.int64) + 2
+    parent = np.repeat(np.arange(labels.shape[0]), width)
+    label = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+    return np.column_stack((labels[parent], label.astype(np.int8)))
+
+
+def _digits(values, width: int):
+    """ASCII digits of positive integers, right-aligned after zero bytes in `width` columns."""
+    digits = np.empty((values.size, width), np.uint8)
+    rest = values.copy()
+    for col in range(width - 1, -1, -1):   # a scalar divisor takes numpy's fast path
+        digits[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    return digits
+
+
+def _field(keys, tokens):
+    """Each row's `,"1,3|2"` text as bytes in zero-padded uint32 cells, and its largest key.
+
+    Players sorted by (key, id) form the blocks; cell m holds the m-th one's
+    id bytes and, in its top byte, the `,` (same key), `|` or closing quote
+    after it. csv.writer quotes the field exactly when it holds a `,`.
+    """
+    rows, n = keys.shape
+    shift = n.bit_length()
+    ranked = np.sort(keys.astype(np.int32) << shift | np.arange(n, dtype=np.int32), axis=1)
+    cells = np.empty((rows, n + 1), np.uint32)
+    cells[:, 1:] = tokens.take(ranked & ((1 << shift) - 1))
+    ranked >>= shift
+    joined = ranked[:, 1:] == ranked[:, :-1]
+    cells[:, 1:-1] |= np.where(joined, np.uint32(ord(",") << 24), np.uint32(ord("|") << 24))
+    quote = np.where(joined.any(axis=1), ord('"'), 0).astype(np.uint32)
+    cells[:, 0] = ord(",") | quote << 8
+    cells[:, -1] |= quote << 24
+    return cells.astype("<u4", copy=False).view(np.uint8), ranked[:, -1]
+
+
+def structure_csv_blocks(n_players: int, K: int):
+    """Yield the CSV body of `vanetgame enumerate` as ASCII text blocks of whole rows.
+
+    Row `id` is the id-th partition cs in canonical order, as csv.writer writes
+    (id, format_structure(cs), format_structure(normalize_structure(cs, K)), len(cs)).
+    The blocks holding a vehicle are a prefix of the labels, so the normalized
+    form keeps those labels and gives every other RSU a key of its own above n.
     """
     n = int(n_players)
-    if n == 1:
-        yield "1", "1", 1
-        return
-    last = str(n)
-    tail = "," + last
-    for blocks, texts in _walk(n - 1):
-        k = len(blocks)
-        v = k
-        while v and blocks[v - 1][0] > K:
-            v -= 1
-        full = "|".join(texts)
-        norm = "|".join([*texts[:v], *map(str, sorted(itertools.chain.from_iterable(blocks[v:])))])
-        apart = norm + "|" + last   # normalized row when n is an RSU outside the vehicle blocks
-        end = -1   # where block b's text ends, in `full` and in `norm` alike when b < v
-        for b, text in enumerate(texts):
-            end += len(text) + 1
-            yield (full[:end] + tail + full[end:],
-                   norm[:end] + tail + norm[end:] if b < v else apart, k)
-        yield full + "|" + last, apart, k + 1
+    if not 1 <= n <= 127:   # int8 labels
+        raise ValueError("need 1 to 127 players to list partitions")
+    tokens = np.array([int.from_bytes(str(m).encode(), "little") for m in range(1, n + 1)],
+                      np.uint32)
+    loose = np.arange(n, 2 * n, dtype=np.int32)
+    id_width = len(str(bell_number(n)))
+    first = 1
+    for labels in _label_blocks(n):
+        rows = labels.shape[0]
+        structure, top = _field(labels, tokens)
+        normalized, _ = _field(np.where(labels <= labels[:, :K].max(axis=1, keepdims=True),
+                                        labels, loose), tokens)
+        mat = np.concatenate((
+            _digits(np.arange(first, first + rows), id_width),
+            structure, normalized, np.full((rows, 1), ord(","), np.uint8),
+            _digits(top + 1, len(str(n))), np.full((rows, 1), ord("\n"), np.uint8)), axis=1)
+        first += rows
+        yield mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:

@@ -108,16 +108,16 @@ def _pack(bits):
     return np.packbits(padded, bitorder="little").reshape(bits.shape[0], -1)
 
 
-def _count_chunk(active, u_enc, u_sel, layout, counts) -> None:
+def _count_chunk(active, u, layout, counts) -> None:
     """Add one chunk of slots to the integer event counters.
 
-    active (slots, K) marks the vehicles that want to transmit, u_enc (slots, M)
-    holds the encounter uniforms and u_sel (slots, coalitions) the
-    relay-selection uniforms. RSU j encounters the vehicle scheduled in a slot
-    when its uniform falls below that vehicle's threshold in the coalition's
-    table. Both sides are packed into bytes: the scheduled vehicle is the
-    lowest set bit, the relay the pick-th set bit of the encounter bytes, found
-    by running POP counts and SEL (rank and select).
+    active (slots, K) marks the vehicles that want to transmit; each row of u
+    holds a slot's K activity, M encounter and per-coalition relay-selection
+    uniforms. RSU j encounters the vehicle scheduled in a slot when its uniform
+    falls below that vehicle's threshold in the coalition's table. Both sides
+    are packed into bytes: the scheduled vehicle is the lowest set bit, the
+    relay the pick-th set bit of the encounter bytes, found by running POP
+    counts and SEL (rank and select).
     """
     M, K = counts["encounters"].shape
     packed = _pack(active)
@@ -130,8 +130,8 @@ def _count_chunk(active, u_enc, u_sel, layout, counts) -> None:
         sched = 8 * byte + SEL[mine[rows, byte], 0]
         success = ~(packed[rows] & ~vmask).any(axis=1)
         counts["scheduled"] += np.bincount(sched, minlength=K)
-        # take, not fancy indexing: the gather is the costliest step of a chunk
-        ecode = _pack(u_enc.take(rows, 0).take(rsus, 1) < thr.take(sched, 0))
+        # the costliest step of a chunk: rows of the contiguous chunk, then columns
+        ecode = _pack(u.take(rows, 0)[:, K + rsus] < thr.take(sched, 0))
         for b in range(ecode.shape[1]):
             seen = np.bincount(sched * 256 + ecode[:, b], minlength=K * 256).reshape(K, 256)
             counts["encounters"][rsus[8 * b:8 * b + 8]] += (seen @ BITS).T[:rsus.size - 8 * b]
@@ -139,7 +139,7 @@ def _count_chunk(active, u_enc, u_sel, layout, counts) -> None:
         n_enc = prefix[:, -1]
         relayed = n_enc > 0
         if relayed.any():
-            pick = (u_sel[rows[relayed], c] * n_enc[relayed]).astype(np.int64)
+            pick = (u[rows[relayed], K + M + c] * n_enc[relayed]).astype(np.int64)
             np.minimum(pick, n_enc[relayed] - 1, out=pick)
             at = np.flatnonzero(relayed)
             byte = (prefix[at] <= pick[:, None]).sum(axis=1)
@@ -190,7 +190,7 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
     }
 
     for u in uniform_chunks(seed, n_slots, K + M + len(layout), K, M):
-        _count_chunk(u[:, :K] < cfg.p, u[:, K:K + M], u[:, K + M:], layout, counts)
+        _count_chunk(u[:, :K] < cfg.p, u, layout, counts)
 
     relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
     succ_norelay = counts["success_no_relay"]

@@ -69,10 +69,12 @@ def _scalar_config(tmp_path, K, M):
 
 # sha256 of the enumerate CSV for 10 players, frozen from the enumeration that
 # built frozensets and re-sorted them for every row; (1, 9) frozen from the walker
-# that built every row from its full partition
+# that built every row from its full partition; (5, 6), at 11 players, frozen from
+# the walker that batched the last player and wrote through the csv module
 ENUMERATE_SHA256 = {
     (1, 9): "ebac7c5e2970e53e1338253c9de8b34fe05fdbdaaa2eb5045eb5412239804684",
     (4, 6): "2e08d7e772a7402ecc983399c62e142942158fd9e35cb8b7d95af8b7e16ab94d",
+    (5, 6): "71687c5c8c1e96d2eb1d3ae24bce51e367be343dac95558329b669e2ac370590",
     (10, 0): "a92da9633a2a074e989e5cc52a8875bc896d69c34a440bc887dbd727c708167c",
 }
 
@@ -82,7 +84,7 @@ def test_enumerate_csv_matches_frozen_hash(tmp_path, capsys, K, M):
     config = _scalar_config(tmp_path, K, M)
     out = tmp_path / "partitions.csv"
     assert main(["enumerate", "--config", config, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote 115975 rows to {out}\n"
+    assert capsys.readouterr().out == f"wrote {vanetgame.bell_number(K + M)} rows to {out}\n"
     data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == ENUMERATE_SHA256[(K, M)]
     assert main(["enumerate", "--config", config]) == 0

@@ -1,12 +1,14 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
 from vanetgame import (ConfigError, GameConfig, bell_number, canonical_structure,
                        check_structure, enumerate_partitions, format_structure, iter_partitions,
-                       iter_structure_rows, make_config, normalize_structure,
-                       parse_structure, unrank_partition, validate_config)
+                       make_config, model, normalize_structure, parse_structure,
+                       structure_csv_blocks, unrank_partition, validate_config)
 
 
 def count_partitions_recursive(n):
@@ -64,13 +66,31 @@ def test_iter_partitions_is_lazy_and_matches_the_list():
         assert list(iter_partitions(n)) == enumerate_partitions(n)
 
 
+def csv_body(n, K):
+    """The enumerate CSV body written row by row with csv.writer from the partitions."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for idx, cs in enumerate(enumerate_partitions(n), start=1):
+        writer.writerow((idx, format_structure(cs), format_structure(normalize_structure(cs, K)),
+                         len(cs)))
+    return buf.getvalue()
+
+
 def test_structure_rows_match_formatted_partitions():
     for n in range(1, 9):
-        parts = enumerate_partitions(n)
         for K in range(1, n + 1):
-            want = [(format_structure(cs), format_structure(normalize_structure(cs, K)), len(cs))
-                    for cs in parts]
-            assert list(iter_structure_rows(n, K)) == want
+            assert "".join(structure_csv_blocks(n, K)) == csv_body(n, K), (n, K)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_structure_rows_cross_block_boundaries(monkeypatch, block_rows):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block_rows)
+    for n, K in [(5, 2), (6, 6), (8, 3)]:
+        blocks = list(structure_csv_blocks(n, K))
+        assert len(blocks) > 1
+        # whole rows only, and at most one row's extensions past the cap
+        assert all(b.endswith("\n") and b.count("\n") <= max(block_rows, n) for b in blocks)
+        assert "".join(blocks) == csv_body(n, K), (n, K)
 
 
 def test_unrank_matches_enumeration_for_every_id():
