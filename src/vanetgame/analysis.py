@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs
+from .analytic import (ABS_TOL, PayoffReport, _brackets, _reports, _table, oracle_relay_mean,
+                       player_payoffs)
 from .model import (Coalition, GameConfig, check_structure, iter_partitions,
                     normalize_structure, split_members)
 
@@ -27,10 +28,8 @@ __all__ = [
 ]
 
 _ENUM_MAX_PLAYERS = 20
-# Coalitions per block of the sweep's payoff table (3 x n x 4096 floats: 2 MB at n = 20)
+# Coalitions per block of the sweep's table (3 x (n + K) x 4096 floats: 2.4 MB at n = 20, K = 4)
 _BLOCK_MASKS = 1 << 12
-# Low RSUs whose subsets share one block of Poisson-binomial coefficients
-_COEF_BITS = 10
 # run_identity_checks covers every coalition of this many partitions of all players
 _CHECK_STRUCTURES = 64
 
@@ -40,7 +39,7 @@ def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
     errors = check_structure(cs, cfg.n_players)
     if errors:
         raise ValueError("invalid structure: " + "; ".join(errors))
-    return [player_payoffs(block, cfg) for block in cs]
+    return _reports(cs, cfg)
 
 
 def _payoff_vector(reports, n_players: int) -> np.ndarray:
@@ -149,80 +148,6 @@ def _weight_witness(cfg: GameConfig) -> int | None:
     return None
 
 
-def _extend(coef: np.ndarray, q: float) -> np.ndarray:
-    """Each row's Poisson-binomial coefficients after one more RSU, encountered
-    with probability q: the update step of analytic._choice_prob on every row."""
-    out = coef * (1.0 - q)
-    out[:, 1:] += coef[:, :-1] * q
-    return out
-
-
-def _brackets(q: list) -> np.ndarray:
-    """E[1/(B+1)] for the number B of RSUs in R that meet one vehicle, for every
-    RSU subset R (bit t: encounter probability q[t]). The coefficients of the
-    low RSUs' subsets double one RSU at a time, and each block sharing its high
-    RSUs adds those after them: the order in which _choice_prob adds RSUs."""
-    M = len(q)
-    low = min(M, _COEF_BITS)
-    coef = np.eye(1, M + 1)   # no RSU: P(B = 0) = 1
-    for t in range(low):   # rows R | 1 << t follow rows R
-        coef = np.concatenate([coef, _extend(coef, q[t])])
-    h = np.empty(1 << M)
-    for high in range(1 << (M - low)):
-        rows = coef
-        for t in range(low, M):
-            if high >> (t - low) & 1:
-                rows = _extend(rows, q[t])
-        acc = np.zeros(len(rows))
-        for b in range(M + 1):
-            acc += rows[:, b] / (b + 1.0)
-        h[high << low:(high + 1) << low] = acc
-    return h
-
-
-def _payoff_table(cfg: GameConfig):
-    """Every coalition's member quantities, in blocks of ascending masks.
-
-    Bit k of a mask is player k + 1, so vehicles are the low K bits. Yields
-    (masks, member, benefit, charge, payoff) per block: member[k] flags player
-    k + 1's coalitions; benefit and charge are throughput and payment for a
-    vehicle, revenue and cost for an RSU. Entries of non-members mean nothing.
-    Each sum and product runs in player_payoffs' order (loops over players,
-    np.where for skipped terms), so member entries equal its report exactly.
-    """
-    K, M, n = cfg.K, cfg.M, cfg.n_players
-    q = [[float(cfg.enc[t, i]) for t in range(M)] for i in range(K)]
-    h = [_brackets(qi) for qi in q]
-    w_benefit = np.concatenate([cfg.alpha, cfg.gamma])[:, None]
-    w_charge = np.concatenate([cfg.beta, cfg.mu])[:, None]
-    size = min(1 << n, _BLOCK_MASKS)
-    for base in range(0, 1 << n, size):
-        masks = np.arange(base, base + size)
-        member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
-        rsu_set = masks >> K
-        benefit, charge = np.zeros((n, size)), np.zeros((n, size))
-        for i in range(K):
-            s = np.full(size, float(cfg.p[i]))   # P(i is the vehicle scheduled)
-            for v in range(i):
-                s = np.where(member[v], s * (1.0 - cfg.p[v]), s)
-            gain = fee = np.zeros(size)
-            for t in range(M):
-                r, rev, cst = member[K + t], benefit[K + t], charge[K + t]
-                pr = q[i][t] * h[i][rsu_set & ~(1 << t)]   # P(t relays i | coalition RSUs)
-                gain = np.where(r, gain + pr * cfg.delta[i, t], gain)
-                fee = np.where(r, fee + pr * cfg.price[t, i], fee)
-                rcv = float(cfg.enc[t, i] * cfg.cost_rcv[t, i])
-                rev[:] = np.where(member[i], rev + s * pr * cfg.price[t, i], rev)
-                cst[:] = np.where(member[i], cst + s * (float(cfg.cost_fwd[t, i]) * pr + rcv), cst)
-            thr = s * (1.0 + gain)
-            for v in range(K):   # every vehicle outside the coalition stays idle
-                thr = np.where(member[v], thr, thr * (1.0 - cfg.p[v]))
-            benefit[i], charge[i] = thr, s * fee
-        payoff = w_benefit * benefit
-        payoff -= w_charge * charge
-        yield masks, member, benefit, charge, payoff
-
-
 def _preorder_key(masks: np.ndarray, n: int) -> np.ndarray:
     """|S| + sum of 2^(n - j) over the non-members j below max S, per coalition
     mask: the rank of S in the preorder walk of the subset tree, which orders
@@ -249,17 +174,29 @@ def _first_offence(offends: np.ndarray, masks: np.ndarray, n: int):
 def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     """The one pass over coalitions behind every core analysis.
 
-    Reads _payoff_table block by block in ascending mask order. Returns
-    (gain witness, preference witness, blocker): the first (player, coalition)
-    violating condition 2 and condition 3 of core_sufficient_conditions among
-    the proper coalitions, given the grand coalition's payoff vector, and the
-    lexicographically smallest sorted member tuple of a coalition whose every
-    member earns strictly more than x.
+    Reads the payoffs of every coalition from the coalition table, in blocks of
+    ascending masks. Bit k of a mask is player k + 1, so the RSU set is
+    mask >> K, and relay probabilities are gathered from _brackets over all
+    2^M RSU subsets. Returns (gain witness, preference witness, blocker): the
+    first (player, coalition) violating condition 2 and condition 3 of
+    core_sufficient_conditions among the proper coalitions, given the grand
+    coalition's payoff vector, and the lexicographically smallest sorted
+    member tuple of a coalition whose every member earns strictly more than x.
     """
-    K, n = cfg.K, cfg.n_players
+    K, M, n = cfg.K, cfg.M, cfg.n_players
     grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
     gain_witness = preference_witness = best = None
-    for masks, member, _, _, payoff in _payoff_table(cfg):
+    q = cfg.enc.T.tolist()
+    h = [_brackets(qi) for qi in q]
+    size = min(1 << n, _BLOCK_MASKS)
+    for base in range(0, 1 << n, size):
+        masks = np.arange(base, base + size)
+        member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
+        rsu_set = masks >> K
+
+        def relay(i):   # P(t relays i | coalition RSUs)
+            return (q[i][t] * h[i][rsu_set & ~(1 << t)] for t in range(M))
+        payoff = _table(cfg, member, relay)[-1]   # the rest is freed before the next block
         proper = masks != (1 << n) - 1
         if gain_witness is None:
             # weighted benefit minus weighted charge is > 0 exactly when the benefit
@@ -398,10 +335,10 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
     uni = _uniformized(cfg)
-    evaluated = {*coalitions, *(block for cs in normalized for block in cs),
-                 *(frozenset((i,)) for i in cfg.vehicles)}
-    reports = {S: player_payoffs(S, cfg) for S in evaluated}
-    uni_reports = {S: player_payoffs(S, uni) for S in coalitions}
+    evaluated = list({*coalitions, *(block for cs in normalized for block in cs),
+                      *(frozenset((i,)) for i in cfg.vehicles)})
+    reports = dict(zip(evaluated, _reports(evaluated, cfg)))
+    uni_reports = dict(zip(coalitions, _reports(coalitions, uni)))
 
     results: list[CheckResult] = []
 
@@ -497,10 +434,9 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     run("uniform-weight closed forms match general formulas", simplified_forms)
 
     if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
-        no_fees = _without_fees(cfg)
         worst = 0.0
-        for S in coalitions:
-            worst = max(worst, _pricing_residual(reports[S], player_payoffs(S, no_fees)))
+        for S, rep0 in zip(coalitions, _reports(coalitions, _without_fees(cfg))):
+            worst = max(worst, _pricing_residual(reports[S], rep0))
         results.append(CheckResult("fees cancel out of every coalition's sum payoff",
                                    worst <= ABS_TOL, f"max residual {worst:.3e}"))
     else:

@@ -1,4 +1,4 @@
-"""Closed-form per-player quantities inside a single coalition.
+"""Closed-form per-player quantities of coalitions, all from one coalition table.
 
 Scheduling rule: in each slot, the active coalition vehicle with the smallest
 id transmits and the other members stay silent. A scheduled vehicle picks one
@@ -8,11 +8,19 @@ Throughput carries a collision discount (all vehicles outside the coalition
 must be inactive for the slot to succeed); payments, revenues and costs are
 charged per scheduled transmission whether or not it collides. All functions
 are pure and side-effect free.
+
+_table evaluates a batch of coalitions, one column each, from each vehicle's
+relay probabilities. These come from _brackets over all 2^M RSU subsets (the
+core sweep) or from _relay_probs over only the subsets that given coalitions
+need (polynomial in M); both add a subset's RSUs in ascending order, so they
+agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import Coalition, GameConfig, split_members
 
@@ -28,41 +36,57 @@ __all__ = [
 ABS_TOL = 1e-12
 
 _ORACLE_MAX_RSUS = 20
+# Low RSUs whose subsets share one block of Poisson-binomial coefficients in _brackets
+_COEF_BITS = 10
 
 
-def _require_vehicle_member(S, i: int, cfg: GameConfig) -> None:
-    if not cfg.is_vehicle(i) or i not in S:
-        raise ValueError(f"player {i} is not a vehicle member of coalition {sorted(S)}")
+def _extend(coef: np.ndarray, q: float) -> np.ndarray:
+    """Poisson-binomial coefficients (last axis: P(B = b)) after one more RSU,
+    encountered with probability q: the recursion of Hong (2013), every row at once."""
+    out = coef * (1.0 - q)
+    out[..., 1:] += coef[..., :-1] * q
+    return out
 
 
-def _share(vehicles, i: int, cfg: GameConfig) -> float:
-    share = float(cfg.p[cfg.vrow(i)])
-    for v in vehicles:
-        if v < i:
-            share *= 1.0 - cfg.p[cfg.vrow(v)]
-    return float(share)
+def _bracket(coef: np.ndarray) -> np.ndarray:
+    """E[1/(B+1)] from the coefficients on the last axis, summed in ascending b."""
+    acc = np.zeros(coef.shape[:-1])
+    for b in range(coef.shape[-1]):
+        acc += coef[..., b] / (b + 1.0)
+    return acc
 
 
-def _member_encounters(S, i: int, cfg: GameConfig):
-    """Coalition RSUs (sorted) and their encounter probabilities with vehicle i."""
-    _, rsus = split_members(S, cfg.K)
-    q = [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]
-    return rsus, q
+def _brackets(q: list) -> np.ndarray:
+    """E[1/(B+1)] for the number B of RSUs in R that meet one vehicle, for every
+    RSU subset R (bit t: encounter probability q[t]). The coefficients of the
+    low RSUs' subsets double one RSU at a time, and each block sharing its high
+    RSUs adds those after them: every subset adds its RSUs in ascending order."""
+    M = len(q)
+    low = min(M, _COEF_BITS)
+    coef = np.eye(1, M + 1)   # no RSU: P(B = 0) = 1
+    for t in range(low):   # rows R | 1 << t follow rows R
+        coef = np.concatenate([coef, _extend(coef, q[t])])
+    h = np.empty(1 << M)
+    for high in range(1 << (M - low)):
+        rows = coef
+        for t in range(low, M):
+            if high >> (t - low) & 1:
+                rows = _extend(rows, q[t])
+        h[high << low:(high + 1) << low] = _bracket(rows)
+    return h
 
 
-def _choice_prob(q: list, j: int) -> float:
-    """P(RSU j chosen) = q_j * integral over [0, 1] of prod_{k != j} (1 - q_k + q_k t) dt."""
-    others = q[:j] + q[j + 1:]
-    coef = [1.0] + [0.0] * len(others)   # coef[b] = P(b of the others encountered)
-    for deg, qk in enumerate(others, start=1):
-        idle = 1.0 - qk
-        for b in range(deg, 0, -1):
-            coef[b] = coef[b] * idle + coef[b - 1] * qk
-        coef[0] *= idle
-    bracket = 0.0
-    for b, c in enumerate(coef):
-        bracket += c / (b + 1.0)
-    return q[j] * bracket
+def _relay_probs(q: list, rsus: np.ndarray) -> np.ndarray:
+    """(M, C) probabilities q[t] E[1/(B+1)] that RSU t relays one vehicle, where B
+    counts the RSUs of column c's set R_c - {t} (rsus: (M, C) bool) that meet it.
+    Each row adds the RSUs of its own subset in ascending order, as _brackets
+    does, so the two agree exactly; O(M^3) per column."""
+    M = len(q)
+    coef = np.broadcast_to(np.eye(1, M + 1), (M, rsus.shape[1], M + 1))   # P(B = 0) = 1
+    for u in np.flatnonzero(rsus.any(axis=1)):
+        grows = rsus[u] & (np.arange(M) != u)[:, None]   # rows (t, c) whose subset holds u
+        coef = np.where(grows[..., None], _extend(coef, q[u]), coef)
+    return np.array(q).reshape(M, 1) * _bracket(coef)
 
 
 def relay_choice_probs(q) -> list[float]:
@@ -74,34 +98,21 @@ def relay_choice_probs(q) -> list[float]:
     coefficients follow from the O(m^2) recursion of Hong (2013). O(m^3) in all.
     """
     q = [float(x) for x in q]
-    return [_choice_prob(q, j) for j in range(len(q))]
-
-
-def _relay_terms(cfg: GameConfig, i: int, rsus: tuple):
-    """(relay-choice vector, rate gain, fee, per-RSU (price, forwarding cost,
-    expected receiving cost)) of vehicle i over the coalition's sorted RSUs."""
-    vi = cfg.vrow(i)
-    rows = [cfg.rrow(j) for j in rsus]
-    probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
-    gain = fee = 0.0
-    for r, pr in zip(rows, probs):
-        gain += pr * cfg.delta[vi, r]
-        fee += pr * cfg.price[r, vi]
-    charges = [(float(cfg.price[r, vi]), float(cfg.cost_fwd[r, vi]),
-                float(cfg.enc[r, vi] * cfg.cost_rcv[r, vi])) for r in rows]
-    return probs, float(gain), float(fee), charges
+    return _relay_probs(q, np.ones((len(q), 1), dtype=bool))[:, 0].tolist()
 
 
 def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
-    """Brute-force counterpart of the relay terms above, for validation.
+    """Brute-force counterpart of the relay probabilities above, for validation.
 
     Enumerates all 2^(#RSUs) encounter sets directly and, inside each set,
     averages over the uniform relay choices. Returns the expected weight and
     the per-RSU probability of being the chosen relay. Kept deliberately
     independent of relay_choice_probs and player_payoffs.
     """
-    _require_vehicle_member(S, i, cfg)
-    rsus, q = _member_encounters(S, i, cfg)
+    if i not in cfg.vehicles or i not in S:
+        raise ValueError(f"player {i} is not a vehicle member of coalition {sorted(S)}")
+    _, rsus = split_members(S, cfg.K)
+    q = [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]
     if len(rsus) > _ORACLE_MAX_RSUS:
         raise ValueError(f"enumeration bound exceeded: {len(rsus)} RSUs > {_ORACLE_MAX_RSUS}")
     w = [float(weights[j]) for j in rsus]
@@ -162,43 +173,92 @@ class PayoffReport:
         return self.rsu_payoff[player]
 
 
+def _table(cfg: GameConfig, member: np.ndarray, relay):
+    """The closed forms of every column of member (players x coalitions, bool).
+
+    relay(i) yields, for RSU t = 0..M-1 in turn, the probability per column
+    that RSU t relays vehicle i given the column's RSUs. Returns (share,
+    rate_gain, fee) with a row per vehicle and (benefit, charge, payoff) with a
+    row per player: throughput and payment for a vehicle, revenue and cost for
+    an RSU. Entries of non-members mean nothing. Every sum and product runs
+    over players in ascending id (np.where for skipped terms), so each entry is
+    one fixed sequence of float operations, whatever the batch.
+    """
+    K, M = cfg.K, cfg.M
+    size = member.shape[1]
+    share, gain, fee = np.empty((K, size)), np.empty((K, size)), np.empty((K, size))
+    benefit, charge = np.zeros((K + M, size)), np.zeros((K + M, size))
+    for i in range(K):
+        s = np.full(size, float(cfg.p[i]))   # P(i is the vehicle scheduled)
+        for v in range(i):
+            s = np.where(member[v], s * (1.0 - cfg.p[v]), s)
+        g = f = np.zeros(size)
+        for t, pr in enumerate(relay(i)):
+            r, rev, cst = member[K + t], benefit[K + t], charge[K + t]
+            g = np.where(r, g + pr * cfg.delta[i, t], g)
+            f = np.where(r, f + pr * cfg.price[t, i], f)
+            rcv = float(cfg.enc[t, i] * cfg.cost_rcv[t, i])
+            rev[:] = np.where(member[i], rev + s * pr * cfg.price[t, i], rev)
+            cst[:] = np.where(member[i], cst + s * (float(cfg.cost_fwd[t, i]) * pr + rcv), cst)
+        thr = s * (1.0 + g)
+        for v in range(K):   # every vehicle outside the coalition stays idle
+            thr = np.where(member[v], thr, thr * (1.0 - cfg.p[v]))
+        share[i], gain[i], fee[i], benefit[i], charge[i] = s, g, f, thr, s * f
+    w_benefit, w_charge = np.concatenate([cfg.alpha, cfg.gamma]), np.concatenate([cfg.beta, cfg.mu])
+    payoff = np.empty_like(benefit)
+    for k in range(K + M):   # row by row: no temporary the size of the block
+        payoff[k] = w_benefit[k] * benefit[k] - w_charge[k] * charge[k]
+    return share, gain, fee, benefit, charge, payoff
+
+
+def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
+    """The report of each coalition, from one table over all of them.
+
+    Each vehicle's relay probabilities come from _relay_probs over only the
+    columns that hold it, so a batch stays polynomial in the RSU count.
+    """
+    coalitions = [frozenset(S) for S in coalitions]
+    K, n = cfg.K, cfg.n_players
+    member = np.zeros((n, len(coalitions)), dtype=bool)
+    for c, S in enumerate(coalitions):
+        outside = sorted(m for m in S if m not in range(1, n + 1))
+        if outside or not S:
+            raise ValueError(f"players {outside} out of range 1..{n}" if S else "empty coalition")
+        member[[m - 1 for m in S], c] = True
+    q = cfg.enc.T.tolist()
+    pr = np.zeros((K, cfg.M, len(coalitions)))
+    for i in range(K):
+        cols = np.flatnonzero(member[i])
+        pr[i][:, cols] = _relay_probs(q[i], member[K:, cols])
+    share, gain, fee, benefit, charge, payoff = (
+        x.tolist() for x in _table(cfg, member, pr.__getitem__))
+    relay = pr.tolist()
+    reports = []
+    for c, S in enumerate(coalitions):
+        vehicles, rsus = split_members(S, K)
+
+        def col(rows, players):
+            return {m: rows[m - 1][c] for m in players}
+
+        u_veh, u_rsu = col(payoff, vehicles), col(payoff, rsus)
+        total = 0.0
+        for u in (*u_veh.values(), *u_rsu.values()):
+            total += u
+        reports.append(PayoffReport(
+            members=S, share=col(share, vehicles), rate_gain=col(gain, vehicles),
+            fee=col(fee, vehicles),
+            relay_prob={j: {i: relay[i - 1][j - K - 1][c] for i in vehicles} for j in rsus},
+            throughput=col(benefit, vehicles), payment=col(charge, vehicles),
+            revenue=col(benefit, rsus), cost=col(charge, rsus),
+            vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total))
+    return reports
+
+
 def player_payoffs(S, cfg: GameConfig) -> PayoffReport:
-    """Full closed-form report for one coalition, in one pass over its vehicles.
+    """Full closed-form report for one coalition of players 1..n (ValueError
+    when it is empty or holds any other player).
 
     Vehicle payoff: alpha * throughput - beta * payment.
     RSU payoff: gamma * revenue - mu * cost.
     """
-    S = frozenset(S)
-    if not S:
-        raise ValueError("empty coalition")
-    vehicles, rsus = split_members(S, cfg.K)
-    return _assemble(S, vehicles, rsus, [_relay_terms(cfg, i, rsus) for i in vehicles], cfg)
-
-
-def _assemble(S: Coalition, vehicles, rsus: tuple, terms: list, cfg: GameConfig) -> PayoffReport:
-    """The report of coalition S, given `_relay_terms` over `rsus` for each of its vehicles."""
-    idle_outside = [float(1.0 - cfg.p[cfg.vrow(v)]) for v in cfg.vehicles if v not in vehicles]
-    share, gain, fee, thr, pay, u_veh = {}, {}, {}, {}, {}, {}
-    relay, rev, cst = {j: {} for j in rsus}, dict.fromkeys(rsus, 0.0), dict.fromkeys(rsus, 0.0)
-    for i, term in zip(vehicles, terms):
-        s = share[i] = _share(vehicles, i, cfg)
-        probs, gain[i], fee[i], charges = term
-        t = s * (1.0 + gain[i])
-        for idle in idle_outside:
-            t *= idle
-        thr[i] = t
-        pay[i] = s * fee[i]
-        u_veh[i] = float(cfg.alpha[cfg.vrow(i)]) * t - float(cfg.beta[cfg.vrow(i)]) * pay[i]
-        for j, pr, (price, fwd, rcv) in zip(rsus, probs, charges):
-            relay[j][i] = pr
-            rev[j] += s * pr * price
-            cst[j] += s * (fwd * pr + rcv)
-    u_rsu = {j: float(cfg.gamma[cfg.rrow(j)]) * rev[j] - float(cfg.mu[cfg.rrow(j)]) * cst[j]
-             for j in rsus}
-    total = 0.0
-    for u in (*u_veh.values(), *u_rsu.values()):
-        total += u
-    return PayoffReport(
-        members=S, share=share, rate_gain=gain, fee=fee, relay_prob=relay,
-        throughput=thr, payment=pay, revenue=rev, cost=cst,
-        vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total)
+    return _reports([S], cfg)[0]

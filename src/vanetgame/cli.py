@@ -92,7 +92,7 @@ def _resolve_structure(arg, cfg):
     n = cfg.n_players
     if arg is None:
         return (frozenset(range(1, n + 1)),)
-    if arg.strip().isdecimal():   # isdigit() also takes '²', which int() rejects
+    if arg.strip().isascii() and arg.strip().isdecimal():   # int() takes non-ASCII digits too
         if n > _STRUCTURE_ID_MAX_PLAYERS:
             raise ValueError(f"structure ids require at most {_STRUCTURE_ID_MAX_PLAYERS} "
                              "players; pass explicit blocks")

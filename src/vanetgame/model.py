@@ -86,9 +86,6 @@ class GameConfig:
     def rsus(self) -> range:
         return range(self.K + 1, self.K + self.M + 1)
 
-    def is_vehicle(self, player: int) -> bool:
-        return 1 <= player <= self.K
-
     def vrow(self, vehicle: int) -> int:
         """0-based index of a vehicle id into the (K, ...) arrays."""
         return vehicle - 1
@@ -218,10 +215,11 @@ def parse_structure(text: str, n_players: int) -> CoalitionStructure:
         part = part.strip()
         if not part:
             raise ValueError(f"bad structure spec {text!r}: empty coalition")
-        try:
-            members = [int(tok) for tok in part.split(",")]
-        except ValueError:
-            raise ValueError(f"bad structure spec {text!r}: non-integer member") from None
+        tokens = [tok.strip() for tok in part.split(",")]
+        # int() also takes '1_0', '+1' and non-ASCII digits such as '\uff11'
+        if not all(tok.isascii() and tok.isdecimal() for tok in tokens):
+            raise ValueError(f"bad structure spec {text!r}: non-integer member")
+        members = [int(tok) for tok in tokens]
         if len(set(members)) < len(members):
             repeated = min(m for m in members if members.count(m) > 1)
             raise ValueError(f"bad structure spec {text!r}: "

@@ -1,0 +1,84 @@
+"""Readable scalar closed forms for one coalition: the reference that the
+coalition table in vanetgame.analytic is compared against with `==`.
+
+Each quantity is built one player and one RSU at a time, in the order of the
+table's sums and products, so the two agree bit for bit.
+"""
+
+from vanetgame.analytic import PayoffReport
+from vanetgame.model import split_members
+
+
+def _share(vehicles, i, cfg):
+    share = float(cfg.p[cfg.vrow(i)])
+    for v in vehicles:
+        if v < i:
+            share *= 1.0 - cfg.p[cfg.vrow(v)]
+    return float(share)
+
+
+def _choice_prob(q, j):
+    """P(RSU j chosen) = q_j * integral over [0, 1] of prod_{k != j} (1 - q_k + q_k t) dt."""
+    others = q[:j] + q[j + 1:]
+    coef = [1.0] + [0.0] * len(others)   # coef[b] = P(b of the others encountered)
+    for deg, qk in enumerate(others, start=1):
+        idle = 1.0 - qk
+        for b in range(deg, 0, -1):
+            coef[b] = coef[b] * idle + coef[b - 1] * qk
+        coef[0] *= idle
+    bracket = 0.0
+    for b, c in enumerate(coef):
+        bracket += c / (b + 1.0)
+    return q[j] * bracket
+
+
+def relay_choice_probs(q):
+    """P(each RSU relays), given encounter probabilities q: O(m^2) per RSU (Hong 2013)."""
+    q = [float(x) for x in q]
+    return [_choice_prob(q, j) for j in range(len(q))]
+
+
+def _relay_terms(cfg, i, rsus):
+    """(relay-choice vector, rate gain, fee, per-RSU (price, forwarding cost,
+    expected receiving cost)) of vehicle i over the coalition's sorted RSUs."""
+    vi = cfg.vrow(i)
+    rows = [cfg.rrow(j) for j in rsus]
+    probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
+    gain = fee = 0.0
+    for r, pr in zip(rows, probs):
+        gain += pr * cfg.delta[vi, r]
+        fee += pr * cfg.price[r, vi]
+    charges = [(float(cfg.price[r, vi]), float(cfg.cost_fwd[r, vi]),
+                float(cfg.enc[r, vi] * cfg.cost_rcv[r, vi])) for r in rows]
+    return probs, float(gain), float(fee), charges
+
+
+def player_payoffs(S, cfg):
+    """The PayoffReport of coalition S, one vehicle at a time."""
+    S = frozenset(S)
+    vehicles, rsus = split_members(S, cfg.K)
+    idle_outside = [float(1.0 - cfg.p[cfg.vrow(v)]) for v in cfg.vehicles if v not in vehicles]
+    share, gain, fee, thr, pay, u_veh = {}, {}, {}, {}, {}, {}
+    relay, rev, cst = {j: {} for j in rsus}, dict.fromkeys(rsus, 0.0), dict.fromkeys(rsus, 0.0)
+    for i in vehicles:
+        s = share[i] = _share(vehicles, i, cfg)
+        probs, gain[i], fee[i], charges = _relay_terms(cfg, i, rsus)
+        t = s * (1.0 + gain[i])
+        for idle in idle_outside:
+            t *= idle
+        thr[i] = t
+        pay[i] = s * fee[i]
+        u_veh[i] = float(cfg.alpha[cfg.vrow(i)]) * t - float(cfg.beta[cfg.vrow(i)]) * pay[i]
+        for j, pr, (price, fwd, rcv) in zip(rsus, probs, charges):
+            relay[j][i] = pr
+            rev[j] += s * pr * price
+            cst[j] += s * (fwd * pr + rcv)
+    u_rsu = {j: float(cfg.gamma[cfg.rrow(j)]) * rev[j] - float(cfg.mu[cfg.rrow(j)]) * cst[j]
+             for j in rsus}
+    total = 0.0
+    for u in (*u_veh.values(), *u_rsu.values()):
+        total += u
+    return PayoffReport(
+        members=S, share=share, rate_gain=gain, fee=fee, relay_prob=relay,
+        throughput=thr, payment=pay, revenue=rev, cost=cst,
+        vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vanetgame import analysis
+from vanetgame import analysis, analytic
 from vanetgame.configio import load_config
 from vanetgame import (ABS_TOL, canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions, make_config,
@@ -271,18 +271,32 @@ def test_identity_checks_pass_on_default(default_cfg):
         assert res.passed is not False, f"{res.name}: {res.detail}"
 
 
+def test_structure_reports_evaluate_one_table_per_structure(monkeypatch, default_cfg):
+    shapes = []
+    original = analytic._table
+
+    def record(c, member, relay):
+        shapes.append(member.shape)
+        return original(c, member, relay)
+
+    monkeypatch.setattr(analytic, "_table", record)
+    reports = analysis.structure_reports(VEHICLE_PAIR, default_cfg)
+    assert [rep.members for rep in reports] == list(VEHICLE_PAIR)
+    assert shapes == [(4, 3)]   # 4 players, 3 coalitions
+
+
 def test_identity_checks_evaluate_each_coalition_once_per_config(monkeypatch):
     cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
-    evaluated = {}
-    original = analysis.player_payoffs
+    calls = []
+    original = analytic._table
 
-    def once(S, c):
-        key = (frozenset(S), id(c))
-        assert key not in evaluated, f"coalition {sorted(S)} evaluated twice"
-        evaluated[key] = c   # holds c, so its id is not reused by a later config
-        return original(S, c)
+    def record(c, member, relay):
+        columns = [frozenset(np.flatnonzero(col) + 1) for col in member.T.tolist()]
+        assert len(set(columns)) == len(columns), "a coalition evaluated twice in one table"
+        calls.append((c, columns))   # holds c, so its id is not reused by a later config
+        return original(c, member, relay)
 
-    monkeypatch.setattr(analysis, "player_payoffs", once)
+    monkeypatch.setattr(analytic, "_table", record)
     results = analysis.run_identity_checks(cfg)
     assert [r.passed for r in results] == [True] * len(results)
-    assert len({id(c) for c in evaluated.values()}) == 3   # cfg, uniformized, fee-free
+    assert len({id(c) for c, _ in calls}) == len(calls) == 3   # cfg, uniformized, fee-free

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from vanetgame import ABS_TOL, make_config, oracle_relay_mean, player_payoffs
+import reference
+from vanetgame import ABS_TOL, analytic, make_config, oracle_relay_mean, player_payoffs
 from conftest import random_config, random_coalition
 
 
@@ -280,3 +281,22 @@ def test_own_pair_monotonicity_in_encounter_probability():
 def test_empty_coalition_rejected(default_cfg):
     with pytest.raises(ValueError, match="empty"):
         player_payoffs(frozenset(), default_cfg)
+
+
+@pytest.mark.parametrize("members", [{0, 1}, {1, -1}, {1, 7}])
+def test_players_outside_one_to_n_rejected(default_cfg, members):
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        player_payoffs(frozenset(members), default_cfg)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        analytic._reports([frozenset({1, 2}), frozenset(members)], default_cfg)
+
+
+@pytest.mark.parametrize("K, M, batch", [
+    (5, 0, [{1}, {2, 4}, {1, 2, 3, 4, 5}]),   # no RSUs at all
+    (3, 4, [{1, 4, 6}, {3, 5}, {4, 7}, {6}]),   # vehicle 2 in no coalition
+    (2, 3, [{3, 4}, {5}]),   # no vehicle in any coalition
+    (2, 3, []),
+])
+def test_given_coalitions_equal_the_reference(K, M, batch):
+    cfg = random_config(np.random.default_rng(K * 10 + M), k_min=K, k_max=K, m_min=M, m_max=M)
+    assert analytic._reports(batch, cfg) == [reference.player_payoffs(S, cfg) for S in batch]

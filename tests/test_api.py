@@ -1,5 +1,7 @@
-"""Every exported name resolves, and every imported name is used: a stale
-`__all__` entry or an import orphaned by a deletion fails here."""
+"""Every exported name resolves, every imported name is used, and every
+package name the benchmark hooks or imports still exists: a stale `__all__`
+entry, an import orphaned by a deletion, or a refactor that blinds the
+benchmark's layer hooks or its gate fails here."""
 
 import ast
 import importlib
@@ -13,6 +15,7 @@ import vanetgame
 MODULES = ["vanetgame"] + [f"vanetgame.{m.name}"
                            for m in pkgutil.iter_modules(vanetgame.__path__)]
 ROOT = pathlib.Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
 SOURCES = sorted((ROOT / "src" / "vanetgame").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -38,3 +41,24 @@ def test_no_unused_imports(path):
                 for elt in node.value.elts)
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _perfbench_names():
+    """(module, name) of every perfbench tracer boundary and of every name that a
+    `from vanetgame... import` statement in perfbench/*.py imports."""
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES"
+                                                for t in node.targets):
+            for _, module, attr, _ in ast.literal_eval(node.value):
+                yield module, attr
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vanetgame"):
+                yield from ((node.module, alias.name) for alias in node.names)
+
+
+@pytest.mark.parametrize("module, name", sorted(set(_perfbench_names())),
+                         ids=lambda value: value)
+def test_every_name_perfbench_uses_resolves(module, name):
+    if not hasattr(importlib.import_module(module), name):
+        importlib.import_module(f"{module}.{name}")   # a submodule, such as vanetgame._kernels

@@ -117,6 +117,35 @@ def test_monte_carlo_csv_matches_frozen_hash(capsys, command):
     assert hashlib.sha256(data).hexdigest() == MONTE_CARLO_SHA256[command]
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+# sha256 of payoffs CSVs, frozen from the scalar closed forms that evaluated
+# one coalition at a time; {data} is the tests/data directory
+PAYOFFS_SHA256 = {
+    "payoffs":
+        "62e85c68798e526375413725274b9ff8b2f4e84b9165f42bc7a5a956f3edc5c6",
+    "payoffs --config {data}/core_k4m8.json":
+        "33c3a37dd2431a0c988b1444add12ae834a9e0abdf95b6fca264c31c049b8855",
+    "payoffs --config {data}/core_k4m8.json --structure 1|2|3|4|5|6|7|8|9|10|11|12":
+        "48a3e48b956553d4c7744bab0ad5f6fc3041a478cbecc96d8bf41a5eada09de6",
+    "payoffs --config {data}/core_k3m4_edges.json":
+        "dd79d94ea26a92170a83a3595ebaea6fb193e8c70fd8235c3a74b49c1c1c6e40",
+    "payoffs --config {data}/core_k3m4_edges.json --structure 1,4,5|2,6|3,7":
+        "49b7a672986ccc29b220cc5eef191e61ea8d70f697ca965c0e3b640376846e97",
+    "payoffs --config {data}/core_k5m0.json":
+        "c3747a7f2bd70a4bc1d78f8cecb25d54a37e73a7dbbacb39691b71b94dcd0cf3",
+    "payoffs --d-sweep 0.1,0.3,0.5 --structure 1,3|2,4":
+        "dc221ea966c9bf5aa5adf52ce7af2340c705cb55c9c3c55d9dfaea704984983d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAYOFFS_SHA256))
+def test_payoffs_csv_matches_frozen_hash(capsys, command):
+    assert main(command.replace("{data}", str(DATA)).split()) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == PAYOFFS_SHA256[command]
+
+
 def test_payoffs_all_singletons(capsys):
     assert main(["payoffs", "--structure", "1|2|3|4"]) == 0
     out = capsys.readouterr().out
@@ -425,6 +454,10 @@ def test_bad_structure_spec_exits_3(tmp_path, capsys):
         ("1,2|9", None, "player 9 out of range 1..4"),
         ("\u00b2", None, "non-integer member"),   # a digit that int() rejects
         ("\u00b2", (7, 6), "non-integer member"),
+        ("1_0|1,2,3,4,5,6,7,8,9", (4, 6), "non-integer member"),   # int() takes these
+        ("+1,2|3,4", None, "non-integer member"),
+        ("\uff11,2|3,4", None, "non-integer member"),
+        ("\uff11", None, "non-integer member"),   # not a structure id either
     ]:
         config = [] if players is None else ["--config", _scalar_config(tmp_path, *players)]
         assert main(["payoffs", *config, "--structure", spec]) == 3, (spec, players)

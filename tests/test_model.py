@@ -209,3 +209,7 @@ def test_structure_parsing_rejects_bad_specs():
         parse_structure("1,2|3,4,5", 4)
     with pytest.raises(ValueError, match="non-integer"):
         parse_structure("1,x|3,4", 4)
+    # int() takes each of these as a player
+    for spec, n in [("1_0|1,2,3,4,5,6,7,8,9", 10), ("+1,2|3,4", 4), ("\uff11,2|3,4", 4)]:
+        with pytest.raises(ValueError, match="non-integer member"):
+            parse_structure(spec, n)

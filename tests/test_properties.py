@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanetgame import analysis, geometry
+import reference
+from vanetgame import analysis, analytic, geometry
 from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
                        oracle_relay_mean, player_payoffs, relay_choice_probs, simulate_slots,
                        stability_verdict, structure_payoffs)
@@ -64,6 +65,7 @@ def test_relay_choice_probs_match_brute_force(q):
     rsus = range(2, M + 2)
     _, chosen = oracle_relay_mean(frozenset(range(1, M + 2)), 1, dict.fromkeys(rsus, 1.0), cfg)
     probs = relay_choice_probs(q)
+    assert probs == reference.relay_choice_probs(q)
     assert len(probs) == M
     for pr, j in zip(probs, rsus):
         assert abs(pr - chosen[j]) <= ABS_TOL
@@ -89,11 +91,11 @@ def test_payments_equal_revenues_in_every_coalition(cfg):
 def _reference_analysis(cfg):
     """Conditions 2 and 3 and the smallest blocker straight from the definitions."""
     n = cfg.n_players
-    grand = player_payoffs(frozenset(range(1, n + 1)), cfg)
+    grand = reference.player_payoffs(frozenset(range(1, n + 1)), cfg)
     gain = preference = None
     blockers = []
     for S in _coalitions(n):
-        rep = player_payoffs(S, cfg)
+        rep = reference.player_payoffs(S, cfg)
         members = sorted(S)
         if len(S) < n:
             if gain is None and any(m <= cfg.K for m in members):
@@ -132,30 +134,52 @@ def test_fused_verdict_matches_separate_analyses(cfg):
     assert verdict.membership.in_core == (blocker is None)
 
 
-def _assert_table_equals_player_payoffs(cfg):
-    """Every member entry of the sweep's payoff table == player_payoffs, exactly."""
-    n, nxt = cfg.n_players, 0
-    for masks, member, benefit, charge, payoff in analysis._payoff_table(cfg):
-        assert masks.tolist() == list(range(nxt, nxt + len(masks)))
-        nxt += len(masks)
-        for k, mask in enumerate(masks.tolist()):
+def _sweep_tables(cfg):
+    """(member, table) of every block of the core sweep, in order."""
+    blocks = []
+
+    def record(c, member, relay):
+        blocks.append((member, analytic._table(c, member, relay)))
+        return blocks[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_table", record)
+        grand = structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
+        analysis._sweep(cfg, grand, grand)
+    return blocks
+
+
+def _assert_table_equals_reference(cfg, one_by_one=False):
+    """Every report of a batch of all coalitions, each one-coalition report with
+    one_by_one, and every member entry of the sweep's table == the scalar
+    reference, exactly."""
+    n, K = cfg.n_players, cfg.K
+    coalitions = list(_coalitions(n))
+    want = [reference.player_payoffs(S, cfg) for S in coalitions]
+    assert analytic._reports(coalitions, cfg) == want
+    if one_by_one:
+        assert [player_payoffs(S, cfg) for S in coalitions] == want
+    mask = 0   # the sweep's blocks cover masks 0 .. 2^n - 1 in ascending order
+    for member, table in _sweep_tables(cfg):
+        for k in range(member.shape[1]):
             S = frozenset(m + 1 for m in range(n) if mask >> m & 1)
             assert [m + 1 for m in np.flatnonzero(member[:, k])] == sorted(S)
-            if not S:
-                continue
-            rep = player_payoffs(S, cfg)
             for m in S:
-                want = ((rep.throughput[m], rep.payment[m], rep.vehicle_payoff[m]) if m <= cfg.K
-                        else (rep.revenue[m], rep.cost[m], rep.rsu_payoff[m]))
-                assert (benefit[m - 1, k], charge[m - 1, k], payoff[m - 1, k]) == want, (
-                    sorted(S), m)
-    assert nxt == 1 << n
+                got = tuple(row[m - 1, k] for row in (table if m <= K else table[3:]))
+                rep = want[mask - 1]
+                if m <= K:
+                    assert got == (rep.share[m], rep.rate_gain[m], rep.fee[m], rep.throughput[m],
+                                   rep.payment[m], rep.vehicle_payoff[m]), (sorted(S), m)
+                else:
+                    assert got == (rep.revenue[m], rep.cost[m], rep.rsu_payoff[m]), (sorted(S), m)
+            mask += 1
+    assert mask == 1 << n
 
 
 @settings(max_examples=60, deadline=None)
 @given(configs())
 def test_payoff_table_equals_player_payoffs(cfg):
-    _assert_table_equals_player_payoffs(cfg)
+    _assert_table_equals_reference(cfg, one_by_one=True)
 
 
 @pytest.mark.parametrize("K, M, edges", [(1, 9, False), (4, 0, False), (4, 6, False),
@@ -174,8 +198,8 @@ def test_payoff_table_equals_player_payoffs_up_to_ten_players(K, M, edges, block
     with pytest.MonkeyPatch.context() as mp:
         if blocks:
             mp.setattr(analysis, "_BLOCK_MASKS", blocks[0])
-            mp.setattr(analysis, "_COEF_BITS", blocks[1])
-        _assert_table_equals_player_payoffs(cfg)
+            mp.setattr(analytic, "_COEF_BITS", blocks[1])
+        _assert_table_equals_reference(cfg)
 
 
 @st.composite
