@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -44,6 +45,7 @@ def _sweep(text: str) -> tuple:
     return values
 
 
+@functools.cache   # argparse objects hold reference cycles: build them once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanetgame",

@@ -243,38 +243,12 @@ def _blocks_of(labels) -> CoalitionStructure:
     return tuple(frozenset(b) for b in blocks)
 
 
-def _walk(n_players: int):
-    """Every set partition of {1..n} once, in canonical order, as one in-place list.
-
-    Player m joins each existing block in turn, then opens a new one:
-    lexicographic restricted-growth order (Knuth, TAOCP 7.2.1.5), from {1..n}
-    to all singletons, blocks ordered by smallest member, members ascending.
-    Every step yields the same list of each block's members, updated in
-    place; readers copy what they keep.
-    """
+def iter_partitions(n_players: int):
+    """Lazily yield every set partition of {1..n}, each once, in canonical order."""
     n = int(n_players)
     if n < 1:
         raise ValueError("need at least one player to partition")
-    blocks: list[list[int]] = []
-
-    def place(m):
-        if m > n:
-            yield blocks
-            return
-        for block in blocks:
-            block.append(m)
-            yield from place(m + 1)
-            block.pop()
-        blocks.append([m])
-        yield from place(m + 1)
-        blocks.pop()
-
-    return place(1)
-
-
-def iter_partitions(n_players: int):
-    """Lazily yield every set partition of {1..n}, each once, in canonical order."""
-    return (tuple(frozenset(b) for b in blocks) for blocks in _walk(n_players))
+    return (_blocks_of(row.tolist()) for labels in _label_blocks(n) for row in labels)
 
 
 def _label_blocks(n: int):
@@ -283,7 +257,8 @@ def _label_blocks(n: int):
     Column i holds the block of player i + 1, blocks numbered by smallest
     member, and rows come in lexicographic order, the canonical one. Rows grow
     one player at a time, each into one child per label in use and one with a
-    new label, depth first and at most _BLOCK_ROWS children at a time.
+    new label, depth first and at most _BLOCK_ROWS children at a time. Labels
+    are int8 up to 128 players and the smallest wider signed type beyond.
     """
     def expand(labels):
         size = labels.shape[1]
@@ -294,7 +269,7 @@ def _label_blocks(n: int):
         for start in range(0, labels.shape[0], step):
             yield from expand(_children(labels[start:start + step]))
 
-    return expand(np.zeros((1, 1), np.int8))
+    return expand(np.zeros((1, 1), np.min_scalar_type(-n)))
 
 
 def _children(labels):
@@ -302,7 +277,7 @@ def _children(labels):
     width = labels.max(axis=1).astype(np.int64) + 2
     parent = np.repeat(np.arange(labels.shape[0]), width)
     label = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
-    return np.column_stack((labels[parent], label.astype(np.int8)))
+    return np.column_stack((labels[parent], label.astype(labels.dtype)))
 
 
 def _digits(values, width: int):

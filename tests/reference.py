@@ -1,8 +1,12 @@
-"""Readable scalar closed forms for one coalition: the reference that the
-coalition table in vanetgame.analytic is compared against with `==`.
+"""Readable references that the production paths are compared against.
 
-Each quantity is built one player and one RSU at a time, in the order of the
+The scalar closed forms for one coalition are the reference that the
+coalition table in vanetgame.analytic is compared against with `==`. Each
+quantity is built one player and one RSU at a time, in the order of the
 table's sums and products, so the two agree bit for bit.
+
+`partitions` is a recursive list walker over set partitions, independent of
+the numpy label rows that vanetgame.model generates them from.
 """
 
 from vanetgame.analytic import PayoffReport
@@ -82,3 +86,27 @@ def player_payoffs(S, cfg):
         members=S, share=share, rate_gain=gain, fee=fee, relay_prob=relay,
         throughput=thr, payment=pay, revenue=rev, cost=cst,
         vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total)
+
+
+def partitions(n):
+    """Every set partition of {1..n} once, in canonical order, lazily.
+
+    Player m joins each existing block in turn, then opens a new one:
+    lexicographic restricted-growth order (Knuth, TAOCP 7.2.1.5), from {1..n}
+    to all singletons, blocks ordered by smallest member.
+    """
+    blocks = []
+
+    def place(m):
+        if m > n:
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        for block in blocks:
+            block.append(m)
+            yield from place(m + 1)
+            block.pop()
+        blocks.append([m])
+        yield from place(m + 1)
+        blocks.pop()
+
+    return place(1)

@@ -1,12 +1,14 @@
 """Every exported name resolves, every imported name is used, and every
-package name the benchmark hooks or imports still exists: a stale `__all__`
-entry, an import orphaned by a deletion, or a refactor that blinds the
-benchmark's layer hooks or its gate fails here."""
+package name the benchmark hooks or imports, or the README names, still
+exists: a stale `__all__` entry, an import orphaned by a deletion, a refactor
+that blinds the benchmark's layer hooks or its gate, or a README left naming
+a deleted internal fails here."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -62,3 +64,22 @@ def _perfbench_names():
 def test_every_name_perfbench_uses_resolves(module, name):
     if not hasattr(importlib.import_module(module), name):
         importlib.import_module(f"{module}.{name}")   # a submodule, such as vanetgame._kernels
+
+
+def _readme_names():
+    """(module, name) of every backticked `module.name` in README.md's prose whose
+    module is a vanetgame module, and (None, name) of every bare private `_name`."""
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    for module, name in re.findall(r"`(?:(\w+)\.)?(\w+)`", prose):
+        if f"vanetgame.{module}" in MODULES:
+            yield f"vanetgame.{module}", name
+        elif not module and name.startswith("_"):
+            yield None, name
+
+
+@pytest.mark.parametrize("module, name", sorted(set(_readme_names()), key=str),
+                         ids=lambda value: value or "any")
+def test_every_name_readme_names_exists(module, name):
+    modules = [importlib.import_module(m) for m in ([module] if module else MODULES)]
+    assert any(hasattr(m, name) for m in modules), \
+        f"README.md names `{name}`, which no module in {module or 'vanetgame'} defines"

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -312,6 +313,23 @@ def test_readme_quick_start_commands_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+@pytest.mark.parametrize("command", [["core"], ["payoffs"]])
+def test_repeated_commands_leave_no_argparse_cycles(capsys, command):
+    main(command)   # the first call may build the parser
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(command)
+        gc.collect()
+        cyclic = [obj for obj in gc.garbage if getattr(obj, "__module__", None) == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not cyclic, f"{len(cyclic)} argparse objects left in reference cycles"
 
 
 def test_invalid_config_exits_3(tmp_path, capsys):

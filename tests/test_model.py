@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import io
+from itertools import islice
 
 import numpy as np
 import pytest
 
+import reference
 from vanetgame import (ConfigError, GameConfig, bell_number, canonical_structure,
                        check_structure, enumerate_partitions, format_structure, iter_partitions,
                        make_config, model, normalize_structure, parse_structure,
@@ -60,17 +62,24 @@ def test_partition_order_is_deterministic_and_canonical():
 
 
 def test_iter_partitions_is_lazy_and_matches_the_list():
-    gen = iter_partitions(12)
-    assert next(gen) == (frozenset(range(1, 13)),)
-    for n in range(1, 7):
-        assert list(iter_partitions(n)) == enumerate_partitions(n)
+    gen = iter_partitions(20)   # Bell(20) is about 5e13: only a lazy generator returns
+    assert next(gen) == (frozenset(range(1, 21)),)
+    assert next(gen) == (frozenset(range(1, 20)), frozenset({20}))
+    for n in range(1, 10):
+        assert enumerate_partitions(n) == list(reference.partitions(n)), n
+
+
+@pytest.mark.parametrize("n", [12, 130])
+def test_check_prefix_matches_the_reference_walker(n):
+    # `check` reads the first 64 partitions for any n, past the 127-player CSV bound too
+    assert list(islice(iter_partitions(n), 64)) == list(islice(reference.partitions(n), 64))
 
 
 def csv_body(n, K):
     """The enumerate CSV body written row by row with csv.writer from the partitions."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for idx, cs in enumerate(enumerate_partitions(n), start=1):
+    for idx, cs in enumerate(reference.partitions(n), start=1):
         writer.writerow((idx, format_structure(cs), format_structure(normalize_structure(cs, K)),
                          len(cs)))
     return buf.getvalue()
@@ -91,17 +100,17 @@ def test_structure_rows_cross_block_boundaries(monkeypatch, block_rows):
         # whole rows only, and at most one row's extensions past the cap
         assert all(b.endswith("\n") and b.count("\n") <= max(block_rows, n) for b in blocks)
         assert "".join(blocks) == csv_body(n, K), (n, K)
+        assert list(iter_partitions(n)) == list(reference.partitions(n)), n
 
 
 def test_unrank_matches_enumeration_for_every_id():
     for n in range(1, 9):
-        parts = enumerate_partitions(n)
-        for idx, cs in enumerate(parts, start=1):
+        for idx, cs in enumerate(reference.partitions(n), start=1):
             assert unrank_partition(n, idx) == cs
 
 
 def test_unrank_matches_enumeration_on_seeded_ids_at_ten_players():
-    parts = enumerate_partitions(10)
+    parts = list(reference.partitions(10))
     rng = np.random.default_rng(20240808)
     ids = [1, 2, len(parts) - 1, len(parts)] + [int(v) for v in rng.integers(1, len(parts) + 1, 40)]
     for idx in ids:
@@ -119,8 +128,11 @@ def test_single_player_partition():
 
 
 def test_zero_players_rejected():
-    with pytest.raises(ValueError):
-        enumerate_partitions(0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least one player"):
+            iter_partitions(bad)   # on the call, before the first partition
+        with pytest.raises(ValueError, match="at least one player"):
+            enumerate_partitions(bad)
 
 
 def test_normalize_splits_rsu_only_blocks():
