@@ -183,7 +183,7 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     coalition's payoff vector, and the lexicographically smallest sorted
     member tuple of a coalition whose every member earns strictly more than x.
     """
-    K, M, n = cfg.K, cfg.M, cfg.n_players
+    K, n = cfg.K, cfg.n_players
     grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
     gain_witness = preference_witness = best = None
     q = cfg.enc.T.tolist()
@@ -194,8 +194,8 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
         member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
         rsu_set = masks >> K
 
-        def relay(i):   # P(t relays i | coalition RSUs)
-            return (q[i][t] * h[i][rsu_set & ~(1 << t)] for t in range(M))
+        def relay(i, t):   # P(t relays i | coalition RSUs)
+            return q[i][t] * h[i][rsu_set & ~(1 << t)]
         payoff = _table(cfg, member, relay)[-1]   # the rest is freed before the next block
         proper = masks != (1 << n) - 1
         if gain_witness is None:

@@ -36,6 +36,8 @@ __all__ = [
 ABS_TOL = 1e-12
 
 _ORACLE_MAX_RSUS = 20
+# RSUs whose encounter sets one block of oracle_relay_mean enumerates at once
+_ORACLE_BLOCK_BITS = 12
 # Low RSUs whose subsets share one block of Poisson-binomial coefficients in _brackets
 _COEF_BITS = 10
 
@@ -107,37 +109,35 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     Enumerates all 2^(#RSUs) encounter sets directly and, inside each set,
     averages over the uniform relay choices. Returns the expected weight and
     the per-RSU probability of being the chosen relay. Kept deliberately
-    independent of relay_choice_probs and player_payoffs.
+    independent of relay_choice_probs and player_payoffs. Sets come in ascending
+    mask order, at most 2^_ORACLE_BLOCK_BITS at a time; every product and sum
+    runs in ascending RSU and mask order (accumulate, never a pairwise sum).
     """
     if i not in cfg.vehicles or i not in S:
         raise ValueError(f"player {i} is not a vehicle member of coalition {sorted(S)}")
     _, rsus = split_members(S, cfg.K)
-    q = [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]
     if len(rsus) > _ORACLE_MAX_RSUS:
         raise ValueError(f"enumeration bound exceeded: {len(rsus)} RSUs > {_ORACLE_MAX_RSUS}")
-    w = [float(weights[j]) for j in rsus]
     n = len(rsus)
-    value = 0.0
-    chosen = {j: 0.0 for j in rsus}
-    for mask in range(1 << n):
-        prob = 1.0
-        members = []
-        for k in range(n):
-            if mask >> k & 1:
-                prob *= q[k]
-                members.append(k)
-            else:
-                prob *= 1.0 - q[k]
-        if not members:
-            continue
-        size = len(members)
-        wsum = 0.0
-        for k in members:
-            wsum += w[k]
-        value += prob * wsum / size
-        for k in members:
-            chosen[rsus[k]] += prob / size
-    return value, chosen
+    # row 0 is a slot that no set holds, so each accumulation starts from 1.0 or 0.0
+    q = np.array([0.0] + [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]).reshape(n + 1, 1)
+    w = np.array([0.0] + [float(weights[j]) for j in rsus]).reshape(n + 1, 1)
+    idle = 1.0 - q
+    flags = np.array([0] + [1 << k for k in range(n)]).reshape(n + 1, 1)
+    block = 1 << min(n, _ORACLE_BLOCK_BITS)
+    value, chosen = 0.0, np.zeros(n + 1)
+    for start in range(0, 1 << n, block):
+        bit = np.arange(start, start + block) & flags != 0
+        prob = np.multiply.accumulate(np.where(bit, q, idle))[-1]
+        wsum = np.add.accumulate(np.where(bit, w, 0.0))[-1]
+        size = np.maximum(bit.sum(axis=0), 1)   # the empty set adds prob * 0.0 / 1
+        terms = prob * wsum / size
+        terms[0] += value   # the carry from the masks before this block
+        value = np.add.accumulate(terms)[-1]
+        terms = np.where(bit, prob / size, 0.0)
+        terms[:, 0] += chosen
+        chosen = np.add.accumulate(terms, axis=1)[:, -1]
+    return float(value), dict(zip(rsus, chosen[1:].tolist()))
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,14 @@ class PayoffReport:
 def _table(cfg: GameConfig, member: np.ndarray, relay):
     """The closed forms of every column of member (players x coalitions, bool).
 
-    relay(i) yields, for RSU t = 0..M-1 in turn, the probability per column
-    that RSU t relays vehicle i given the column's RSUs. Returns (share,
-    rate_gain, fee) with a row per vehicle and (benefit, charge, payoff) with a
-    row per player: throughput and payment for a vehicle, revenue and cost for
-    an RSU. Entries of non-members mean nothing. Every sum and product runs
-    over players in ascending id (np.where for skipped terms), so each entry is
-    one fixed sequence of float operations, whatever the batch.
+    relay(i, t) is the probability per column that RSU t relays vehicle i
+    given the column's RSUs; it is asked only for RSUs that share a column with
+    i. Returns (share, rate_gain, fee) with a row per vehicle and (benefit,
+    charge, payoff) with a row per player: throughput and payment for a
+    vehicle, revenue and cost for an RSU. Entries of non-members mean nothing.
+    Every sum and product runs over players in ascending id (np.where for
+    skipped terms), so each entry is one fixed sequence of float operations,
+    whatever the batch.
     """
     K, M = cfg.K, cfg.M
     size = member.shape[1]
@@ -193,8 +194,8 @@ def _table(cfg: GameConfig, member: np.ndarray, relay):
         for v in range(i):
             s = np.where(member[v], s * (1.0 - cfg.p[v]), s)
         g = f = np.zeros(size)
-        for t, pr in enumerate(relay(i)):
-            r, rev, cst = member[K + t], benefit[K + t], charge[K + t]
+        for t in np.flatnonzero((member[K:] & member[i]).any(axis=1)):   # RSUs held with i
+            pr, r, rev, cst = relay(i, t), member[K + t], benefit[K + t], charge[K + t]
             g = np.where(r, g + pr * cfg.delta[i, t], g)
             f = np.where(r, f + pr * cfg.price[t, i], f)
             rcv = float(cfg.enc[t, i] * cfg.cost_rcv[t, i])
@@ -231,7 +232,7 @@ def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
         cols = np.flatnonzero(member[i])
         pr[i][:, cols] = _relay_probs(q[i], member[K:, cols])
     share, gain, fee, benefit, charge, payoff = (
-        x.tolist() for x in _table(cfg, member, pr.__getitem__))
+        x.tolist() for x in _table(cfg, member, lambda i, t: pr[i, t]))
     relay = pr.tolist()
     reports = []
     for c, S in enumerate(coalitions):

@@ -5,6 +5,10 @@ coalition table in vanetgame.analytic is compared against with `==`. Each
 quantity is built one player and one RSU at a time, in the order of the
 table's sums and products, so the two agree bit for bit.
 
+`oracle_relay_mean` is the brute-force relay oracle as a plain double loop
+over the encounter sets, the reference for the numpy enumeration in
+vanetgame.analytic.
+
 `partitions` is a recursive list walker over set partitions, independent of
 the numpy label rows that vanetgame.model generates them from.
 """
@@ -86,6 +90,36 @@ def player_payoffs(S, cfg):
         members=S, share=share, rate_gain=gain, fee=fee, relay_prob=relay,
         throughput=thr, payment=pay, revenue=rev, cost=cst,
         vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total)
+
+
+def oracle_relay_mean(S, i, weights, cfg):
+    """(expected weight, {RSU: P(chosen)}) of vehicle i's uniform relay pick,
+    one encounter set at a time in ascending mask order."""
+    _, rsus = split_members(S, cfg.K)
+    q = [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]
+    w = [float(weights[j]) for j in rsus]
+    n = len(rsus)
+    value = 0.0
+    chosen = {j: 0.0 for j in rsus}
+    for mask in range(1 << n):
+        prob = 1.0
+        members = []
+        for k in range(n):
+            if mask >> k & 1:
+                prob *= q[k]
+                members.append(k)
+            else:
+                prob *= 1.0 - q[k]
+        if not members:
+            continue
+        size = len(members)
+        wsum = 0.0
+        for k in members:
+            wsum += w[k]
+        value += prob * wsum / size
+        for k in members:
+            chosen[rsus[k]] += prob / size
+    return value, chosen
 
 
 def partitions(n):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,30 @@ def test_oracle_enumeration_bound():
     S = frozenset(range(1, 23))
     with pytest.raises(ValueError, match="enumeration bound"):
         oracle_relay_mean(S, 1, {j: 1.0 for j in range(2, 23)}, cfg)
+
+
+def test_oracle_carries_sums_across_blocks(monkeypatch):
+    # 2^14 encounter sets in 2,048 blocks of 8: every running sum crosses a block
+    rng = np.random.default_rng(14)
+    M = 14
+    enc = np.where(rng.random(M) < 0.4, rng.choice([0.0, 0.5, 1.0], M), rng.random(M))
+    cfg = make_config(1, M, p=0.5, enc=enc.reshape(M, 1), delta=0.5, price=1.0,
+                      cost_fwd=0.0, cost_rcv=0.0)
+    S, weights = frozenset(range(1, M + 2)), dict(zip(range(2, M + 2), rng.random(M).tolist()))
+    monkeypatch.setattr(analytic, "_ORACLE_BLOCK_BITS", 3)
+    assert oracle_relay_mean(S, 1, weights, cfg) == reference.oracle_relay_mean(S, 1, weights, cfg)
+
+
+def test_oracle_memory_is_bounded_at_twenty_rsus():
+    cfg = make_config(1, 20, p=0.5, enc=0.5, delta=0.5, price=1.0,
+                      cost_fwd=0.0, cost_rcv=0.0)
+    tracemalloc.start()
+    try:
+        oracle_relay_mean(frozenset(range(1, 22)), 1, dict.fromkeys(range(2, 22), 1.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_throughput_singleton(default_cfg):

@@ -83,3 +83,14 @@ def test_every_name_readme_names_exists(module, name):
     modules = [importlib.import_module(m) for m in ([module] if module else MODULES)]
     assert any(hasattr(m, name) for m in modules), \
         f"README.md names `{name}`, which no module in {module or 'vanetgame'} defines"
+
+
+def test_oracle_names_no_fast_path():
+    """The brute-force relay oracle stays independent of the closed forms it checks."""
+    tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())
+    oracle, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "oracle_relay_mean")
+    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    fast = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_reports"}
+    assert not named & fast, f"oracle_relay_mean names fast-path helpers {sorted(named & fast)}"

@@ -43,7 +43,8 @@ def test_core_stdout_of_default_config_is_byte_identical(capsys):
     assert _stdout("core", "default", capsys) == (DATA / "core_default.golden.txt").read_text()
 
 
-@pytest.mark.parametrize("name", ["default", "k4m8", "k4m8_blocked"])
+@pytest.mark.parametrize("name", ["default", "k4m8", "k4m8_blocked", "k3m4_edges", "k3m4_gain",
+                                  "k5m0"])
 def test_check_stdout_is_byte_identical(name, capsys):
     assert _stdout("check", name, capsys) == (DATA / f"check_{name}.golden.txt").read_text()
 

@@ -71,6 +71,22 @@ def test_relay_choice_probs_match_brute_force(q):
         assert abs(pr - chosen[j]) <= ABS_TOL
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda M: st.tuples(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+             min_size=M, max_size=M),
+    st.lists(st.floats(-10.0, 10.0), min_size=M, max_size=M))))
+def test_oracle_equals_reference_loop(case):
+    q, w = case
+    M = len(q)
+    cfg = make_config(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
+                      delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
+    S, weights = frozenset(range(1, M + 2)), dict(zip(range(2, M + 2), w))
+    got = oracle_relay_mean(S, 1, weights, cfg)
+    assert type(got[0]) is float and got == reference.oracle_relay_mean(S, 1, weights, cfg)
+
+
 def test_relay_choice_probs_edges():
     assert relay_choice_probs([]) == []
     assert relay_choice_probs([0.0, 0.0]) == [0.0, 0.0]
