@@ -82,30 +82,17 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
     negative = [i for i in vehicles if cfg.alpha[cfg.vrow(i)] < 0.0]
     if negative:
         raise ValueError(f"negative throughput weight for players {negative}")
-    out = {}
-    for member in vehicles:
-        ratio = 1.0
-        for v in vehicles:
-            if v > member:
-                ratio *= 1.0 - cfg.p[cfg.vrow(v)]
-        out[member] = ratio <= 1.0 + ABS_TOL
+    return {member: bool(_idle(cfg.p[cfg.vrow(v)] for v in vehicles if v > member)
+                         <= 1.0 + ABS_TOL)
+            for member in vehicles}
+
+
+def _idle(rates) -> float:
+    """Product of (1 - rate) over rates, from 1.0 in the order given."""
+    out = 1.0
+    for rate in rates:
+        out *= 1.0 - rate
     return out
-
-
-def _without_fees(cfg: GameConfig) -> GameConfig:
-    return dataclasses.replace(cfg, price=np.zeros_like(cfg.price))
-
-
-def _pricing_residual(rep: PayoffReport, rep0: PayoffReport) -> float:
-    """Larger of the sum-payoff change at zero prices (rep0) and the
-    payment/revenue imbalance of one coalition's report."""
-    paid = 0.0
-    for u in rep.payment.values():
-        paid += u
-    earned = 0.0
-    for u in rep.revenue.values():
-        earned += u
-    return max(abs(rep.total_payoff - rep0.total_payoff), abs(paid - earned))
 
 
 @dataclass(frozen=True)
@@ -322,13 +309,25 @@ def _uniformized(cfg: GameConfig) -> GameConfig:
     return dataclasses.replace(cfg, delta=delta, price=price)
 
 
+def _gap(pairs) -> float:
+    """Largest |a - b| over the (a, b) pairs an identity equates; 0.0 for none."""
+    return max(itertools.chain((0.0,), (abs(a - b) for a, b in pairs)))
+
+
+def _balance(rep: PayoffReport) -> tuple:
+    """(vehicle payments, RSU revenues) of one coalition, each summed in ascending id."""
+    return (sum(rep.payment[i] for i in sorted(rep.payment)),
+            sum(rep.revenue[j] for j in sorted(rep.revenue)))
+
+
 def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
     Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
     players in canonical order (every partition when there are at most that
-    many) and reports one result per identity. Used by the CLI `check`
-    subcommand.
+    many) and reports one result per identity. A residual identity yields the
+    pairs it equates per coalition; its result is the largest gap and the first
+    coalition that reaches it. Used by the CLI `check` subcommand.
     """
     n = cfg.n_players
     partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
@@ -340,108 +339,71 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     reports = dict(zip(evaluated, _reports(evaluated, cfg)))
     uni_reports = dict(zip(coalitions, _reports(coalitions, uni)))
 
-    results: list[CheckResult] = []
+    def share_sum(S, rep, vehicles, rsus):
+        if vehicles:
+            yield (sum(rep.share[i] for i in vehicles),
+                   1.0 - _idle(cfg.p[cfg.vrow(i)] for i in vehicles))
 
-    def run(name, fn):
-        worst = 0.0
-        where = ""
-        for S in coalitions:
-            r = fn(S, reports[S])
-            if r is None:
-                continue
-            if r > worst:
-                worst, where = r, f" (coalition {sorted(S)})"
-        results.append(CheckResult(name, worst <= ABS_TOL,
-                                   f"max residual {worst:.3e}{where}"))
+    def relay_row_sum(S, rep, vehicles, rsus):
+        for i in vehicles if rsus else ():
+            yield (sum(rep.relay_prob[j][i] for j in rsus),
+                   1.0 - _idle(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
 
-    def share_sum(S, rep):
-        vehicles, _ = split_members(S, cfg.K)
-        if not vehicles:
-            return None
-        total = sum(rep.share[i] for i in vehicles)
-        miss = 1.0
-        for i in vehicles:
-            miss *= 1.0 - cfg.p[cfg.vrow(i)]
-        return abs(total - (1.0 - miss))
+    def mean_vs_relay_prob(S, rep, vehicles, rsus):
+        for i in vehicles if rsus else ():
+            yield rep.fee[i], sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
+                                  for j in rsus)
+            yield rep.rate_gain[i], sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
+                                        for j in rsus)
 
-    def relay_row_sum(S, rep):
-        vehicles, rsus = split_members(S, cfg.K)
-        if not vehicles or not rsus:
-            return None
-        worst = 0.0
-        for i in vehicles:
-            total = sum(rep.relay_prob[j][i] for j in rsus)
-            none = 1.0
-            for j in rsus:
-                none *= 1.0 - cfg.enc[cfg.rrow(j), cfg.vrow(i)]
-            worst = max(worst, abs(total - (1.0 - none)))
-        return worst
+    def payment_balance(S, rep, vehicles, rsus):
+        yield _balance(rep)
 
-    def mean_vs_relay_prob(S, rep):
-        vehicles, rsus = split_members(S, cfg.K)
-        if not vehicles or not rsus:
-            return None
-        worst = 0.0
-        for i in vehicles:
-            fee_sum = sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
-                          for j in rsus)
-            gain_sum = sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
-                           for j in rsus)
-            worst = max(worst, abs(rep.fee[i] - fee_sum), abs(rep.rate_gain[i] - gain_sum))
-        return worst
-
-    def payment_balance(S, rep):
-        paid = sum(rep.payment[i] for i in sorted(rep.payment))
-        earned = sum(rep.revenue[j] for j in sorted(rep.revenue))
-        return abs(paid - earned)
-
-    def oracle_agreement(S, rep):
-        vehicles, rsus = split_members(S, cfg.K)
-        if not vehicles or not rsus or len(rsus) > 12:
-            return None
-        worst = 0.0
-        for i in vehicles:
+    def oracle_agreement(S, rep, vehicles, rsus):
+        for i in vehicles if rsus and len(rsus) <= 12 else ():
             weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
             value, chosen = oracle_relay_mean(S, i, weights, cfg)
-            worst = max(worst, abs(value - rep.rate_gain[i]))
+            yield value, rep.rate_gain[i]
             for j in rsus:
-                worst = max(worst, abs(chosen[j] - rep.relay_prob[j][i]))
-        return worst
+                yield chosen[j], rep.relay_prob[j][i]
 
-    def simplified_forms(S, _):
-        vehicles, rsus = split_members(S, cfg.K)
-        if not vehicles:
-            return None
+    def simplified_forms(S, _, vehicles, rsus):
         rep = uni_reports[S]
-        worst = 0.0
         for i in vehicles:
-            reach = 1.0
-            for j in rsus:
-                reach *= 1.0 - uni.enc[uni.rrow(j), uni.vrow(i)]
-            reach = 1.0 - reach
+            reach = 1.0 - _idle(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
             d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
             xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
-            worst = max(worst,
-                        abs(rep.rate_gain[i] - d_i * reach),
-                        abs(rep.fee[i] - xi_i * reach))
-        return worst
+            yield rep.rate_gain[i], d_i * reach
+            yield rep.fee[i], xi_i * reach
 
-    run("scheduled-share total matches 1 - P(all idle)", share_sum)
-    run("relay-choice probabilities total P(any encounter)", relay_row_sum)
-    run("fee and rate-gain match relay-probability sums", mean_vs_relay_prob)
-    run("vehicle payments equal RSU revenues", payment_balance)
-    run("grouped sums match brute-force enumeration", oracle_agreement)
-    run("uniform-weight closed forms match general formulas", simplified_forms)
+    identities = (
+        ("scheduled-share total matches 1 - P(all idle)", share_sum),
+        ("relay-choice probabilities total P(any encounter)", relay_row_sum),
+        ("fee and rate-gain match relay-probability sums", mean_vs_relay_prob),
+        ("vehicle payments equal RSU revenues", payment_balance),
+        ("grouped sums match brute-force enumeration", oracle_agreement),
+        ("uniform-weight closed forms match general formulas", simplified_forms),
+    )
+    members = [(S, reports[S], *split_members(S, cfg.K)) for S in coalitions]
+    results: list[CheckResult] = []
+    for name, identity in identities:
+        worst, where = 0.0, ""
+        for S, rep, vehicles, rsus in members:
+            gap = _gap(identity(S, rep, vehicles, rsus))
+            if gap > worst:
+                worst, where = gap, f" (coalition {sorted(S)})"
+        results.append(CheckResult(name, bool(worst <= ABS_TOL),
+                                   f"max residual {worst:.3e}{where}"))
 
+    name = "fees cancel out of every coalition's sum payoff"
     if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
-        worst = 0.0
-        for S, rep0 in zip(coalitions, _reports(coalitions, _without_fees(cfg))):
-            worst = max(worst, _pricing_residual(reports[S], rep0))
-        results.append(CheckResult("fees cancel out of every coalition's sum payoff",
-                                   worst <= ABS_TOL, f"max residual {worst:.3e}"))
+        zero = _reports(coalitions, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
+        worst = _gap(pair for S, rep0 in zip(coalitions, zero)
+                     for pair in ((reports[S].total_payoff, rep0.total_payoff),
+                                  _balance(reports[S])))
+        results.append(CheckResult(name, bool(worst <= ABS_TOL), f"max residual {worst:.3e}"))
     else:
-        results.append(CheckResult("fees cancel out of every coalition's sum payoff",
-                                   None, "skipped: needs unit payment/revenue weights"))
+        results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
 
     rsu_only_ok = True
     norm_ok = True
@@ -462,15 +424,13 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
         results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
         return results
     profit_ok = True
-    for S in coalitions:
-        vehicles, rsus = split_members(S, cfg.K)
+    for S, rep, vehicles, rsus in members:
         if rsus or not vehicles:
             continue
         verdict = vehicle_coalition_profitability(S, cfg)
-        rep = reports[S]
         for i in vehicles:
             alone = reports[frozenset((i,))].vehicle_payoff[i]
             direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))
             profit_ok &= verdict[i] == direct
-    results.append(CheckResult(name, profit_ok, "checked over vehicle-only coalitions"))
+    results.append(CheckResult(name, bool(profit_ok), "checked over vehicle-only coalitions"))
     return results

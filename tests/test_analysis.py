@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pathlib
 import tracemalloc
 
@@ -90,8 +91,9 @@ def test_profitability_agrees_with_direct_payoffs():
 
 def _fee_residual(S, cfg):
     """The fee-cancellation residual that `check` reports, for one coalition."""
-    return analysis._pricing_residual(player_payoffs(S, cfg),
-                                      player_payoffs(S, analysis._without_fees(cfg)))
+    rep = player_payoffs(S, cfg)
+    rep0 = player_payoffs(S, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
+    return analysis._gap([(rep.total_payoff, rep0.total_payoff), analysis._balance(rep)])
 
 
 def test_pricing_cancellation_default(default_cfg):
@@ -119,6 +121,16 @@ def test_pricing_cancellation_requires_unit_weights(default_cfg):
     fees = [r for r in run_identity_checks(lopsided) if r.name.startswith("fees cancel")]
     assert [(r.passed, r.detail) for r in fees] == [
         (None, "skipped: needs unit payment/revenue weights")]
+
+
+def test_check_results_and_profitability_verdicts_are_python_bools(default_cfg):
+    k4m8 = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
+    for cfg in (default_cfg, k4m8):
+        results = run_identity_checks(cfg)
+        assert all(r.passed is None or type(r.passed) is bool for r in results)
+        json.dumps([dataclasses.asdict(r) for r in results])
+        verdict = vehicle_coalition_profitability(frozenset(cfg.vehicles), cfg)
+        assert all(type(x) is bool for x in verdict.values())
 
 
 def test_conditions_fail_on_nonpositive_weight(default_cfg):

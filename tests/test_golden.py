@@ -13,15 +13,21 @@ subset-DP payoff table replaced it.
 
 `check` output was produced by the identity suite that read each quantity
 through its own per-(coalition, player) function; the residuals it prints
-must stay byte-identical.
+must stay byte-identical. The hash of the `check` lines over random configs
+was frozen from the suite that gave each identity its own max-and-witness
+loop, before one loop took the largest gap of every identity.
 """
 
+import hashlib
 import pathlib
 
+import numpy as np
 import pytest
 
+from vanetgame import run_identity_checks
 from vanetgame.analytic import ABS_TOL
 from vanetgame.cli import main
+from conftest import random_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 PAYOFF_LINE = "grand-coalition payoffs: "
@@ -62,3 +68,21 @@ def test_core_stdout_matches_golden(name, capsys):
             assert max(abs(a - b) for a, b in zip(new, old)) <= ABS_TOL
         else:
             assert line == frozen
+
+
+def _check_line(res):
+    status = "SKIP" if res.passed is None else "PASS" if res.passed else "FAIL"
+    return f"[{status}] {res.name}: {res.detail}\n"
+
+
+def test_check_lines_over_random_configs_hash_to_frozen_digest():
+    # 60 draws with K = 1..4 and M = 0..5; even draws have unit payment and
+    # revenue weights (the fee identity runs), odd draws uniform relay weights
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for k in range(60):
+        cfg = random_config(rng, unit_bg=k % 2 == 0, uniform_relay=k % 2 == 1)
+        for res in run_identity_checks(cfg):
+            digest.update(_check_line(res).encode())
+    assert digest.hexdigest() == (
+        "d2f955bdc24b4a5d784d998cbca3e6d3e18a2cc8dad4e0f9359f71a8f3c333d2")
