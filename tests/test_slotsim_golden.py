@@ -1,13 +1,14 @@
 """Frozen event counters of `simulate_slots`. The first seven cases come from
 the numpy kernel over the full (slots, M, K) encounter block; `byte8` and
-`multibyte` from the boolean-matrix kernel that preceded the bit-packed one.
+`multibyte` from the boolean-matrix kernel that preceded the bit-packed one;
+`holes` from the bit-packed kernel that gathered each coalition's RSU columns.
 
 A seed fixes the random stream and its draw order, so any rewrite of the
 kernel must reproduce every counter bit for bit. The cases cover the grand
 coalition, split structures (with a coalition that has no RSUs), all
 singletons, a game without RSUs, a wider game, runs that span more than one
-chunk, and games wide enough to fill one or more bytes of packed vehicle and
-RSU bits.
+chunk, games wide enough to fill one or more bytes of packed vehicle and
+RSU bits, and a coalition whose RSUs lie far apart among other coalitions' RSUs.
 """
 
 import json
@@ -65,6 +66,11 @@ CASES = {
     "multibyte": (_multibyte_game,
                   "1,5,9,10,11,12,13,14,15,16,17,18,19,20,21|2,3,4|6,7,8,22,23,24,25,26",
                   40_000, 19),
+    # the first coalition's RSUs (0-based 0, 8, 16) sit in three bytes, and the
+    # other coalitions' RSUs fill the holes between them
+    "holes": (_multibyte_game,
+              "1,2,10,18,26|3,4,5,11,12,13,14,15,16,17|6,7,8,9,19,20,21,22,23,24,25",
+              40_000, 20),
 }
 
 
