@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
@@ -114,6 +115,8 @@ def _write_manifest(out_path, args, extra=None) -> None:
     manifest = {
         "tool": "vanetgame",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "command": args.command,
         "config": args.config,

@@ -13,7 +13,8 @@ Everything is accumulated as integer event counts first, so vehicle payments
 and RSU revenues balance exactly and all means and standard errors derive
 from the counts. Encounters are independent draws at the encounter matrix's
 probabilities. The kernel packs each slot's vehicle and RSU bits into bytes and
-answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables.
+answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables,
+one 1-D pass per byte over the rows where a coalition has an active member.
 """
 
 from __future__ import annotations
@@ -85,18 +86,22 @@ class EmpiricalReport:
 
 
 def _layout(cs, cfg):
-    """(packed vehicle mask, ascending 0-based RSU ids, K x |rsus| thresholds) per coalition.
+    """(packed vehicle mask, lowest 0-based RSU id lo, K x span thresholds) per coalition.
 
-    Only vehicle-containing coalitions appear, in canonical order, which fixes
-    the selection uniform each one draws.
+    The table covers RSUs lo..hi; span RSUs of other coalitions get threshold
+    0.0, which no uniform in [0, 1) falls below, so a coalition's encounter
+    uniforms are one basic slice. Only vehicle-containing coalitions appear,
+    in canonical order, which fixes the selection uniform each one draws.
     """
     layout = []
     for block in canonical_structure(cs):
-        vehicles = sorted(m - 1 for m in block if m <= cfg.K)
+        vehicles = [m - 1 for m in block if m <= cfg.K]
         if vehicles:
-            rsus = np.asarray(sorted(m - cfg.K - 1 for m in block if m > cfg.K), np.int64)
-            mask = np.isin(np.arange(cfg.K), vehicles)
-            layout.append((_pack(mask[None])[0], rsus, cfg.enc[rsus].T))
+            rsus = [m - cfg.K - 1 for m in block if m > cfg.K]
+            lo = min(rsus, default=0)
+            thr = np.zeros((cfg.K, max(rsus, default=-1) + 1 - lo))
+            thr[:, [j - lo for j in rsus]] = cfg.enc[rsus].T
+            layout.append((np.packbits(np.isin(range(cfg.K), vehicles), bitorder="little"), lo, thr))
     return layout
 
 
@@ -105,51 +110,62 @@ def _pack(bits):
     # one flat packbits over padded rows: packbits along axis 1 is 25-40x slower on narrow rows
     padded = np.zeros((bits.shape[0], max(8, -(-bits.shape[1] // 8) * 8)), bool)
     padded[:, :bits.shape[1]] = bits
-    return np.packbits(padded, bitorder="little").reshape(bits.shape[0], -1)
+    return np.packbits(padded, bitorder="little").reshape(-1, padded.shape[1] // 8)
 
 
-def _count_chunk(active, u, layout, counts) -> None:
+def _count_chunk(u, p, layout, counts) -> None:
     """Add one chunk of slots to the integer event counters.
 
-    active (slots, K) marks the vehicles that want to transmit; each row of u
-    holds a slot's K activity, M encounter and per-coalition relay-selection
-    uniforms. RSU j encounters the vehicle scheduled in a slot when its uniform
-    falls below that vehicle's threshold in the coalition's table. Both sides
-    are packed into bytes: the scheduled vehicle is the lowest set bit, the
-    relay the pick-th set bit of the encounter bytes, found by running POP
-    counts and SEL (rank and select).
+    Each row of u holds a slot's K activity, M encounter and per-coalition
+    relay-selection uniforms: vehicle i is active when its uniform falls below
+    p[i], and RSU j meets the scheduled vehicle when its uniform falls below
+    that vehicle's threshold in the coalition's table. Both sides are packed
+    into bytes. Per coalition, every step is a 1-D pass over the rows that
+    hold an active member, in Python loops over bytes with no reduction along
+    the byte axis: the scheduled vehicle is the lowest set bit (SEL) of the
+    lowest nonzero byte, and the relay the pick-th set bit of the encounter
+    bytes, found from POP counts taken byte by byte and SEL (rank and select).
     """
     M, K = counts["encounters"].shape
-    packed = _pack(active)
-    for c, (vmask, rsus, thr) in enumerate(layout):
-        mine = packed & vmask
-        rows = np.flatnonzero(mine.any(axis=1))
-        if rows.size == 0:
-            continue
-        byte = (mine[rows] != 0).argmax(axis=1)
-        sched = 8 * byte + SEL[mine[rows, byte], 0]
-        success = ~(packed[rows] & ~vmask).any(axis=1)
+    packed = _pack(u[:, :K] < p)
+    sel = SEL.T.ravel()   # sel[256 * k + x] = SEL[x, k], so sel[x] is the lowest set bit of x
+    for c, (vmask, lo, thr) in enumerate(layout):
+        held = np.zeros(len(u), np.uint8)
+        for b in range(vmask.size):
+            held |= packed[:, b] & vmask[b]
+        rows = np.flatnonzero(held != 0)   # about 5x faster than flatnonzero of the bytes
+        mine = packed.take(rows, 0)
+        sched = np.zeros(rows.size, np.int64)
+        outside = np.zeros(rows.size, np.uint8)
+        for b in range(vmask.size - 1, -1, -1):   # a lower nonzero byte overwrites a higher one
+            x = mine[:, b] & vmask[b]
+            np.copyto(sched, 8 * b + sel.take(x), where=x != 0)
+            outside |= mine[:, b] & ~vmask[b]
+        success = outside == 0
         counts["scheduled"] += np.bincount(sched, minlength=K)
-        # the costliest step of a chunk: rows of the contiguous chunk, then columns
-        ecode = _pack(u.take(rows, 0)[:, K + rsus] < thr.take(sched, 0))
+        # the one gather of encounter uniforms: these rows of the coalition's RSU span
+        span = thr.shape[1]
+        ecode = _pack(u[rows, K + lo:K + lo + span] < thr.take(sched, 0))
+        n_enc = np.zeros(rows.size, np.int64)
         for b in range(ecode.shape[1]):
             seen = np.bincount(sched * 256 + ecode[:, b], minlength=K * 256).reshape(K, 256)
-            counts["encounters"][rsus[8 * b:8 * b + 8]] += (seen @ BITS).T[:rsus.size - 8 * b]
-        prefix = np.cumsum(POP[ecode], axis=1)
-        n_enc = prefix[:, -1]
-        relayed = n_enc > 0
-        if relayed.any():
-            pick = (u[rows[relayed], K + M + c] * n_enc[relayed]).astype(np.int64)
-            np.minimum(pick, n_enc[relayed] - 1, out=pick)
-            at = np.flatnonzero(relayed)
-            byte = (prefix[at] <= pick[:, None]).sum(axis=1)
-            code = ecode[at, byte]
-            chosen = rsus[8 * byte + SEL[code, pick - prefix[at, byte] + POP[code]]]
-            pair = chosen * K + sched[relayed]
-            ok = success[relayed]
-            counts["relays_success"] += np.bincount(pair[ok], minlength=M * K).reshape(M, K)
-            counts["relays_fail"] += np.bincount(pair[~ok], minlength=M * K).reshape(M, K)
-        bare = ~relayed
+            counts["encounters"][lo + 8 * b:lo + span][:8] += (seen @ BITS).T[:span - 8 * b]
+            n_enc += POP.take(ecode[:, b])
+        at = np.flatnonzero(n_enc != 0)
+        n_at = n_enc.take(at)
+        pick = (u[:, K + M + c].take(rows.take(at)) * n_at).astype(np.int64)
+        np.minimum(pick, n_at - 1, out=pick)
+        # pick counts down each byte's set bits: the relay's byte is the last with pick >= 0
+        chosen = np.zeros(at.size, np.int64)
+        for b in range(ecode.shape[1]):
+            code = ecode[:, b].take(at)
+            np.copyto(chosen, 8 * b + sel.take(256 * np.clip(pick, 0, 7) + code), where=pick >= 0)
+            pick -= POP.take(code)
+        pair = (lo + chosen) * K + sched.take(at)
+        ok = success.take(at)
+        counts["relays_success"] += np.bincount(pair[ok], minlength=M * K).reshape(M, K)
+        counts["relays_fail"] += np.bincount(pair[~ok], minlength=M * K).reshape(M, K)
+        bare = n_enc == 0
         counts["success_no_relay"] += np.bincount(sched[bare & success], minlength=K)
         counts["fail_no_relay"] += np.bincount(sched[bare & ~success], minlength=K)
 
@@ -180,17 +196,13 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)
-    counts = {
-        "scheduled": np.zeros(K, np.int64),
-        "success_no_relay": np.zeros(K, np.int64),
-        "fail_no_relay": np.zeros(K, np.int64),
-        "encounters": np.zeros((M, K), np.int64),
-        "relays_success": np.zeros((M, K), np.int64),
-        "relays_fail": np.zeros((M, K), np.int64),
-    }
+    counts = {name: np.zeros(shape, np.int64) for name, shape in (
+        ("scheduled", K), ("success_no_relay", K), ("fail_no_relay", K),
+        ("encounters", (M, K)), ("relays_success", (M, K)), ("relays_fail", (M, K)))}
 
     for u in uniform_chunks(seed, n_slots, K + M + len(layout), K, M):
-        _count_chunk(u[:, :K] < cfg.p, u, layout, counts)
+        _count_chunk(u, cfg.p, layout, counts)
+        del u   # free this chunk before the next is drawn: one chunk is live at a time
 
     relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
     succ_norelay = counts["success_no_relay"]

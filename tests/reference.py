@@ -11,10 +11,17 @@ vanetgame.analytic.
 
 `partitions` is a recursive list walker over set partitions, independent of
 the numpy label rows that vanetgame.model generates them from.
+
+`slot_counters` is a plain-Python slot loop, the reference for the bit-packed
+kernel in vanetgame.slotsim: on the same uniforms their event counters agree
+exactly.
 """
 
+import numpy as np
+
+from conftest import COUNTERS
 from vanetgame.analytic import PayoffReport
-from vanetgame.model import split_members
+from vanetgame.model import canonical_structure, split_members
 
 
 def _share(vehicles, i, cfg):
@@ -144,3 +151,38 @@ def partitions(n):
         blocks.pop()
 
     return place(1)
+
+
+def slot_counters(cs, cfg, n_slots, seed):
+    """Plain-Python slot loop over the uniforms simulate_slots draws in matrix mode.
+
+    Each slot row holds K activity uniforms, one encounter uniform per RSU and
+    one selection uniform per vehicle-containing coalition (canonical order).
+    """
+    K, M = cfg.K, cfg.M
+    coalitions = []
+    for block in canonical_structure(cs):
+        vehicles = sorted(m - 1 for m in block if m <= K)
+        if vehicles:
+            coalitions.append((vehicles, sorted(m - K - 1 for m in block if m > K)))
+    u = np.random.default_rng(seed).random((n_slots, K + M + len(coalitions)))
+    counts = {name: np.zeros(K if name in COUNTERS[:3] else (M, K), np.int64)
+              for name in COUNTERS}
+    for t in range(n_slots):
+        active = [v for v in range(K) if u[t, v] < cfg.p[v]]
+        for c, (vehicles, rsus) in enumerate(coalitions):
+            here = [v for v in vehicles if v in active]
+            if not here:
+                continue
+            sched = here[0]
+            success = len(here) == len(active)
+            counts["scheduled"][sched] += 1
+            met = [r for r in rsus if u[t, K + r] < cfg.enc[r, sched]]
+            for r in met:
+                counts["encounters"][r, sched] += 1
+            if met:
+                pick = min(int(u[t, K + M + c] * len(met)), len(met) - 1)
+                counts["relays_success" if success else "relays_fail"][met[pick], sched] += 1
+            else:
+                counts["success_no_relay" if success else "fail_no_relay"][sched] += 1
+    return counts

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import shlex
 import subprocess
 import sys
@@ -252,6 +253,15 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     idle.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(idle), "--slots", "100", "--out", str(out)]) == 0
     assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["max_abs_z"] is None
+
+
+@pytest.mark.parametrize("argv", [["enumerate"], ["simulate", "--slots", "100"]])
+def test_manifest_records_python_and_numpy_versions(tmp_path, config_file, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", config_file, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
 
 def test_check_passes_on_default_config(capsys, config_file):

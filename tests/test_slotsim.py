@@ -4,46 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vanetgame import (canonical_structure, geometry, make_config, simulate_slots, slotsim,
-                       structure_reports)
+import reference
+from vanetgame import (canonical_structure, geometry, make_config, parse_structure, simulate_slots,
+                       slotsim, structure_reports)
 from conftest import COUNTERS, random_config
+from test_slotsim_golden import CASES
 
 GRAND = (frozenset({1, 2, 3, 4}),)
-
-
-def reference_counters(cs, cfg, n_slots, seed):
-    """Plain-Python slot loop over the uniforms simulate_slots draws in matrix mode.
-
-    Each slot row holds K activity uniforms, one encounter uniform per RSU and
-    one selection uniform per vehicle-containing coalition (canonical order).
-    """
-    K, M = cfg.K, cfg.M
-    coalitions = []
-    for block in canonical_structure(cs):
-        vehicles = sorted(m - 1 for m in block if m <= K)
-        if vehicles:
-            coalitions.append((vehicles, sorted(m - K - 1 for m in block if m > K)))
-    u = np.random.default_rng(seed).random((n_slots, K + M + len(coalitions)))
-    counts = {name: np.zeros(K if name in COUNTERS[:3] else (M, K), np.int64)
-              for name in COUNTERS}
-    for t in range(n_slots):
-        active = [v for v in range(K) if u[t, v] < cfg.p[v]]
-        for c, (vehicles, rsus) in enumerate(coalitions):
-            here = [v for v in vehicles if v in active]
-            if not here:
-                continue
-            sched = here[0]
-            success = len(here) == len(active)
-            counts["scheduled"][sched] += 1
-            met = [r for r in rsus if u[t, K + r] < cfg.enc[r, sched]]
-            for r in met:
-                counts["encounters"][r, sched] += 1
-            if met:
-                pick = min(int(u[t, K + M + c] * len(met)), len(met) - 1)
-                counts["relays_success" if success else "relays_fail"][met[pick], sched] += 1
-            else:
-                counts["success_no_relay" if success else "fail_no_relay"][sched] += 1
-    return counts
 
 
 def test_all_idle_vehicles_produce_zero_estimates(default_cfg):
@@ -107,12 +74,16 @@ def test_kernel_matches_plain_python_reference(default_cfg):
                        rng.integers(0, 3, cfg.enc.shape) / 2, cfg.enc)
         cases.append((dataclasses.replace(cfg, p=p, enc=enc),
                       random_structure(rng.integers(1, 4), cfg.n_players)))
+    # a coalition whose RSUs lie in three bytes, with other coalitions' RSUs between them
+    game, structure, _, _ = CASES["holes"]
+    cfg = game()
+    cases.append((cfg, parse_structure(structure, cfg.n_players)))
     for seed, (cfg, cs) in enumerate(cases):
         # 1024-slot chunks: the kernel crosses chunk boundaries, the reference does not
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "CHUNK_SLOTS", 1_024)
             rep = simulate_slots(cs, cfg, 2_500, seed=seed)
-        want = reference_counters(cs, cfg, 2_500, seed)
+        want = reference.slot_counters(cs, cfg, 2_500, seed)
         for field in COUNTERS:
             assert (getattr(rep, field) == want[field]).all(), (seed, field)
 
