@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (ABS_TOL, PayoffReport, _brackets, _reports, _table, oracle_relay_mean,
-                       player_payoffs)
-from .model import (Coalition, GameConfig, check_structure, iter_partitions,
-                    normalize_structure, split_members)
+from .analytic import (ABS_TOL, PayoffReport, _brackets, _reports, _table, _tables,
+                       oracle_relay_mean, player_payoffs)
+from .model import (Coalition, GameConfig, _blocks_of, _label_blocks, check_structure,
+                    format_structure, normalize_structure, split_members)
 
 __all__ = [
     "structure_payoffs",
@@ -42,16 +42,6 @@ def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
     return _reports(cs, cfg)
 
 
-def _payoff_vector(reports, n_players: int) -> np.ndarray:
-    out = np.zeros(n_players)
-    for rep in reports:
-        for i, u in rep.vehicle_payoff.items():
-            out[i - 1] = u
-        for j, u in rep.rsu_payoff.items():
-            out[j - 1] = u
-    return out
-
-
 def structure_payoffs(cs, cfg: GameConfig) -> np.ndarray:
     """Payoff of every player under a coalition structure.
 
@@ -59,7 +49,11 @@ def structure_payoffs(cs, cfg: GameConfig) -> np.ndarray:
     coalition. Throughput already discounts for all outside vehicles, so the
     vector does not depend on how the outsiders are grouped among themselves.
     """
-    return _payoff_vector(structure_reports(cs, cfg), cfg.n_players)
+    out = np.zeros(cfg.n_players)
+    for rep in structure_reports(cs, cfg):
+        for m in rep.members:
+            out[m - 1] = rep.payoff_of(m)
+    return out
 
 
 def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
@@ -82,17 +76,9 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
     negative = [i for i in vehicles if cfg.alpha[cfg.vrow(i)] < 0.0]
     if negative:
         raise ValueError(f"negative throughput weight for players {negative}")
-    return {member: bool(_idle(cfg.p[cfg.vrow(v)] for v in vehicles if v > member)
+    return {member: bool(math.prod(1.0 - cfg.p[cfg.vrow(v)] for v in vehicles if v > member)
                          <= 1.0 + ABS_TOL)
             for member in vehicles}
-
-
-def _idle(rates) -> float:
-    """Product of (1 - rate) over rates, from 1.0 in the order given."""
-    out = 1.0
-    for rate in rates:
-        out *= 1.0 - rate
-    return out
 
 
 @dataclass(frozen=True)
@@ -309,15 +295,34 @@ def _uniformized(cfg: GameConfig) -> GameConfig:
     return dataclasses.replace(cfg, delta=delta, price=price)
 
 
-def _gap(pairs) -> float:
-    """Largest |a - b| over the (a, b) pairs an identity equates; 0.0 for none."""
-    return max(itertools.chain((0.0,), (abs(a - b) for a, b in pairs)))
+def _check_partitions(n: int) -> list:
+    """The first _CHECK_STRUCTURES partitions of {1..n} in canonical order (all when fewer).
+    Bell(6) = 203 >= 64: from n = 6 on, the first 203 label rows are 6 players' after zeros."""
+    width = min(n, 6)
+    rows = np.concatenate(list(_label_blocks(width)))[:_CHECK_STRUCTURES]
+    labels = np.zeros((len(rows), n), np.min_scalar_type(-n))
+    labels[:, n - width:] = rows
+    return [_blocks_of(row) for row in labels.tolist()]
 
 
-def _balance(rep: PayoffReport) -> tuple:
-    """(vehicle payments, RSU revenues) of one coalition, each summed in ascending id."""
-    return (sum(rep.payment[i] for i in sorted(rep.payment)),
-            sum(rep.revenue[j] for j in sorted(rep.revenue)))
+def _fold(op, start: float, mask, terms) -> np.ndarray:
+    """op(acc, term) over the terms of each column's members, row by row from start:
+    the order of a Python sum (start 0.0) or product (start 1.0) over ascending ids."""
+    acc = np.full(mask.shape[1], start)
+    for held, term in zip(mask, terms):
+        acc = np.where(held, op(acc, term), acc)
+    return acc
+
+
+def _gap(mask, a, b) -> np.ndarray:
+    """|a - b| where mask holds, else 0.0; NaN counts as 0.0, as max() from 0.0 skips it."""
+    return np.where(mask, np.fmax(np.abs(a - b), 0.0), 0.0)
+
+
+def _owners(cs, col: dict, n: int) -> list:
+    """The column of each player's coalition under cs (-1 where cs misses a player)."""
+    owner = {m: col[block] for block in cs for m in block}
+    return [owner.get(m, -1) for m in range(1, n + 1)]
 
 
 def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
@@ -325,112 +330,108 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
 
     Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
     players in canonical order (every partition when there are at most that
-    many) and reports one result per identity. A residual identity yields the
-    pairs it equates per coalition; its result is the largest gap and the first
-    coalition that reaches it. Used by the CLI `check` subcommand.
+    many) and reports one result per identity. Every quantity is a column of
+    one table per config (given, uniform-weight, zero-price), and a residual
+    identity's gap per coalition is the largest |a - b| over the pairs it
+    equates there; its result is the largest gap and the first coalition, in
+    sorted-member order, that reaches it. Used by the CLI `check` subcommand.
     """
-    n = cfg.n_players
-    partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
-    normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
+    n, K = cfg.n_players, cfg.K
+    partitions = _check_partitions(n)
+    normalized = [normalize_structure(cs, K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
+    columns = list(dict.fromkeys([*coalitions, *(block for cs in normalized for block in cs),
+                                  *(frozenset((i,)) for i in cfg.vehicles)]))
+    col = {S: c for c, S in enumerate(columns)}
     uni = _uniformized(cfg)
-    evaluated = list({*coalitions, *(block for cs in normalized for block in cs),
-                      *(frozenset((i,)) for i in cfg.vehicles)})
-    reports = dict(zip(evaluated, _reports(evaluated, cfg)))
-    uni_reports = dict(zip(coalitions, _reports(coalitions, uni)))
+    unit = bool((cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all())
+    zero = (dataclasses.replace(cfg, price=np.zeros_like(cfg.price)),) if unit else ()
+    member, pr, tables = _tables(columns, cfg, uni, *zero)
+    C = len(coalitions)
+    (share, gain, fee, benefit, charge, payoff), uni_table = tables[0], tables[1]
+    held, veh, rsu = member[:, :C], member[:K, :C], member[K:, :C]
+    has_vehicle, has_rsu = veh.any(axis=0), rsu.any(axis=0)
 
-    def share_sum(S, rep, vehicles, rsus):
-        if vehicles:
-            yield (sum(rep.share[i] for i in vehicles),
-                   1.0 - _idle(cfg.p[cfg.vrow(i)] for i in vehicles))
+    share_gap = _gap(has_vehicle, _fold(np.add, 0.0, veh, share[:, :C]),
+                     1.0 - _fold(np.multiply, 1.0, veh, 1.0 - cfg.p))
+    row_gap, mean_gap, simple_gap = [np.zeros(C)], [np.zeros(C)], [np.zeros(C)]
+    d_uni, xi_uni = (uni.delta[:, 0], uni.price[0]) if cfg.M else (np.zeros(K), np.zeros(K))
+    for i in range(K):
+        served = veh[i] & has_rsu
+        reach = 1.0 - _fold(np.multiply, 1.0, rsu, 1.0 - cfg.enc[:, i])
+        row_gap.append(_gap(served, _fold(np.add, 0.0, rsu, pr[i, :, :C]), reach))
+        for value, w in ((fee[i], cfg.price[:, i]), (gain[i], cfg.delta[i])):
+            terms = pr[i, :, :C] * w[:, None]
+            mean_gap.append(_gap(served, value[:C], _fold(np.add, 0.0, rsu, terms)))
+        simple_gap.append(_gap(veh[i], uni_table[1][i, :C], d_uni[i] * reach))
+        simple_gap.append(_gap(veh[i], uni_table[2][i, :C], xi_uni[i] * reach))
+    balance_gap = _gap(True, _fold(np.add, 0.0, veh, charge[:K, :C]),
+                       _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
-    def relay_row_sum(S, rep, vehicles, rsus):
-        for i in vehicles if rsus else ():
-            yield (sum(rep.relay_prob[j][i] for j in rsus),
-                   1.0 - _idle(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
-
-    def mean_vs_relay_prob(S, rep, vehicles, rsus):
-        for i in vehicles if rsus else ():
-            yield rep.fee[i], sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
-                                  for j in rsus)
-            yield rep.rate_gain[i], sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
-                                        for j in rsus)
-
-    def payment_balance(S, rep, vehicles, rsus):
-        yield _balance(rep)
-
-    def oracle_agreement(S, rep, vehicles, rsus):
-        for i in vehicles if rsus and len(rsus) <= 12 else ():
-            weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
-            value, chosen = oracle_relay_mean(S, i, weights, cfg)
-            yield value, rep.rate_gain[i]
-            for j in rsus:
-                yield chosen[j], rep.relay_prob[j][i]
-
-    def simplified_forms(S, _, vehicles, rsus):
-        rep = uni_reports[S]
+    got, index = [], []   # oracle outputs; (0 for the rate gain or 1 + RSU row, vehicle, column)
+    for c in np.flatnonzero(has_vehicle & has_rsu & (rsu.sum(axis=0) <= 12)).tolist():
+        vehicles, rsus = split_members(coalitions[c], K)
         for i in vehicles:
-            reach = 1.0 - _idle(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
-            d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
-            xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
-            yield rep.rate_gain[i], d_i * reach
-            yield rep.fee[i], xi_i * reach
+            weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
+            value, chosen = oracle_relay_mean(coalitions[c], i, weights, cfg)
+            got += [value, *chosen.values()]
+            index += [(0, i - 1, c), *((j - K, i - 1, c) for j in rsus)]
+    slot, row, cols = np.array(index, dtype=np.intp).reshape(-1, 3).T
+    want = np.concatenate((gain[None, :, :C], pr[:, :, :C].transpose(1, 0, 2)))[slot, row, cols]
+    oracle_gap = np.zeros(C)
+    np.maximum.at(oracle_gap, cols, _gap(True, np.array(got), want))
 
     identities = (
-        ("scheduled-share total matches 1 - P(all idle)", share_sum),
-        ("relay-choice probabilities total P(any encounter)", relay_row_sum),
-        ("fee and rate-gain match relay-probability sums", mean_vs_relay_prob),
-        ("vehicle payments equal RSU revenues", payment_balance),
-        ("grouped sums match brute-force enumeration", oracle_agreement),
-        ("uniform-weight closed forms match general formulas", simplified_forms),
+        ("scheduled-share total matches 1 - P(all idle)", share_gap),
+        ("relay-choice probabilities total P(any encounter)", np.max(row_gap, axis=0)),
+        ("fee and rate-gain match relay-probability sums", np.max(mean_gap, axis=0)),
+        ("vehicle payments equal RSU revenues", balance_gap),
+        ("grouped sums match brute-force enumeration", oracle_gap),
+        ("uniform-weight closed forms match general formulas", np.max(simple_gap, axis=0)),
     )
-    members = [(S, reports[S], *split_members(S, cfg.K)) for S in coalitions]
     results: list[CheckResult] = []
-    for name, identity in identities:
-        worst, where = 0.0, ""
-        for S, rep, vehicles, rsus in members:
-            gap = _gap(identity(S, rep, vehicles, rsus))
-            if gap > worst:
-                worst, where = gap, f" (coalition {sorted(S)})"
-        results.append(CheckResult(name, bool(worst <= ABS_TOL),
-                                   f"max residual {worst:.3e}{where}"))
+    for name, gaps in identities:
+        c = int(gaps.argmax())
+        worst = float(gaps[c])
+        where = f" (coalition {sorted(coalitions[c])})" if worst > 0.0 else ""
+        results.append(CheckResult(name, worst <= ABS_TOL, f"max residual {worst:.3e}{where}"))
 
     name = "fees cancel out of every coalition's sum payoff"
-    if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
-        zero = _reports(coalitions, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
-        worst = _gap(pair for S, rep0 in zip(coalitions, zero)
-                     for pair in ((reports[S].total_payoff, rep0.total_payoff),
-                                  _balance(reports[S])))
-        results.append(CheckResult(name, bool(worst <= ABS_TOL), f"max residual {worst:.3e}"))
+    if unit:
+        total_gap = _gap(True, _fold(np.add, 0.0, held, payoff[:, :C]),
+                         _fold(np.add, 0.0, held, tables[2][-1][:, :C]))
+        worst = float(np.maximum(total_gap, balance_gap).max())
+        results.append(CheckResult(name, worst <= ABS_TOL, f"max residual {worst:.3e}"))
     else:
         results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
 
-    rsu_only_ok = True
-    norm_ok = True
-    for cs, norm in zip(partitions, normalized):
-        vec = _payoff_vector([reports[block] for block in cs], n)
-        for block in cs:
-            if all(m > cfg.K for m in block):
-                rsu_only_ok &= all(vec[m - 1] == 0.0 for m in block)
-        norm_ok &= (not check_structure(norm, n)
-                    and bool((_payoff_vector([reports[block] for block in norm], n) == vec).all()))
-    results.append(CheckResult("RSU-only coalitions earn exactly zero",
-                               rsu_only_ok, "checked over enumerated structures"))
-    results.append(CheckResult("normalization preserves every payoff exactly",
-                               norm_ok, "checked over enumerated structures"))
+    players = np.arange(n)
+    owner = np.array([_owners(cs, col, n) for cs in partitions])
+    vec = payoff[players, owner]   # row p: every player's payoff under partitions[p]
+    bad = ~member[:K].any(axis=0)[owner] & (vec != 0.0)
+    k = int(bad.argmax())   # row-major: the first structure, then its lowest-id player
+    where = f" (coalition {sorted(columns[owner.flat[k]])})" if bad.flat[k] else ""
+    results.append(CheckResult("RSU-only coalitions earn exactly zero", not where,
+                               "checked over enumerated structures" + where))
+    owner = np.array([_owners(norm, col, n) for norm in normalized])
+    bad = (np.array([bool(check_structure(norm, n)) for norm in normalized])
+           | (payoff[players, owner] != vec).any(axis=1))
+    p = int(bad.argmax())
+    where = f" (structure {format_structure(partitions[p])})" if bad[p] else ""
+    results.append(CheckResult("normalization preserves every payoff exactly", not where,
+                               "checked over enumerated structures" + where))
 
     name = "share-ratio profitability agrees with payoff comparison"
     if (cfg.alpha < 0.0).any():
         results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
         return results
-    profit_ok = True
-    for S, rep, vehicles, rsus in members:
-        if rsus or not vehicles:
-            continue
-        verdict = vehicle_coalition_profitability(S, cfg)
-        for i in vehicles:
-            alone = reports[frozenset((i,))].vehicle_payoff[i]
-            direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))
-            profit_ok &= verdict[i] == direct
-    results.append(CheckResult(name, bool(profit_ok), "checked over vehicle-only coalitions"))
+    alone = payoff[np.arange(K), [col[frozenset((i,))] for i in cfg.vehicles]]
+    direct = payoff[:K, :C] >= (alone - ABS_TOL * np.maximum(1.0, np.abs(alone)))[:, None]
+    where = ""
+    for c in np.flatnonzero(has_vehicle & ~has_rsu).tolist():
+        verdict = vehicle_coalition_profitability(coalitions[c], cfg)
+        if any(verdict[i] != direct[i - 1, c] for i in verdict):
+            where = f" (coalition {sorted(coalitions[c])})"
+            break
+    results.append(CheckResult(name, not where, "checked over vehicle-only coalitions" + where))
     return results

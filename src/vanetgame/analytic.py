@@ -212,13 +212,11 @@ def _table(cfg: GameConfig, member: np.ndarray, relay):
     return share, gain, fee, benefit, charge, payoff
 
 
-def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
-    """The report of each coalition, from one table over all of them.
-
-    Each vehicle's relay probabilities come from _relay_probs over only the
-    columns that hold it, so a batch stays polynomial in the RSU count.
-    """
-    coalitions = [frozenset(S) for S in coalitions]
+def _tables(coalitions, cfg: GameConfig, *variants):
+    """(member, pr, tables): players x coalitions membership, the (K, M, C) relay
+    probabilities and the _table of cfg and of each variant, which must share
+    cfg.enc (relay probabilities depend on nothing else). Each vehicle's come from
+    _relay_probs over only the columns that hold it: polynomial in the RSU count."""
     K, n = cfg.K, cfg.n_players
     member = np.zeros((n, len(coalitions)), dtype=bool)
     for c, S in enumerate(coalitions):
@@ -231,12 +229,18 @@ def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
     for i in range(K):
         cols = np.flatnonzero(member[i])
         pr[i][:, cols] = _relay_probs(q[i], member[K:, cols])
-    share, gain, fee, benefit, charge, payoff = (
-        x.tolist() for x in _table(cfg, member, lambda i, t: pr[i, t]))
-    relay = pr.tolist()
+    return member, pr, [_table(c, member, lambda i, t: pr[i, t]) for c in (cfg, *variants)]
+
+
+def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
+    """The report of each coalition, from one table over all of them."""
+    K, coalitions = cfg.K, [frozenset(S) for S in coalitions]
+    _, pr, (table,) = _tables(coalitions, cfg)
+    share, gain, fee, benefit, charge, payoff = (x.tolist() for x in table)
     reports = []
     for c, S in enumerate(coalitions):
         vehicles, rsus = split_members(S, K)
+        relay = pr[:, :, c][np.ix_([i - 1 for i in vehicles], [j - K - 1 for j in rsus])]
 
         def col(rows, players):
             return {m: rows[m - 1][c] for m in players}
@@ -248,7 +252,7 @@ def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
         reports.append(PayoffReport(
             members=S, share=col(share, vehicles), rate_gain=col(gain, vehicles),
             fee=col(fee, vehicles),
-            relay_prob={j: {i: relay[i - 1][j - K - 1][c] for i in vehicles} for j in rsus},
+            relay_prob={j: dict(zip(vehicles, row)) for j, row in zip(rsus, relay.T.tolist())},
             throughput=col(benefit, vehicles), payment=col(charge, vehicles),
             revenue=col(benefit, rsus), cost=col(charge, rsus),
             vehicle_payoff=u_veh, rsu_payoff=u_rsu, total_payoff=total))

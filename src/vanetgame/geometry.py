@@ -115,8 +115,8 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
         # (2, nodes, slots): contiguous x and y rows, so each step runs over whole rows
         pos = np.ascontiguousarray(u.reshape(u.shape[0], -1, 2).transpose(2, 1, 0))
         if geo.placement == "grid":
-            cells = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1)
-            pos = (cells + 0.5) * (geo.side_km / GRID_CELLS)
+            pos = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1) + 0.5
+            pos *= geo.side_km / GRID_CELLS
         else:
             pos = pos * geo.side_km
         x, y = pos
@@ -124,6 +124,7 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
         dist_sq += (y[K:, None] - y[None, :K]) ** 2
         for count, r_sq in zip(counts, range_sq):
             count += (dist_sq <= r_sq[:, None]).sum(axis=2)
+        del u, pos, x, y, dist_sq   # free this chunk before the next is drawn
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)

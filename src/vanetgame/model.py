@@ -387,16 +387,10 @@ def unrank_partition(n_players: int, index: int) -> CoalitionStructure:
 
 
 def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set (Bell triangle)."""
+    """Number of set partitions of an n-element set: every restricted-growth string."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+    return _completions(n, 0, {})
 
 
 def normalize_structure(cs, K: int) -> CoalitionStructure:

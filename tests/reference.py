@@ -12,16 +12,27 @@ vanetgame.analytic.
 `partitions` is a recursive list walker over set partitions, independent of
 the numpy label rows that vanetgame.model generates them from.
 
+`identity_checks` is the identity suite of `vanetgame check` as it read
+each quantity from per-coalition `PayoffReport` dicts, one Python generator
+per identity: the reference for the array residuals of
+vanetgame.analysis.run_identity_checks, which must return equal results.
+
 `slot_counters` is a plain-Python slot loop, the reference for the bit-packed
 kernel in vanetgame.slotsim: on the same uniforms their event counters agree
 exactly.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 
 from conftest import COUNTERS
-from vanetgame.analytic import PayoffReport
-from vanetgame.model import canonical_structure, split_members
+from vanetgame.analysis import (_CHECK_STRUCTURES, CheckResult, _uniformized,
+                                vehicle_coalition_profitability)
+from vanetgame.analytic import ABS_TOL, PayoffReport, _reports, oracle_relay_mean
+from vanetgame.model import (canonical_structure, check_structure, iter_partitions,
+                             normalize_structure, split_members)
 
 
 def _share(vehicles, i, cfg):
@@ -186,3 +197,148 @@ def slot_counters(cs, cfg, n_slots, seed):
             else:
                 counts["success_no_relay" if success else "fail_no_relay"][sched] += 1
     return counts
+
+
+def _payoff_vector(reports, n_players: int) -> np.ndarray:
+    out = np.zeros(n_players)
+    for rep in reports:
+        for i, u in rep.vehicle_payoff.items():
+            out[i - 1] = u
+        for j, u in rep.rsu_payoff.items():
+            out[j - 1] = u
+    return out
+
+
+def _idle(rates) -> float:
+    """Product of (1 - rate) over rates, from 1.0 in the order given."""
+    out = 1.0
+    for rate in rates:
+        out *= 1.0 - rate
+    return out
+
+
+def _gap(pairs) -> float:
+    """Largest |a - b| over the (a, b) pairs an identity equates; 0.0 for none."""
+    return max(itertools.chain((0.0,), (abs(a - b) for a, b in pairs)))
+
+
+def _balance(rep: PayoffReport) -> tuple:
+    """(vehicle payments, RSU revenues) of one coalition, each summed in ascending id."""
+    return (sum(rep.payment[i] for i in sorted(rep.payment)),
+            sum(rep.revenue[j] for j in sorted(rep.revenue)))
+
+
+def identity_checks(cfg):
+    """Exercise the exact identities tying the closed-form quantities together.
+
+    Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
+    players in canonical order (every partition when there are at most that
+    many) and reports one result per identity. A residual identity yields the
+    pairs it equates per coalition; its result is the largest gap and the first
+    coalition that reaches it.
+    """
+    n = cfg.n_players
+    partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
+    normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
+    coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
+    uni = _uniformized(cfg)
+    evaluated = list({*coalitions, *(block for cs in normalized for block in cs),
+                      *(frozenset((i,)) for i in cfg.vehicles)})
+    reports = dict(zip(evaluated, _reports(evaluated, cfg)))
+    uni_reports = dict(zip(coalitions, _reports(coalitions, uni)))
+
+    def share_sum(S, rep, vehicles, rsus):
+        if vehicles:
+            yield (sum(rep.share[i] for i in vehicles),
+                   1.0 - _idle(cfg.p[cfg.vrow(i)] for i in vehicles))
+
+    def relay_row_sum(S, rep, vehicles, rsus):
+        for i in vehicles if rsus else ():
+            yield (sum(rep.relay_prob[j][i] for j in rsus),
+                   1.0 - _idle(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
+
+    def mean_vs_relay_prob(S, rep, vehicles, rsus):
+        for i in vehicles if rsus else ():
+            yield rep.fee[i], sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
+                                  for j in rsus)
+            yield rep.rate_gain[i], sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
+                                        for j in rsus)
+
+    def payment_balance(S, rep, vehicles, rsus):
+        yield _balance(rep)
+
+    def oracle_agreement(S, rep, vehicles, rsus):
+        for i in vehicles if rsus and len(rsus) <= 12 else ():
+            weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
+            value, chosen = oracle_relay_mean(S, i, weights, cfg)
+            yield value, rep.rate_gain[i]
+            for j in rsus:
+                yield chosen[j], rep.relay_prob[j][i]
+
+    def simplified_forms(S, _, vehicles, rsus):
+        rep = uni_reports[S]
+        for i in vehicles:
+            reach = 1.0 - _idle(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
+            d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
+            xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
+            yield rep.rate_gain[i], d_i * reach
+            yield rep.fee[i], xi_i * reach
+
+    identities = (
+        ("scheduled-share total matches 1 - P(all idle)", share_sum),
+        ("relay-choice probabilities total P(any encounter)", relay_row_sum),
+        ("fee and rate-gain match relay-probability sums", mean_vs_relay_prob),
+        ("vehicle payments equal RSU revenues", payment_balance),
+        ("grouped sums match brute-force enumeration", oracle_agreement),
+        ("uniform-weight closed forms match general formulas", simplified_forms),
+    )
+    members = [(S, reports[S], *split_members(S, cfg.K)) for S in coalitions]
+    results: list[CheckResult] = []
+    for name, identity in identities:
+        worst, where = 0.0, ""
+        for S, rep, vehicles, rsus in members:
+            gap = _gap(identity(S, rep, vehicles, rsus))
+            if gap > worst:
+                worst, where = gap, f" (coalition {sorted(S)})"
+        results.append(CheckResult(name, bool(worst <= ABS_TOL),
+                                   f"max residual {worst:.3e}{where}"))
+
+    name = "fees cancel out of every coalition's sum payoff"
+    if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
+        zero = _reports(coalitions, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
+        worst = _gap(pair for S, rep0 in zip(coalitions, zero)
+                     for pair in ((reports[S].total_payoff, rep0.total_payoff),
+                                  _balance(reports[S])))
+        results.append(CheckResult(name, bool(worst <= ABS_TOL), f"max residual {worst:.3e}"))
+    else:
+        results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
+
+    rsu_only_ok = True
+    norm_ok = True
+    for cs, norm in zip(partitions, normalized):
+        vec = _payoff_vector([reports[block] for block in cs], n)
+        for block in cs:
+            if all(m > cfg.K for m in block):
+                rsu_only_ok &= all(vec[m - 1] == 0.0 for m in block)
+        norm_ok &= (not check_structure(norm, n)
+                    and bool((_payoff_vector([reports[block] for block in norm], n) == vec).all()))
+    results.append(CheckResult("RSU-only coalitions earn exactly zero",
+                               rsu_only_ok, "checked over enumerated structures"))
+    results.append(CheckResult("normalization preserves every payoff exactly",
+                               norm_ok, "checked over enumerated structures"))
+
+    name = "share-ratio profitability agrees with payoff comparison"
+    if (cfg.alpha < 0.0).any():
+        results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
+        return results
+    profit_ok = True
+    for S, rep, vehicles, rsus in members:
+        if rsus or not vehicles:
+            continue
+        verdict = vehicle_coalition_profitability(S, cfg)
+        for i in vehicles:
+            alone = reports[frozenset((i,))].vehicle_payoff[i]
+            direct = rep.vehicle_payoff[i] >= alone - ABS_TOL * max(1.0, abs(alone))
+            profit_ok &= verdict[i] == direct
+    results.append(CheckResult(name, bool(profit_ok), "checked over vehicle-only coalitions"))
+    return results

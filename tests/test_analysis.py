@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from vanetgame import analysis, analytic
-from vanetgame.configio import load_config
+from vanetgame.configio import load_config, resolve_encounter
 from vanetgame import (ABS_TOL, canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions, make_config,
                        normalize_structure, player_payoffs, run_identity_checks,
@@ -93,7 +94,7 @@ def _fee_residual(S, cfg):
     """The fee-cancellation residual that `check` reports, for one coalition."""
     rep = player_payoffs(S, cfg)
     rep0 = player_payoffs(S, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
-    return analysis._gap([(rep.total_payoff, rep0.total_payoff), analysis._balance(rep)])
+    return reference._gap([(rep.total_payoff, rep0.total_payoff), reference._balance(rep)])
 
 
 def test_pricing_cancellation_default(default_cfg):
@@ -312,3 +313,72 @@ def test_identity_checks_evaluate_each_coalition_once_per_config(monkeypatch):
     results = analysis.run_identity_checks(cfg)
     assert [r.passed for r in results] == [True] * len(results)
     assert len({id(c) for c, _ in calls}) == len(calls) == 3   # cfg, uniformized, fee-free
+
+
+def _check_configs():
+    """The 60 draws of the `check` hash test, then every `check` golden config."""
+    rng = np.random.default_rng(2026)
+    for k in range(60):
+        yield random_config(rng, unit_bg=k % 2 == 0, uniform_relay=k % 2 == 1)
+    data = pathlib.Path(__file__).parent / "data"
+    for name in (None, "k4m8", "k4m8_blocked", "k3m4_edges", "k3m4_gain", "k5m0"):
+        yield resolve_encounter(load_config(name and data / f"core_{name}.json"))
+
+
+def test_identity_checks_equal_the_report_based_reference():
+    for cfg in _check_configs():
+        assert run_identity_checks(cfg) == reference.identity_checks(cfg)
+
+
+def test_identity_checks_compute_relay_probabilities_once_per_vehicle(monkeypatch):
+    cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
+    calls = []
+    original = analytic._relay_probs
+
+    def record(q, rsus):
+        calls.append(rsus.shape)
+        return original(q, rsus)
+
+    monkeypatch.setattr(analytic, "_relay_probs", record)
+    analysis.run_identity_checks(cfg)
+    assert len(calls) == cfg.K   # not once per vehicle for each of the three configs
+
+
+def _detail(cfg, name):
+    res, = (r for r in run_identity_checks(cfg) if r.name == name)
+    assert res.passed is False
+    return res.detail
+
+
+def test_rsu_only_failure_names_the_coalition(monkeypatch, default_cfg):
+    original = analytic._table
+
+    def nonzero(c, member, relay):   # RSUs 3 and 4 together earn 1.0 each
+        out = original(c, member, relay)
+        out[-1][:, (member.T == [False, False, True, True]).all(axis=1)] = 1.0
+        return out
+
+    monkeypatch.setattr(analytic, "_table", nonzero)
+    assert _detail(default_cfg, "RSU-only coalitions earn exactly zero") == (
+        "checked over enumerated structures (coalition [3, 4])")
+
+
+def test_normalization_failure_names_the_structure(monkeypatch, default_cfg):
+    def merged(cs, K):   # joins vehicles 1 and 2 in the all-singletons structure only
+        if cs == ALL_SINGLETONS:
+            return VEHICLE_PAIR
+        return normalize_structure(cs, K)
+
+    monkeypatch.setattr(analysis, "normalize_structure", merged)
+    assert _detail(default_cfg, "normalization preserves every payoff exactly") == (
+        "checked over enumerated structures (structure 1|2|3|4)")
+
+
+def test_profitability_failure_names_the_coalition(monkeypatch, default_cfg):
+    def flipped(S, cfg):   # wrong for the vehicle pair only
+        verdict = vehicle_coalition_profitability(S, cfg)
+        return {i: not v for i, v in verdict.items()} if S == {1, 2} else verdict
+
+    monkeypatch.setattr(analysis, "vehicle_coalition_profitability", flipped)
+    assert _detail(default_cfg, "share-ratio profitability agrees with payoff comparison") == (
+        "checked over vehicle-only coalitions (coalition [1, 2])")

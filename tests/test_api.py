@@ -94,3 +94,10 @@ def test_oracle_names_no_fast_path():
     named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     fast = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_reports"}
     assert not named & fast, f"oracle_relay_mean names fast-path helpers {sorted(named & fast)}"
+
+
+def test_source_stays_within_its_line_budget():
+    # the ceiling on `wc -l src/vanetgame/*.py`: newline bytes, summed over the files
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (ROOT / "src" / "vanetgame").glob("*.py"))
+    assert lines <= 2190, f"src/vanetgame/*.py holds {lines} lines, over the 2,190 ceiling"

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry
+from vanetgame.configio import load_config
 from vanetgame.geometry import PLACEMENTS
 
 
@@ -115,6 +117,16 @@ def test_wide_sweep_memory_is_bounded():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
     peak = _estimate_peak(geo, 20, 20, ranges=[(d,) * 20 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
     assert peak < 100e6, peak
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_sweep_holds_one_chunk_at_a_time(placement):
+    # each loop body frees its chunk, positions and distances before the next
+    # chunk is drawn: two live chunks of K = 4, M = 8 peak at about 17.5 MB
+    loaded = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json")
+    geo = dataclasses.replace(loaded.geometry, placement=placement, n_slots=200_000)
+    peak = _estimate_peak(geo, 4, 8, ranges=[(d,) * 4 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
+    assert peak < 16.5e6, peak
 
 
 def test_zero_range_never_encounters():

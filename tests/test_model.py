@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import (ConfigError, GameConfig, bell_number, canonical_structure,
+from vanetgame import (ConfigError, GameConfig, analysis, bell_number, canonical_structure,
                        check_structure, enumerate_partitions, format_structure, iter_partitions,
                        make_config, model, normalize_structure, parse_structure,
                        structure_csv_blocks, unrank_partition, validate_config)
@@ -69,10 +69,14 @@ def test_iter_partitions_is_lazy_and_matches_the_list():
         assert enumerate_partitions(n) == list(reference.partitions(n)), n
 
 
-@pytest.mark.parametrize("n", [12, 130])
+@pytest.mark.parametrize("n", [*range(1, 9), 12, 130])
 def test_check_prefix_matches_the_reference_walker(n):
-    # `check` reads the first 64 partitions for any n, past the 127-player CSV bound too
-    assert list(islice(iter_partitions(n), 64)) == list(islice(reference.partitions(n), 64))
+    # `check` reads the first 64 partitions for any n, past the 127-player CSV bound too:
+    # all Bell(n) < 64 of them up to n = 5, and from n = 6 on rows padded with zeros
+    # (int16 labels at n = 130)
+    want = list(islice(reference.partitions(n), 64))
+    assert list(islice(iter_partitions(n), 64)) == want
+    assert analysis._check_partitions(n) == want
 
 
 def csv_body(n, K):
