@@ -32,6 +32,9 @@ _ENUM_MAX_PLAYERS = 20
 _BLOCK_MASKS = 1 << 12
 # run_identity_checks covers every coalition of this many partitions of all players
 _CHECK_STRUCTURES = 64
+# and runs the relay oracle on those of at most this many RSUs, so that each call
+# is one block of oracle_relay_mean's enumeration (analytic._ORACLE_BLOCK_BITS)
+_CHECK_ORACLE_RSUS = 12
 
 
 def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
@@ -85,30 +88,21 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
 class CoreConditions:
     """Outcome of the three-part sufficient check for an unblockable grand vector.
 
-    Witnesses identify the first offending (player, coalition) found in the
-    fixed enumeration order; None when a condition holds.
+    Witnesses identify the first offending player or (player, coalition) in the
+    fixed enumeration order, None when a condition holds; each flag reads its witness.
     """
 
-    weights_positive: bool
     weight_witness: int | None
-    gains_strict: bool
     gain_witness: tuple | None
-    grand_preferred: bool
     preference_witness: tuple | None
+
+    weights_positive = property(lambda self: self.weight_witness is None)
+    gains_strict = property(lambda self: self.gain_witness is None)
+    grand_preferred = property(lambda self: self.preference_witness is None)
 
     @property
     def all_hold(self) -> bool:
         return self.weights_positive and self.gains_strict and self.grand_preferred
-
-
-def _require_enumerable(cfg: GameConfig) -> None:
-    if cfg.n_players > _ENUM_MAX_PLAYERS:
-        raise ValueError(f"enumeration bound exceeded: {cfg.n_players} players "
-                         f"> {_ENUM_MAX_PLAYERS}")
-
-
-def _grand_vector(cfg: GameConfig) -> np.ndarray:
-    return structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
 
 
 def _weight_witness(cfg: GameConfig) -> int | None:
@@ -134,14 +128,18 @@ def _preorder_key(masks: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
+def _coalition(mask: int, n: int) -> frozenset:
+    """The players of a coalition mask (bit k: player k + 1)."""
+    return frozenset(m + 1 for m in range(n) if mask >> m & 1)
+
+
 def _first_offence(offends: np.ndarray, masks: np.ndarray, n: int):
     """(first offending member, coalition) of the first mask with an offence."""
     hit = offends.any(axis=0)
     if not hit.any():
         return None
     k = int(hit.argmax())
-    return (int(offends[:, k].argmax()) + 1,
-            frozenset(m + 1 for m in range(n) if masks[k] >> m & 1))
+    return int(offends[:, k].argmax()) + 1, _coalition(int(masks[k]), n)
 
 
 def _sweep(cfg: GameConfig, grand: np.ndarray, x):
@@ -153,8 +151,8 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     2^M RSU subsets. Returns (gain witness, preference witness, blocker): the
     first (player, coalition) violating condition 2 and condition 3 of
     core_sufficient_conditions among the proper coalitions, given the grand
-    coalition's payoff vector, and the lexicographically smallest sorted
-    member tuple of a coalition whose every member earns strictly more than x.
+    coalition's payoff vector, and the coalition with the lexicographically
+    smallest sorted member tuple whose every member earns strictly more than x.
     """
     K, n = cfg.K, cfg.n_players
     grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
@@ -184,20 +182,7 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
             k = int(keys.argmin())
             if best is None or keys[k] < best[0]:
                 best = (keys[k], int(blocking[k]))
-    blocker = None if best is None else tuple(m + 1 for m in range(n) if best[1] >> m & 1)
-    return gain_witness, preference_witness, blocker
-
-
-def _conditions(cfg: GameConfig, gain_witness, preference_witness) -> CoreConditions:
-    weight_witness = _weight_witness(cfg)
-    return CoreConditions(
-        weights_positive=weight_witness is None,
-        weight_witness=weight_witness,
-        gains_strict=gain_witness is None,
-        gain_witness=gain_witness,
-        grand_preferred=preference_witness is None,
-        preference_witness=preference_witness,
-    )
+    return gain_witness, preference_witness, None if best is None else _coalition(best[1], n)
 
 
 def core_sufficient_conditions(cfg: GameConfig) -> CoreConditions:
@@ -223,19 +208,26 @@ def core_sufficient_conditions(cfg: GameConfig) -> CoreConditions:
 
 @dataclass(frozen=True)
 class CoreMembership:
-    in_core: bool
     blocking: Coalition | None
 
+    in_core = property(lambda self: self.blocking is None)
 
-def _membership(x, blocker, cfg: GameConfig) -> CoreMembership:
-    """Re-verify the blocker member by member before reporting it."""
-    if blocker is None:
-        return CoreMembership(True, None)
-    rep = player_payoffs(frozenset(blocker), cfg)
-    if not all(rep.payoff_of(m) > x[m - 1] for m in blocker):
-        raise RuntimeError(f"internal invariant breach: blocker {list(blocker)} "
-                           "does not dominate on re-evaluation")
-    return CoreMembership(False, frozenset(blocker))
+
+def _verdict(cfg: GameConfig, x=None):
+    """(grand vector, gain witness, preference witness, membership of x, default the
+    grand vector): the bound, the sweep, and a blocker re-verified member by member."""
+    if cfg.n_players > _ENUM_MAX_PLAYERS:
+        raise ValueError(f"enumeration bound exceeded: {cfg.n_players} players "
+                         f"> {_ENUM_MAX_PLAYERS}")
+    grand = structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
+    x = grand if x is None else x
+    gain_witness, preference_witness, blocker = _sweep(cfg, grand, x)
+    if blocker is not None:
+        rep = player_payoffs(blocker, cfg)
+        if not all(rep.payoff_of(m) > x[m - 1] for m in blocker):
+            raise RuntimeError(f"internal invariant breach: blocker {sorted(blocker)} "
+                               "does not dominate on re-evaluation")
+    return grand, gain_witness, preference_witness, CoreMembership(blocker)
 
 
 def core_membership(x, cfg: GameConfig) -> CoreMembership:
@@ -252,9 +244,10 @@ def core_membership(x, cfg: GameConfig) -> CoreMembership:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.n_players,):
         raise ValueError(f"payoff vector has shape {x.shape}, expected ({cfg.n_players},)")
-    _require_enumerable(cfg)
-    _, _, blocker = _sweep(cfg, _grand_vector(cfg), x)
-    return _membership(x, blocker, cfg)
+    bad = (np.flatnonzero(~np.isfinite(x)) + 1).tolist()
+    if bad:
+        raise ValueError(f"payoff vector is not finite for players {bad}")
+    return _verdict(cfg, x)[-1]
 
 
 @dataclass(frozen=True)
@@ -270,11 +263,8 @@ def stability_verdict(cfg: GameConfig) -> StabilityVerdict:
     Same membership as core_membership of the grand vector, from a single
     sweep that evaluates every coalition once.
     """
-    _require_enumerable(cfg)
-    vec = _grand_vector(cfg)
-    gain_witness, preference_witness, blocker = _sweep(cfg, vec, vec)
-    conditions = _conditions(cfg, gain_witness, preference_witness)
-    membership = _membership(vec, blocker, cfg)
+    vec, gain_witness, preference_witness, membership = _verdict(cfg)
+    conditions = CoreConditions(_weight_witness(cfg), gain_witness, preference_witness)
     if conditions.all_hold and not membership.in_core:
         raise RuntimeError("internal invariant breach: sufficient conditions hold "
                            f"but the grand vector is blocked by {sorted(membership.blocking)}")
@@ -369,7 +359,8 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
     got, index = [], []   # oracle outputs; (0 for the rate gain or 1 + RSU row, vehicle, column)
-    for c in np.flatnonzero(has_vehicle & has_rsu & (rsu.sum(axis=0) <= 12)).tolist():
+    small = rsu.sum(axis=0) <= _CHECK_ORACLE_RSUS
+    for c in np.flatnonzero(has_vehicle & has_rsu & small).tolist():
         vehicles, rsus = split_members(coalitions[c], K)
         for i in vehicles:
             weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}

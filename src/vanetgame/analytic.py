@@ -100,6 +100,9 @@ def relay_choice_probs(q) -> list[float]:
     coefficients follow from the O(m^2) recursion of Hong (2013). O(m^3) in all.
     """
     q = [float(x) for x in q]
+    bad = [x for x in q if not 0.0 <= x <= 1.0]
+    if bad:
+        raise ValueError(f"encounter probabilities outside [0, 1]: {bad}")
     return _relay_probs(q, np.ones((len(q), 1), dtype=bool))[:, 0].tolist()
 
 

@@ -111,7 +111,7 @@ def _csv(header, rows: list):
     return write
 
 
-def _write_manifest(out_path, args, extra=None) -> None:
+def _write_manifest(out_path, args, fields) -> None:
     manifest = {
         "tool": "vanetgame",
         "version": __version__,
@@ -121,28 +121,27 @@ def _write_manifest(out_path, args, extra=None) -> None:
         "command": args.command,
         "config": args.config,
         "out": args.out,
+        **fields,
     }
-    for key in ("seed", "structure", "slots", "placement"):
-        if hasattr(args, key):
-            manifest[key] = getattr(args, key)
-    if getattr(args, "d_sweep", None) is not None:
-        manifest["d_sweep"] = list(args.d_sweep)
-    if extra:
-        manifest.update(extra)
     with open(str(out_path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit(args, write, extra=None) -> None:
-    """Stream write(fh) to --out, with a manifest of the row count it returns, or to stdout."""
+def _emit(args, write, **fields) -> None:
+    """Stream write(fh) to --out, with a manifest of fields and the rows it wrote, or to stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             count = write(fh)
-        _write_manifest(args.out, args, {**(extra or {}), "rows": count})
+        _write_manifest(args.out, args, {**fields, "rows": count})
         print(f"wrote {count} rows to {args.out}")
     else:
         write(sys.stdout)
+
+
+def _max_abs_z(rows):
+    """max |estimate - exact| / stderr over rows (estimate, stderr, exact, ...) with stderr > 0."""
+    return max((abs(est - ana) / se for est, se, ana, *_ in rows if se > 0), default=None)
 
 
 def cmd_enumerate(args, loaded) -> int:
@@ -157,7 +156,7 @@ def cmd_enumerate(args, loaded) -> int:
         fh.writelines(structure_csv_blocks(cfg.n_players, cfg.K))
         return bell_number(cfg.n_players)
 
-    _emit(args, write, extra={"n_players": cfg.n_players, "K": cfg.K})
+    _emit(args, write, n_players=cfg.n_players, K=cfg.K)
     return 0
 
 
@@ -178,11 +177,10 @@ def cmd_encounter(args, loaded) -> int:
     rows = [(d, i + 1, cfg.K + j + 1, float(est.matrix[j, i]), float(est.stderr[j, i]), reference)
             for d, reference, est in zip(args.d_sweep, references, estimates)
             for j in range(cfg.M) for i in range(cfg.K)]
-    # agreement with the exact distance law; null when no estimate has a positive stderr
-    max_abs_z = max((abs(est - ana) / se for *_, est, se, ana in rows if se > 0), default=None)
     _emit(args, _csv(("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"), rows),
-          extra={"seed": geo.seed, "slots": geo.n_slots, "placement": geo.placement,
-                       "mplace_per_s": mplace_per_s, "max_abs_z": max_abs_z})
+          seed=geo.seed, slots=geo.n_slots, placement=geo.placement,
+          d_sweep=list(args.d_sweep), mplace_per_s=mplace_per_s,
+          max_abs_z=_max_abs_z(row[3:] for row in rows))
     return 0
 
 
@@ -205,23 +203,24 @@ def _report_items(rep):
 
 def _payoff_rows(cs, cfg, d_label):
     rows = [(d_label, *item) for rep in structure_reports(cs, cfg) for item in _report_items(rep)]
-    rows.sort(key=lambda r: (float(r[0]) if r[0] != "" else -1.0, r[1], r[2]))
+    rows.sort(key=lambda r: (r[1], r[2]))   # every row of one call has the same d_label
     return rows
 
 
 def cmd_payoffs(args, loaded) -> int:
     cfg = loaded.game
     cs = _resolve_structure(args.structure, cfg)
-    rows = []
+    rows, sweep = [], {}
     if args.d_sweep is None:
         rows.extend(_payoff_rows(cs, resolve_encounter(loaded), ""))
     else:
+        sweep["d_sweep"] = list(args.d_sweep)
         for d in args.d_sweep:
             q = analytic_pair_encounter(d, loaded.geometry.side_km)
             cfg_d = dataclasses.replace(cfg, enc=np.full((cfg.M, cfg.K), q))
             rows.extend(_payoff_rows(cs, cfg_d, d))
     _emit(args, _csv(("d_km", "player", "quantity", "value"), rows),
-          extra={"structure_blocks": format_structure(cs)})
+          structure=args.structure, structure_blocks=format_structure(cs), **sweep)
     return 0
 
 
@@ -269,13 +268,11 @@ def cmd_simulate(args, loaded) -> int:
                 for player, qty, value in _report_items(rep)}
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
-    # agreement with the closed forms; null when no estimate has a positive stderr
-    max_abs_z = max((abs(est - ana) / se for _, _, est, se, ana, _, _ in rows if se > 0),
-                    default=None)
     _emit(args, _csv(("player", "quantity", "estimate", "stderr", "analytic", "n_slots",
                       "seed"), rows),
-          extra={"structure_blocks": format_structure(cs), "seed": seed,
-                       "mslot_per_s": mslot_per_s, "max_abs_z": max_abs_z})
+          structure=args.structure, structure_blocks=format_structure(cs), seed=seed,
+          slots=args.slots, mslot_per_s=mslot_per_s,
+          max_abs_z=_max_abs_z(row[2:] for row in rows))
     return 0
 
 

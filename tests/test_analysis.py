@@ -249,6 +249,54 @@ def test_membership_dimension_check(default_cfg):
         core_membership(np.zeros(3), default_cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_rejects_non_finite_entries(default_cfg, bad):
+    x = structure_payoffs(GRAND, default_cfg).copy()
+    x[[1, 3]] = bad
+    with pytest.raises(ValueError, match=r"not finite for players \[2, 4\]"):
+        core_membership(x, default_cfg)
+
+
+def test_core_results_hold_only_their_witnesses(default_cfg):
+    assert [f.name for f in dataclasses.fields(analysis.CoreConditions)] == [
+        "weight_witness", "gain_witness", "preference_witness"]
+    assert [f.name for f in dataclasses.fields(analysis.CoreMembership)] == ["blocking"]
+    verdict = stability_verdict(default_cfg)
+    cond = verdict.conditions
+    assert (cond.weights_positive, cond.gains_strict, cond.grand_preferred) == (True, True, False)
+    assert verdict.membership.in_core and verdict.membership.blocking is None
+
+
+def _sweep_reporting(monkeypatch, preference=True, blocker=None):
+    """Make analysis._sweep drop the preference witness it finds unless asked to
+    keep it, and report blocker (the one it finds when None)."""
+    original = analysis._sweep
+
+    def sweep(cfg, grand, x):
+        gain, found, found_blocker = original(cfg, grand, x)
+        return (gain, found if preference else None,
+                found_blocker if blocker is None else blocker)
+    monkeypatch.setattr(analysis, "_sweep", sweep)
+
+
+def test_blocker_that_fails_reverification_is_an_invariant_breach(monkeypatch, default_cfg):
+    # the grand vector is in the core, so vehicle 1 alone cannot dominate it
+    _sweep_reporting(monkeypatch, blocker=frozenset({1}))
+    with pytest.raises(RuntimeError, match=r"blocker \[1\] does not dominate"):
+        stability_verdict(default_cfg)
+    with pytest.raises(RuntimeError, match=r"blocker \[1\] does not dominate"):
+        core_membership(structure_payoffs(GRAND, default_cfg), default_cfg)
+
+
+def test_conditions_that_hold_beside_a_blocker_are_an_invariant_breach(monkeypatch):
+    # {1, 2} really blocks here; hiding the preference witness makes all conditions hold
+    cfg = make_config(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
+                      cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
+    _sweep_reporting(monkeypatch, preference=False)
+    with pytest.raises(RuntimeError, match=r"conditions hold but .* blocked by \[1, 2\]"):
+        stability_verdict(cfg)
+
+
 def test_verdict_consistency_when_conditions_hold():
     verdict = stability_verdict(single_rsu_config())
     assert verdict.conditions.all_hold
@@ -282,6 +330,22 @@ def test_identity_checks_pass_on_default(default_cfg):
     results = run_identity_checks(default_cfg)
     for res in results:
         assert res.passed is not False, f"{res.name}: {res.detail}"
+
+
+def test_identity_checks_run_the_oracle_on_at_most_twelve_rsus(monkeypatch):
+    # the grand coalition of 13 RSUs is skipped, and {1, ..., 13} (12 RSUs) is checked
+    cfg = make_config(1, 13, p=0.5, enc=0.5, delta=0.5, price=1.5, cost_fwd=0.5,
+                      cost_rcv=0.2)
+    sizes = []
+    original = analysis.oracle_relay_mean
+
+    def record(S, i, weights, c):
+        sizes.append(len(S) - 1)
+        return original(S, i, weights, c)
+    monkeypatch.setattr(analysis, "oracle_relay_mean", record)
+    results = run_identity_checks(cfg)
+    assert max(sizes) == 12
+    assert all(res.passed is not False for res in results)
 
 
 def test_structure_reports_evaluate_one_table_per_structure(monkeypatch, default_cfg):

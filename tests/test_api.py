@@ -85,6 +85,13 @@ def test_every_name_readme_names_exists(module, name):
         f"README.md names `{name}`, which no module in {module or 'vanetgame'} defines"
 
 
+def test_readme_library_block_runs():
+    """The ```python block of README's Library section runs as documented."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", text, flags=re.S | re.M).group(1)
+    exec(compile(block, "README.md#library", "exec"), {})
+
+
 def test_oracle_names_no_fast_path():
     """The brute-force relay oracle stays independent of the closed forms it checks."""
     tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())

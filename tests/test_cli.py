@@ -224,6 +224,18 @@ def test_core_reports_membership(capsys, config_file):
     assert "witness" in out
 
 
+def test_core_invariant_breach_exits_4(monkeypatch, capsys):
+    # a blocker that does not dominate on re-evaluation: one stderr line, exit 4
+    original = vanetgame.analysis._sweep
+    monkeypatch.setattr(vanetgame.analysis, "_sweep",
+                        lambda cfg, grand, x: (*original(cfg, grand, x)[:2], frozenset({1})))
+    assert main(["core"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invariant breach: internal invariant breach: blocker [1] "
+                            "does not dominate on re-evaluation\n")
+
+
 def test_simulate_emits_comparison_rows(tmp_path, config_file):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--config", config_file, "--structure", "1,2,3,4",

@@ -94,6 +94,12 @@ def test_relay_choice_probs_edges():
     assert relay_choice_probs([1.0, 0.0, 0.5]) == [0.75, 0.0, 0.25]
 
 
+@pytest.mark.parametrize("q", [[2.0, 0.5], [0.5, -0.1], [float("nan")], [float("inf"), 0.0]])
+def test_relay_choice_probs_rejects_values_outside_the_unit_interval(q):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        relay_choice_probs(q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(configs())
 def test_payments_equal_revenues_in_every_coalition(cfg):
