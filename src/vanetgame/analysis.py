@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (ABS_TOL, PayoffReport, _brackets, _reports, _table, _tables,
-                       oracle_relay_mean, player_payoffs)
+from .analytic import (ABS_TOL, PayoffReport, _brackets, _oracle_batch, _reports, _table,
+                       _tables, player_payoffs)
 from .model import (Coalition, GameConfig, _blocks_of, _label_blocks, check_structure,
                     format_structure, normalize_structure, split_members)
 
@@ -32,8 +32,8 @@ _ENUM_MAX_PLAYERS = 20
 _BLOCK_MASKS = 1 << 12
 # run_identity_checks covers every coalition of this many partitions of all players
 _CHECK_STRUCTURES = 64
-# and runs the relay oracle on those of at most this many RSUs, so that each call
-# is one block of oracle_relay_mean's enumeration (analytic._ORACLE_BLOCK_BITS)
+# and runs the relay oracle on those of at most this many RSUs, so that each pair's
+# encounter sets fit one block of the oracle's enumeration (analytic._ORACLE_BLOCK_BITS)
 _CHECK_ORACLE_RSUS = 12
 
 
@@ -358,19 +358,17 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     balance_gap = _gap(True, _fold(np.add, 0.0, veh, charge[:K, :C]),
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
-    got, index = [], []   # oracle outputs; (0 for the rate gain or 1 + RSU row, vehicle, column)
-    small = rsu.sum(axis=0) <= _CHECK_ORACLE_RSUS
-    for c in np.flatnonzero(has_vehicle & has_rsu & small).tolist():
-        vehicles, rsus = split_members(coalitions[c], K)
-        for i in vehicles:
-            weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
-            value, chosen = oracle_relay_mean(coalitions[c], i, weights, cfg)
-            got += [value, *chosen.values()]
-            index += [(0, i - 1, c), *((j - K, i - 1, c) for j in rsus)]
-    slot, row, cols = np.array(index, dtype=np.intp).reshape(-1, 3).T
-    want = np.concatenate((gain[None, :, :C], pr[:, :, :C].transpose(1, 0, 2)))[slot, row, cols]
-    oracle_gap = np.zeros(C)
-    np.maximum.at(oracle_gap, cols, _gap(True, np.array(got), want))
+    oracle_gap, rsu_count = np.zeros(C), rsu.sum(axis=0)
+    checked = has_vehicle & has_rsu & (rsu_count <= _CHECK_ORACLE_RSUS)
+    for size in sorted(set(rsu_count[checked].tolist())):   # one oracle pass per RSU count
+        cols = np.flatnonzero(checked & (rsu_count == size))
+        t = np.nonzero(rsu[:, cols].T)[1].reshape(-1, size)   # each column's RSU rows
+        k, i = np.nonzero(veh[:, cols].T)   # its (column, vehicle) pairs, ascending
+        t, cols = t[k], cols[k]
+        value, chosen = _oracle_batch(cfg.enc[t, i[:, None]], cfg.delta[i[:, None], t])
+        gap = _gap(True, np.column_stack((value, chosen)),
+                   np.column_stack((gain[i, cols], pr[i[:, None], t, cols[:, None]])))
+        np.maximum.at(oracle_gap, cols, gap.max(axis=1))
 
     identities = (
         ("scheduled-share total matches 1 - P(all idle)", share_gap),

@@ -78,17 +78,22 @@ def _brackets(q: list) -> np.ndarray:
     return h
 
 
-def _relay_probs(q: list, rsus: np.ndarray) -> np.ndarray:
-    """(M, C) probabilities q[t] E[1/(B+1)] that RSU t relays one vehicle, where B
-    counts the RSUs of column c's set R_c - {t} (rsus: (M, C) bool) that meet it.
-    Each row adds the RSUs of its own subset in ascending order, as _brackets
-    does, so the two agree exactly; O(M^3) per column."""
-    M = len(q)
-    coef = np.broadcast_to(np.eye(1, M + 1), (M, rsus.shape[1], M + 1))   # P(B = 0) = 1
-    for u in np.flatnonzero(rsus.any(axis=1)):
-        grows = rsus[u] & (np.arange(M) != u)[:, None]   # rows (t, c) whose subset holds u
-        coef = np.where(grows[..., None], _extend(coef, q[u]), coef)
-    return np.array(q).reshape(M, 1) * _bracket(coef)
+def _relay_probs(q: np.ndarray, rsus: np.ndarray) -> np.ndarray:
+    """(M, P) probabilities q[t, c] E[1/(B+1)] that RSU t relays column c's vehicle,
+    where B counts the RSUs of the column's set R_c - {t} (rsus: (M, P) bool) that
+    meet it, each with probability q[u, c]; 0.0 off R_c. One coefficient row per
+    (t, c) with t in R_c adds the RSUs of its own subset in ascending order, as
+    _brackets does, so the two agree exactly; O(M^2) per row."""
+    t, c = np.nonzero(rsus)
+    coef = np.eye(1, q.shape[0] + 1).repeat(t.size, axis=0)   # P(B = 0) = 1
+    for k, u in enumerate(np.flatnonzero(rsus.any(axis=1))):
+        # a row whose subset lacks u extends by probability 0.0, which keeps every bit,
+        # and after k + 1 RSUs every coefficient past b = k + 1 is still exactly 0.0
+        qu = np.where(rsus[u, c] & (t != u), q[u, c], 0.0)[:, None]
+        coef[:, :k + 2] = _extend(coef[:, :k + 2], qu)
+    out = np.zeros(rsus.shape)
+    out[t, c] = q[t, c] * _bracket(coef)
+    return out
 
 
 def relay_choice_probs(q) -> list[float]:
@@ -103,7 +108,7 @@ def relay_choice_probs(q) -> list[float]:
     bad = [x for x in q if not 0.0 <= x <= 1.0]
     if bad:
         raise ValueError(f"encounter probabilities outside [0, 1]: {bad}")
-    return _relay_probs(q, np.ones((len(q), 1), dtype=bool))[:, 0].tolist()
+    return _relay_probs(np.reshape(q, (-1, 1)), np.ones((len(q), 1), dtype=bool))[:, 0].tolist()
 
 
 def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
@@ -112,35 +117,48 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     Enumerates all 2^(#RSUs) encounter sets directly and, inside each set,
     averages over the uniform relay choices. Returns the expected weight and
     the per-RSU probability of being the chosen relay. Kept deliberately
-    independent of relay_choice_probs and player_payoffs. Sets come in ascending
-    mask order, at most 2^_ORACLE_BLOCK_BITS at a time; every product and sum
-    runs in ascending RSU and mask order (accumulate, never a pairwise sum).
+    independent of relay_choice_probs and player_payoffs: the one-pair call of
+    _oracle_batch.
     """
     if i not in cfg.vehicles or i not in S:
         raise ValueError(f"player {i} is not a vehicle member of coalition {sorted(S)}")
     _, rsus = split_members(S, cfg.K)
     if len(rsus) > _ORACLE_MAX_RSUS:
         raise ValueError(f"enumeration bound exceeded: {len(rsus)} RSUs > {_ORACLE_MAX_RSUS}")
-    n = len(rsus)
-    # row 0 is a slot that no set holds, so each accumulation starts from 1.0 or 0.0
-    q = np.array([0.0] + [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]).reshape(n + 1, 1)
-    w = np.array([0.0] + [float(weights[j]) for j in rsus]).reshape(n + 1, 1)
+    q = np.array([[float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]])
+    value, chosen = _oracle_batch(q, np.array([[float(weights[j]) for j in rsus]]))
+    return float(value[0]), dict(zip(rsus, chosen[0].tolist()))
+
+
+def _oracle_batch(q: np.ndarray, w: np.ndarray):
+    """oracle_relay_mean of P (vehicle, coalition) pairs of n RSUs each at once, from
+    their encounter probabilities q and weights w (both (P, n)): values (P,) and
+    relay probabilities (P, n). Sets come in ascending mask order, at most
+    2^_ORACLE_BLOCK_BITS (pair, set) cells at a time; every product and sum runs
+    in ascending RSU and mask order (accumulate, never a pairwise sum).
+    """
+    P, n = q.shape
+    # column 0 is a slot that no set holds, so each accumulation starts from 1.0 or 0.0
+    q = np.concatenate((np.zeros((P, 1)), q), axis=1)[..., None]
+    w = np.concatenate((np.zeros((P, 1)), w), axis=1)[..., None]
     idle = 1.0 - q
     flags = np.array([0] + [1 << k for k in range(n)]).reshape(n + 1, 1)
     block = 1 << min(n, _ORACLE_BLOCK_BITS)
-    value, chosen = 0.0, np.zeros(n + 1)
+    pairs = 1 << max(_ORACLE_BLOCK_BITS - n, 0)
+    value, chosen = np.zeros(P), np.zeros((P, n + 1))
     for start in range(0, 1 << n, block):
         bit = np.arange(start, start + block) & flags != 0
-        prob = np.multiply.accumulate(np.where(bit, q, idle))[-1]
-        wsum = np.add.accumulate(np.where(bit, w, 0.0))[-1]
         size = np.maximum(bit.sum(axis=0), 1)   # the empty set adds prob * 0.0 / 1
-        terms = prob * wsum / size
-        terms[0] += value   # the carry from the masks before this block
-        value = np.add.accumulate(terms)[-1]
-        terms = np.where(bit, prob / size, 0.0)
-        terms[:, 0] += chosen
-        chosen = np.add.accumulate(terms, axis=1)[:, -1]
-    return float(value), dict(zip(rsus, chosen[1:].tolist()))
+        for part in (slice(first, first + pairs) for first in range(0, P, pairs)):
+            prob = np.multiply.accumulate(np.where(bit, q[part], idle[part]), axis=1)[:, -1]
+            wsum = np.add.accumulate(np.where(bit, w[part], 0.0), axis=1)[:, -1]
+            terms = prob * wsum / size
+            terms[:, 0] += value[part]   # the carry from the masks before this block
+            value[part] = np.add.accumulate(terms, axis=1)[:, -1]
+            terms = np.where(bit, (prob / size)[:, None], 0.0)
+            terms[..., 0] += chosen[part]
+            chosen[part] = np.add.accumulate(terms, axis=2)[..., -1]
+    return value, chosen[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -227,11 +245,9 @@ def _tables(coalitions, cfg: GameConfig, *variants):
         if outside or not S:
             raise ValueError(f"players {outside} out of range 1..{n}" if S else "empty coalition")
         member[[m - 1 for m in S], c] = True
-    q = cfg.enc.T.tolist()
+    i, c = np.nonzero(member[:K])   # every (vehicle, coalition holding it) pair
     pr = np.zeros((K, cfg.M, len(coalitions)))
-    for i in range(K):
-        cols = np.flatnonzero(member[i])
-        pr[i][:, cols] = _relay_probs(q[i], member[K:, cols])
+    pr[i, :, c] = _relay_probs(cfg.enc[:, i], member[K:, c]).T
     return member, pr, [_table(c, member, lambda i, t: pr[i, t]) for c in (cfg, *variants)]
 
 

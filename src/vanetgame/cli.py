@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import run_identity_checks, stability_verdict, structure_reports
+from .analytic import ABS_TOL
 from .configio import ConfigError, load_config, resolve_encounter
 from .geometry import PLACEMENTS, analytic_pair_encounter, estimate_encounter_matrix
 from .model import (bell_number, format_structure, parse_structure, structure_csv_blocks,
@@ -139,9 +140,18 @@ def _emit(args, write, **fields) -> None:
         write(sys.stdout)
 
 
-def _max_abs_z(rows):
-    """max |estimate - exact| / stderr over rows (estimate, stderr, exact, ...) with stderr > 0."""
-    return max((abs(est - ana) / se for est, se, ana, *_ in rows if se > 0), default=None)
+def _max_abs_z(rows) -> dict:
+    """Manifest fields on rows (estimate, stderr, exact, ...): max_abs_z, the largest
+    |estimate - exact| / stderr over the n_compared rows with stderr > 0, and
+    zero_se_mismatches, the rows with stderr 0 that miss exact by more than ABS_TOL."""
+    z, mismatches = [], 0
+    for est, se, ana, *_ in rows:
+        if se > 0:
+            z.append(abs(est - ana) / se)
+        else:
+            mismatches += not abs(est - ana) <= ABS_TOL
+    return {"max_abs_z": max(z, default=None), "n_compared": len(z),
+            "zero_se_mismatches": mismatches}
 
 
 def cmd_enumerate(args, loaded) -> int:
@@ -180,7 +190,7 @@ def cmd_encounter(args, loaded) -> int:
     _emit(args, _csv(("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"), rows),
           seed=geo.seed, slots=geo.n_slots, placement=geo.placement,
           d_sweep=list(args.d_sweep), mplace_per_s=mplace_per_s,
-          max_abs_z=_max_abs_z(row[3:] for row in rows))
+          **_max_abs_z(row[3:] for row in rows))
     return 0
 
 
@@ -272,7 +282,7 @@ def cmd_simulate(args, loaded) -> int:
                       "seed"), rows),
           structure=args.structure, structure_blocks=format_structure(cs), seed=seed,
           slots=args.slots, mslot_per_s=mslot_per_s,
-          max_abs_z=_max_abs_z(row[2:] for row in rows))
+          **_max_abs_z(row[2:] for row in rows))
     return 0
 
 

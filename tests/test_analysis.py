@@ -244,6 +244,32 @@ def test_sweep_memory_is_bounded_at_sixteen_players():
     assert peak < 16 * 2 ** 20
 
 
+def test_identity_check_memory_is_bounded_at_sixteen_players():
+    # the oracle takes one batch per RSU count, split into 2^_ORACLE_BLOCK_BITS
+    # (pair, encounter set) cells at a time; one oracle call per pair peaked at
+    # 1.92 MB here, and one uncapped batch per RSU count at 16 MB
+    cfg = random_config(np.random.default_rng(16), k_max=4, m_max=12, k_min=4, m_min=12)
+    tracemalloc.start()
+    try:
+        run_identity_checks(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1.92 * 2 ** 20
+
+
+@pytest.mark.parametrize("shape", ["singletons", "vehicle-rsu-pairs", "grand"])
+def test_wide_structure_reports_equal_the_reference(shape):
+    # K = M = 40: one relay pass over every (vehicle, coalition) pair of the structure
+    K = M = 40
+    cfg = random_config(np.random.default_rng(40), k_min=K, k_max=K, m_min=M, m_max=M)
+    cs = canonical_structure({
+        "singletons": [{m} for m in range(1, K + M + 1)],
+        "vehicle-rsu-pairs": [{i, K + i} for i in range(1, K + 1)],
+        "grand": [set(range(1, K + M + 1))]}[shape])
+    assert analysis.structure_reports(cs, cfg) == [reference.player_payoffs(S, cfg) for S in cs]
+
+
 def test_membership_dimension_check(default_cfg):
     with pytest.raises(ValueError, match="shape"):
         core_membership(np.zeros(3), default_cfg)
@@ -337,14 +363,15 @@ def test_identity_checks_run_the_oracle_on_at_most_twelve_rsus(monkeypatch):
     cfg = make_config(1, 13, p=0.5, enc=0.5, delta=0.5, price=1.5, cost_fwd=0.5,
                       cost_rcv=0.2)
     sizes = []
-    original = analysis.oracle_relay_mean
+    original = analysis._oracle_batch
 
-    def record(S, i, weights, c):
-        sizes.append(len(S) - 1)
-        return original(S, i, weights, c)
-    monkeypatch.setattr(analysis, "oracle_relay_mean", record)
+    def record(q, w):
+        sizes.append(q.shape[1])
+        return original(q, w)
+    monkeypatch.setattr(analysis, "_oracle_batch", record)
     results = run_identity_checks(cfg)
     assert max(sizes) == 12
+    assert sizes == sorted(set(sizes))   # one batch per RSU count, in ascending order
     assert all(res.passed is not False for res in results)
 
 
@@ -394,7 +421,7 @@ def test_identity_checks_equal_the_report_based_reference():
         assert run_identity_checks(cfg) == reference.identity_checks(cfg)
 
 
-def test_identity_checks_compute_relay_probabilities_once_per_vehicle(monkeypatch):
+def test_identity_checks_compute_relay_probabilities_in_one_pass(monkeypatch):
     cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
     calls = []
     original = analytic._relay_probs
@@ -405,7 +432,13 @@ def test_identity_checks_compute_relay_probabilities_once_per_vehicle(monkeypatc
 
     monkeypatch.setattr(analytic, "_relay_probs", record)
     analysis.run_identity_checks(cfg)
-    assert len(calls) == cfg.K   # not once per vehicle for each of the three configs
+    assert len(calls) == 1   # not once per vehicle, nor once for each of the three configs
+
+
+def test_identity_checks_without_rsus_run_no_oracle(monkeypatch):
+    cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k5m0.json").game
+    monkeypatch.setattr(analysis, "_oracle_batch", None)   # a call would raise TypeError
+    assert analysis.run_identity_checks(cfg) == reference.identity_checks(cfg)
 
 
 def _detail(cfg, name):

@@ -172,6 +172,24 @@ def test_oracle_carries_sums_across_blocks(monkeypatch):
     assert oracle_relay_mean(S, 1, weights, cfg) == reference.oracle_relay_mean(S, 1, weights, cfg)
 
 
+@pytest.mark.parametrize("n, P", [(5, 7), (2, 5), (3, 0), (0, 3)],
+                         ids=["across-mask-blocks", "across-pair-batches", "empty", "no-rsus"])
+def test_oracle_batch_equals_one_reference_call_per_pair(monkeypatch, n, P):
+    # blocks of 8 (pair, set) cells: 5 RSUs take 4 blocks per pair, 2 RSUs 2 pairs per batch
+    rng = np.random.default_rng(10 * n + P)
+    K = max(P, 1)
+    enc = np.where(rng.random((n, K)) < 0.4, rng.choice([0.0, 0.5, 1.0], (n, K)),
+                   rng.random((n, K)))
+    cfg = make_config(K, n, p=0.5, enc=enc, delta=0.5, price=1.0, cost_fwd=0.0, cost_rcv=0.0)
+    S, rsus, w = frozenset(range(1, K + n + 1)), range(K + 1, K + n + 1), rng.random((P, n))
+    monkeypatch.setattr(analytic, "_ORACLE_BLOCK_BITS", 3)
+    value, chosen = analytic._oracle_batch(enc.T[:P], w)   # pair v: vehicle v + 1, every RSU
+    assert value.shape == (P,) and chosen.shape == (P, n)
+    for v in range(P):
+        want = reference.oracle_relay_mean(S, v + 1, dict(zip(rsus, w[v].tolist())), cfg)
+        assert (value[v], chosen[v].tolist()) == (want[0], list(want[1].values()))
+
+
 def test_oracle_memory_is_bounded_at_twenty_rsus():
     cfg = make_config(1, 20, p=0.5, enc=0.5, delta=0.5, price=1.0,
                       cost_fwd=0.0, cost_rcv=0.0)

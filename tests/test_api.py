@@ -95,12 +95,13 @@ def test_readme_library_block_runs():
 def test_oracle_names_no_fast_path():
     """The brute-force relay oracle stays independent of the closed forms it checks."""
     tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())
-    oracle, = (node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "oracle_relay_mean")
-    named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     fast = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_reports"}
-    assert not named & fast, f"oracle_relay_mean names fast-path helpers {sorted(named & fast)}"
+    for name in ("oracle_relay_mean", "_oracle_batch"):
+        oracle, = (node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name)
+        named = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+        assert not named & fast, f"{name} names fast-path helpers {sorted(named & fast)}"
 
 
 def test_source_stays_within_its_line_budget():

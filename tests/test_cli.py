@@ -205,6 +205,7 @@ def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
     z = [abs(float(est) - float(ana)) / float(se)
          for *_, est, se, ana in read_csv(out)[1:] if float(se) > 0]
     assert manifest["max_abs_z"] == max(z)
+    assert (manifest["n_compared"], manifest["zero_se_mismatches"]) == (len(z), 0)
     assert manifest["mplace_per_s"] > 0
 
 
@@ -213,7 +214,9 @@ def test_encounter_manifest_reports_no_z_without_a_positive_stderr(tmp_path):
     # a zero range never meets anyone on continuous placement: every stderr is 0
     assert main(["encounter", "--d-sweep", "0", "--slots", "500", "--out", str(out)]) == 0
     assert {row[4] for row in read_csv(out)[1:]} == {"0.0"}
-    assert json.loads((tmp_path / "enc.csv.manifest.json").read_text())["max_abs_z"] is None
+    manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
+    assert (manifest["max_abs_z"], manifest["n_compared"], manifest["zero_se_mismatches"]) \
+        == (None, 0, 0)
 
 
 def test_core_reports_membership(capsys, config_file):
@@ -253,6 +256,7 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["max_abs_z"] == max(z)
+    assert (manifest["n_compared"], manifest["zero_se_mismatches"]) == (len(z), 0)
     assert manifest["mslot_per_s"] > 0
     # without --seed the run uses seed 0, and the manifest says so
     assert main(["simulate", "--slots", "100", "--out", str(out)]) == 0
@@ -265,6 +269,33 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     idle.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(idle), "--slots", "100", "--out", str(out)]) == 0
     assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["max_abs_z"] is None
+
+
+def test_simulate_manifest_counts_zero_stderr_mismatches(tmp_path, monkeypatch):
+    # vehicle 1 always transmits alone and vehicle 2 never: their estimates are exact,
+    # every stderr is 0, and max_abs_z sees nothing even when the kernel miscounts
+    config = tmp_path / "cfg.json"
+    doc = default_config_dict()
+    doc["game"]["p"] = [1.0, 0.0]
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--config", str(config), "--structure", "1|2|3|4", "--slots", "100",
+            "--out", str(out)]
+
+    def fields():
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+        return manifest["max_abs_z"], manifest["n_compared"], manifest["zero_se_mismatches"]
+
+    assert fields() == (None, 0, 0)
+    original = vanetgame.slotsim._count_chunk
+
+    def miscount(u, p, layout, counts):   # one success too many for vehicle 1
+        original(u, p, layout, counts)
+        counts["success_no_relay"][0] += 1
+
+    monkeypatch.setattr(vanetgame.slotsim, "_count_chunk", miscount)
+    assert fields() == (None, 0, 2)   # its throughput and its payoff
 
 
 @pytest.mark.parametrize("argv", [["enumerate"], ["simulate", "--slots", "100"]])

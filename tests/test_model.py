@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 from itertools import islice
 
@@ -39,6 +40,20 @@ def test_partition_counts_match_bell_numbers():
     for n, b in known.items():
         assert bell_number(n) == b
         assert len(enumerate_partitions(n)) == b
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_partitions_leaves_the_garbage_collector_as_it_was(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert enumerate_partitions(5) == list(iter_partitions(5))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="at least one player"):
+            enumerate_partitions(0)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_partitions_are_disjoint_and_exhaustive():
