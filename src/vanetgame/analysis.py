@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (ABS_TOL, PayoffReport, _brackets, _oracle_batch, _reports, _table,
-                       _tables, player_payoffs)
+from .analytic import (ABS_TOL, _ORACLE_BLOCK_BITS, PayoffReport, _brackets, _oracle_batch,
+                       _reports, _table, _tables, player_payoffs)
 from .model import (Coalition, GameConfig, _blocks_of, _label_blocks, check_structure,
                     format_structure, normalize_structure, split_members)
 
@@ -28,13 +28,11 @@ __all__ = [
 ]
 
 _ENUM_MAX_PLAYERS = 20
-# Coalitions per block of the sweep's table (3 x (n + K) x 4096 floats: 2.4 MB at n = 20, K = 4)
+# Coalitions per block of the sweep's table (3 x n x 4096 floats fill its grid: 1.9 MB at n = 20)
 _BLOCK_MASKS = 1 << 12
-# run_identity_checks covers every coalition of this many partitions of all players
+# run_identity_checks covers every coalition of this many partitions of all players,
+# and runs the relay oracle on those whose encounter sets fit one block of its enumeration
 _CHECK_STRUCTURES = 64
-# and runs the relay oracle on those of at most this many RSUs, so that each pair's
-# encounter sets fit one block of the oracle's enumeration (analytic._ORACLE_BLOCK_BITS)
-_CHECK_ORACLE_RSUS = 12
 
 
 def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
@@ -147,8 +145,9 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
 
     Reads the payoffs of every coalition from the coalition table, in blocks of
     ascending masks. Bit k of a mask is player k + 1, so the RSU set is
-    mask >> K, and relay probabilities are gathered from _brackets over all
-    2^M RSU subsets. Returns (gain witness, preference witness, blocker): the
+    mask >> K: a block is a grid of RSU sets by vehicle subsets, and each RSU
+    set's relay probabilities are gathered once from _brackets over all 2^M
+    RSU subsets. Returns (gain witness, preference witness, blocker): the
     first (player, coalition) violating condition 2 and condition 3 of
     core_sufficient_conditions among the proper coalitions, given the grand
     coalition's payoff vector, and the coalition with the lexicographically
@@ -157,17 +156,16 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     K, n = cfg.K, cfg.n_players
     grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
     gain_witness = preference_witness = best = None
-    q = cfg.enc.T.tolist()
-    h = [_brackets(qi) for qi in q]
+    q, t = cfg.enc.T[:, :, None], np.arange(cfg.M)[:, None]
+    h = np.array([_brackets(qi) for qi in cfg.enc.T.tolist()])
     size = min(1 << n, _BLOCK_MASKS)
+    width = min(size, 1 << K)   # a block is a grid: RSU sets x vehicle subsets of width
     for base in range(0, 1 << n, size):
         masks = np.arange(base, base + size)
         member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
-        rsu_set = masks >> K
-
-        def relay(i, t):   # P(t relays i | coalition RSUs)
-            return q[i][t] * h[i][rsu_set & ~(1 << t)]
-        payoff = _table(cfg, member, relay)[-1]   # the rest is freed before the next block
+        grid = member.reshape(n, -1, width)
+        pr = q * h[:, masks[::width] >> K & ~(1 << t)]   # P(t relays i | the row's RSUs)
+        payoff = _table(cfg, grid[:K, :1], grid[K:, :, :1], pr[..., None])[-1].reshape(n, size)
         proper = masks != (1 << n) - 1
         if gain_witness is None:
             # weighted benefit minus weighted charge is > 0 exactly when the benefit
@@ -359,7 +357,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
     oracle_gap, rsu_count = np.zeros(C), rsu.sum(axis=0)
-    checked = has_vehicle & has_rsu & (rsu_count <= _CHECK_ORACLE_RSUS)
+    checked = has_vehicle & has_rsu & (rsu_count <= _ORACLE_BLOCK_BITS)
     for size in sorted(set(rsu_count[checked].tolist())):   # one oracle pass per RSU count
         cols = np.flatnonzero(checked & (rsu_count == size))
         t = np.nonzero(rsu[:, cols].T)[1].reshape(-1, size)   # each column's RSU rows

@@ -9,11 +9,11 @@ must be inactive for the slot to succeed); payments, revenues and costs are
 charged per scheduled transmission whether or not it collides. All functions
 are pure and side-effect free.
 
-_table evaluates a batch of coalitions, one column each, from each vehicle's
-relay probabilities. These come from _brackets over all 2^M RSU subsets (the
-core sweep) or from _relay_probs over only the subsets that given coalitions
-need (polynomial in M); both add a subset's RSUs in ascending order, so they
-agree exactly.
+_table evaluates a batch of coalitions from membership rows and each vehicle's
+relay probabilities, all broadcast over the batch. These come from _brackets
+over all 2^M RSU subsets (the core sweep) or from _relay_probs over only the
+subsets that given coalitions need (polynomial in M); both add a subset's RSUs
+in ascending order, so they agree exactly.
 """
 
 from __future__ import annotations
@@ -194,42 +194,43 @@ class PayoffReport:
         return self.rsu_payoff[player]
 
 
-def _table(cfg: GameConfig, member: np.ndarray, relay):
-    """The closed forms of every column of member (players x coalitions, bool).
-
-    relay(i, t) is the probability per column that RSU t relays vehicle i
-    given the column's RSUs; it is asked only for RSUs that share a column with
-    i. Returns (share, rate_gain, fee) with a row per vehicle and (benefit,
-    charge, payoff) with a row per player: throughput and payment for a
-    vehicle, revenue and cost for an RSU. Entries of non-members mean nothing.
-    Every sum and product runs over players in ascending id (np.where for
-    skipped terms), so each entry is one fixed sequence of float operations,
-    whatever the batch.
+def _table(cfg: GameConfig, veh: np.ndarray, rsu: np.ndarray, pr: np.ndarray):
+    """The closed forms of a batch of coalitions, from membership rows veh (K, ...)
+    and rsu (M, ...), both bool, and pr (K, M, ...), the probability that RSU t
+    relays vehicle i given the coalition's RSUs. Each has as many trailing axes as
+    the batch, broadcasting to its shape, as does every row returned: (share,
+    rate_gain, fee) per vehicle and (benefit, charge, payoff) per player
+    (throughput and payment for a vehicle, revenue and cost for an RSU). Entries
+    of non-members mean nothing; a member's payoff that is not finite raises
+    ValueError. Every sum and product runs over players in ascending id, a skipped
+    term being a factor 1.0 or an added 0.0, so each entry is one fixed sequence
+    of float operations.
     """
     K, M = cfg.K, cfg.M
-    size = member.shape[1]
-    share, gain, fee = np.empty((K, size)), np.empty((K, size)), np.empty((K, size))
-    benefit, charge = np.zeros((K + M, size)), np.zeros((K + M, size))
-    for i in range(K):
-        s = np.full(size, float(cfg.p[i]))   # P(i is the vehicle scheduled)
-        for v in range(i):
-            s = np.where(member[v], s * (1.0 - cfg.p[v]), s)
-        g = f = np.zeros(size)
-        for t in np.flatnonzero((member[K:] & member[i]).any(axis=1)):   # RSUs held with i
-            pr, r, rev, cst = relay(i, t), member[K + t], benefit[K + t], charge[K + t]
-            g = np.where(r, g + pr * cfg.delta[i, t], g)
-            f = np.where(r, f + pr * cfg.price[t, i], f)
-            rcv = float(cfg.enc[t, i] * cfg.cost_rcv[t, i])
-            rev[:] = np.where(member[i], rev + s * pr * cfg.price[t, i], rev)
-            cst[:] = np.where(member[i], cst + s * (float(cfg.cost_fwd[t, i]) * pr + rcv), cst)
-        thr = s * (1.0 + g)
-        for v in range(K):   # every vehicle outside the coalition stays idle
-            thr = np.where(member[v], thr, thr * (1.0 - cfg.p[v]))
-        share[i], gain[i], fee[i], benefit[i], charge[i] = s, g, f, thr, s * f
+    shape = np.broadcast_shapes(veh.shape[1:], rsu.shape[1:], pr.shape[2:])
+    ax = (..., *[None] * len(shape))   # a parameter per player, against the batch axes
+    share, idle = np.broadcast_to(cfg.p[ax], (K, *veh.shape[1:])).copy(), (1.0 - cfg.p)[ax]
+    for v in range(K - 1):   # P(i is the vehicle scheduled)
+        share[v + 1:] *= np.where(veh[v], idle[v], 1.0)
+    delta, price, fwd = cfg.delta.T[ax], cfg.price[ax], cfg.cost_fwd[ax]
+    gain = fee = np.zeros((K, *rsu.shape[1:]))
+    for t in range(M):   # adding 0.0 keeps a sum of nonnegative terms, which is never -0.0
+        gain = gain + np.where(rsu[t], pr[:, t] * delta[t], 0.0)
+        fee = fee + np.where(rsu[t], pr[:, t] * price[t], 0.0)
+    benefit, charge = np.zeros((K + M, *shape)), np.zeros((K + M, *shape))
+    benefit[:K], charge[:K] = share * (1.0 + gain), share * fee
+    for v in range(K):   # every vehicle outside the coalition stays idle
+        benefit[:K] *= np.where(veh[v], 1.0, idle[v])
+    rcv = (cfg.enc * cfg.cost_rcv)[ax]
+    for i in range(K):   # a vehicle outside the coalition adds 0.0 times its terms
+        s = np.where(veh[i], share[i], 0.0)
+        benefit[K:] += s * pr[i] * price[:, i]
+        charge[K:] += s * (fwd[:, i] * pr[i] + rcv[:, i])
     w_benefit, w_charge = np.concatenate([cfg.alpha, cfg.gamma]), np.concatenate([cfg.beta, cfg.mu])
-    payoff = np.empty_like(benefit)
-    for k in range(K + M):   # row by row: no temporary the size of the block
-        payoff[k] = w_benefit[k] * benefit[k] - w_charge[k] * charge[k]
+    payoff = w_benefit[ax] * benefit - w_charge[ax] * charge
+    for k, held in enumerate([] if np.isfinite(payoff).all() else [*veh, *rsu]):
+        if (held & ~np.isfinite(payoff[k])).any():
+            raise ValueError(f"payoff of player {k + 1} in its coalition is not finite")
     return share, gain, fee, benefit, charge, payoff
 
 
@@ -248,7 +249,7 @@ def _tables(coalitions, cfg: GameConfig, *variants):
     i, c = np.nonzero(member[:K])   # every (vehicle, coalition holding it) pair
     pr = np.zeros((K, cfg.M, len(coalitions)))
     pr[i, :, c] = _relay_probs(cfg.enc[:, i], member[K:, c]).T
-    return member, pr, [_table(c, member, lambda i, t: pr[i, t]) for c in (cfg, *variants)]
+    return member, pr, [_table(c, member[:K], member[K:], pr) for c in (cfg, *variants)]
 
 
 def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:

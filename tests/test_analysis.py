@@ -233,7 +233,8 @@ def test_preorder_key_orders_coalitions_as_sorted_tuples(n):
 
 def test_sweep_memory_is_bounded_at_sixteen_players():
     # the table is walked in blocks: a whole 2^16-coalition table of n floats
-    # per quantity would take 8 MB each
+    # per quantity would take 8 MB each, and a (K, M) relay array per mask of a
+    # block peaks at 7.7 MB; a block's grid gathers relay terms per RSU set only
     cfg = random_config(np.random.default_rng(16), k_max=4, m_max=12, k_min=4, m_min=12)
     tracemalloc.start()
     try:
@@ -241,7 +242,7 @@ def test_sweep_memory_is_bounded_at_sixteen_players():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 6 * 2 ** 20
 
 
 def test_identity_check_memory_is_bounded_at_sixteen_players():
@@ -268,6 +269,28 @@ def test_wide_structure_reports_equal_the_reference(shape):
         "vehicle-rsu-pairs": [{i, K + i} for i in range(1, K + 1)],
         "grand": [set(range(1, K + M + 1))]}[shape])
     assert analysis.structure_reports(cs, cfg) == [reference.player_payoffs(S, cfg) for S in cs]
+
+
+def test_wide_grand_coalition_takes_no_round_per_vehicle_rsu_pair(monkeypatch):
+    # the table loops once per player axis; a loop over (vehicle, RSU) pairs made
+    # 8,820 np.where calls here
+    K = M = 40
+    cfg = random_config(np.random.default_rng(40), k_min=K, k_max=K, m_min=M, m_max=M)
+    calls, where = [], np.where
+    monkeypatch.setattr(np, "where", lambda *args: calls.append(args) or where(*args))
+    analysis.structure_reports((frozenset(range(1, K + M + 1)),), cfg)
+    assert len(calls) <= 8 * (K + M)
+
+
+def test_non_finite_payoffs_are_rejected():
+    # valid parameters whose products overflow, so payoffs would be inf or NaN
+    cfg = make_config(2, 2, p=0.6, enc=0.5, delta=1e308, price=1e308, cost_fwd=0.5,
+                      cost_rcv=0.2, alpha=1e308, beta=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for analyse in (stability_verdict, run_identity_checks,
+                        lambda c: structure_payoffs(GRAND, c)):
+            with pytest.raises(ValueError, match="payoff of player 1 in its coalition is not "):
+                analyse(cfg)
 
 
 def test_membership_dimension_check(default_cfg):
@@ -379,9 +402,9 @@ def test_structure_reports_evaluate_one_table_per_structure(monkeypatch, default
     shapes = []
     original = analytic._table
 
-    def record(c, member, relay):
-        shapes.append(member.shape)
-        return original(c, member, relay)
+    def record(c, veh, rsu, pr):
+        shapes.append(np.concatenate([veh, rsu]).shape)
+        return original(c, veh, rsu, pr)
 
     monkeypatch.setattr(analytic, "_table", record)
     reports = analysis.structure_reports(VEHICLE_PAIR, default_cfg)
@@ -394,11 +417,12 @@ def test_identity_checks_evaluate_each_coalition_once_per_config(monkeypatch):
     calls = []
     original = analytic._table
 
-    def record(c, member, relay):
+    def record(c, veh, rsu, pr):
+        member = np.concatenate([veh, rsu])
         columns = [frozenset(np.flatnonzero(col) + 1) for col in member.T.tolist()]
         assert len(set(columns)) == len(columns), "a coalition evaluated twice in one table"
         calls.append((c, columns))   # holds c, so its id is not reused by a later config
-        return original(c, member, relay)
+        return original(c, veh, rsu, pr)
 
     monkeypatch.setattr(analytic, "_table", record)
     results = analysis.run_identity_checks(cfg)
@@ -450,9 +474,9 @@ def _detail(cfg, name):
 def test_rsu_only_failure_names_the_coalition(monkeypatch, default_cfg):
     original = analytic._table
 
-    def nonzero(c, member, relay):   # RSUs 3 and 4 together earn 1.0 each
-        out = original(c, member, relay)
-        out[-1][:, (member.T == [False, False, True, True]).all(axis=1)] = 1.0
+    def nonzero(c, veh, rsu, pr):   # RSUs 3 and 4 together earn 1.0 each
+        out = original(c, veh, rsu, pr)
+        out[-1][:, (np.concatenate([veh, rsu]).T == [False, False, True, True]).all(axis=1)] = 1.0
         return out
 
     monkeypatch.setattr(analytic, "_table", nonzero)

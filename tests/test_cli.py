@@ -455,6 +455,19 @@ def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["core", "check", "payoffs"])
+def test_non_finite_payoffs_exit_3(tmp_path, capsys, command):
+    doc = default_config_dict()
+    doc["game"].update(delta=1e308, price=1e308, alpha=1e308, beta=1e308)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""   # no verdict, result line or row from a NaN payoff
+    assert err == "error: payoff of player 1 in its coalition is not finite\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("[" * 100_000 + "]" * 100_000, "is not valid JSON"),
     # deep, but within what the JSON decoder takes: the value checks walk it without recursion

@@ -157,12 +157,18 @@ def test_fused_verdict_matches_separate_analyses(cfg):
 
 
 def _sweep_tables(cfg):
-    """(member, table) of every block of the core sweep, in order."""
+    """(member, table) of every block of the core sweep, in order, as players x
+    coalitions."""
     blocks = []
 
-    def record(c, member, relay):
-        blocks.append((member, analytic._table(c, member, relay)))
-        return blocks[-1][1]
+    def record(c, veh, rsu, pr):
+        table = analytic._table(c, veh, rsu, pr)
+        shape = table[-1].shape[1:]
+        member = np.concatenate([np.broadcast_to(veh, (c.K, *shape)),
+                                 np.broadcast_to(rsu, (c.M, *shape))])
+        blocks.append((member.reshape(c.n_players, -1),
+                       [np.broadcast_to(x, (len(x), *shape)).reshape(len(x), -1) for x in table]))
+        return table
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_table", record)
@@ -205,7 +211,8 @@ def test_payoff_table_equals_player_payoffs(cfg):
 
 
 @pytest.mark.parametrize("K, M, edges", [(1, 9, False), (4, 0, False), (4, 6, False),
-                                         (1, 9, True), (4, 0, True), (4, 6, True)])
+                                         (1, 9, True), (4, 0, True), (4, 6, True),
+                                         (6, 3, False), (6, 3, True)])
 @pytest.mark.parametrize("blocks", [None, (16, 2)])
 def test_payoff_table_equals_player_payoffs_up_to_ten_players(K, M, edges, blocks):
     """Fixed shapes; with edges, p and enc entries at 0, 1/2 and 1 mixed in; with
