@@ -146,8 +146,8 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     Reads the payoffs of every coalition from the coalition table, in blocks of
     ascending masks. Bit k of a mask is player k + 1, so the RSU set is
     mask >> K: a block is a grid of RSU sets by vehicle subsets, and each RSU
-    set's relay probabilities are gathered once from _brackets over all 2^M
-    RSU subsets. Returns (gain witness, preference witness, blocker): the
+    set R's relay probabilities come once from _brackets over all 2^M RSU
+    subsets, 0.0 off R. Returns (gain witness, preference witness, blocker): the
     first (player, coalition) violating condition 2 and condition 3 of
     core_sufficient_conditions among the proper coalitions, given the grand
     coalition's payoff vector, and the coalition with the lexicographically
@@ -164,7 +164,7 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
         masks = np.arange(base, base + size)
         member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
         grid = member.reshape(n, -1, width)
-        pr = q * h[:, masks[::width] >> K & ~(1 << t)]   # P(t relays i | the row's RSUs)
+        pr = q * h[:, masks[::width] >> K & ~(1 << t)] * grid[K:, :, 0]   # P(t relays i | R)
         payoff = _table(cfg, grid[:K, :1], grid[K:, :, :1], pr[..., None])[-1].reshape(n, size)
         proper = masks != (1 << n) - 1
         if gain_witness is None:
@@ -294,9 +294,9 @@ def _check_partitions(n: int) -> list:
 
 
 def _fold(op, start: float, mask, terms) -> np.ndarray:
-    """op(acc, term) over the terms of each column's members, row by row from start:
-    the order of a Python sum (start 0.0) or product (start 1.0) over ascending ids."""
-    acc = np.full(mask.shape[1], start)
+    """op(acc, term) over each entry's member terms, row by row from start, the rows of
+    mask and terms broadcasting: a Python sum (start 0.0) or product (1.0) in id order."""
+    acc = np.full(np.broadcast_shapes(np.shape(mask)[1:], np.shape(terms)[1:]), start)
     for held, term in zip(mask, terms):
         acc = np.where(held, op(acc, term), acc)
     return acc
@@ -342,17 +342,16 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
 
     share_gap = _gap(has_vehicle, _fold(np.add, 0.0, veh, share[:, :C]),
                      1.0 - _fold(np.multiply, 1.0, veh, 1.0 - cfg.p))
-    row_gap, mean_gap, simple_gap = [np.zeros(C)], [np.zeros(C)], [np.zeros(C)]
-    d_uni, xi_uni = (uni.delta[:, 0], uni.price[0]) if cfg.M else (np.zeros(K), np.zeros(K))
-    for i in range(K):
-        served = veh[i] & has_rsu
-        reach = 1.0 - _fold(np.multiply, 1.0, rsu, 1.0 - cfg.enc[:, i])
-        row_gap.append(_gap(served, _fold(np.add, 0.0, rsu, pr[i, :, :C]), reach))
-        for value, w in ((fee[i], cfg.price[:, i]), (gain[i], cfg.delta[i])):
-            terms = pr[i, :, :C] * w[:, None]
-            mean_gap.append(_gap(served, value[:C], _fold(np.add, 0.0, rsu, terms)))
-        simple_gap.append(_gap(veh[i], uni_table[1][i, :C], d_uni[i] * reach))
-        simple_gap.append(_gap(veh[i], uni_table[2][i, :C], xi_uni[i] * reach))
+    # (RSU, vehicle, coalition) arrays: every vehicle's sums over the coalition's RSUs at once
+    served, in_rsu, relay = veh & has_rsu, rsu[:, None], pr[:, :, :C].transpose(1, 0, 2)
+    reach = 1.0 - _fold(np.multiply, 1.0, in_rsu, 1.0 - cfg.enc[:, :, None])
+    row_gap = _gap(served, _fold(np.add, 0.0, in_rsu, relay), reach)
+    fee_sum, gain_sum = (_fold(np.add, 0.0, in_rsu, relay * w[..., None])
+                         for w in (cfg.price, cfg.delta.T))
+    mean_gap = np.maximum(_gap(served, fee[:, :C], fee_sum), _gap(served, gain[:, :C], gain_sum))
+    d_uni, xi_uni = (uni.delta[:, :1], uni.price[0, :, None]) if cfg.M else (0.0, 0.0)
+    simple_gap = np.maximum(_gap(veh, uni_table[1][:, :C], d_uni * reach),
+                            _gap(veh, uni_table[2][:, :C], xi_uni * reach))
     balance_gap = _gap(True, _fold(np.add, 0.0, veh, charge[:K, :C]),
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
@@ -370,11 +369,11 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
 
     identities = (
         ("scheduled-share total matches 1 - P(all idle)", share_gap),
-        ("relay-choice probabilities total P(any encounter)", np.max(row_gap, axis=0)),
-        ("fee and rate-gain match relay-probability sums", np.max(mean_gap, axis=0)),
+        ("relay-choice probabilities total P(any encounter)", row_gap.max(axis=0)),
+        ("fee and rate-gain match relay-probability sums", mean_gap.max(axis=0)),
         ("vehicle payments equal RSU revenues", balance_gap),
         ("grouped sums match brute-force enumeration", oracle_gap),
-        ("uniform-weight closed forms match general formulas", np.max(simple_gap, axis=0)),
+        ("uniform-weight closed forms match general formulas", simple_gap.max(axis=0)),
     )
     results: list[CheckResult] = []
     for name, gaps in identities:

@@ -194,38 +194,38 @@ class PayoffReport:
         return self.rsu_payoff[player]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the finiteness check names the overflow
 def _table(cfg: GameConfig, veh: np.ndarray, rsu: np.ndarray, pr: np.ndarray):
     """The closed forms of a batch of coalitions, from membership rows veh (K, ...)
     and rsu (M, ...), both bool, and pr (K, M, ...), the probability that RSU t
-    relays vehicle i given the coalition's RSUs. Each has as many trailing axes as
-    the batch, broadcasting to its shape, as does every row returned: (share,
-    rate_gain, fee) per vehicle and (benefit, charge, payoff) per player
-    (throughput and payment for a vehicle, revenue and cost for an RSU). Entries
-    of non-members mean nothing; a member's payoff that is not finite raises
-    ValueError. Every sum and product runs over players in ascending id, a skipped
-    term being a factor 1.0 or an added 0.0, so each entry is one fixed sequence
-    of float operations.
+    relays vehicle i given the coalition's RSUs (0.0 for t outside them). Each has
+    as many trailing axes as the batch, broadcasting to its shape, as does every
+    row returned: (share, rate_gain, fee) per vehicle and (benefit, charge, payoff)
+    per player (throughput and payment for a vehicle, revenue and cost for an RSU).
+    Entries of non-members mean nothing; a member's payoff that is not finite
+    raises ValueError. Sums and products run over players in ascending id, a term
+    off the coalition being a factor 1.0 or an added 0.0 (three vehicle masks and
+    pr), so each entry is one fixed sequence of float operations.
     """
     K, M = cfg.K, cfg.M
     shape = np.broadcast_shapes(veh.shape[1:], rsu.shape[1:], pr.shape[2:])
     ax = (..., *[None] * len(shape))   # a parameter per player, against the batch axes
-    share, idle = np.broadcast_to(cfg.p[ax], (K, *veh.shape[1:])).copy(), (1.0 - cfg.p)[ax]
-    for v in range(K - 1):   # P(i is the vehicle scheduled)
-        share[v + 1:] *= np.where(veh[v], idle[v], 1.0)
+    idle = (1.0 - cfg.p)[ax]   # a member defers to lower-id members; an outsider stays idle
+    defer, out, share = np.where(veh, idle, 1.0), np.where(veh, 1.0, idle), cfg.p[ax] * veh
+    for v in range(K - 1):   # P(i is the vehicle scheduled), 0.0 off the coalition
+        share[v + 1:] *= defer[v]
     delta, price, fwd = cfg.delta.T[ax], cfg.price[ax], cfg.cost_fwd[ax]
-    gain = fee = np.zeros((K, *rsu.shape[1:]))
-    for t in range(M):   # adding 0.0 keeps a sum of nonnegative terms, which is never -0.0
-        gain = gain + np.where(rsu[t], pr[:, t] * delta[t], 0.0)
-        fee = fee + np.where(rsu[t], pr[:, t] * price[t], 0.0)
+    gain = fee = np.zeros((K, *pr.shape[2:]))
+    for t in range(M):   # every accumulator starts at +0.0, so adding 0.0 keeps its bits
+        gain, fee = gain + pr[:, t] * delta[t], fee + pr[:, t] * price[t]
     benefit, charge = np.zeros((K + M, *shape)), np.zeros((K + M, *shape))
     benefit[:K], charge[:K] = share * (1.0 + gain), share * fee
-    for v in range(K):   # every vehicle outside the coalition stays idle
-        benefit[:K] *= np.where(veh[v], 1.0, idle[v])
+    for v in range(K):
+        benefit[:K] *= out[v]
     rcv = (cfg.enc * cfg.cost_rcv)[ax]
-    for i in range(K):   # a vehicle outside the coalition adds 0.0 times its terms
-        s = np.where(veh[i], share[i], 0.0)
-        benefit[K:] += s * pr[i] * price[:, i]
-        charge[K:] += s * (fwd[:, i] * pr[i] + rcv[:, i])
+    for i in range(K):
+        benefit[K:] += share[i] * pr[i] * price[:, i]
+        charge[K:] += share[i] * (fwd[:, i] * pr[i] + rcv[:, i])
     w_benefit, w_charge = np.concatenate([cfg.alpha, cfg.gamma]), np.concatenate([cfg.beta, cfg.mu])
     payoff = w_benefit[ax] * benefit - w_charge[ax] * charge
     for k, held in enumerate([] if np.isfinite(payoff).all() else [*veh, *rsu]):

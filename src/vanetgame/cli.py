@@ -271,11 +271,11 @@ def cmd_simulate(args, loaded) -> int:
     cfg = resolve_encounter(loaded)
     cs = _resolve_structure(args.structure, cfg)
     seed = 0 if args.seed is None else args.seed
+    # the closed forms first: a config whose payoffs are not finite stops before any slot
+    analytic = {(player, qty): value for _, player, qty, value in _payoff_rows(cs, cfg, "")}
     start = time.perf_counter()
     report = simulate_slots(cs, cfg, args.slots, seed)
     mslot_per_s = args.slots / (time.perf_counter() - start) / 1e6
-    analytic = {(player, qty): value for rep in structure_reports(cs, cfg)
-                for player, qty, value in _report_items(rep)}
     rows = [(player, qty, est, se, analytic[(player, qty)], n, sd)
             for (player, qty, est, se, n, sd) in report.rows()]
     _emit(args, _csv(("player", "quantity", "estimate", "stderr", "analytic", "n_slots",

@@ -101,7 +101,8 @@ def _layout(cs, cfg):
             lo = min(rsus, default=0)
             thr = np.zeros((cfg.K, max(rsus, default=-1) + 1 - lo))
             thr[:, [j - lo for j in rsus]] = cfg.enc[rsus].T
-            layout.append((np.packbits(np.isin(range(cfg.K), vehicles), bitorder="little"), lo, thr))
+            bits = np.packbits(np.isin(range(cfg.K), vehicles), bitorder="little")
+            layout.append((bits, lo, thr))
     return layout
 
 

@@ -109,3 +109,10 @@ def test_source_stays_within_its_line_budget():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (ROOT / "src" / "vanetgame").glob("*.py"))
     assert lines <= 2190, f"src/vanetgame/*.py holds {lines} lines, over the 2,190 ceiling"
+
+
+def test_no_source_line_is_over_100_characters():
+    # without this the line budget above could be met by packing lines
+    long = [f"{path.name}:{k}" for path in sorted((ROOT / "src" / "vanetgame").glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert not long, f"lines over 100 characters: {long}"

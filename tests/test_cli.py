@@ -444,10 +444,16 @@ def _malformed(edit):
      "side_km must be positive and finite"),
     (_malformed(lambda d: d["geometry"].update(range_km=[0.2, float("nan")])),
      "transmission ranges must be nonnegative and finite"),
+    (_scalar_doc(0, 2), "config error: K: need at least one vehicle\n"),
+    (_malformed(lambda d: d["game"].update(p=[0.6, float("nan")])),
+     "config error: p: non-finite entries\n"),
+    (_malformed(lambda d: d["encounter"].update(matrix=[[0.5, 0.5], [0.5]])),
+     "config error: encounter.matrix is not a numeric matrix"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
         "string-matrix-entry", "bool-matrix-entry", "string-p", "bool-alpha", "null-delta",
         "string-side_km", "bool-range_km", "string-range_km-entry", "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
-        "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km"])
+        "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km", "K-0", "nan-p",
+        "ragged-matrix"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -455,17 +461,48 @@ def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["core", "check", "payoffs"])
+@pytest.mark.parametrize("command", [["core"], ["check"], ["payoffs"],
+                                     ["simulate", "--slots", "1000"]],
+                         ids=["core", "check", "payoffs", "simulate"])
 def test_non_finite_payoffs_exit_3(tmp_path, capsys, command):
     doc = default_config_dict()
     doc["game"].update(delta=1e308, price=1e308, alpha=1e308, beta=1e308)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", str(path)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy overflow warning ahead of the error line
+        assert main([*command, "--config", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""   # no verdict, result line or row from a NaN payoff
     assert err == "error: payoff of player 1 in its coalition is not finite\n"
+
+
+@pytest.mark.parametrize("argv, players, message", [
+    (["core"], (1, 20), "error: enumeration bound exceeded: 21 players > 20\n"),
+    (["payoffs", "--structure", "5"], (1, 12),
+     "error: structure ids require at most 12 players; pass explicit blocks\n"),
+], ids=["core-21-players", "structure-id-13-players"])
+def test_player_count_past_a_bound_exits_3(tmp_path, capsys, argv, players, message):
+    assert main([*argv, "--config", _scalar_config(tmp_path, *players)]) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+def test_failing_identity_prints_fail_and_exits_4(monkeypatch, capsys):
+    # a negative tolerance fails every residual identity, each gap being >= 0
+    monkeypatch.setattr(vanetgame.analysis, "ABS_TOL", -1.0)
+    assert main(["check"]) == 4
+    out = capsys.readouterr().out
+    assert "[FAIL] scheduled-share total matches 1 - P(all idle): max residual " in out
+
+
+def test_core_names_an_rsu_weight_witness(tmp_path, capsys):
+    doc = default_config_dict()
+    doc["game"]["gamma"] = [1.0, 0.0]
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    assert main(["core", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "weights strictly positive: no  (witness: player 4)\n" in out
 
 
 @pytest.mark.parametrize("text, message", [

@@ -231,6 +231,35 @@ def test_payoff_table_equals_player_payoffs_up_to_ten_players(K, M, edges, block
         _assert_table_equals_reference(cfg)
 
 
+@pytest.mark.parametrize("block_masks", [None, 16])
+def test_sweep_relay_input_is_zero_off_the_coalition(block_masks):
+    """The relay probabilities each sweep block hands _table: 0.0 for every RSU
+    outside the row's RSU set R and, inside R, exactly _relay_probs on R."""
+    cfg = random_config(np.random.default_rng(25), k_min=2, k_max=2, m_min=5, m_max=5)
+    K, M = cfg.K, cfg.M
+    blocks = []
+
+    def record(c, veh, rsu, pr):
+        blocks.append((rsu, pr))
+        return analytic._table(c, veh, rsu, pr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_table", record)
+        if block_masks:
+            mp.setattr(analysis, "_BLOCK_MASKS", block_masks)
+        analysis.stability_verdict(cfg)
+    rows = 0
+    for rsu, pr in blocks:
+        rsu, pr = rsu.reshape(M, -1), pr.reshape(K, M, -1)
+        for r in range(rsu.shape[1]):
+            R = rsu[:, r]
+            want = analytic._relay_probs(cfg.enc, np.repeat(R[:, None], K, axis=1)).T
+            assert (pr[:, ~R, r] == 0.0).all(), R
+            assert (pr[:, R, r] == want[:, R]).all(), R
+            rows += 1
+    assert rows == 1 << M
+
+
 @st.composite
 def structures(draw, n):
     """Any partition of players 1..n, from one block label per player."""
