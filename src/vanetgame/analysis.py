@@ -303,8 +303,8 @@ def _fold(op, start: float, mask, terms) -> np.ndarray:
 
 
 def _gap(mask, a, b) -> np.ndarray:
-    """|a - b| where mask holds, else 0.0; NaN counts as 0.0, as max() from 0.0 skips it."""
-    return np.where(mask, np.fmax(np.abs(a - b), 0.0), 0.0)
+    """|a - b| where mask holds, else 0.0; a NaN stays NaN, so it fails its identity."""
+    return np.where(mask, np.abs(a - b), 0.0)
 
 
 def _owners(cs, col: dict, n: int) -> list:
@@ -355,7 +355,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     balance_gap = _gap(True, _fold(np.add, 0.0, veh, charge[:K, :C]),
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
-    oracle_gap, rsu_count = np.zeros(C), rsu.sum(axis=0)
+    oracle_gap, rsu_count = np.zeros((C, K)), rsu.sum(axis=0)   # per (coalition, vehicle)
     checked = has_vehicle & has_rsu & (rsu_count <= _ORACLE_BLOCK_BITS)
     for size in sorted(set(rsu_count[checked].tolist())):   # one oracle pass per RSU count
         cols = np.flatnonzero(checked & (rsu_count == size))
@@ -365,21 +365,21 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
         value, chosen = _oracle_batch(cfg.enc[t, i[:, None]], cfg.delta[i[:, None], t])
         gap = _gap(True, np.column_stack((value, chosen)),
                    np.column_stack((gain[i, cols], pr[i[:, None], t, cols[:, None]])))
-        np.maximum.at(oracle_gap, cols, gap.max(axis=1))
+        oracle_gap[cols, i] = gap.max(axis=1)
 
     identities = (
         ("scheduled-share total matches 1 - P(all idle)", share_gap),
         ("relay-choice probabilities total P(any encounter)", row_gap.max(axis=0)),
         ("fee and rate-gain match relay-probability sums", mean_gap.max(axis=0)),
         ("vehicle payments equal RSU revenues", balance_gap),
-        ("grouped sums match brute-force enumeration", oracle_gap),
+        ("grouped sums match brute-force enumeration", oracle_gap.max(axis=1)),
         ("uniform-weight closed forms match general formulas", simple_gap.max(axis=0)),
     )
     results: list[CheckResult] = []
     for name, gaps in identities:
-        c = int(gaps.argmax())
+        c = int(gaps.argmax())   # the first NaN, if any
         worst = float(gaps[c])
-        where = f" (coalition {sorted(coalitions[c])})" if worst > 0.0 else ""
+        where = "" if worst <= 0.0 else f" (coalition {sorted(coalitions[c])})"
         results.append(CheckResult(name, worst <= ABS_TOL, f"max residual {worst:.3e}{where}"))
 
     name = "fees cancel out of every coalition's sum payoff"

@@ -130,6 +130,7 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     return float(value[0]), dict(zip(rsus, chosen[0].tolist()))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # check reports a non-finite residual
 def _oracle_batch(q: np.ndarray, w: np.ndarray):
     """oracle_relay_mean of P (vehicle, coalition) pairs of n RSUs each at once, from
     their encounter probabilities q and weights w (both (P, n)): values (P,) and

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -140,17 +141,23 @@ def _emit(args, write, **fields) -> None:
         write(sys.stdout)
 
 
-def _max_abs_z(rows) -> dict:
-    """Manifest fields on rows (estimate, stderr, exact, ...): max_abs_z, the largest
-    |estimate - exact| / stderr over the n_compared rows with stderr > 0, and
-    zero_se_mismatches, the rows with stderr 0 that miss exact by more than ABS_TOL."""
+def _max_abs_z(rows, at: int) -> dict:
+    """Manifest fields on rows (*where, estimate, stderr, exact, ...), where being the first
+    `at` columns: max_abs_z, the largest |estimate - exact| / stderr over the n_compared
+    rows with stderr > 0, the where of its first row (max_abs_z_at), its Sidak family-wise
+    p-value 1 - (1 - erfc(z / sqrt 2))^n_compared (max_abs_z_p), and zero_se_mismatches,
+    the rows with stderr 0 that miss exact by more than ABS_TOL."""
     z, mismatches = [], 0
-    for est, se, ana, *_ in rows:
+    for row in rows:
+        est, se, ana = row[at:at + 3]
         if se > 0:
-            z.append(abs(est - ana) / se)
+            z.append((abs(est - ana) / se, list(row[:at])))
         else:
             mismatches += not abs(est - ana) <= ABS_TOL
-    return {"max_abs_z": max(z, default=None), "n_compared": len(z),
+    top, where = max(z, key=lambda item: item[0], default=(None, None))
+    tail = None if top is None else math.erfc(top / math.sqrt(2))
+    p = tail if tail is None or tail >= 1.0 else -math.expm1(len(z) * math.log1p(-tail))
+    return {"max_abs_z": top, "max_abs_z_at": where, "max_abs_z_p": p, "n_compared": len(z),
             "zero_se_mismatches": mismatches}
 
 
@@ -190,7 +197,7 @@ def cmd_encounter(args, loaded) -> int:
     _emit(args, _csv(("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"), rows),
           seed=geo.seed, slots=geo.n_slots, placement=geo.placement,
           d_sweep=list(args.d_sweep), mplace_per_s=mplace_per_s,
-          **_max_abs_z(row[3:] for row in rows))
+          **_max_abs_z(rows, 3))
     return 0
 
 
@@ -282,7 +289,7 @@ def cmd_simulate(args, loaded) -> int:
                       "seed"), rows),
           structure=args.structure, structure_blocks=format_structure(cs), seed=seed,
           slots=args.slots, mslot_per_s=mslot_per_s,
-          **_max_abs_z(row[2:] for row in rows))
+          **_max_abs_z(rows, 2))
     return 0
 
 

@@ -12,9 +12,10 @@ the forward cost when it is the one picked.
 Everything is accumulated as integer event counts first, so vehicle payments
 and RSU revenues balance exactly and all means and standard errors derive
 from the counts. Encounters are independent draws at the encounter matrix's
-probabilities. The kernel packs each slot's vehicle and RSU bits into bytes and
-answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables,
-one 1-D pass per byte over the rows where a coalition has an active member.
+probabilities. The kernel packs each slot's vehicle and RSU bits into bytes,
+answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables
+in one 1-D pass per byte over the rows where a coalition has an active member,
+and tallies each row's outcome code with one bincount per coalition.
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ def _count_chunk(u, p, layout, counts) -> None:
     the byte axis: the scheduled vehicle is the lowest set bit (SEL) of the
     lowest nonzero byte, and the relay the pick-th set bit of the encounter
     bytes, found from POP counts taken byte by byte and SEL (rank and select).
+    A row that met no RSU gets relay index span ("no relay"), and one bincount of
+    (relay * K + scheduled) * 2 + success gives a (span + 1, K, 2) table of every counter.
     """
     M, K = counts["encounters"].shape
     packed = _pack(u[:, :K] < p)
@@ -142,8 +145,6 @@ def _count_chunk(u, p, layout, counts) -> None:
             x = mine[:, b] & vmask[b]
             np.copyto(sched, 8 * b + sel.take(x), where=x != 0)
             outside |= mine[:, b] & ~vmask[b]
-        success = outside == 0
-        counts["scheduled"] += np.bincount(sched, minlength=K)
         # the one gather of encounter uniforms: these rows of the coalition's RSU span
         span = thr.shape[1]
         ecode = _pack(u[rows, K + lo:K + lo + span] < thr.take(sched, 0))
@@ -152,23 +153,21 @@ def _count_chunk(u, p, layout, counts) -> None:
             seen = np.bincount(sched * 256 + ecode[:, b], minlength=K * 256).reshape(K, 256)
             counts["encounters"][lo + 8 * b:lo + span][:8] += (seen @ BITS).T[:span - 8 * b]
             n_enc += POP.take(ecode[:, b])
-        at = np.flatnonzero(n_enc != 0)
-        n_at = n_enc.take(at)
-        pick = (u[:, K + M + c].take(rows.take(at)) * n_at).astype(np.int64)
-        np.minimum(pick, n_at - 1, out=pick)
+        pick = (u[:, K + M + c].take(rows) * n_enc).astype(np.int64)
+        np.minimum(pick, n_enc - 1, out=pick)   # -1 where no RSU was met
         # pick counts down each byte's set bits: the relay's byte is the last with pick >= 0
-        chosen = np.zeros(at.size, np.int64)
+        chosen = np.full(rows.size, span, np.int64)   # span: "no relay"
         for b in range(ecode.shape[1]):
-            code = ecode[:, b].take(at)
+            code = ecode[:, b]
             np.copyto(chosen, 8 * b + sel.take(256 * np.clip(pick, 0, 7) + code), where=pick >= 0)
             pick -= POP.take(code)
-        pair = (lo + chosen) * K + sched.take(at)
-        ok = success.take(at)
-        counts["relays_success"] += np.bincount(pair[ok], minlength=M * K).reshape(M, K)
-        counts["relays_fail"] += np.bincount(pair[~ok], minlength=M * K).reshape(M, K)
-        bare = n_enc == 0
-        counts["success_no_relay"] += np.bincount(sched[bare & success], minlength=K)
-        counts["fail_no_relay"] += np.bincount(sched[bare & ~success], minlength=K)
+        tab = np.bincount((chosen * K + sched) * 2 + (outside == 0),
+                          minlength=(span + 1) * K * 2).reshape(span + 1, K, 2)
+        counts["scheduled"] += tab.sum(axis=(0, 2))
+        counts["relays_fail"][lo:lo + span] += tab[:span, :, 0]
+        counts["relays_success"][lo:lo + span] += tab[:span, :, 1]
+        counts["fail_no_relay"] += tab[span, :, 0]
+        counts["success_no_relay"] += tab[span, :, 1]
 
 
 def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -202,11 +203,43 @@ def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
     manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
     assert (manifest["seed"], manifest["slots"], manifest["placement"]) == used
     assert "geometry_seed" not in manifest and "n_slots" not in manifest
-    z = [abs(float(est) - float(ana)) / float(se)
-         for *_, est, se, ana in read_csv(out)[1:] if float(se) > 0]
-    assert manifest["max_abs_z"] == max(z)
+    z = {(float(d), int(i), int(j)): abs(float(est) - float(ana)) / float(se)
+         for d, i, j, est, se, ana in read_csv(out)[1:] if float(se) > 0}
+    assert manifest["max_abs_z"] == max(z.values())
+    assert manifest["max_abs_z_at"] == list(max(z, key=z.get))
+    assert manifest["max_abs_z_p"] == pytest.approx(_sidak(max(z.values()), len(z)), rel=1e-9)
     assert (manifest["n_compared"], manifest["zero_se_mismatches"]) == (len(z), 0)
     assert manifest["mplace_per_s"] > 0
+
+
+def _sidak(z, n):
+    """The family-wise p-value of a largest |z| over n normal rows, written out directly."""
+    return 1.0 - (1.0 - math.erfc(z / math.sqrt(2.0))) ** n
+
+
+def test_max_abs_z_fields_on_hand_computed_rows():
+    rows = [(1, "throughput", 0.5, 0.25, 0.0, 100, 7),   # z = 2
+            (1, "payment", 1.0, 1.0, 1.0, 100, 7),       # z = 0
+            (2, "payoff", -0.5, 0.5, 0.0, 100, 7),       # z = 1
+            (5, "cost", 0.7, 0.0, 0.7, 100, 7),          # stderr 0, exact
+            (5, "revenue", 0.1, 0.0, 0.0, 100, 7)]       # stderr 0, off by 0.1
+    fields = vanetgame.cli._max_abs_z(rows, 2)
+    tail = 0.04550026389635842   # P(|Z| >= 2) = erfc(sqrt 2)
+    assert fields == {"max_abs_z": 2.0, "max_abs_z_at": [1, "throughput"],
+                      "max_abs_z_p": pytest.approx(1.0 - (1.0 - tail) ** 3, rel=1e-12),
+                      "n_compared": 3, "zero_se_mismatches": 1}
+    # the first row of the largest z names it; a z of 0 alone has p-value 1
+    assert vanetgame.cli._max_abs_z([(0.3, 1, 2, 1.0, 0.5, 0.0)] * 2, 3)["max_abs_z_at"] \
+        == [0.3, 1, 2]
+    assert vanetgame.cli._max_abs_z([(0.3, 1, 2, 1.0, 0.5, 1.0)], 3)["max_abs_z_p"] == 1.0
+    # z = 20: 1 - (1 - 5.5e-89)^3 rounds to 0.0, the p-value is 3 * 5.5e-89
+    far = vanetgame.cli._max_abs_z([(1, "x", 20.0, 1.0, 0.0), (1, "y", 0.0, 1.0, 0.0),
+                                    (1, "z", 0.0, 1.0, 0.0)], 2)
+    assert _sidak(20.0, 3) == 0.0
+    assert far["max_abs_z_p"] == pytest.approx(3.0 * math.erfc(20.0 / math.sqrt(2.0)), rel=1e-12)
+    assert vanetgame.cli._max_abs_z([(1, "x", 1.0, 0.0, 1.0)], 2) == {
+        "max_abs_z": None, "max_abs_z_at": None, "max_abs_z_p": None, "n_compared": 0,
+        "zero_se_mismatches": 0}
 
 
 def test_encounter_manifest_reports_no_z_without_a_positive_stderr(tmp_path):
@@ -217,6 +250,7 @@ def test_encounter_manifest_reports_no_z_without_a_positive_stderr(tmp_path):
     manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
     assert (manifest["max_abs_z"], manifest["n_compared"], manifest["zero_se_mismatches"]) \
         == (None, 0, 0)
+    assert manifest["max_abs_z_at"] is manifest["max_abs_z_p"] is None
 
 
 def test_core_reports_membership(capsys, config_file):
@@ -247,15 +281,17 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     assert rows[0] == ["player", "quantity", "estimate", "stderr", "analytic",
                        "n_slots", "seed"]
     assert len(rows) == 1 + 12
-    z = []
+    z = {}
     for row in rows[1:]:
         est, se, ana = float(row[2]), float(row[3]), float(row[4])
         assert abs(est - ana) <= max(4 * se, 5e-3)
         if se > 0:
-            z.append(abs(est - ana) / se)
+            z[int(row[0]), row[1]] = abs(est - ana) / se
     manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
     assert manifest["seed"] == 3
-    assert manifest["max_abs_z"] == max(z)
+    assert manifest["max_abs_z"] == max(z.values())
+    assert manifest["max_abs_z_at"] == list(max(z, key=z.get))
+    assert manifest["max_abs_z_p"] == pytest.approx(_sidak(max(z.values()), len(z)), rel=1e-9)
     assert (manifest["n_compared"], manifest["zero_se_mismatches"]) == (len(z), 0)
     assert manifest["mslot_per_s"] > 0
     # without --seed the run uses seed 0, and the manifest says so
@@ -493,6 +529,19 @@ def test_failing_identity_prints_fail_and_exits_4(monkeypatch, capsys):
     assert main(["check"]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] scheduled-share total matches 1 - P(all idle): max residual " in out
+
+
+def test_nan_oracle_fails_its_identity_by_coalition(monkeypatch, capsys):
+    # an oracle that returns NaN must not pass as a zero residual
+    def nan_oracle(q, w):
+        return np.full(q.shape[0], np.nan), np.full(q.shape, np.nan)
+
+    monkeypatch.setattr(vanetgame.analysis, "_oracle_batch", nan_oracle)
+    assert main(["check"]) == 4
+    out = capsys.readouterr().out
+    assert ("[FAIL] grouped sums match brute-force enumeration: max residual nan "
+            "(coalition [1, 2, 3])") in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_core_names_an_rsu_weight_witness(tmp_path, capsys):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from vanetgame import (canonical_structure, geometry, make_config, parse_structure, simulate_slots,
@@ -86,6 +88,37 @@ def test_kernel_matches_plain_python_reference(default_cfg):
         want = reference.slot_counters(cs, cfg, 2_500, seed)
         for field in COUNTERS:
             assert (getattr(rep, field) == want[field]).all(), (seed, field)
+
+
+probability = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def wide_games(draw):
+    """(config, structure) with K <= 9 vehicles and M <= 17 RSUs in at most 5 coalitions,
+    so vehicle and RSU bits cross bytes and some coalitions hold no RSU."""
+    K, M = draw(st.integers(1, 9)), draw(st.integers(0, 17))
+    p = draw(st.lists(probability, min_size=K, max_size=K))
+    enc = draw(st.lists(probability, min_size=M * K, max_size=M * K))
+    cfg = make_config(K, M, p=np.array(p), enc=np.reshape(enc, (M, K)), delta=0.5, price=1.5,
+                      cost_fwd=0.3, cost_rcv=0.05)
+    labels = draw(st.lists(st.integers(0, 4), min_size=K + M, max_size=K + M))
+    blocks = [{m + 1 for m, lab in enumerate(labels) if lab == b} for b in set(labels)]
+    return cfg, canonical_structure(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_games(), st.integers(0, 2 ** 32 - 1))
+def test_outcome_tally_matches_reference_across_chunks(game, seed):
+    # 64-slot chunks: 400 slots cross six chunk boundaries; a row that meets no RSU
+    # lands on the "no relay" index span, at a byte boundary when span is a multiple of 8
+    cfg, cs = game
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK_SLOTS", 64)
+        rep = simulate_slots(cs, cfg, 400, seed)
+    want = reference.slot_counters(cs, cfg, 400, seed)
+    for field in COUNTERS:
+        assert (getattr(rep, field) == want[field]).all(), field
 
 
 def test_byte_tables_answer_rank_and_select():
