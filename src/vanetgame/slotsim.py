@@ -10,12 +10,20 @@ receive cost for every encounter with its coalition's scheduled vehicle and
 the forward cost when it is the one picked.
 
 Everything is accumulated as integer event counts first, so vehicle payments
-and RSU revenues balance exactly and all means and standard errors derive
-from the counts. Encounters are independent draws at the encounter matrix's
-probabilities. The kernel packs each slot's vehicle and RSU bits into bytes,
-answers its lowest-set-bit, popcount and k-th-set-bit queries from byte tables
-in one 1-D pass per byte over the rows where a coalition has an active member,
-and tallies each row's outcome code with one bincount per coalition.
+and RSU revenues balance exactly. Encounters are independent draws at the
+encounter matrix's probabilities. The kernel packs each slot's vehicle and RSU
+bits into bytes, answers lowest-set-bit, popcount and k-th-set-bit queries from
+byte tables in one 1-D pass per byte over the rows where a coalition has an
+active member, and tallies each row's outcome code with one bincount each.
+
+The estimates come from one event table. Each event type appears once, with a
+count per player and a (benefit, charge) value: a vehicle's success without
+relay and relayed success or failure by each RSU, and an RSU's encounter that
+ends without relay and its relay, each per vehicle. A payoff value is
+w_b * benefit - w_c * charge. Means and standard errors use shifted data (Chan,
+Golub and LeVeque, 1983), so a quantity with one observed value reads stderr
+0.0 and nothing squares a value near 1e308; an event that occurs with a value
+no float holds raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from .model import CoalitionStructure, GameConfig, canonical_structure, check_st
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
-# Each estimate as (report field, CSV quantity), in row order; its standard
-# error is the report field of the same name plus "_se".
+# Each estimate as (report field, CSV quantity), in row order: benefit, charge,
+# payoff; its standard error is the report field of the same name plus "_se".
 _VEHICLE_ESTIMATES = (("throughput", "throughput"), ("payment", "payment"),
                       ("vehicle_payoff", "payoff"))
 _RSU_ESTIMATES = (("revenue", "revenue"), ("cost", "cost"), ("rsu_payoff", "payoff"))
@@ -170,16 +178,23 @@ def _count_chunk(u, p, layout, counts) -> None:
         counts["success_no_relay"] += tab[span, :, 1]
 
 
-def _mean_se(total: np.ndarray, total_sq: np.ndarray, n: int):
-    mean = total / n
-    if n > 1:
-        var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = np.sqrt(var / n)
-    else:
-        se = np.zeros_like(mean)
-    return mean, se
+def _mean_se(counts: np.ndarray, values: np.ndarray, n: int):
+    """Per-slot mean and standard error per row over n slots, from E event types' integer
+    counts and values (P, E) and an idle event worth 0.0 in the other n - sum(counts) slots
+    (below 0 when a kernel miscounts), scaled by the largest |value| that occurs and shifted
+    by the most frequent event's; a value that never occurs adds nothing, even inf."""
+    counts = np.concatenate([counts, n - counts.sum(axis=1, keepdims=True)], axis=1)
+    x = np.where(counts != 0, np.concatenate([values, np.zeros((len(values), 1))], axis=1), 0.0)
+    scale = np.abs(x).max(axis=1)
+    x /= np.where(scale > 0.0, scale, 1.0)[:, None]
+    ref = x[np.arange(len(x)), counts.argmax(axis=1)]
+    d = x - ref[:, None]
+    shift = (counts * d).sum(axis=1) / n
+    var = np.maximum((counts * d * d).sum(axis=1) - n * shift * shift, 0.0) / max(n - 1, 1)
+    return (ref + shift) * scale, np.sqrt(var / n) * scale
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an event value may overflow: raise if it occurs
 def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> EmpiricalReport:
     """Simulate a coalition structure for n_slots slots.
 
@@ -204,37 +219,21 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
         _count_chunk(u, cfg.p, layout, counts)
         del u   # free this chunk before the next is drawn: one chunk is live at a time
 
-    relay_succ, relay_fail = counts["relays_success"], counts["relays_fail"]
-    succ_norelay = counts["success_no_relay"]
-    relays = relay_succ + relay_fail
-    rate = 1.0 + cfg.delta.T          # (M, K): rate when relayed by that RSU
-    fee = cfg.price                   # (M, K)
-    enc_only = counts["encounters"] - relays
-    u_relay_ok = cfg.alpha[None, :] * rate - cfg.beta[None, :] * fee
-    u_relay_bad = -cfg.beta[None, :] * fee
-    cost_enc = cfg.cost_rcv
-    cost_relay = cfg.cost_rcv + cfg.cost_fwd
-    ut_enc = -cfg.mu[:, None] * cost_enc
-    ut_relay = cfg.gamma[:, None] * fee - cfg.mu[:, None] * cost_relay
-
-    # per player, the sum and the sum of squares of each estimated quantity over all slots
-    sums = {
-        "throughput": (succ_norelay + (relay_succ * rate).sum(axis=0),
-                       succ_norelay + (relay_succ * rate * rate).sum(axis=0)),
-        "payment": ((relays * fee).sum(axis=0), (relays * fee * fee).sum(axis=0)),
-        "vehicle_payoff": (
-            succ_norelay * cfg.alpha + (relay_succ * u_relay_ok).sum(axis=0)
-            + (relay_fail * u_relay_bad).sum(axis=0),
-            succ_norelay * cfg.alpha ** 2 + (relay_succ * u_relay_ok ** 2).sum(axis=0)
-            + (relay_fail * u_relay_bad ** 2).sum(axis=0)),
-        "revenue": ((relays * fee).sum(axis=1), (relays * fee * fee).sum(axis=1)),
-        "cost": ((enc_only * cost_enc + relays * cost_relay).sum(axis=1),
-                 (enc_only * cost_enc ** 2 + relays * cost_relay ** 2).sum(axis=1)),
-        "rsu_payoff": ((enc_only * ut_enc + relays * ut_relay).sum(axis=1),
-                       (enc_only * ut_enc ** 2 + relays * ut_relay ** 2).sum(axis=1)),
-    }
+    # the event table (module docstring): counts, benefit, charge, weights; a row per player
+    relays, fee = counts["relays_success"] + counts["relays_fail"], cfg.price
+    vehicle = (np.hstack([counts["success_no_relay"][:, None], counts["relays_success"].T,
+                          counts["relays_fail"].T]),
+               np.hstack([np.ones((K, 1)), 1.0 + cfg.delta, np.zeros((K, M))]),
+               np.hstack([np.zeros((K, 1)), fee.T, fee.T]), cfg.alpha, cfg.beta)
+    rsu = (np.hstack([counts["encounters"] - relays, relays]), np.hstack([np.zeros((M, K)), fee]),
+           np.hstack([cfg.cost_rcv, cfg.cost_rcv + cfg.cost_fwd]), cfg.gamma, cfg.mu)
     estimates = {}
-    for field, _ in _VEHICLE_ESTIMATES + _RSU_ESTIMATES:
-        estimates[field], estimates[field + "_se"] = _mean_se(*sums[field], n_slots)
+    for (n_event, benefit, charge, w_b, w_c), fields, first in ((vehicle, _VEHICLE_ESTIMATES, 1),
+                                                                 (rsu, _RSU_ESTIMATES, K + 1)):
+        payoff = w_b[:, None] * benefit - w_c[:, None] * charge
+        for (field, qty), value in zip(fields, (benefit, charge, payoff)):
+            for k in np.flatnonzero((~np.isfinite(value) & (n_event != 0)).any(axis=1))[:1]:
+                raise ValueError(f"{qty} of player {first + k} in one slot is not finite")
+            estimates[field], estimates[field + "_se"] = _mean_se(n_event, value, n_slots)
     return EmpiricalReport(structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
                            **estimates, **counts)

@@ -108,8 +108,10 @@ MONTE_CARLO_SHA256 = {
         "2e487013f3d2832e442a14570105a673b6a77ec6b0eea7367446beb28c97e4b2",
     "encounter --slots 40000 --d-sweep 0.3,0.1,0.3,0.5 --seed 7 --placement grid":
         "fd98e9adaaba877d5d812e5cdb47102fde2e32e2f5534a7fdf1381f2c4f350e1",
+    # refrozen when estimates moved from sums of squares to shifted event counts: the
+    # counters are unchanged, and 6 estimates and 4 stderrs moved by 1 ulp
     "simulate --slots 20000 --structure 1,3|2,4 --seed 5":
-        "731f7430a3daacc296982515ea6bce53da4a91d551feed252f8e16b1bb8a7f7d",
+        "bad13c5bada4865357ae1e88ce0ab3ee29c431575eb3df106a5a616f7730e3b4",
 }
 
 
@@ -334,6 +336,21 @@ def test_simulate_manifest_counts_zero_stderr_mismatches(tmp_path, monkeypatch):
     assert fields() == (None, 0, 2)   # its throughput and its payoff
 
 
+@pytest.mark.parametrize("delta, slots", [(1 / 3, 100_000), (0.3, 1_000)])
+def test_simulate_manifest_counts_a_deterministic_run_as_exact(tmp_path, delta, slots):
+    # one vehicle always relayed by the one RSU: every stderr is 0.0 and every estimate exact
+    config = tmp_path / "cfg.json"
+    game = {"K": 1, "M": 1, "p": 1.0, "delta": delta, "price": 1.5, "cost_fwd": 0.5,
+            "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0}
+    config.write_text(json.dumps({"game": game, "encounter": {"matrix": 1.0}}))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(config), "--slots", str(slots),
+                 "--out", str(out)]) == 0
+    assert {row[3] for row in read_csv(out)[1:]} == {"0.0"}
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert (manifest["n_compared"], manifest["zero_se_mismatches"]) == (0, 0)
+
+
 @pytest.mark.parametrize("argv", [["enumerate"], ["simulate", "--slots", "100"]])
 def test_manifest_records_python_and_numpy_versions(tmp_path, config_file, argv):
     out = tmp_path / "out.csv"
@@ -511,6 +528,25 @@ def test_non_finite_payoffs_exit_3(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""   # no verdict, result line or row from a NaN payoff
     assert err == "error: payoff of player 1 in its coalition is not finite\n"
+
+
+@pytest.mark.parametrize("game, message", [
+    ({"cost_fwd": 1.7e308, "cost_rcv": 1.7e308}, "cost of player 2"),
+    ({"delta": 1.7e308, "price": 1.7e308, "beta": -1.0}, "payoff of player 1"),
+], ids=["cost", "payoff"])
+def test_simulated_slot_value_past_the_float_range_exits_3(tmp_path, capsys, game, message):
+    # the closed forms are finite (the relay happens half the time), one slot's value is not
+    doc = {"game": {"K": 1, "M": 1, "p": 0.5, "delta": 1.0, "price": 0.5, "cost_fwd": 1.0,
+                    "cost_rcv": 1.0, "alpha": 1.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0, **game},
+           "encounter": {"matrix": 0.5}}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["payoffs", "--config", str(path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--slots", "300", "--config", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message} in one slot is not finite\n")
 
 
 @pytest.mark.parametrize("argv, players, message", [

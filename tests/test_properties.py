@@ -2,9 +2,12 @@
 counters, config loading and command lines."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,3 +358,49 @@ def test_any_argv_exits_0_to_3_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# Extreme but valid values: each parameter entry is drawn from one of these sets
+MAGNITUDES = (0.0, 5e-324, 1e-300, 0.5, 1.0, 1e150, 1e300, 1.7e308)   # rates, prices, costs
+PROBABILITIES = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)
+WEIGHTS = (0.0, -0.0, -1.0, 5e-324, 1.0, 1e300, -1e300)
+
+
+@st.composite
+def extreme_documents(draw):
+    """Config documents with 1-3 vehicles, 0-3 RSUs and entries from the extreme sets."""
+    K, M = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def entries(values, *shape):
+        return _array(draw, shape, st.sampled_from(values)).tolist()
+
+    game = {"K": K, "M": M, "p": entries(PROBABILITIES, K), "delta": entries(MAGNITUDES, K, M),
+            "alpha": entries(WEIGHTS, K), "beta": entries(WEIGHTS, K),
+            "gamma": entries(WEIGHTS, M), "mu": entries(WEIGHTS, M)}
+    game.update({key: entries(MAGNITUDES, M, K) for key in ("price", "cost_fwd", "cost_rcv")})
+    return {"game": game, "encounter": {"matrix": entries(PROBABILITIES, M, K)}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(extreme_documents())
+def test_extreme_magnitudes_exit_cleanly_without_warnings(tmp_path_factory, doc):
+    base = tmp_path_factory.getbasetemp()
+    config, out = base / "extreme.json", base / "extreme.csv"
+    config.write_text(json.dumps(doc))
+    codes = {}
+    simulate = ["simulate", "--slots", "300", "--out", str(out)]
+    for argv in (["core"], ["check"], ["payoffs"], simulate):
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            codes[argv[0]] = main([*argv, "--config", str(config)])
+        assert codes[argv[0]] in (0, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    if codes["simulate"] == 0:
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert all(math.isfinite(float(est)) and math.isfinite(float(se))
+                   for _, _, est, se, *_ in rows), rows

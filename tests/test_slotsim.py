@@ -211,6 +211,62 @@ def test_random_structures_and_configs_cross_validate():
                 assert abs(rep.throughput[i - 1] - value) <= tol
 
 
+@pytest.mark.parametrize("delta, n_slots", [(1 / 3, 100_000), (0.3, 1_000)])
+def test_deterministic_quantities_read_their_event_value_and_stderr_zero(delta, n_slots):
+    # one vehicle always active and always relayed by the one RSU: every slot is the same
+    # event, so each estimate is that event's value and each stderr exactly 0.0
+    # (built-in prices, costs and weights, where sum(x^2) - n mean^2 leaves 5.4e-11 and 3.4e-10)
+    cfg = make_config(1, 1, p=1.0, enc=1.0, delta=delta, price=1.5, cost_fwd=0.5,
+                      cost_rcv=0.2, alpha=10.0)
+    rep = simulate_slots((frozenset({1, 2}),), cfg, n_slots, seed=7)
+    assert rep.relays_success.tolist() == [[n_slots]]
+    rate, charge = 1.0 + delta, 0.2 + 0.5
+    values = {"throughput": rate, "payment": 1.5, "vehicle_payoff": 10.0 * rate - 1.0 * 1.5,
+              "revenue": 1.5, "cost": charge, "rsu_payoff": 1.0 * 1.5 - 1.0 * charge}
+    for field, value in values.items():
+        assert getattr(rep, field).tolist() == [value], field
+        assert getattr(rep, field + "_se").tolist() == [0.0], field
+
+
+# values of every magnitude from 1e-200 to 1e200, either sign, and zero
+magnitude = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-200, 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 5), st.integers(0, 40))
+def test_mean_se_matches_the_repeated_samples(data, rows, events, idle):
+    counts = np.array(data.draw(st.lists(st.lists(st.integers(0, 300), min_size=events,
+                                                  max_size=events), min_size=rows, max_size=rows)))
+    values = np.array(data.draw(st.lists(st.lists(magnitude, min_size=events, max_size=events),
+                                         min_size=rows, max_size=rows)))
+    n = max(int(counts.sum(axis=1).max()) + idle, 1)
+    mean, se = slotsim._mean_se(counts, values, n)
+    for row in range(rows):
+        # the oracle: one sample per slot, idle slots 0.0, scaled so squares cannot overflow
+        top = np.abs(values[row][counts[row] > 0]).max(initial=0.0) or 1.0
+        x = np.zeros(n)
+        x[:counts[row].sum()] = np.repeat(values[row] / top, counts[row])
+        want_se = x.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+        assert abs(mean[row] - x.mean() * top) <= 1e-14 * top
+        assert abs(se[row] - want_se * top) <= 1e-14 * top
+
+
+def test_mean_se_resolves_a_small_spread_around_a_large_mean():
+    # 999 slots worth 1.0 and one worth 1 + 2^-30: the stderr is 9.3e-13, and unshifted
+    # sums of squares cancel it to 0.0
+    h = 2.0 ** -30
+    mean, se = slotsim._mean_se(np.array([[999, 1]]), np.array([[1.0, 1.0 + h]]), 1_000)
+    x = np.repeat([0.0, h], [999, 1])   # the samples less 1.0, exactly
+    assert abs(mean[0] - (1.0 + x.mean())) <= 1e-14
+    assert abs(se[0] - x.std(ddof=1) / np.sqrt(1_000)) <= 1e-14
+
+
+def test_mean_se_keeps_every_count_when_they_overfill_the_slots():
+    # 103 events in 100 slots: the idle count is -3, and the mean is still sum(c * v) / n
+    mean, _ = slotsim._mean_se(np.array([[101, 2]]), np.array([[1.0, 4.0]]), 100)
+    assert mean[0] == pytest.approx(109 / 100, rel=1e-15)
+
+
 def test_bad_inputs_rejected(default_cfg):
     with pytest.raises(ValueError, match="n_slots"):
         simulate_slots(GRAND, default_cfg, 0, seed=1)
