@@ -50,7 +50,7 @@ def structure_payoffs(cs, cfg: GameConfig) -> np.ndarray:
     coalition. Throughput already discounts for all outside vehicles, so the
     vector does not depend on how the outsiders are grouped among themselves.
     """
-    out = np.zeros(cfg.n_players)
+    out = np.zeros(cfg.n_players, cfg.p.dtype)
     for rep in structure_reports(cs, cfg):
         for m in rep.members:
             out[m - 1] = rep.payoff_of(m)
@@ -147,17 +147,17 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     ascending masks. Bit k of a mask is player k + 1, so the RSU set is
     mask >> K: a block is a grid of RSU sets by vehicle subsets, and each RSU
     set R's relay probabilities come once from _brackets over all 2^M RSU
-    subsets, 0.0 off R. Returns (gain witness, preference witness, blocker): the
+    subsets, 0 off R. Returns (gain witness, preference witness, blocker): the
     first (player, coalition) violating condition 2 and condition 3 of
     core_sufficient_conditions among the proper coalitions, given the grand
     coalition's payoff vector, and the coalition with the lexicographically
     smallest sorted member tuple whose every member earns strictly more than x.
     """
     K, n = cfg.K, cfg.n_players
-    grand, bar = grand[:, None], np.asarray(x, dtype=np.float64)[:, None]
+    grand, bar = grand[:, None], np.asarray(x)[:, None]
     gain_witness = preference_witness = best = None
     q, t = cfg.enc.T[:, :, None], np.arange(cfg.M)[:, None]
-    h = np.array([_brackets(qi) for qi in cfg.enc.T.tolist()])
+    h = np.array([_brackets(qi) for qi in cfg.enc.T])
     size = min(1 << n, _BLOCK_MASKS)
     width = min(size, 1 << K)   # a block is a grid: RSU sets x vehicle subsets of width
     for base in range(0, 1 << n, size):

@@ -13,7 +13,9 @@ _table evaluates a batch of coalitions from membership rows and each vehicle's
 relay probabilities, all broadcast over the batch. These come from _brackets
 over all 2^M RSU subsets (the core sweep) or from _relay_probs over only the
 subsets that given coalitions need (polynomial in M); both add a subset's RSUs
-in ascending order, so they agree exactly.
+in ascending order, so they agree exactly. Each zero and one on this path is
+of the input's type, so float64 parameters keep their bits and object arrays
+of fractions.Fraction run exactly through the same lines.
 """
 
 from __future__ import annotations
@@ -45,53 +47,50 @@ _COEF_BITS = 10
 def _extend(coef: np.ndarray, q: float) -> np.ndarray:
     """Poisson-binomial coefficients (last axis: P(B = b)) after one more RSU,
     encountered with probability q: the recursion of Hong (2013), every row at once."""
-    out = coef * (1.0 - q)
+    out = coef * (1 - q)
     out[..., 1:] += coef[..., :-1] * q
     return out
 
 
 def _bracket(coef: np.ndarray) -> np.ndarray:
     """E[1/(B+1)] from the coefficients on the last axis, summed in ascending b."""
-    acc = np.zeros(coef.shape[:-1])
-    for b in range(coef.shape[-1]):
-        acc += coef[..., b] / (b + 1.0)
-    return acc
+    return sum(coef[..., b] / (b + 1) for b in range(coef.shape[-1]))
 
 
-def _brackets(q: list) -> np.ndarray:
+def _brackets(q: np.ndarray) -> np.ndarray:
     """E[1/(B+1)] for the number B of RSUs in R that meet one vehicle, for every
     RSU subset R (bit t: encounter probability q[t]). The coefficients of the
     low RSUs' subsets double one RSU at a time, and each block sharing its high
     RSUs adds those after them: every subset adds its RSUs in ascending order."""
     M = len(q)
     low = min(M, _COEF_BITS)
-    coef = np.eye(1, M + 1)   # no RSU: P(B = 0) = 1
+    coef = np.eye(1, M + 1, dtype=q.dtype) * q.sum() ** 0   # no RSU: P(B = 0) = 1 of q's type
     for t in range(low):   # rows R | 1 << t follow rows R
         coef = np.concatenate([coef, _extend(coef, q[t])])
-    h = np.empty(1 << M)
+    h = []
     for high in range(1 << (M - low)):
         rows = coef
         for t in range(low, M):
             if high >> (t - low) & 1:
                 rows = _extend(rows, q[t])
-        h[high << low:(high + 1) << low] = _bracket(rows)
-    return h
+        h.append(_bracket(rows))
+    return np.concatenate(h)
 
 
 def _relay_probs(q: np.ndarray, rsus: np.ndarray) -> np.ndarray:
     """(M, P) probabilities q[t, c] E[1/(B+1)] that RSU t relays column c's vehicle,
     where B counts the RSUs of the column's set R_c - {t} (rsus: (M, P) bool) that
-    meet it, each with probability q[u, c]; 0.0 off R_c. One coefficient row per
+    meet it, each with probability q[u, c]; 0 off R_c. One coefficient row per
     (t, c) with t in R_c adds the RSUs of its own subset in ascending order, as
     _brackets does, so the two agree exactly; O(M^2) per row."""
     t, c = np.nonzero(rsus)
-    coef = np.eye(1, q.shape[0] + 1).repeat(t.size, axis=0)   # P(B = 0) = 1
+    coef = np.eye(1, len(q) + 1, dtype=q.dtype).repeat(t.size, 0) * q.sum() ** 0   # P(B = 0) = 1
     for k, u in enumerate(np.flatnonzero(rsus.any(axis=1))):
-        # a row whose subset lacks u extends by probability 0.0, which keeps every bit,
-        # and after k + 1 RSUs every coefficient past b = k + 1 is still exactly 0.0
-        qu = np.where(rsus[u, c] & (t != u), q[u, c], 0.0)[:, None]
+        # a row whose subset lacks u extends by probability 0, which keeps every bit,
+        # and after k + 1 RSUs every coefficient past b = k + 1 is still exactly 0
+        qu = (q[u, c] * (rsus[u, c] & (t != u)))[:, None]
         coef[:, :k + 2] = _extend(coef[:, :k + 2], qu)
-    out = np.zeros(rsus.shape)
+    out = np.zeros_like(q)
     out[t, c] = q[t, c] * _bracket(coef)
     return out
 
@@ -199,28 +198,28 @@ class PayoffReport:
 def _table(cfg: GameConfig, veh: np.ndarray, rsu: np.ndarray, pr: np.ndarray):
     """The closed forms of a batch of coalitions, from membership rows veh (K, ...)
     and rsu (M, ...), both bool, and pr (K, M, ...), the probability that RSU t
-    relays vehicle i given the coalition's RSUs (0.0 for t outside them). Each has
+    relays vehicle i given the coalition's RSUs (0 for t outside them). Each has
     as many trailing axes as the batch, broadcasting to its shape, as does every
     row returned: (share, rate_gain, fee) per vehicle and (benefit, charge, payoff)
     per player (throughput and payment for a vehicle, revenue and cost for an RSU).
     Entries of non-members mean nothing; a member's payoff that is not finite
     raises ValueError. Sums and products run over players in ascending id, a term
-    off the coalition being a factor 1.0 or an added 0.0 (three vehicle masks and
-    pr), so each entry is one fixed sequence of float operations.
+    off the coalition being a factor 1 or an added zero of the input's type (three
+    vehicle masks and pr), so each entry is one fixed sequence of operations.
     """
     K, M = cfg.K, cfg.M
     shape = np.broadcast_shapes(veh.shape[1:], rsu.shape[1:], pr.shape[2:])
     ax = (..., *[None] * len(shape))   # a parameter per player, against the batch axes
-    idle = (1.0 - cfg.p)[ax]   # a member defers to lower-id members; an outsider stays idle
-    defer, out, share = np.where(veh, idle, 1.0), np.where(veh, 1.0, idle), cfg.p[ax] * veh
-    for v in range(K - 1):   # P(i is the vehicle scheduled), 0.0 off the coalition
+    idle = (1 - cfg.p)[ax]   # a member defers to lower-id members; an outsider stays idle
+    defer, out, share = np.where(veh, idle, 1), np.where(veh, 1, idle), cfg.p[ax] * veh
+    for v in range(K - 1):   # P(i is the vehicle scheduled), 0 off the coalition
         share[v + 1:] *= defer[v]
     delta, price, fwd = cfg.delta.T[ax], cfg.price[ax], cfg.cost_fwd[ax]
-    gain = fee = np.zeros((K, *pr.shape[2:]))
-    for t in range(M):   # every accumulator starts at +0.0, so adding 0.0 keeps its bits
+    gain = fee = np.zeros((K, *pr.shape[2:]), pr.dtype) * cfg.p[ax]   # a zero of p's type
+    for t in range(M):   # a float accumulator starts at +0.0, so adding 0 keeps its bits
         gain, fee = gain + pr[:, t] * delta[t], fee + pr[:, t] * price[t]
-    benefit, charge = np.zeros((K + M, *shape)), np.zeros((K + M, *shape))
-    benefit[:K], charge[:K] = share * (1.0 + gain), share * fee
+    benefit, charge = np.zeros((K + M, *shape), pr.dtype), np.zeros((K + M, *shape), pr.dtype)
+    benefit[:K], charge[:K] = share * (1 + gain), share * fee
     for v in range(K):
         benefit[:K] *= out[v]
     rcv = (cfg.enc * cfg.cost_rcv)[ax]
@@ -229,8 +228,9 @@ def _table(cfg: GameConfig, veh: np.ndarray, rsu: np.ndarray, pr: np.ndarray):
         charge[K:] += share[i] * (fwd[:, i] * pr[i] + rcv[:, i])
     w_benefit, w_charge = np.concatenate([cfg.alpha, cfg.gamma]), np.concatenate([cfg.beta, cfg.mu])
     payoff = w_benefit[ax] * benefit - w_charge[ax] * charge
-    for k, held in enumerate([] if np.isfinite(payoff).all() else [*veh, *rsu]):
-        if (held & ~np.isfinite(payoff[k])).any():
+    # a finite total means every entry is finite; else the rows name the first member that is not
+    for k, held in enumerate([] if abs(payoff.sum()) < np.inf else [*veh, *rsu]):
+        if (held & ~(abs(payoff[k]) < np.inf)).any():   # NaN compares False
             raise ValueError(f"payoff of player {k + 1} in its coalition is not finite")
     return share, gain, fee, benefit, charge, payoff
 
@@ -248,7 +248,7 @@ def _tables(coalitions, cfg: GameConfig, *variants):
             raise ValueError(f"players {outside} out of range 1..{n}" if S else "empty coalition")
         member[[m - 1 for m in S], c] = True
     i, c = np.nonzero(member[:K])   # every (vehicle, coalition holding it) pair
-    pr = np.zeros((K, cfg.M, len(coalitions)))
+    pr = np.zeros((K, cfg.M, len(coalitions)), cfg.enc.dtype)
     pr[i, :, c] = _relay_probs(cfg.enc[:, i], member[K:, c]).T
     return member, pr, [_table(c, member[:K], member[K:], pr) for c in (cfg, *variants)]
 
@@ -267,7 +267,7 @@ def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
             return {m: rows[m - 1][c] for m in players}
 
         u_veh, u_rsu = col(payoff, vehicles), col(payoff, rsus)
-        total = 0.0
+        total = 0
         for u in (*u_veh.values(), *u_rsu.values()):
             total += u
         reports.append(PayoffReport(

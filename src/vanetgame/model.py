@@ -49,8 +49,8 @@ class GameConfig:
     Matrix layout follows the config-file schema (each shape is in _SHAPES):
     `enc`, `price`, `cost_fwd` and `cost_rcv` have one row per RSU and one
     column per vehicle; `delta` has one row per vehicle. All arrays become
-    read-only float64 on construction, so instances can be shared freely
-    across parallel evaluations.
+    read-only float64, with no negative zero, on construction, so instances can
+    be shared freely across parallel evaluations.
     """
 
     K: int
@@ -71,7 +71,7 @@ class GameConfig:
         object.__setattr__(self, "M", int(self.M))
         for name in ("p", "enc", "delta", "price", "cost_fwd", "cost_rcv",
                      "alpha", "beta", "gamma", "mu"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr = np.add(getattr(self, name), 0.0, dtype=np.float64)   # -0.0 becomes 0.0
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -20,10 +20,18 @@ vanetgame.analysis.run_identity_checks, which must return equal results.
 `slot_counters` is a plain-Python slot loop, the reference for the bit-packed
 kernel in vanetgame.slotsim: on the same uniforms their event counters agree
 exactly.
+
+`ExactConfig` is a GameConfig whose parameters are `fractions.Fraction` object
+arrays, on which the coalition table and the core sweep run exactly.
+`exact_quantities`, `exact_bracket` and `exact_verdict` are their references:
+expectations by brute force over slot outcomes and encounter sets, and the
+core verdict by brute force over coalitions, sharing no code with the table.
 """
 
 import dataclasses
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,8 +39,8 @@ from conftest import COUNTERS
 from vanetgame.analysis import (_CHECK_STRUCTURES, CheckResult, _uniformized,
                                 vehicle_coalition_profitability)
 from vanetgame.analytic import ABS_TOL, PayoffReport, _reports, oracle_relay_mean
-from vanetgame.model import (canonical_structure, check_structure, iter_partitions,
-                             normalize_structure, split_members)
+from vanetgame.model import (_SHAPES, GameConfig, canonical_structure, check_structure,
+                             iter_partitions, normalize_structure, split_members)
 
 
 def _share(vehicles, i, cfg):
@@ -342,3 +350,93 @@ def identity_checks(cfg):
             profit_ok &= verdict[i] == direct
     results.append(CheckResult(name, bool(profit_ok), "checked over vehicle-only coalitions"))
     return results
+
+
+class ExactConfig(GameConfig):
+    """A GameConfig whose ten parameter arrays are read-only object arrays of
+    Fraction, each value converted exactly (a float keeps its binary value)."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "M", int(self.M))
+        for name, shape in _SHAPES.items():
+            values = [Fraction(x) for x in np.asarray(getattr(self, name), dtype=object).flat]
+            arr = np.array(values, dtype=object).reshape(shape(self.K, self.M))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def _outcomes(probs):
+    """(P(pattern), pattern) of every on/off pattern of independent events with
+    the given probabilities."""
+    for pattern in itertools.product((False, True), repeat=len(probs)):
+        yield math.prod((q if on else 1 - q for q, on in zip(probs, pattern)),
+                        start=Fraction(1)), pattern
+
+
+def exact_bracket(q) -> Fraction:
+    """E[1/(B+1)] for the number B of independent events, of probabilities q, that occur."""
+    return sum(prob / (sum(pattern) + 1) for prob, pattern in _outcomes(q))
+
+
+def exact_quantities(S, cfg) -> dict:
+    """Every member quantity of coalition S of an ExactConfig from first principles:
+    the scheduled vehicle over each pattern of active vehicles, and its relay over
+    each set of the coalition's RSUs that meet it, picked uniformly from that set.
+    Keys: share, rate_gain, fee, relay_prob ((RSU, vehicle) pairs), benefit and
+    charge (throughput and payment, revenue and cost), payoff."""
+    vehicles, rsus = split_members(S, cfg.K)
+    zero = Fraction(0)
+    share, clear = dict.fromkeys(vehicles, zero), dict.fromkeys(vehicles, zero)
+    for prob, pattern in _outcomes(list(cfg.p)):
+        active = [i for i, on in zip(cfg.vehicles, pattern) if on]
+        here = [i for i in active if i in vehicles]
+        if here:   # the lowest-id active member transmits; it succeeds if no outsider is active
+            share[here[0]] += prob
+            clear[here[0]] += prob if len(here) == len(active) else zero
+    relay = {(j, i): zero for j in rsus for i in vehicles}
+    for i in vehicles:
+        q = [cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus]
+        for prob, pattern in _outcomes(q):
+            met = [j for j, on in zip(rsus, pattern) if on]
+            for j in met:
+                relay[j, i] += prob / len(met)
+    out = {"share": share, "relay_prob": relay, "rate_gain": {}, "fee": {},
+           "benefit": {}, "charge": {}, "payoff": {}}
+    for i in vehicles:
+        v = cfg.vrow(i)
+        gain = sum((relay[j, i] * cfg.delta[v, cfg.rrow(j)] for j in rsus), zero)
+        fee = sum((relay[j, i] * cfg.price[cfg.rrow(j), v] for j in rsus), zero)
+        out["rate_gain"][i], out["fee"][i] = gain, fee
+        out["benefit"][i], out["charge"][i] = clear[i] * (1 + gain), share[i] * fee
+        out["payoff"][i] = cfg.alpha[v] * out["benefit"][i] - cfg.beta[v] * out["charge"][i]
+    for j in rsus:
+        r = cfg.rrow(j)
+        out["benefit"][j] = sum((share[i] * relay[j, i] * cfg.price[r, cfg.vrow(i)]
+                                 for i in vehicles), zero)
+        out["charge"][j] = sum((share[i] * (relay[j, i] * cfg.cost_fwd[r, cfg.vrow(i)]
+                                            + cfg.enc[r, cfg.vrow(i)] * cfg.cost_rcv[r, cfg.vrow(i)])
+                                for i in vehicles), zero)
+        out["payoff"][j] = cfg.gamma[r] * out["benefit"][j] - cfg.mu[r] * out["charge"][j]
+    return out
+
+
+def exact_verdict(cfg) -> tuple:
+    """(grand payoff vector, gain witness, preference witness, smallest blocker) of
+    the grand coalition, by brute force over every coalition mask in ascending
+    order: the first (member, coalition) offending each condition, and the blocker
+    with the smallest sorted member tuple."""
+    n = cfg.n_players
+    coalitions = [frozenset(m + 1 for m in range(n) if mask >> m & 1)
+                  for mask in range(1, 1 << n)]
+    payoff = {S: exact_quantities(S, cfg)["payoff"] for S in coalitions}
+    grand = [payoff[coalitions[-1]][m] for m in range(1, n + 1)]
+    gain = preference = None
+    for S in coalitions[:-1]:
+        members, u = sorted(S), payoff[S]
+        if gain is None and members[0] <= cfg.K:
+            gain = next(((m, S) for m in members if not u[m] > 0), None)
+        if preference is None:
+            preference = next(((m, S) for m in members if not grand[m - 1] > u[m]), None)
+    blockers = [sorted(S) for S in coalitions if all(payoff[S][m] > grand[m - 1] for m in S)]
+    return grand, gain, preference, frozenset(min(blockers)) if blockers else None

@@ -104,6 +104,20 @@ def test_oracle_names_no_fast_path():
         assert not named & fast, f"{name} names fast-path helpers {sorted(named & fast)}"
 
 
+def test_coalition_table_path_holds_no_float_constant():
+    """Every zero, one and accumulator of the table path comes from its inputs: a
+    float literal there would turn the results of a Fraction config into floats."""
+    tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())
+    path = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_tables", "_reports"}
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in path]
+    assert {node.name for node in functions} == path
+    floats = [f"{node.name}:{const.lineno} {const.value!r}" for node in functions
+              for const in ast.walk(node)
+              if isinstance(const, ast.Constant) and isinstance(const.value, float)]
+    assert not floats, f"float constants on the coalition table path: {floats}"
+
+
 def test_source_stays_within_its_line_budget():
     # the ceiling on `wc -l src/vanetgame/*.py`: newline bytes, summed over the files
     lines = sum(path.read_bytes().count(b"\n")

@@ -367,6 +367,27 @@ def test_check_passes_on_default_config(capsys, config_file):
     assert out.count("[PASS]") >= 8
 
 
+def test_negative_zero_entries_print_as_zero(tmp_path, capsys):
+    """A config whose zeros are -0.0 is the config with 0.0: payoffs, core and
+    check print the same bytes for both, with no negative zero."""
+    printed = []
+    for zero in (0.0, -0.0):
+        doc = default_config_dict()
+        game, enc = doc["game"], doc["encounter"]["matrix"]
+        game["p"][0] = zero
+        game["price"] = [[zero] * game["K"] for _ in range(game["M"])]
+        game["cost_rcv"] = [[zero] * game["K"] for _ in range(game["M"])]
+        for k in range(min(game["K"], game["M"])):
+            enc[k][k] = zero
+        path = tmp_path / f"zero{zero}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("payoffs", "core", "check"):
+            main([command, "--config", str(path)])
+            printed.append(capsys.readouterr().out)
+    assert printed[3:] == printed[:3]
+    assert ",-0.0" not in printed[3]
+
+
 def test_check_samples_partitions_of_all_players_beyond_eight(capsys):
     config = pathlib.Path(__file__).parent / "data" / "core_k4m8.json"
     assert main(["check", "--config", str(config)]) == 0

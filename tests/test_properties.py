@@ -8,6 +8,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, mak
                        stability_verdict, structure_payoffs)
 from vanetgame.cli import main
 from vanetgame.configio import ConfigError, default_config_dict, load_config
+from vanetgame.model import split_members
 from conftest import random_config
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -234,6 +236,91 @@ def test_payoff_table_equals_player_payoffs_up_to_ten_players(K, M, edges, block
         _assert_table_equals_reference(cfg)
 
 
+# Grids of tenths and thirds, coarse enough that exact payoffs often tie
+GRID = sorted({Fraction(k, 10) for k in range(11)} | {Fraction(k, 3) for k in range(4)})
+AMOUNTS = sorted(set(GRID) | {Fraction(3, 2), Fraction(2), Fraction(3)})
+EXACT_WEIGHTS = (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(2),
+                 Fraction(10))
+
+
+@st.composite
+def exact_configs(draw):
+    """ExactConfigs of 1-3 vehicles and 0-3 RSUs with every entry on the grids above."""
+    K, M = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+
+    def entries(values, size):
+        return draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+
+    return reference.ExactConfig(
+        K, M, p=entries(GRID, K), enc=entries(GRID, M * K), delta=entries(AMOUNTS, K * M),
+        price=entries(AMOUNTS, M * K), cost_fwd=entries(AMOUNTS, M * K),
+        cost_rcv=entries(AMOUNTS, M * K), alpha=entries(EXACT_WEIGHTS, K),
+        beta=entries(EXACT_WEIGHTS, K), gamma=entries(EXACT_WEIGHTS, M),
+        mu=entries(EXACT_WEIGHTS, M))
+
+
+def _assert_exact(got, want, where):
+    assert type(got) is Fraction and got == want, (where, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_configs())
+def test_exact_table_equals_brute_force_expectations(cfg):
+    """On Fraction configs the batch table, the reports and every member entry of
+    the sweep's table are Fractions equal to expectations over slot outcomes."""
+    n, K = cfg.n_players, cfg.K
+    coalitions = list(_coalitions(n))
+    want = [reference.exact_quantities(S, cfg) for S in coalitions]
+    names = ("share", "rate_gain", "fee", "benefit", "charge", "payoff")
+    _, pr, (table,) = analytic._tables(coalitions, cfg)
+    for c, (S, exact) in enumerate(zip(coalitions, want)):
+        vehicles, rsus = split_members(S, K)
+        for name, row in zip(names, table):
+            for m in (vehicles if name in names[:3] else S):
+                _assert_exact(row[m - 1, c], exact[name][m], (sorted(S), name, m))
+        for (j, i), prob in exact["relay_prob"].items():
+            _assert_exact(pr[i - 1, j - K - 1, c], prob, (sorted(S), "relay", j, i))
+    report = player_payoffs(coalitions[-1], cfg)
+    _assert_exact(report.total_payoff, sum(want[-1]["payoff"].values()), "total")
+    mask = 0   # the sweep's blocks cover masks 0 .. 2^n - 1 in ascending order
+    for member, block in _sweep_tables(cfg):
+        for k in range(member.shape[1]):
+            S = frozenset(m + 1 for m in range(n) if mask >> m & 1)
+            assert [m + 1 for m in np.flatnonzero(member[:, k])] == sorted(S)
+            for m in S:
+                for name, row in zip(names, block):
+                    if m <= K or name not in names[:3]:
+                        _assert_exact(row[m - 1, k], want[mask - 1][name][m], (mask, name, m))
+            mask += 1
+    assert mask == 1 << n
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_configs())
+def test_exact_verdict_equals_brute_force(cfg):
+    """On Fraction configs stability_verdict decides every tie exactly."""
+    verdict = stability_verdict(cfg)
+    grand, gain, preference, blocker = reference.exact_verdict(cfg)
+    for m, (got, want) in enumerate(zip(verdict.payoff_vector, grand, strict=True), 1):
+        _assert_exact(got, want, m)
+    assert verdict.conditions.gain_witness == gain
+    assert verdict.conditions.preference_witness == preference
+    assert verdict.membership.blocking == blocker
+
+
+def test_brackets_run_exactly_past_the_coefficient_block():
+    """Eleven RSUs: the low ten share one coefficient block and the eleventh is
+    added per block, so sets holding it take the high-RSU path."""
+    q = [Fraction(a, b) for a, b in ((3, 10), (1, 3), (1, 1), (7, 10), (0, 1), (2, 3),
+                                     (1, 2), (1, 10), (9, 10), (1, 3), (3, 5))]
+    assert len(q) > analytic._COEF_BITS
+    h = analytic._brackets(np.array(q, dtype=object))
+    rng = np.random.default_rng(11)
+    for mask in [0, 1, 1 << 10, (1 << 11) - 1, *rng.integers(0, 1 << 11, 12).tolist()]:
+        _assert_exact(h[mask], reference.exact_bracket([q[t] for t in range(11) if mask >> t & 1]),
+                      mask)
+
+
 @pytest.mark.parametrize("block_masks", [None, 16])
 def test_sweep_relay_input_is_zero_off_the_coalition(block_masks):
     """The relay probabilities each sweep block hands _table: 0.0 for every RSU
@@ -366,19 +453,25 @@ PROBABILITIES = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)
 WEIGHTS = (0.0, -0.0, -1.0, 5e-324, 1.0, 1e300, -1e300)
 
 
+# Ordinary magnitudes (rates, prices, costs and weights) at extreme probabilities
+MODERATE = (0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 10.0)
+FINE_PROBABILITIES = (0.0, 5e-324, 1e-300, 1e-17, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
 @st.composite
-def extreme_documents(draw):
-    """Config documents with 1-3 vehicles, 0-3 RSUs and entries from the extreme sets."""
+def extreme_documents(draw, magnitudes=MAGNITUDES, probabilities=PROBABILITIES,
+                      weights=WEIGHTS):
+    """Config documents with 1-3 vehicles, 0-3 RSUs and entries from the given sets."""
     K, M = draw(st.integers(1, 3)), draw(st.integers(0, 3))
 
     def entries(values, *shape):
         return _array(draw, shape, st.sampled_from(values)).tolist()
 
-    game = {"K": K, "M": M, "p": entries(PROBABILITIES, K), "delta": entries(MAGNITUDES, K, M),
-            "alpha": entries(WEIGHTS, K), "beta": entries(WEIGHTS, K),
-            "gamma": entries(WEIGHTS, M), "mu": entries(WEIGHTS, M)}
-    game.update({key: entries(MAGNITUDES, M, K) for key in ("price", "cost_fwd", "cost_rcv")})
-    return {"game": game, "encounter": {"matrix": entries(PROBABILITIES, M, K)}}
+    game = {"K": K, "M": M, "p": entries(probabilities, K), "delta": entries(magnitudes, K, M),
+            "alpha": entries(weights, K), "beta": entries(weights, K),
+            "gamma": entries(weights, M), "mu": entries(weights, M)}
+    game.update({key: entries(magnitudes, M, K) for key in ("price", "cost_fwd", "cost_rcv")})
+    return {"game": game, "encounter": {"matrix": entries(probabilities, M, K)}}
 
 
 @settings(max_examples=25, deadline=None)
@@ -404,3 +497,19 @@ def test_extreme_magnitudes_exit_cleanly_without_warnings(tmp_path_factory, doc)
             rows = list(csv.reader(fh))[1:]
         assert all(math.isfinite(float(est)) and math.isfinite(float(se))
                    for _, _, est, se, *_ in rows), rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(extreme_documents(MODERATE, FINE_PROBABILITIES, MODERATE))
+def test_check_passes_at_ordinary_magnitudes_and_extreme_probabilities(tmp_path_factory, doc):
+    """Subnormal, tiny and next-to-1 probabilities with every magnitude at most 10:
+    every identity holds to ABS_TOL and nothing warns."""
+    config = tmp_path_factory.getbasetemp() / "moderate.json"
+    config.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        warnings.simplefilter("always")
+        code = main(["check", "--config", str(config)])
+    assert code == 0, (doc, out.getvalue())
+    assert not caught, (doc, caught)
