@@ -104,13 +104,9 @@ class CoreConditions:
 
 
 def _weight_witness(cfg: GameConfig) -> int | None:
-    for i in cfg.vehicles:
-        if not (cfg.alpha[cfg.vrow(i)] > 0.0 and cfg.beta[cfg.vrow(i)] > 0.0):
-            return i
-    for j in cfg.rsus:
-        if not (cfg.gamma[cfg.rrow(j)] > 0.0 and cfg.mu[cfg.rrow(j)] > 0.0):
-            return j
-    return None
+    """The first player with a weight not > 0.0 in the rows [alpha, gamma] and [beta, mu]."""
+    ok = (np.concatenate([[cfg.alpha, cfg.beta], [cfg.gamma, cfg.mu]], axis=1) > 0.0).all(axis=0)
+    return None if ok.all() else int(ok.argmin()) + 1
 
 
 def _preorder_key(masks: np.ndarray, n: int) -> np.ndarray:
@@ -278,9 +274,8 @@ class CheckResult:
 
 def _uniformized(cfg: GameConfig) -> GameConfig:
     """Copy of cfg with per-vehicle-uniform rate gains and fees."""
-    delta = np.repeat(cfg.delta[:, :1], cfg.M, axis=1) if cfg.M else cfg.delta
-    price = np.repeat(cfg.price[:1, :], cfg.M, axis=0) if cfg.M else cfg.price
-    return dataclasses.replace(cfg, delta=delta, price=price)
+    return dataclasses.replace(cfg, delta=np.repeat(cfg.delta[:, :1], cfg.M, axis=1),
+                               price=np.repeat(cfg.price[:1, :], cfg.M, axis=0))
 
 
 def _check_partitions(n: int) -> list:
@@ -322,14 +317,16 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     one table per config (given, uniform-weight, zero-price), and a residual
     identity's gap per coalition is the largest |a - b| over the pairs it
     equates there; its result is the largest gap and the first coalition, in
-    sorted-member order, that reaches it. Used by the CLI `check` subcommand.
+    sorted-member order, that reaches it. Profitability runs over every vehicle-only
+    column, the vehicle prefixes {1..i} included. Used by the CLI `check` subcommand.
     """
     n, K = cfg.n_players, cfg.K
     partitions = _check_partitions(n)
     normalized = [normalize_structure(cs, K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
     columns = list(dict.fromkeys([*coalitions, *(block for cs in normalized for block in cs),
-                                  *(frozenset((i,)) for i in cfg.vehicles)]))
+                                  *(frozenset((i,)) for i in cfg.vehicles),
+                                  *(frozenset(range(1, i + 1)) for i in cfg.vehicles)]))
     col = {S: c for c, S in enumerate(columns)}
     uni = _uniformized(cfg)
     unit = bool((cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all())
@@ -412,12 +409,13 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
         results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
         return results
     alone = payoff[np.arange(K), [col[frozenset((i,))] for i in cfg.vehicles]]
-    direct = payoff[:K, :C] >= (alone - ABS_TOL * np.maximum(1.0, np.abs(alone)))[:, None]
+    direct = payoff[:K] >= (alone - ABS_TOL * np.maximum(1.0, np.abs(alone)))[:, None]
     where = ""
-    for c in np.flatnonzero(has_vehicle & ~has_rsu).tolist():
-        verdict = vehicle_coalition_profitability(coalitions[c], cfg)
+    vehicle_only = np.flatnonzero(member[:K].any(axis=0) & ~member[K:].any(axis=0)).tolist()
+    for c in sorted(vehicle_only, key=lambda c: sorted(columns[c])):
+        verdict = vehicle_coalition_profitability(columns[c], cfg)
         if any(verdict[i] != direct[i - 1, c] for i in verdict):
-            where = f" (coalition {sorted(coalitions[c])})"
+            where = f" (coalition {sorted(columns[c])})"
             break
     results.append(CheckResult(name, not where, "checked over vehicle-only coalitions" + where))
     return results

@@ -179,13 +179,8 @@ def cmd_enumerate(args, loaded) -> int:
 
 def cmd_encounter(args, loaded) -> int:
     cfg = loaded.game
-    geo = loaded.geometry
-    if args.placement:
-        geo = dataclasses.replace(geo, placement=args.placement)
-    if args.slots is not None:
-        geo = dataclasses.replace(geo, n_slots=args.slots)
-    if args.seed is not None:
-        geo = dataclasses.replace(geo, seed=args.seed)
+    flags = {"placement": args.placement, "n_slots": args.slots, "seed": args.seed}
+    geo = dataclasses.replace(loaded.geometry, **{k: v for k, v in flags.items() if v is not None})
     references = [analytic_pair_encounter(d, geo.side_km) for d in args.d_sweep]
     start = time.perf_counter()
     estimates = estimate_encounter_matrix(geo, cfg.K, cfg.M,
@@ -202,20 +197,12 @@ def cmd_encounter(args, loaded) -> int:
 
 
 def _report_items(rep):
-    """(player, quantity, value) for every quantity of one coalition's report."""
-    for i in rep.vehicle_payoff:
-        yield i, "share", rep.share[i]
-        yield i, "rate_gain", rep.rate_gain[i]
-        yield i, "fee", rep.fee[i]
-        yield i, "throughput", rep.throughput[i]
-        yield i, "payment", rep.payment[i]
-        yield i, "payoff", rep.vehicle_payoff[i]
-    for j in rep.rsu_payoff:
-        for i in rep.relay_prob[j]:
-            yield j, f"relay_prob_v{i}", rep.relay_prob[j][i]
-        yield j, "revenue", rep.revenue[j]
-        yield j, "cost", rep.cost[j]
-        yield j, "payoff", rep.rsu_payoff[j]
+    """(player, quantity, value) for every quantity of one coalition's report, unordered."""
+    for name in ("share", "rate_gain", "fee", "throughput", "payment", "revenue", "cost"):
+        yield from ((m, name, value) for m, value in getattr(rep, name).items())
+    yield from ((m, "payoff", u) for m, u in {**rep.vehicle_payoff, **rep.rsu_payoff}.items())
+    yield from ((j, f"relay_prob_v{i}", value)
+                for j, row in rep.relay_prob.items() for i, value in row.items())
 
 
 def _payoff_rows(cs, cfg, d_label):
@@ -245,25 +232,15 @@ def cmd_core(args, loaded) -> int:
     cfg = resolve_encounter(loaded)
     verdict = stability_verdict(cfg)
     cond = verdict.conditions
-
-    def yesno(flag):
-        return "yes" if flag else "no"
-
-    print(f"weights strictly positive: {yesno(cond.weights_positive)}"
-          + ("" if cond.weights_positive else f"  (witness: player {cond.weight_witness})"))
-    msg = ""
-    if not cond.gains_strict:
-        player, S = cond.gain_witness
-        msg = f"  (witness: player {player} in coalition {sorted(S)})"
-    print(f"strict gains inside every vehicle-containing proper coalition: "
-          f"{yesno(cond.gains_strict)}{msg}")
-    msg = ""
-    if not cond.grand_preferred:
-        player, S = cond.preference_witness
-        msg = f"  (witness: player {player} prefers coalition {sorted(S)})"
-    print(f"grand coalition strictly preferred by every member of every proper coalition: "
-          f"{yesno(cond.grand_preferred)}{msg}")
-    print(f"sufficient conditions hold: {yesno(cond.all_hold)}")
+    weight, gain, pref = cond.weight_witness, cond.gain_witness, cond.preference_witness
+    for text, witness in (   # a witness names a player (from 1) or a (player, coalition)
+            ("weights strictly positive", weight and f"player {weight}"),
+            ("strict gains inside every vehicle-containing proper coalition",
+             gain and f"player {gain[0]} in coalition {sorted(gain[1])}"),
+            ("grand coalition strictly preferred by every member of every proper coalition",
+             pref and f"player {pref[0]} prefers coalition {sorted(pref[1])}")):
+        print(f"{text}: " + ("yes" if witness is None else f"no  (witness: {witness})"))
+    print(f"sufficient conditions hold: {'yes' if cond.all_hold else 'no'}")
     vec = ", ".join(f"u{i + 1}={float(v)!r}" for i, v in enumerate(verdict.payoff_vector))
     print(f"grand-coalition payoffs: {vec}")
     if verdict.membership.in_core:
@@ -296,17 +273,10 @@ def cmd_simulate(args, loaded) -> int:
 def cmd_check(args, loaded) -> int:
     cfg = resolve_encounter(loaded)
     results = run_identity_checks(cfg)
-    failed = False
     for res in results:
-        if res.passed is None:
-            status = "SKIP"
-        elif res.passed:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            failed = True
+        status = "SKIP" if res.passed is None else "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}")
-    return 4 if failed else 0
+    return 4 if any(res.passed is False for res in results) else 0
 
 
 _COMMANDS = {

@@ -53,6 +53,8 @@ class GeometryConfig:
             raise ValueError("transmission ranges must be nonnegative and finite")
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
 

@@ -208,6 +208,8 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
         raise ValueError("invalid structure: " + "; ".join(errors))
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)

@@ -251,7 +251,8 @@ def identity_checks(cfg):
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
     uni = _uniformized(cfg)
     evaluated = list({*coalitions, *(block for cs in normalized for block in cs),
-                      *(frozenset((i,)) for i in cfg.vehicles)})
+                      *(frozenset((i,)) for i in cfg.vehicles),
+                      *(frozenset(range(1, i + 1)) for i in cfg.vehicles)})
     reports = dict(zip(evaluated, _reports(evaluated, cfg)))
     uni_reports = dict(zip(coalitions, _reports(coalitions, uni)))
 
@@ -340,7 +341,8 @@ def identity_checks(cfg):
         results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
         return results
     profit_ok = True
-    for S, rep, vehicles, rsus in members:
+    for S, rep in reports.items():   # every vehicle-only coalition evaluated, prefixes included
+        vehicles, rsus = split_members(S, cfg.K)
         if rsus or not vehicles:
             continue
         verdict = vehicle_coalition_profitability(S, cfg)

@@ -495,11 +495,22 @@ def test_normalization_failure_names_the_structure(monkeypatch, default_cfg):
         "checked over enumerated structures (structure 1|2|3|4)")
 
 
-def test_profitability_failure_names_the_coalition(monkeypatch, default_cfg):
+def _profitability_detail_with_the_pair_flipped(monkeypatch, cfg):
     def flipped(S, cfg):   # wrong for the vehicle pair only
         verdict = vehicle_coalition_profitability(S, cfg)
         return {i: not v for i, v in verdict.items()} if S == {1, 2} else verdict
 
     monkeypatch.setattr(analysis, "vehicle_coalition_profitability", flipped)
-    assert _detail(default_cfg, "share-ratio profitability agrees with payoff comparison") == (
+    return _detail(cfg, "share-ratio profitability agrees with payoff comparison")
+
+
+def test_profitability_failure_names_the_coalition(monkeypatch, default_cfg):
+    assert _profitability_detail_with_the_pair_flipped(monkeypatch, default_cfg) == (
+        "checked over vehicle-only coalitions (coalition [1, 2])")
+
+
+def test_profitability_covers_vehicle_prefixes_beyond_the_sampled_partitions(monkeypatch):
+    # at K = 4, n = 12 no sampled partition holds a vehicle-only coalition
+    cfg = resolve_encounter(load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json"))
+    assert _profitability_detail_with_the_pair_flipped(monkeypatch, cfg) == (
         "checked over vehicle-only coalitions (coalition [1, 2])")

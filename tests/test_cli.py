@@ -632,6 +632,12 @@ def test_encounter_nonpositive_slots_exit_3(capsys, slots):
     assert "n_slots must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("encounter", "-3")])
+def test_negative_seed_exits_3_naming_the_seed(capsys, command, seed):
+    assert main([command, "--slots", "10", "--seed", seed]) == 3
+    assert capsys.readouterr().err == f"error: seed must be a nonnegative integer, got {seed}\n"
+
+
 @pytest.mark.parametrize("command", ["payoffs", "encounter"])
 def test_nan_range_in_sweep_exits_3(capsys, command):
     assert main([command, "--d-sweep", "nan"]) == 3

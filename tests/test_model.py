@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import (ConfigError, GameConfig, analysis, bell_number, canonical_structure,
-                       check_structure, enumerate_partitions, format_structure, iter_partitions,
-                       make_config, model, normalize_structure, parse_structure,
-                       structure_csv_blocks, unrank_partition, validate_config)
+from vanetgame import (ConfigError, GameConfig, GeometryConfig, analysis, bell_number,
+                       canonical_structure, check_structure, enumerate_partitions,
+                       format_structure, iter_partitions, make_config, model,
+                       normalize_structure, oracle_relay_mean, parse_structure, simulate_slots,
+                       structure_csv_blocks, structure_reports, unrank_partition,
+                       validate_config)
 
 
 def count_partitions_recursive(n):
@@ -152,6 +154,30 @@ def test_zero_players_rejected():
             iter_partitions(bad)   # on the call, before the first partition
         with pytest.raises(ValueError, match="at least one player"):
             enumerate_partitions(bad)
+
+
+# each library error that no other test reaches, by its message
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: analysis.vehicle_coalition_profitability(frozenset(), cfg), "empty coalition"),
+    (lambda cfg: oracle_relay_mean({1, 3}, 3, {3: 1.0}, cfg),
+     r"player 3 is not a vehicle member of coalition \[1, 3\]"),
+    (lambda cfg: make_config(1, -1, p=0.5, enc=[], delta=[], price=[], cost_fwd=[],
+                             cost_rcv=[]), "M: RSU count must be nonnegative"),
+    (lambda cfg: structure_reports([frozenset()], cfg), "invalid structure: empty coalition"),
+    (lambda cfg: next(structure_csv_blocks(0, 0)), "need 1 to 127 players"),
+    (lambda cfg: next(structure_csv_blocks(128, 1)), "need 1 to 127 players"),
+    (lambda cfg: unrank_partition(0, 1), "need at least one player to partition"),
+    (lambda cfg: bell_number(-1), "n must be nonnegative"),
+    (lambda cfg: GeometryConfig(side_km=1.0, range_km=(0.2,), seed=-3),
+     "^seed must be a nonnegative integer, got -3$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 10, seed=-1),
+     "^seed must be a nonnegative integer, got -1$"),
+], ids=["profitability-empty", "oracle-non-vehicle", "make-config-negative-M",
+        "structure-empty-block", "csv-zero-players", "csv-128-players", "unrank-zero-players",
+        "bell-negative", "geometry-negative-seed", "simulate-negative-seed"])
+def test_library_errors_name_their_cause(default_cfg, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(default_cfg)
 
 
 def test_normalize_splits_rsu_only_blocks():

@@ -245,7 +245,7 @@ def test_mean_se_matches_the_repeated_samples(data, rows, events, idle):
         # the oracle: one sample per slot, idle slots 0.0, scaled so squares cannot overflow
         top = np.abs(values[row][counts[row] > 0]).max(initial=0.0) or 1.0
         x = np.zeros(n)
-        x[:counts[row].sum()] = np.repeat(values[row] / top, counts[row])
+        x[:counts[row].sum()] = np.repeat(values[row], counts[row]) / top   # occurring values
         want_se = x.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
         assert abs(mean[row] - x.mean() * top) <= 1e-14 * top
         assert abs(se[row] - want_se * top) <= 1e-14 * top
