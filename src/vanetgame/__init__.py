@@ -13,8 +13,7 @@ from .analysis import (CheckResult, CoreConditions, CoreMembership, StabilityVer
                        vehicle_coalition_profitability)
 from .analytic import (ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs,
                        relay_choice_probs)
-from .configio import (ConfigError, LoadedConfig, default_game_config, default_geometry,
-                       load_config, resolve_encounter)
+from .configio import ConfigError, LoadedConfig, load_config, resolve_encounter
 from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounter,
                        estimate_encounter_matrix)
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
@@ -46,8 +45,6 @@ __all__ = [
     "check_structure",
     "core_membership",
     "core_sufficient_conditions",
-    "default_game_config",
-    "default_geometry",
     "enumerate_partitions",
     "estimate_encounter_matrix",
     "format_structure",

@@ -341,7 +341,8 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
                      1.0 - _fold(np.multiply, 1.0, veh, 1.0 - cfg.p))
     # (RSU, vehicle, coalition) arrays: every vehicle's sums over the coalition's RSUs at once
     served, in_rsu, relay = veh & has_rsu, rsu[:, None], pr[:, :, :C].transpose(1, 0, 2)
-    reach = 1.0 - _fold(np.multiply, 1.0, in_rsu, 1.0 - cfg.enc[:, :, None])
+    with np.errstate(divide="ignore"):   # P(any encounter) without cancellation; q = 1 adds -inf
+        reach = -np.expm1(_fold(np.add, 0.0, in_rsu, np.log1p(-cfg.enc[:, :, None])))
     row_gap = _gap(served, _fold(np.add, 0.0, in_rsu, relay), reach)
     fee_sum, gain_sum = (_fold(np.add, 0.0, in_rsu, relay * w[..., None])
                          for w in (cfg.price, cfg.delta.T))

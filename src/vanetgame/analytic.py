@@ -267,7 +267,7 @@ def _reports(coalitions, cfg: GameConfig) -> list[PayoffReport]:
             return {m: rows[m - 1][c] for m in players}
 
         u_veh, u_rsu = col(payoff, vehicles), col(payoff, rsus)
-        total = 0
+        total = 0   # a loop, not sum(): Python 3.12+ compensates float sums, changing bits
         for u in (*u_veh.values(), *u_rsu.values()):
             total += u
         reports.append(PayoffReport(

@@ -26,9 +26,6 @@ __all__ = [
     "LoadedConfig",
     "load_config",
     "resolve_encounter",
-    "default_game_config",
-    "default_geometry",
-    "default_config_dict",
 ]
 
 
@@ -188,23 +185,3 @@ def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
         return loaded.game
     est = estimate_encounter_matrix(loaded.geometry, loaded.game.K, loaded.game.M)
     return replace(loaded.game, enc=est.matrix)
-
-
-def default_game_config(encounter=0.5) -> GameConfig:
-    """The built-in game, with `encounter` as its encounter matrix (a scalar spreads)."""
-    matrix = np.asarray(encounter).tolist()   # an array as the JSON value it stands for
-    return _parse({**_BUILTIN, "encounter": {"matrix": matrix}}, "built-in config").game
-
-
-def default_geometry(K: int = 2) -> GeometryConfig:
-    """The built-in placement model, with one transmission range per vehicle."""
-    return _parse_geometry({}, K, [])
-
-
-def default_config_dict() -> dict:
-    """The built-in config with every value spread out (see configs/default.json)."""
-    loaded = load_config()
-    fields = {"game": loaded.game, "geometry": loaded.geometry}
-    doc = {name: {key: np.asarray(getattr(fields[name], key)).tolist() for key in keys}
-           for name, keys in _BUILTIN.items() if name in fields}
-    return {**doc, "encounter": {"matrix": loaded.game.enc.tolist()}}

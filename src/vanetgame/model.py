@@ -83,10 +83,6 @@ class GameConfig:
     def vehicles(self) -> range:
         return range(1, self.K + 1)
 
-    @property
-    def rsus(self) -> range:
-        return range(self.K + 1, self.K + self.M + 1)
-
     def vrow(self, vehicle: int) -> int:
         """0-based index of a vehicle id into the (K, ...) arrays."""
         return vehicle - 1

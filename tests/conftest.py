@@ -1,18 +1,28 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from vanetgame import make_config
-from vanetgame.configio import default_game_config
+from vanetgame import load_config, make_config
 
 # EmpiricalReport's integer event counters: three per vehicle, three per (RSU, vehicle)
 COUNTERS = ("scheduled", "success_no_relay", "fail_no_relay",
             "encounters", "relays_success", "relays_fail")
 
+# The built-in config with every value spread out, as shipped
+SHIPPED_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "default.json"
+
 
 @pytest.fixture
 def default_cfg():
     """2 vehicles, 2 RSUs, the parameter set from configs/default.json."""
-    return default_game_config()
+    return load_config().game
+
+
+def shipped_doc():
+    """A fresh dict of configs/default.json, to edit into another config document."""
+    return json.loads(SHIPPED_CONFIG.read_text())
 
 
 def random_config(rng, k_max=4, m_max=5, *, k_min=1, m_min=0, unit_bg=False,

@@ -225,6 +225,15 @@ def _idle(rates) -> float:
     return out
 
 
+def _reach(rates) -> float:
+    """P(any encounter): -expm1 of the log1p(-rate) sum, added from 0.0 in the order given."""
+    out = 0.0
+    with np.errstate(divide="ignore"):   # rate 1: log1p(-1) = -inf, so reach is 1
+        for rate in rates:
+            out += np.log1p(-rate)
+    return float(-np.expm1(out))
+
+
 def _gap(pairs) -> float:
     """Largest |a - b| over the (a, b) pairs an identity equates; 0.0 for none."""
     return max(itertools.chain((0.0,), (abs(a - b) for a, b in pairs)))
@@ -264,7 +273,7 @@ def identity_checks(cfg):
     def relay_row_sum(S, rep, vehicles, rsus):
         for i in vehicles if rsus else ():
             yield (sum(rep.relay_prob[j][i] for j in rsus),
-                   1.0 - _idle(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
+                   _reach(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
 
     def mean_vs_relay_prob(S, rep, vehicles, rsus):
         for i in vehicles if rsus else ():
@@ -287,7 +296,7 @@ def identity_checks(cfg):
     def simplified_forms(S, _, vehicles, rsus):
         rep = uni_reports[S]
         for i in vehicles:
-            reach = 1.0 - _idle(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
+            reach = _reach(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
             d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
             xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
             yield rep.rate_gain[i], d_i * reach

@@ -18,11 +18,10 @@ import numpy as np
 from vanetgame import (ABS_TOL, GeometryConfig, analytic_pair_encounter,
                        canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions,
-                       estimate_encounter_matrix, make_config, normalize_structure,
-                       oracle_relay_mean, player_payoffs, simulate_slots,
-                       structure_payoffs, structure_reports,
+                       estimate_encounter_matrix, load_config, make_config,
+                       normalize_structure, oracle_relay_mean, player_payoffs,
+                       simulate_slots, structure_payoffs, structure_reports,
                        vehicle_coalition_profitability)
-from vanetgame.configio import default_game_config
 from conftest import random_config, random_coalition
 
 D_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -56,7 +55,7 @@ def _report(tag: str, ok: bool, detail: str = "") -> None:
 
 def sweep_config(d: float):
     q = analytic_pair_encounter(d, 1.0)
-    return default_game_config(encounter=q)
+    return dataclasses.replace(load_config().game, enc=np.full((2, 2), q))
 
 
 def test_ac01_partition_enumeration_matches_known_fifteen():
@@ -73,7 +72,7 @@ def test_ac01_partition_enumeration_matches_known_fifteen():
 
 
 def test_ac02_transmission_shares_exact():
-    cfg = default_game_config()
+    cfg = load_config().game
     share = player_payoffs(frozenset({1, 2, 3, 4}), cfg).share
     s1 = share[1]
     s2 = share[2]
@@ -166,7 +165,7 @@ def test_ac04_oracle_equivalence():
 def test_ac05_fee_rescaling_leaves_sum_payoff_alone():
     rng = np.random.default_rng(2024_05)
     worst = 0.0
-    configs = [default_game_config()]
+    configs = [load_config().game]
     configs += [random_config(rng, unit_bg=True) for _ in range(200)]
     for cfg in configs:
         S = random_coalition(rng, cfg)
@@ -180,7 +179,7 @@ def test_ac05_fee_rescaling_leaves_sum_payoff_alone():
 
 
 def test_ac06_rsu_only_coalitions_are_inert():
-    cfg = default_game_config()
+    cfg = load_config().game
     rep = player_payoffs(frozenset({3, 4}), cfg)
     zeros = (rep.rsu_payoff == {3: 0.0, 4: 0.0}
              and rep.revenue == {3: 0.0, 4: 0.0}
@@ -211,7 +210,7 @@ def test_ac06_rsu_only_coalitions_are_inert():
 
 
 def test_ac07_slot_simulation_cross_validates_closed_forms():
-    cfg = default_game_config(encounter=0.5)
+    cfg = load_config().game
     grand = (frozenset({1, 2, 3, 4}),)
     start = time.perf_counter()
     rep = simulate_slots(grand, cfg, 1_000_000, seed=20_240_807)
@@ -345,7 +344,7 @@ def test_ac10a_sufficient_conditions_on_default_parameters():
     # fails in exact arithmetic: strict preference for the grand coalition by
     # every member of every proper coalition cannot hold when fees exceed
     # forwarding costs and two RSUs compete (witness below)
-    verdict = core_sufficient_conditions(default_game_config())
+    verdict = core_sufficient_conditions(load_config().game)
     detail = ""
     if not verdict.all_hold:
         player, S = verdict.preference_witness or verdict.gain_witness or (verdict.weight_witness, ())
@@ -357,7 +356,7 @@ def test_ac10a_sufficient_conditions_on_default_parameters():
 
 
 def test_ac10b_grand_vector_is_unblocked():
-    cfg = default_game_config()
+    cfg = load_config().game
     vec = structure_payoffs((frozenset({1, 2, 3, 4}),), cfg)
     result = core_membership(vec, cfg)
     _report("AC-10b", result.in_core,

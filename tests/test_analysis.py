@@ -445,6 +445,17 @@ def test_identity_checks_equal_the_report_based_reference():
         assert run_identity_checks(cfg) == reference.identity_checks(cfg)
 
 
+@pytest.mark.parametrize("q, d", [(3e-17, 1e5), (1e-300, 1.7e308)])
+def test_reach_identities_hold_to_a_few_ulps_at_tiny_encounter_probabilities(q, d):
+    # P(any encounter) = 1 - (1 - q) rounds to 0.0 here, 100% off the quantity
+    cfg = make_config(1, 1, p=0.5, enc=q, delta=d, price=1.5, cost_fwd=0.5, cost_rcv=0.2)
+    detail = {r.name: r.detail for r in run_identity_checks(cfg)}
+    for name, quantity in (("relay-choice probabilities total P(any encounter)", q),
+                           ("uniform-weight closed forms match general formulas", d * q)):
+        residual = float(detail[name].split()[2])   # "max residual X (coalition ...)"
+        assert residual <= 4 * np.spacing(quantity), (name, detail[name])
+
+
 def test_identity_checks_compute_relay_probabilities_in_one_pass(monkeypatch):
     cfg = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json").game
     calls = []

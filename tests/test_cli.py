@@ -18,14 +18,14 @@ import pytest
 
 import vanetgame
 from vanetgame.cli import build_parser, main
-from vanetgame.configio import (ConfigError, default_config_dict, default_game_config,
-                                default_geometry, load_config)
+from vanetgame.configio import ConfigError, load_config
+from conftest import SHIPPED_CONFIG, shipped_doc
 
 
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(default_config_dict()))
+    path.write_text(json.dumps(shipped_doc()))
     return str(path)
 
 
@@ -198,7 +198,7 @@ def test_encounter_csv_is_byte_identical_across_runs(tmp_path, config_file):
 ], ids=["from-config", "from-flags"])
 def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({**default_config_dict(), "geometry": {"n_slots": 2_000}}))
+    config.write_text(json.dumps({**shipped_doc(), "geometry": {"n_slots": 2_000}}))
     out = tmp_path / "enc.csv"
     assert main(["encounter", "--config", str(config), "--d-sweep", "0,0.2", *flags,
                  "--out", str(out)]) == 0
@@ -302,7 +302,7 @@ def test_simulate_emits_comparison_rows(tmp_path, config_file):
     assert json.loads((tmp_path / "sim.csv.manifest.json").read_text())["seed"] == 0
     # with every vehicle idle no estimate has a positive stderr: no z to report
     idle = tmp_path / "idle.json"
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"]["p"] = [0.0, 0.0]
     idle.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(idle), "--slots", "100", "--out", str(out)]) == 0
@@ -313,7 +313,7 @@ def test_simulate_manifest_counts_zero_stderr_mismatches(tmp_path, monkeypatch):
     # vehicle 1 always transmits alone and vehicle 2 never: their estimates are exact,
     # every stderr is 0, and max_abs_z sees nothing even when the kernel miscounts
     config = tmp_path / "cfg.json"
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"]["p"] = [1.0, 0.0]
     config.write_text(json.dumps(doc))
     out = tmp_path / "sim.csv"
@@ -372,7 +372,7 @@ def test_negative_zero_entries_print_as_zero(tmp_path, capsys):
     check print the same bytes for both, with no negative zero."""
     printed = []
     for zero in (0.0, -0.0):
-        doc = default_config_dict()
+        doc = shipped_doc()
         game, enc = doc["game"], doc["encounter"]["matrix"]
         game["p"][0] = zero
         game["price"] = [[zero] * game["K"] for _ in range(game["M"])]
@@ -461,7 +461,7 @@ def test_repeated_commands_leave_no_argparse_cycles(capsys, command):
 
 def test_invalid_config_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"]["p"] = [0.6, 1.7]
     doc["game"]["delta"] = [[0.5], [0.5]]
     bad.write_text(json.dumps(doc))
@@ -472,13 +472,13 @@ def test_invalid_config_exits_3(tmp_path, capsys):
 
 
 def _malformed(edit):
-    doc = default_config_dict()
+    doc = shipped_doc()
     edit(doc)
     return doc
 
 
 @pytest.mark.parametrize("doc, message", [
-    ([default_config_dict()], "top level must be a JSON object"),
+    ([shipped_doc()], "top level must be a JSON object"),
     (_malformed(lambda d: d.update(encounter=[[0.5, 0.5], [0.5, 0.5]])),
      "'encounter' section must be a JSON object"),
     (_malformed(lambda d: d.update(geometry=[1.0])), "'geometry' section must be a JSON object"),
@@ -539,7 +539,7 @@ def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
                                      ["simulate", "--slots", "1000"]],
                          ids=["core", "check", "payoffs", "simulate"])
 def test_non_finite_payoffs_exit_3(tmp_path, capsys, command):
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"].update(delta=1e308, price=1e308, alpha=1e308, beta=1e308)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
@@ -588,6 +588,15 @@ def test_failing_identity_prints_fail_and_exits_4(monkeypatch, capsys):
     assert "[FAIL] scheduled-share total matches 1 - P(all idle): max residual " in out
 
 
+def test_check_passes_a_config_with_a_tiny_encounter_probability(tmp_path, capsys):
+    doc = _scalar_doc(1, 1)   # 1 - (1 - 3e-17) is 0.0, which failed by 1e5 * 3e-17
+    doc["game"]["delta"], doc["encounter"]["matrix"] = 1e5, 3e-17
+    path = tmp_path / "tiny-encounter.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_nan_oracle_fails_its_identity_by_coalition(monkeypatch, capsys):
     # an oracle that returns NaN must not pass as a zero residual
     def nan_oracle(q, w):
@@ -602,7 +611,7 @@ def test_nan_oracle_fails_its_identity_by_coalition(monkeypatch, capsys):
 
 
 def test_core_names_an_rsu_weight_witness(tmp_path, capsys):
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"]["gamma"] = [1.0, 0.0]
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps(doc))
@@ -706,25 +715,13 @@ def test_enumerate_refuses_more_than_twelve_players(tmp_path, capsys):
     assert list(tmp_path.glob("partitions.csv*")) == []
 
 
-def test_shipped_default_config_matches_builtin_defaults():
-    shipped = json.loads(
-        (pathlib.Path(__file__).parent.parent / "configs" / "default.json").read_text())
-    assert shipped == default_config_dict()
-
-
 def test_builtin_config_loads_like_the_shipped_file():
-    shipped = load_config(pathlib.Path(__file__).parent.parent / "configs" / "default.json")
+    shipped = load_config(SHIPPED_CONFIG)
     builtin = load_config()
     for field in dataclasses.fields(builtin.game):
         assert np.array_equal(getattr(builtin.game, field.name), getattr(shipped.game, field.name))
     assert builtin.geometry == shipped.geometry
     assert builtin.encounter_from_geometry == shipped.encounter_from_geometry is False
-
-
-def test_default_game_config_takes_numpy_encounter_values():
-    enc = np.array([[0.1, 0.2], [0.3, 0.4]])
-    assert np.array_equal(default_game_config(enc).enc, enc)
-    assert (default_game_config(np.float64(0.3)).enc == 0.3).all()
 
 
 def test_empty_lists_stand_for_rsu_matrices_without_rsus(tmp_path, capsys):
@@ -741,7 +738,7 @@ def test_empty_lists_stand_for_rsu_matrices_without_rsus(tmp_path, capsys):
 
 
 def test_check_skips_profitability_for_a_negative_throughput_weight(tmp_path, capsys):
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["game"]["alpha"] = [-1, 10]
     path = tmp_path / "negative-alpha.json"
     path.write_text(json.dumps(doc))
@@ -753,20 +750,15 @@ def test_check_skips_profitability_for_a_negative_throughput_weight(tmp_path, ca
 
 
 def test_load_config_fills_in_the_defaults(tmp_path):
-    builtin = load_config()
-    expected = default_game_config()
-    for field in dataclasses.fields(expected):
-        assert np.array_equal(getattr(builtin.game, field.name), getattr(expected, field.name))
-    assert builtin.geometry == default_geometry(2)
-    assert not builtin.encounter_from_geometry
-    doc = default_config_dict()
+    builtin = load_config().geometry
+    doc = shipped_doc()
     del doc["geometry"]
     path = tmp_path / "no-geometry.json"
     path.write_text(json.dumps(doc))
-    assert load_config(path).geometry == default_geometry(2)
+    assert load_config(path).geometry == builtin
     doc["geometry"] = {}   # a section takes the built-in values, seed included
     path.write_text(json.dumps(doc))
-    assert load_config(path).geometry == default_geometry(2)
+    assert load_config(path).geometry == builtin
     del doc["geometry"]
     doc["encounter"] = {"from_geometry": True}
     path.write_text(json.dumps(doc))
@@ -815,7 +807,7 @@ def test_empty_config_path_means_the_builtin_config(capsys):
 
 def _from_geometry_config(tmp_path):
     """The built-in config with its encounter matrix estimated from 20,000 placements."""
-    doc = default_config_dict()
+    doc = shipped_doc()
     doc["encounter"] = {"from_geometry": True}
     doc["geometry"]["n_slots"] = 20000
     path = tmp_path / "geo.json"

@@ -85,4 +85,4 @@ def test_check_lines_over_random_configs_hash_to_frozen_digest():
         for res in run_identity_checks(cfg):
             digest.update(_check_line(res).encode())
     assert digest.hexdigest() == (
-        "d2f955bdc24b4a5d784d998cbca3e6d3e18a2cc8dad4e0f9359f71a8f3c333d2")
+        "83207696be89d08f4bd8b4bde893eba86d95f9b96b1ab3a913a8b1be30a53d37")

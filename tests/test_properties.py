@@ -21,9 +21,9 @@ from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, mak
                        oracle_relay_mean, player_payoffs, relay_choice_probs, simulate_slots,
                        stability_verdict, structure_payoffs)
 from vanetgame.cli import main
-from vanetgame.configio import ConfigError, default_config_dict, load_config
+from vanetgame.configio import ConfigError, load_config
 from vanetgame.model import split_members
-from conftest import random_config
+from conftest import random_config, shipped_doc
 
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
@@ -381,7 +381,7 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8)
 
-_DEFAULT = default_config_dict()
+_DEFAULT = shipped_doc()
 # (section, key): key None replaces the whole section; "unknown" is a key no
 # reader knows
 CONFIG_SLOTS = ([(name, None) for name in (*_DEFAULT, "unknown")]
@@ -393,7 +393,7 @@ CONFIG_SLOTS = ([(name, None) for name in (*_DEFAULT, "unknown")]
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(CONFIG_SLOTS), json_values)
 def test_any_json_value_in_any_key_loads_or_raises_config_error(tmp_path_factory, slot, value):
-    doc = default_config_dict()
+    doc = shipped_doc()
     name, key = slot
     if key is None:
         doc[name] = value

@@ -17,11 +17,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from vanetgame import make_config, parse_structure, simulate_slots
-from vanetgame.configio import default_game_config
+from vanetgame import load_config, make_config, parse_structure, simulate_slots
 from conftest import COUNTERS
 
 DATA = pathlib.Path(__file__).parent / "data" / "slotsim_counters.json"
+
+
+def _builtin_game():
+    return load_config().game
 
 
 def _no_rsu_game():
@@ -56,10 +59,10 @@ def _multibyte_game():
 
 # name -> (game, structure, n_slots, seed)
 CASES = {
-    "grand": (default_game_config, "1,2,3,4", 70_000, 11),
-    "split": (default_game_config, "1,3|2,4", 40_000, 12),
-    "rsu_alone": (default_game_config, "1,2,3|4", 40_000, 13),
-    "singletons": (default_game_config, "1|2|3|4", 40_000, 14),
+    "grand": (_builtin_game, "1,2,3,4", 70_000, 11),
+    "split": (_builtin_game, "1,3|2,4", 40_000, 12),
+    "rsu_alone": (_builtin_game, "1,2,3|4", 40_000, 13),
+    "singletons": (_builtin_game, "1|2|3|4", 40_000, 14),
     "no_rsus": (_no_rsu_game, "1,2|3", 40_000, 15),
     "wide": (_wide_game, "1,3,5,7|2,6|4,8,9", 70_000, 16),
     "byte8": (_byte8_game, "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16", 40_000, 18),
