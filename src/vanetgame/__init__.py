@@ -19,8 +19,7 @@ from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounte
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
                     canonical_structure, check_structure, enumerate_partitions,
                     format_structure, iter_partitions, make_config, normalize_structure,
-                    parse_structure, split_members, structure_csv_blocks, unrank_partition,
-                    validate_config)
+                    parse_structure, split_members, structure_csv_blocks, unrank_partition)
 from .slotsim import EmpiricalReport, simulate_slots
 
 __all__ = [
@@ -65,6 +64,5 @@ __all__ = [
     "structure_payoffs",
     "structure_reports",
     "unrank_partition",
-    "validate_config",
     "vehicle_coalition_profitability",
 ]

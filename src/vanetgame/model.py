@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,7 +19,6 @@ __all__ = [
     "CoalitionStructure",
     "GameConfig",
     "make_config",
-    "validate_config",
     "split_members",
     "check_structure",
     "canonical_structure",
@@ -50,7 +50,9 @@ class GameConfig:
     `enc`, `price`, `cost_fwd` and `cost_rcv` have one row per RSU and one
     column per vehicle; `delta` has one row per vehicle. All arrays become
     read-only float64, with no negative zero, on construction, so instances can
-    be shared freely across parallel evaluations.
+    be shared freely across parallel evaluations. Construction, through
+    `dataclasses.replace` too, raises ConfigError listing every violation;
+    every array must have its full shape (only make_config spreads scalars).
     """
 
     K: int
@@ -74,6 +76,10 @@ class GameConfig:
             arr = np.add(getattr(self, name), 0.0, dtype=np.float64)   # -0.0 becomes 0.0
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        errors = _violations(self.K, self.M, {name: getattr(self, name) for name in _SHAPES},
+                             spreads=False)
+        if errors:
+            raise ConfigError(errors)
 
     @property
     def n_players(self) -> int:
@@ -160,17 +166,6 @@ def _violations(K: int, M: int, arrays, spreads: bool) -> list[str]:
         if name in ("delta", "price", "cost_fwd", "cost_rcv") and arr.size and (arr < 0.0).any():
             errors.append(f"{name}: negative entries")
     return errors
-
-
-def validate_config(cfg: GameConfig) -> list[str]:
-    """Check every invariant and return the full list of violations.
-
-    An empty list means the config is valid. Validation never aborts early,
-    so callers see all problems at once. Every array must have its full
-    shape here: nothing spreads in a built GameConfig.
-    """
-    return _violations(cfg.K, cfg.M, {name: getattr(cfg, name) for name in _SHAPES},
-                       spreads=False)
 
 
 def split_members(members, K: int):
@@ -353,15 +348,12 @@ def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:
             gc.enable()
 
 
-def _completions(remaining: int, used: int, memo: dict) -> int:
+@cache
+def _completions(remaining: int, used: int) -> int:
     """Restricted-growth suffixes of a given length after `used` labels are taken."""
     if remaining == 0:
         return 1
-    key = (remaining, used)
-    if key not in memo:
-        memo[key] = (used * _completions(remaining - 1, used, memo)
-                     + _completions(remaining - 1, used + 1, memo))
-    return memo[key]
+    return used * _completions(remaining - 1, used) + _completions(remaining - 1, used + 1)
 
 
 def unrank_partition(n_players: int, index: int) -> CoalitionStructure:
@@ -377,12 +369,11 @@ def unrank_partition(n_players: int, index: int) -> CoalitionStructure:
     if not 1 <= index <= total:
         raise ValueError(f"structure id {index} out of range 1..{total}")
     rank = index - 1
-    memo: dict = {}
     labels = [0] * n
     used = 1
     for i in range(1, n):
         for lab in range(used + 1):
-            count = _completions(n - i - 1, max(used, lab + 1), memo)
+            count = _completions(n - i - 1, max(used, lab + 1))
             if rank < count:
                 break
             rank -= count
@@ -395,7 +386,7 @@ def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set: every restricted-growth string."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _completions(n, 0, {})
+    return _completions(n, 0)
 
 
 def normalize_structure(cs, K: int) -> CoalitionStructure:

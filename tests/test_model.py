@@ -12,8 +12,7 @@ from vanetgame import (ConfigError, GameConfig, GeometryConfig, analysis, bell_n
                        canonical_structure, check_structure, enumerate_partitions,
                        format_structure, iter_partitions, make_config, model,
                        normalize_structure, oracle_relay_mean, parse_structure, simulate_slots,
-                       structure_csv_blocks, structure_reports, unrank_partition,
-                       validate_config)
+                       structure_csv_blocks, structure_reports, unrank_partition)
 
 
 def count_partitions_recursive(n):
@@ -199,7 +198,10 @@ def test_normalize_is_idempotent():
 
 
 def test_validate_accepts_good_config(default_cfg):
-    assert validate_config(default_cfg) == []
+    # construction is the check: rebuilding a valid config raises nothing
+    rebuilt = dataclasses.replace(default_cfg)
+    assert all(np.array_equal(getattr(rebuilt, name), getattr(default_cfg, name))
+               for name in model._SHAPES)
 
 
 def _full(K, M, **changes):
@@ -209,13 +211,14 @@ def _full(K, M, **changes):
 
 
 def _errors_both_ways(params):
-    """validate_config's list for a GameConfig built directly from params, after
+    """The ConfigError list of a GameConfig built directly from params, after
     checking that make_config raises a ConfigError with the same list."""
-    errors = validate_config(GameConfig(**params))
+    with pytest.raises(ConfigError) as direct:
+        GameConfig(**params)
     with pytest.raises(ConfigError) as err:
         make_config(**params)
-    assert err.value.errors == errors
-    return errors
+    assert err.value.errors == direct.value.errors
+    return direct.value.errors
 
 
 def test_validate_reports_probability_out_of_range():
@@ -227,8 +230,18 @@ def test_validate_reports_shape_mismatch():
     errors = _errors_both_ways(_full(2, 2, delta=np.zeros((2, 1))))
     assert any("delta: shape mismatch" in e for e in errors)
     # nothing spreads in a built config: a 0-d array is a shape mismatch there
-    assert validate_config(GameConfig(**_full(2, 2, mu=np.float64(1.0)))) == [
-        "mu: shape mismatch, expected (2,), got ()"]
+    with pytest.raises(ConfigError) as err:
+        GameConfig(**_full(2, 2, mu=np.float64(1.0)))
+    assert err.value.errors == ["mu: shape mismatch, expected (2,), got ()"]
+
+
+def test_replace_checks_every_field(default_cfg):
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(default_cfg, enc=np.full((2, 2), 1.5), price=-np.ones((2, 2)),
+                            delta=np.zeros((1, 1)))
+    assert err.value.errors == ["enc: probability out of range [0, 1]",
+                                "delta: shape mismatch, expected (2, 2), got (1, 1)",
+                                "price: negative entries"]
 
 
 def test_validate_reports_all_violations_at_once():
