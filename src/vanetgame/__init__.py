@@ -18,7 +18,7 @@ from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounte
                        estimate_encounter_matrix)
 from .model import (Coalition, CoalitionStructure, GameConfig, bell_number,
                     canonical_structure, check_structure, enumerate_partitions,
-                    format_structure, iter_partitions, make_config, normalize_structure,
+                    format_structure, iter_partitions, normalize_structure,
                     parse_structure, split_members, structure_csv_blocks, unrank_partition)
 from .slotsim import EmpiricalReport, simulate_slots
 
@@ -49,7 +49,6 @@ __all__ = [
     "format_structure",
     "iter_partitions",
     "load_config",
-    "make_config",
     "normalize_structure",
     "oracle_relay_mean",
     "parse_structure",

@@ -221,7 +221,7 @@ def cmd_payoffs(args, loaded) -> int:
         sweep["d_sweep"] = list(args.d_sweep)
         for d in args.d_sweep:
             q = analytic_pair_encounter(d, loaded.geometry.side_km)
-            cfg_d = dataclasses.replace(cfg, enc=np.full((cfg.M, cfg.K), q))
+            cfg_d = dataclasses.replace(cfg, enc=q)
             rows.extend(_payoff_rows(cs, cfg_d, d))
     _emit(args, _csv(("d_km", "player", "quantity", "value"), rows),
           structure=args.structure, structure_blocks=format_structure(cs), **sweep)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import GeometryConfig, estimate_encounter_matrix
-from .model import ConfigError, GameConfig, make_config
+from .model import ConfigError, GameConfig
 
 __all__ = [
     "ConfigError",
@@ -164,7 +164,7 @@ def _parse(doc: dict, source) -> LoadedConfig:
         raise ConfigError(errors)
 
     try:
-        cfg = make_config(enc=enc, **{k: game[k] for k in _BUILTIN["game"]})
+        cfg = GameConfig(enc=enc, **{k: game[k] for k in _BUILTIN["game"]})
     except ConfigError as exc:
         raise ConfigError(errors + exc.errors) from exc
     except MemoryError as exc:

@@ -18,7 +18,6 @@ __all__ = [
     "Coalition",
     "CoalitionStructure",
     "GameConfig",
-    "make_config",
     "split_members",
     "check_structure",
     "canonical_structure",
@@ -50,9 +49,11 @@ class GameConfig:
     `enc`, `price`, `cost_fwd` and `cost_rcv` have one row per RSU and one
     column per vehicle; `delta` has one row per vehicle. All arrays become
     read-only float64, with no negative zero, on construction, so instances can
-    be shared freely across parallel evaluations. Construction, through
-    `dataclasses.replace` too, raises ConfigError listing every violation;
-    every array must have its full shape (only make_config spreads scalars).
+    be shared freely across parallel evaluations. A parameter may be a scalar,
+    which spreads to its shape, or an empty list for a shape with a zero
+    dimension. Construction, `dataclasses.replace` too, checks every value before
+    spreading any, so a bad K or M builds nothing of its size, and raises
+    ConfigError listing every violation.
     """
 
     K: int
@@ -63,23 +64,23 @@ class GameConfig:
     price: np.ndarray      # fee charged per relayed transmission
     cost_fwd: np.ndarray   # RSU cost of forwarding one transmission
     cost_rcv: np.ndarray   # RSU cost of receiving one transmission
-    alpha: np.ndarray      # vehicle weight on throughput
-    beta: np.ndarray       # vehicle weight on payment
-    gamma: np.ndarray      # RSU weight on revenue
-    mu: np.ndarray         # RSU weight on cost
+    alpha: np.ndarray = 1.0   # vehicle weight on throughput
+    beta: np.ndarray = 1.0    # vehicle weight on payment
+    gamma: np.ndarray = 1.0   # RSU weight on revenue
+    mu: np.ndarray = 1.0      # RSU weight on cost
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "M", int(self.M))
-        for name in ("p", "enc", "delta", "price", "cost_fwd", "cost_rcv",
-                     "alpha", "beta", "gamma", "mu"):
-            arr = np.add(getattr(self, name), 0.0, dtype=np.float64)   # -0.0 becomes 0.0
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        errors = _violations(self.K, self.M, {name: getattr(self, name) for name in _SHAPES},
-                             spreads=False)
+        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64) for name in _SHAPES}
+        errors = _violations(self.K, self.M, arrays)
         if errors:
             raise ConfigError(errors)
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "M", int(self.M))
+        for name, shape in _SHAPES.items():
+            arr, full = arrays[name], shape(self.K, self.M)
+            arr = np.add(np.broadcast_to(arr, full) if arr.ndim == 0 else arr.reshape(full), 0.0)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_players(self) -> int:
@@ -121,30 +122,12 @@ _SHAPES = {
 }
 
 
-def make_config(K, M, *, p, enc, delta, price, cost_fwd, cost_rcv,
-                alpha=1.0, beta=1.0, gamma=1.0, mu=1.0) -> GameConfig:
-    """Build a GameConfig, spreading scalar parameters to full arrays.
-
-    The values are checked before any of them is spread, so a bad K or M
-    builds nothing of its size; ConfigError lists every violation. A scalar
-    spreads to its parameter's shape, and an empty list stands for any shape
-    with a zero dimension (an RSU matrix when M = 0).
-    """
-    K, M = int(K), int(M)
-    given = dict(p=p, enc=enc, delta=delta, price=price, cost_fwd=cost_fwd,
-                 cost_rcv=cost_rcv, alpha=alpha, beta=beta, gamma=gamma, mu=mu)
-    arrays = {name: np.asarray(value, dtype=np.float64) for name, value in given.items()}
-    errors = _violations(K, M, arrays, spreads=True)
-    if errors:
-        raise ConfigError(errors)
-    return GameConfig(K=K, M=M, **{
-        name: np.full(shape(K, M), float(arrays[name])) if arrays[name].ndim == 0
-        else arrays[name].reshape(shape(K, M)) for name, shape in _SHAPES.items()})
-
-
-def _violations(K: int, M: int, arrays, spreads: bool) -> list[str]:
-    """Every violation in K, M and the parameter arrays; `spreads` says whether they spread."""
-    errors: list[str] = []
+def _violations(K, M, arrays) -> list[str]:
+    """Every violation in K, M and the parameter arrays, before any array spreads."""
+    errors = [f"{name}: count must be an integer, got {n!r}" for name, n in (("K", K), ("M", M))
+              if isinstance(n, bool) or not isinstance(n, (int, np.integer))]
+    if errors:   # every shape depends on the counts
+        return errors
     if K < 1:
         errors.append("K: need at least one vehicle")
     if M < 0:
@@ -152,10 +135,8 @@ def _violations(K: int, M: int, arrays, spreads: bool) -> list[str]:
     for name, shape in _SHAPES.items():
         arr = arrays[name]
         expected = shape(K, M)
-        # the shape rule: the expected shape or, where values spread, a scalar or
-        # an empty list for an expected shape with a zero dimension
-        spreadable = arr.shape == () or arr.shape == (0,) and 0 in expected
-        if arr.shape != expected and not (spreads and spreadable):
+        # the shape rule: the full shape, a scalar, or [] for a shape with a zero dimension
+        if arr.shape not in (expected, ()) and not (arr.shape == (0,) and 0 in expected):
             errors.append(f"{name}: shape mismatch, expected {expected}, got {arr.shape}")
             continue
         if arr.size and not np.isfinite(arr).all():

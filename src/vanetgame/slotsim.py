@@ -232,10 +232,13 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
     estimates = {}
     for (n_event, benefit, charge, w_b, w_c), fields, first in ((vehicle, _VEHICLE_ESTIMATES, 1),
                                                                  (rsu, _RSU_ESTIMATES, K + 1)):
-        payoff = w_b[:, None] * benefit - w_c[:, None] * charge
-        for (field, qty), value in zip(fields, (benefit, charge, payoff)):
-            for k in np.flatnonzero((~np.isfinite(value) & (n_event != 0)).any(axis=1))[:1]:
-                raise ValueError(f"{qty} of player {first + k} in one slot is not finite")
-            estimates[field], estimates[field + "_se"] = _mean_se(n_event, value, n_slots)
+        value = np.vstack([benefit, charge, w_b[:, None] * benefit - w_c[:, None] * charge])
+        n_all = np.vstack([n_event] * 3)   # a block of rows per quantity: one _mean_se call
+        bad = (~np.isfinite(value) & (n_all != 0)).any(axis=1).reshape(3, -1)
+        for q, k in np.argwhere(bad)[:1]:   # the first quantity's first player
+            raise ValueError(f"{fields[q][1]} of player {first + k} in one slot is not finite")
+        means, ses = _mean_se(n_all, value, n_slots)
+        for (field, _), mean, se in zip(fields, np.split(means, 3), np.split(ses, 3)):
+            estimates[field], estimates[field + "_se"] = mean, se
     return EmpiricalReport(structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
                            **estimates, **counts)

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from vanetgame import load_config, make_config
+from vanetgame import GameConfig, load_config
 
 # EmpiricalReport's integer event counters: three per vehicle, three per (RSU, vehicle)
 COUNTERS = ("scheduled", "success_no_relay", "fail_no_relay",
@@ -40,7 +40,7 @@ def random_config(rng, k_max=4, m_max=5, *, k_min=1, m_min=0, unit_bg=False,
     if uniform_relay:
         delta = np.repeat(rng.uniform(0.0, 2.0, size=(K, 1)), M, axis=1)
         price = np.repeat(rng.uniform(0.0, 2.0, size=(1, K)), M, axis=0)
-    return make_config(
+    return GameConfig(
         K, M,
         p=rng.uniform(0.0, 1.0, size=K),
         enc=rng.uniform(0.0, 1.0, size=(M, K)),

@@ -15,10 +15,10 @@ import time
 
 import numpy as np
 
-from vanetgame import (ABS_TOL, GeometryConfig, analytic_pair_encounter,
+from vanetgame import (ABS_TOL, GameConfig, GeometryConfig, analytic_pair_encounter,
                        canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions,
-                       estimate_encounter_matrix, load_config, make_config,
+                       estimate_encounter_matrix, load_config,
                        normalize_structure, oracle_relay_mean, player_payoffs,
                        simulate_slots, structure_payoffs, structure_reports,
                        vehicle_coalition_profitability)
@@ -374,7 +374,7 @@ def test_ac10c_soundness_of_the_sufficient_conditions():
         K = int(rng.integers(1, 4))
         cf = rng.uniform(0.05, 0.4, size=(1, K))
         cr = rng.uniform(0.05, 0.4, size=(1, K))
-        cfg = make_config(
+        cfg = GameConfig(
             K, 1,
             p=rng.uniform(0.3, 0.7, size=K),
             enc=rng.uniform(0.15, 0.85, size=(1, K)),
@@ -400,9 +400,9 @@ def test_ac10c_soundness_of_the_sufficient_conditions():
 def test_ac11_profitability_condition():
     # equal activity probabilities: every member of every vehicle-only
     # coalition is weakly profitable
-    cfg = make_config(4, 0, p=0.6, enc=np.zeros((0, 4)), delta=np.zeros((4, 0)),
-                      price=np.zeros((0, 4)), cost_fwd=np.zeros((0, 4)),
-                      cost_rcv=np.zeros((0, 4)), alpha=10.0)
+    cfg = GameConfig(4, 0, p=0.6, enc=np.zeros((0, 4)), delta=np.zeros((4, 0)),
+                     price=np.zeros((0, 4)), cost_fwd=np.zeros((0, 4)),
+                     cost_rcv=np.zeros((0, 4)), alpha=10.0)
     all_profitable = True
     for size in range(1, 5):
         for members in itertools.combinations(range(1, 5), size):

@@ -9,8 +9,8 @@ import pytest
 import reference
 from vanetgame import analysis, analytic
 from vanetgame.configio import load_config, resolve_encounter
-from vanetgame import (ABS_TOL, canonical_structure, core_membership,
-                       core_sufficient_conditions, enumerate_partitions, make_config,
+from vanetgame import (ABS_TOL, GameConfig, canonical_structure, core_membership,
+                       core_sufficient_conditions, enumerate_partitions,
                        normalize_structure, player_payoffs, run_identity_checks,
                        stability_verdict, structure_payoffs,
                        vehicle_coalition_profitability)
@@ -165,9 +165,9 @@ def test_conditions_fail_when_fees_dwarf_throughput(default_cfg):
 
 
 def single_rsu_config():
-    return make_config(2, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
-                       cost_fwd=0.5, cost_rcv=0.2, alpha=10.0, beta=1.0,
-                       gamma=1.0, mu=1.0)
+    return GameConfig(2, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
+                      cost_fwd=0.5, cost_rcv=0.2, alpha=10.0, beta=1.0,
+                      gamma=1.0, mu=1.0)
 
 
 def test_conditions_hold_with_single_rsu():
@@ -209,8 +209,8 @@ def test_membership_grand_coalition_blocks_dominated_vectors(default_cfg):
 def test_preference_witness_is_the_smallest_id_member():
     # vehicle 1 and its exclusive relay 2 both beat the grand coalition, where
     # the expensive, useless RSU 3 takes half of the relaying
-    cfg = make_config(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
-                      cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
+    cfg = GameConfig(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
+                     cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
     verdict = stability_verdict(cfg)
     assert verdict.conditions.gains_strict
     assert verdict.conditions.preference_witness == (1, frozenset({1, 2}))
@@ -284,8 +284,8 @@ def test_wide_grand_coalition_takes_no_round_per_vehicle_rsu_pair(monkeypatch):
 
 def test_non_finite_payoffs_are_rejected():
     # valid parameters whose products overflow, so payoffs would be inf or NaN
-    cfg = make_config(2, 2, p=0.6, enc=0.5, delta=1e308, price=1e308, cost_fwd=0.5,
-                      cost_rcv=0.2, alpha=1e308, beta=1e308)
+    cfg = GameConfig(2, 2, p=0.6, enc=0.5, delta=1e308, price=1e308, cost_fwd=0.5,
+                     cost_rcv=0.2, alpha=1e308, beta=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         for analyse in (stability_verdict, run_identity_checks,
                         lambda c: structure_payoffs(GRAND, c)):
@@ -339,8 +339,8 @@ def test_blocker_that_fails_reverification_is_an_invariant_breach(monkeypatch, d
 
 def test_conditions_that_hold_beside_a_blocker_are_an_invariant_breach(monkeypatch):
     # {1, 2} really blocks here; hiding the preference witness makes all conditions hold
-    cfg = make_config(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
-                      cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
+    cfg = GameConfig(1, 2, p=0.5, enc=0.5, delta=[[1.0, 0.0]], price=[[1.0], [5.0]],
+                     cost_fwd=0.1, cost_rcv=0.0, alpha=10.0)
     _sweep_reporting(monkeypatch, preference=False)
     with pytest.raises(RuntimeError, match=r"conditions hold but .* blocked by \[1, 2\]"):
         stability_verdict(cfg)
@@ -360,7 +360,7 @@ def test_soundness_on_filtered_random_configs():
         K = int(rng.integers(1, 4))
         cf = rng.uniform(0.05, 0.4, size=(1, K))
         cr = rng.uniform(0.05, 0.4, size=(1, K))
-        cfg = make_config(
+        cfg = GameConfig(
             K, 1, p=rng.uniform(0.3, 0.7, size=K), enc=rng.uniform(0.15, 0.85, size=(1, K)),
             delta=rng.uniform(0.1, 1.0, size=(K, 1)), price=cf + cr + rng.uniform(0.05, 0.8),
             cost_fwd=cf, cost_rcv=cr, alpha=rng.uniform(5.0, 15.0, size=K),
@@ -383,8 +383,8 @@ def test_identity_checks_pass_on_default(default_cfg):
 
 def test_identity_checks_run_the_oracle_on_at_most_twelve_rsus(monkeypatch):
     # the grand coalition of 13 RSUs is skipped, and {1, ..., 13} (12 RSUs) is checked
-    cfg = make_config(1, 13, p=0.5, enc=0.5, delta=0.5, price=1.5, cost_fwd=0.5,
-                      cost_rcv=0.2)
+    cfg = GameConfig(1, 13, p=0.5, enc=0.5, delta=0.5, price=1.5, cost_fwd=0.5,
+                     cost_rcv=0.2)
     sizes = []
     original = analysis._oracle_batch
 
@@ -448,7 +448,7 @@ def test_identity_checks_equal_the_report_based_reference():
 @pytest.mark.parametrize("q, d", [(3e-17, 1e5), (1e-300, 1.7e308)])
 def test_reach_identities_hold_to_a_few_ulps_at_tiny_encounter_probabilities(q, d):
     # P(any encounter) = 1 - (1 - q) rounds to 0.0 here, 100% off the quantity
-    cfg = make_config(1, 1, p=0.5, enc=q, delta=d, price=1.5, cost_fwd=0.5, cost_rcv=0.2)
+    cfg = GameConfig(1, 1, p=0.5, enc=q, delta=d, price=1.5, cost_fwd=0.5, cost_rcv=0.2)
     detail = {r.name: r.detail for r in run_identity_checks(cfg)}
     for name, quantity in (("relay-choice probabilities total P(any encounter)", q),
                            ("uniform-weight closed forms match general formulas", d * q)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import ABS_TOL, analytic, make_config, oracle_relay_mean, player_payoffs
+from vanetgame import ABS_TOL, GameConfig, analytic, oracle_relay_mean, player_payoffs
 from conftest import random_config, random_coalition
 
 
@@ -36,9 +36,9 @@ def test_share_singleton_is_activity_probability(default_cfg):
 
 
 def test_share_three_vehicles_against_brute_force():
-    cfg = make_config(3, 0, p=0.5, enc=np.zeros((0, 3)), delta=np.zeros((3, 0)),
-                      price=np.zeros((0, 3)), cost_fwd=np.zeros((0, 3)),
-                      cost_rcv=np.zeros((0, 3)))
+    cfg = GameConfig(3, 0, p=0.5, enc=np.zeros((0, 3)), delta=np.zeros((3, 0)),
+                     price=np.zeros((0, 3)), cost_fwd=np.zeros((0, 3)),
+                     cost_rcv=np.zeros((0, 3)))
     share = player_payoffs(frozenset({1, 2, 3}), cfg).share
     expected = brute_force_shares({1: 0.5, 2: 0.5, 3: 0.5})
     assert expected == {1: 0.5, 2: 0.25, 3: 0.125}
@@ -81,8 +81,8 @@ def test_relay_usage_pair_of_half_probability_rsus(default_cfg):
 
 
 def test_relay_usage_certain_encounters_split_evenly():
-    cfg = make_config(1, 2, p=0.5, enc=1.0, delta=0.5, price=1.0,
-                      cost_fwd=0.1, cost_rcv=0.1)
+    cfg = GameConfig(1, 2, p=0.5, enc=1.0, delta=0.5, price=1.0,
+                     cost_fwd=0.1, cost_rcv=0.1)
     relay_prob = player_payoffs(frozenset({1, 2, 3}), cfg).relay_prob
     assert abs(relay_prob[2][1] - 0.5) <= ABS_TOL
     assert abs(relay_prob[3][1] - 0.5) <= ABS_TOL
@@ -146,15 +146,15 @@ def test_oracle_agreement_random():
 
 
 def test_oracle_symmetric_two_rsu_case():
-    cfg = make_config(1, 2, p=0.5, enc=1.0, delta=0.5, price=1.0,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, 2, p=0.5, enc=1.0, delta=0.5, price=1.0,
+                     cost_fwd=0.0, cost_rcv=0.0)
     value, _ = oracle_relay_mean(frozenset({1, 2, 3}), 1, {2: 1.0, 3: 3.0}, cfg)
     assert abs(value - 2.0) <= ABS_TOL
 
 
 def test_oracle_enumeration_bound():
-    cfg = make_config(1, 21, p=0.5, enc=0.5, delta=0.5, price=1.0,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, 21, p=0.5, enc=0.5, delta=0.5, price=1.0,
+                     cost_fwd=0.0, cost_rcv=0.0)
     S = frozenset(range(1, 23))
     with pytest.raises(ValueError, match="enumeration bound"):
         oracle_relay_mean(S, 1, {j: 1.0 for j in range(2, 23)}, cfg)
@@ -165,8 +165,8 @@ def test_oracle_carries_sums_across_blocks(monkeypatch):
     rng = np.random.default_rng(14)
     M = 14
     enc = np.where(rng.random(M) < 0.4, rng.choice([0.0, 0.5, 1.0], M), rng.random(M))
-    cfg = make_config(1, M, p=0.5, enc=enc.reshape(M, 1), delta=0.5, price=1.0,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, M, p=0.5, enc=enc.reshape(M, 1), delta=0.5, price=1.0,
+                     cost_fwd=0.0, cost_rcv=0.0)
     S, weights = frozenset(range(1, M + 2)), dict(zip(range(2, M + 2), rng.random(M).tolist()))
     monkeypatch.setattr(analytic, "_ORACLE_BLOCK_BITS", 3)
     assert oracle_relay_mean(S, 1, weights, cfg) == reference.oracle_relay_mean(S, 1, weights, cfg)
@@ -180,7 +180,7 @@ def test_oracle_batch_equals_one_reference_call_per_pair(monkeypatch, n, P):
     K = max(P, 1)
     enc = np.where(rng.random((n, K)) < 0.4, rng.choice([0.0, 0.5, 1.0], (n, K)),
                    rng.random((n, K)))
-    cfg = make_config(K, n, p=0.5, enc=enc, delta=0.5, price=1.0, cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(K, n, p=0.5, enc=enc, delta=0.5, price=1.0, cost_fwd=0.0, cost_rcv=0.0)
     S, rsus, w = frozenset(range(1, K + n + 1)), range(K + 1, K + n + 1), rng.random((P, n))
     monkeypatch.setattr(analytic, "_ORACLE_BLOCK_BITS", 3)
     value, chosen = analytic._oracle_batch(enc.T[:P], w)   # pair v: vehicle v + 1, every RSU
@@ -191,8 +191,8 @@ def test_oracle_batch_equals_one_reference_call_per_pair(monkeypatch, n, P):
 
 
 def test_oracle_memory_is_bounded_at_twenty_rsus():
-    cfg = make_config(1, 20, p=0.5, enc=0.5, delta=0.5, price=1.0,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, 20, p=0.5, enc=0.5, delta=0.5, price=1.0,
+                     cost_fwd=0.0, cost_rcv=0.0)
     tracemalloc.start()
     try:
         oracle_relay_mean(frozenset(range(1, 22)), 1, dict.fromkeys(range(2, 22), 1.0), cfg)
@@ -209,9 +209,9 @@ def test_throughput_singleton(default_cfg):
 
 
 def test_throughput_zero_when_an_outsider_is_always_active():
-    cfg = make_config(2, 0, p=[0.5, 1.0], enc=np.zeros((0, 2)), delta=np.zeros((2, 0)),
-                      price=np.zeros((0, 2)), cost_fwd=np.zeros((0, 2)),
-                      cost_rcv=np.zeros((0, 2)))
+    cfg = GameConfig(2, 0, p=[0.5, 1.0], enc=np.zeros((0, 2)), delta=np.zeros((2, 0)),
+                     price=np.zeros((0, 2)), cost_fwd=np.zeros((0, 2)),
+                     cost_rcv=np.zeros((0, 2)))
     assert player_payoffs(frozenset({1}), cfg).throughput[1] == 0.0
 
 
@@ -222,8 +222,8 @@ def test_throughput_grand_coalition_has_no_outside_discount(default_cfg):
 
 
 def test_payment_single_pair():
-    cfg = make_config(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
+                     cost_fwd=0.0, cost_rcv=0.0)
     rep = player_payoffs(frozenset({1, 2}), cfg)
     assert abs(rep.payment[1] - 0.6 * 0.5 * 1.5) <= ABS_TOL
 
@@ -241,8 +241,8 @@ def test_payment_ignores_collisions_but_throughput_does_not(default_cfg):
 
 
 def test_revenue_cost_single_pair():
-    cfg = make_config(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
-                      cost_fwd=0.5, cost_rcv=0.2)
+    cfg = GameConfig(1, 1, p=0.6, enc=0.5, delta=0.5, price=1.5,
+                     cost_fwd=0.5, cost_rcv=0.2)
     rep = player_payoffs(frozenset({1, 2}), cfg)
     assert abs(rep.revenue[2] - 0.6 * 0.5 * 1.5) <= ABS_TOL
     assert abs(rep.cost[2] - 0.6 * 0.5 * (0.5 + 0.2)) <= ABS_TOL
@@ -255,8 +255,8 @@ def test_revenue_and_cost_zero_without_vehicles(default_cfg):
 
 
 def test_cost_zero_when_costs_are_zero():
-    cfg = make_config(2, 2, p=0.6, enc=0.5, delta=0.5, price=1.5,
-                      cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(2, 2, p=0.6, enc=0.5, delta=0.5, price=1.5,
+                     cost_fwd=0.0, cost_rcv=0.0)
     assert player_payoffs(frozenset({1, 2, 3, 4}), cfg).cost[3] == 0.0
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import io
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 import reference
 from vanetgame import (ConfigError, GameConfig, GeometryConfig, analysis, bell_number,
                        canonical_structure, check_structure, enumerate_partitions,
-                       format_structure, iter_partitions, make_config, model,
-                       normalize_structure, oracle_relay_mean, parse_structure, simulate_slots,
+                       format_structure, iter_partitions, model, normalize_structure,
+                       oracle_relay_mean, parse_structure, simulate_slots,
                        structure_csv_blocks, structure_reports, unrank_partition)
 
 
@@ -160,8 +161,8 @@ def test_zero_players_rejected():
     (lambda cfg: analysis.vehicle_coalition_profitability(frozenset(), cfg), "empty coalition"),
     (lambda cfg: oracle_relay_mean({1, 3}, 3, {3: 1.0}, cfg),
      r"player 3 is not a vehicle member of coalition \[1, 3\]"),
-    (lambda cfg: make_config(1, -1, p=0.5, enc=[], delta=[], price=[], cost_fwd=[],
-                             cost_rcv=[]), "M: RSU count must be nonnegative"),
+    (lambda cfg: GameConfig(1, -1, p=0.5, enc=[], delta=[], price=[], cost_fwd=[],
+                            cost_rcv=[]), "M: RSU count must be nonnegative"),
     (lambda cfg: structure_reports([frozenset()], cfg), "invalid structure: empty coalition"),
     (lambda cfg: next(structure_csv_blocks(0, 0)), "need 1 to 127 players"),
     (lambda cfg: next(structure_csv_blocks(128, 1)), "need 1 to 127 players"),
@@ -171,7 +172,7 @@ def test_zero_players_rejected():
      "^seed must be a nonnegative integer, got -3$"),
     (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 10, seed=-1),
      "^seed must be a nonnegative integer, got -1$"),
-], ids=["profitability-empty", "oracle-non-vehicle", "make-config-negative-M",
+], ids=["profitability-empty", "oracle-non-vehicle", "config-negative-M",
         "structure-empty-block", "csv-zero-players", "csv-128-players", "unrank-zero-players",
         "bell-negative", "geometry-negative-seed", "simulate-negative-seed"])
 def test_library_errors_name_their_cause(default_cfg, call, message):
@@ -206,33 +207,56 @@ def test_validate_accepts_good_config(default_cfg):
 
 def _full(K, M, **changes):
     """K, M and full-shape arrays of a valid game, with `changes` swapped in."""
-    good = make_config(K, M, p=0.5, enc=0.4, delta=0.5, price=1.0, cost_fwd=0.1, cost_rcv=0.1)
+    good = GameConfig(K, M, p=0.5, enc=0.4, delta=0.5, price=1.0, cost_fwd=0.1, cost_rcv=0.1)
     return {**{f.name: getattr(good, f.name) for f in dataclasses.fields(good)}, **changes}
 
 
-def _errors_both_ways(params):
-    """The ConfigError list of a GameConfig built directly from params, after
-    checking that make_config raises a ConfigError with the same list."""
-    with pytest.raises(ConfigError) as direct:
-        GameConfig(**params)
+def _errors(params):
+    """The ConfigError list of a GameConfig built from params."""
     with pytest.raises(ConfigError) as err:
-        make_config(**params)
-    assert err.value.errors == direct.value.errors
-    return direct.value.errors
+        GameConfig(**params)
+    return err.value.errors
 
 
 def test_validate_reports_probability_out_of_range():
-    errors = _errors_both_ways(_full(2, 1, p=[0.5, 1.2]))
+    errors = _errors(_full(2, 1, p=[0.5, 1.2]))
     assert any("probability out of range" in e for e in errors)
 
 
 def test_validate_reports_shape_mismatch():
-    errors = _errors_both_ways(_full(2, 2, delta=np.zeros((2, 1))))
+    errors = _errors(_full(2, 2, delta=np.zeros((2, 1))))
     assert any("delta: shape mismatch" in e for e in errors)
-    # nothing spreads in a built config: a 0-d array is a shape mismatch there
+
+
+def test_a_zero_d_field_spreads(default_cfg):
+    # the shape rule holds in every construction, dataclasses.replace too
+    for cfg in (GameConfig(**_full(2, 2, mu=np.float64(3.0))),
+                dataclasses.replace(default_cfg, mu=np.float64(3.0))):
+        assert cfg.mu.shape == (2,) and (cfg.mu == 3.0).all() and not cfg.mu.flags.writeable
+
+
+@pytest.mark.parametrize("count", [2.5, "2", float("nan"), float("inf"), True, 2.0])
+@pytest.mark.parametrize("name", ["K", "M"])
+def test_a_count_that_is_no_integer_is_a_config_error(name, count):
+    params = {"K": 2, "M": 1, "p": 0.5, "enc": 0.5, "delta": 0.5, "price": 1.0,
+              "cost_fwd": 0.1, "cost_rcv": 0.1, name: count}
     with pytest.raises(ConfigError) as err:
-        GameConfig(**_full(2, 2, mu=np.float64(1.0)))
-    assert err.value.errors == ["mu: shape mismatch, expected (2,), got ()"]
+        GameConfig(**params)
+    assert [e for e in err.value.errors if e.startswith(f"{name}: ")] == [
+        f"{name}: count must be an integer, got {count!r}"]
+
+
+def test_a_huge_vehicle_count_builds_nothing_of_its_size():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            GameConfig(10 ** 6, 2, p=0.5, enc=np.zeros((2, 2)), delta=0.5, price=1.0,
+                       cost_fwd=0.1, cost_rcv=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.errors == ["enc: shape mismatch, expected (2, 1000000), got (2, 2)"]
+    assert peak < 1 << 20, peak
 
 
 def test_replace_checks_every_field(default_cfg):
@@ -245,15 +269,15 @@ def test_replace_checks_every_field(default_cfg):
 
 
 def test_validate_reports_all_violations_at_once():
-    errors = _errors_both_ways(_full(2, 1, p=[0.5, -0.1], enc=np.full((1, 2), 2.0),
-                                     delta=np.full((2, 1), -1.0), cost_rcv=np.zeros((9, 9))))
+    errors = _errors(_full(2, 1, p=[0.5, -0.1], enc=np.full((1, 2), 2.0),
+                           delta=np.full((2, 1), -1.0), cost_rcv=np.zeros((9, 9))))
     assert len(errors) >= 3
 
 
-def test_make_config_raises_on_invalid():
+def test_config_raises_on_invalid():
     with pytest.raises(ValueError, match="probability out of range"):
-        make_config(1, 1, p=1.5, enc=0.5, delta=0.5, price=1.0,
-                    cost_fwd=0.1, cost_rcv=0.1)
+        GameConfig(1, 1, p=1.5, enc=0.5, delta=0.5, price=1.0,
+                   cost_fwd=0.1, cost_rcv=0.1)
 
 
 def test_config_arrays_are_read_only(default_cfg):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference
 from vanetgame import analysis, analytic, geometry
-from vanetgame import (ABS_TOL, core_membership, core_sufficient_conditions, make_config,
+from vanetgame import (ABS_TOL, GameConfig, core_membership, core_sufficient_conditions,
                        oracle_relay_mean, player_payoffs, relay_choice_probs, simulate_slots,
                        stability_verdict, structure_payoffs)
 from vanetgame.cli import main
@@ -41,7 +41,7 @@ def configs(draw):
     M = draw(st.integers(0, 4))
     amount = st.floats(0.0, 2.0)
     weight = st.floats(0.2, 3.0)
-    return make_config(
+    return GameConfig(
         K, M,
         p=_array(draw, (K,), probability),
         enc=_array(draw, (M, K), probability),
@@ -65,8 +65,8 @@ def _coalitions(n):
 @given(st.lists(probability, min_size=0, max_size=10))
 def test_relay_choice_probs_match_brute_force(q):
     M = len(q)
-    cfg = make_config(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
-                      delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
+                     delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
     rsus = range(2, M + 2)
     _, chosen = oracle_relay_mean(frozenset(range(1, M + 2)), 1, dict.fromkeys(rsus, 1.0), cfg)
     probs = relay_choice_probs(q)
@@ -85,8 +85,8 @@ def test_relay_choice_probs_match_brute_force(q):
 def test_oracle_equals_reference_loop(case):
     q, w = case
     M = len(q)
-    cfg = make_config(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
-                      delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
+    cfg = GameConfig(1, M, p=0.5, enc=np.array(q, dtype=np.float64).reshape(M, 1),
+                     delta=0.0, price=0.0, cost_fwd=0.0, cost_rcv=0.0)
     S, weights = frozenset(range(1, M + 2)), dict(zip(range(2, M + 2), w))
     got = oracle_relay_mean(S, 1, weights, cfg)
     assert type(got[0]) is float and got == reference.oracle_relay_mean(S, 1, weights, cfg)

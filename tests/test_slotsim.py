@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from vanetgame import (canonical_structure, geometry, make_config, parse_structure, simulate_slots,
+from vanetgame import (GameConfig, canonical_structure, geometry, parse_structure, simulate_slots,
                        slotsim, structure_reports)
 from conftest import COUNTERS, random_config
 from test_slotsim_golden import CASES
@@ -24,9 +24,9 @@ def test_all_idle_vehicles_produce_zero_estimates(default_cfg):
 
 
 def test_single_vehicle_throughput_converges():
-    cfg = make_config(1, 0, p=0.37, enc=np.zeros((0, 1)), delta=np.zeros((1, 0)),
-                      price=np.zeros((0, 1)), cost_fwd=np.zeros((0, 1)),
-                      cost_rcv=np.zeros((0, 1)))
+    cfg = GameConfig(1, 0, p=0.37, enc=np.zeros((0, 1)), delta=np.zeros((1, 0)),
+                     price=np.zeros((0, 1)), cost_fwd=np.zeros((0, 1)),
+                     cost_rcv=np.zeros((0, 1)))
     rep = simulate_slots((frozenset({1}),), cfg, 200_000, seed=2)
     assert abs(rep.throughput[0] - 0.37) <= 3.0 * rep.throughput_se[0]
 
@@ -100,8 +100,8 @@ def wide_games(draw):
     K, M = draw(st.integers(1, 9)), draw(st.integers(0, 17))
     p = draw(st.lists(probability, min_size=K, max_size=K))
     enc = draw(st.lists(probability, min_size=M * K, max_size=M * K))
-    cfg = make_config(K, M, p=np.array(p), enc=np.reshape(enc, (M, K)), delta=0.5, price=1.5,
-                      cost_fwd=0.3, cost_rcv=0.05)
+    cfg = GameConfig(K, M, p=np.array(p), enc=np.reshape(enc, (M, K)), delta=0.5, price=1.5,
+                     cost_fwd=0.3, cost_rcv=0.05)
     labels = draw(st.lists(st.integers(0, 4), min_size=K + M, max_size=K + M))
     blocks = [{m + 1 for m, lab in enumerate(labels) if lab == b} for b in set(labels)]
     return cfg, canonical_structure(blocks)
@@ -131,8 +131,8 @@ def test_byte_tables_answer_rank_and_select():
 
 def test_wide_simulation_memory_is_bounded():
     rng = np.random.default_rng(8)
-    cfg = make_config(8, 8, p=0.2, enc=rng.uniform(0.4, 0.6, (8, 8)), delta=0.5, price=1.5,
-                      cost_fwd=0.3, cost_rcv=0.05)
+    cfg = GameConfig(8, 8, p=0.2, enc=rng.uniform(0.4, 0.6, (8, 8)), delta=0.5, price=1.5,
+                     cost_fwd=0.3, cost_rcv=0.05)
     tracemalloc.start()
     try:
         simulate_slots((frozenset(range(1, 17)),), cfg, 200_000, seed=5)
@@ -216,8 +216,8 @@ def test_deterministic_quantities_read_their_event_value_and_stderr_zero(delta, 
     # one vehicle always active and always relayed by the one RSU: every slot is the same
     # event, so each estimate is that event's value and each stderr exactly 0.0
     # (built-in prices, costs and weights, where sum(x^2) - n mean^2 leaves 5.4e-11 and 3.4e-10)
-    cfg = make_config(1, 1, p=1.0, enc=1.0, delta=delta, price=1.5, cost_fwd=0.5,
-                      cost_rcv=0.2, alpha=10.0)
+    cfg = GameConfig(1, 1, p=1.0, enc=1.0, delta=delta, price=1.5, cost_fwd=0.5,
+                     cost_rcv=0.2, alpha=10.0)
     rep = simulate_slots((frozenset({1, 2}),), cfg, n_slots, seed=7)
     assert rep.relays_success.tolist() == [[n_slots]]
     rate, charge = 1.0 + delta, 0.2 + 0.5

@@ -17,7 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from vanetgame import load_config, make_config, parse_structure, simulate_slots
+from vanetgame import GameConfig, load_config, parse_structure, simulate_slots
 from conftest import COUNTERS
 
 DATA = pathlib.Path(__file__).parent / "data" / "slotsim_counters.json"
@@ -28,9 +28,9 @@ def _builtin_game():
 
 
 def _no_rsu_game():
-    return make_config(3, 0, p=[0.3, 0.55, 0.8], enc=np.zeros((0, 3)),
-                       delta=np.zeros((3, 0)), price=np.zeros((0, 3)),
-                       cost_fwd=np.zeros((0, 3)), cost_rcv=np.zeros((0, 3)))
+    return GameConfig(3, 0, p=[0.3, 0.55, 0.8], enc=np.zeros((0, 3)),
+                      delta=np.zeros((3, 0)), price=np.zeros((0, 3)),
+                      cost_fwd=np.zeros((0, 3)), cost_rcv=np.zeros((0, 3)))
 
 
 def _wide_game():
@@ -39,22 +39,22 @@ def _wide_game():
            [0.7, 0.3, 0.0, 1.0],
            [0.5, 0.5, 0.5, 0.5],
            [0.05, 0.95, 0.35, 0.65]]
-    return make_config(4, 5, p=[0.2, 0.45, 0.7, 0.35], enc=enc, delta=0.5, price=1.0,
-                       cost_fwd=0.3, cost_rcv=0.1)
+    return GameConfig(4, 5, p=[0.2, 0.45, 0.7, 0.35], enc=enc, delta=0.5, price=1.0,
+                      cost_fwd=0.3, cost_rcv=0.1)
 
 
 def _byte8_game():
     # 8 vehicles and 8 RSUs: one full byte of packed bits on each side
     enc = (np.arange(64).reshape(8, 8) * 5 % 9) / 8.0
-    return make_config(8, 8, p=np.linspace(0.15, 0.5, 8), enc=enc, delta=0.5, price=1.0,
-                       cost_fwd=0.3, cost_rcv=0.1)
+    return GameConfig(8, 8, p=np.linspace(0.15, 0.5, 8), enc=enc, delta=0.5, price=1.0,
+                      cost_fwd=0.3, cost_rcv=0.1)
 
 
 def _multibyte_game():
     # 9 vehicles and 17 RSUs: vehicle 9 and RSUs 9-17 sit past the first byte
     enc = (np.arange(153).reshape(17, 9) * 7 % 11) / 10.0
-    return make_config(9, 17, p=np.linspace(0.1, 0.5, 9), enc=enc, delta=0.5, price=1.0,
-                       cost_fwd=0.3, cost_rcv=0.1)
+    return GameConfig(9, 17, p=np.linspace(0.1, 0.5, 9), enc=enc, delta=0.5, price=1.0,
+                      cost_fwd=0.3, cost_rcv=0.1)
 
 
 # name -> (game, structure, n_slots, seed)
