@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .geometry import GeometryConfig, estimate_encounter_matrix
 from .model import ConfigError, GameConfig
 
@@ -49,27 +47,19 @@ _BUILTIN = {
 
 
 def _parse_geometry(section, K: int, errors) -> GeometryConfig | None:
-    """The geometry section as a GeometryConfig, or None after recording its errors."""
-    section = {**_BUILTIN["geometry"], **section}
-    n_slots = _count(section["n_slots"], "geometry.n_slots", errors)
-    seed = _count(section["seed"], "geometry.seed", errors)
-    numeric = [_numbers(section[key], f"geometry.{key}", errors) for key in ("side_km", "range_km")]
-    if n_slots is None or seed is None or not all(numeric):
-        return None
+    """The geometry section as a GeometryConfig, or None after recording its errors.
+    A range_km that is no list spreads to the game's K vehicles."""
+    section = {key: section.get(key, value) for key, value in _BUILTIN["geometry"].items()}
+    if not isinstance(section["range_km"], list):
+        section["range_km"] = (section["range_km"],) * K
     try:
-        rng_km = section["range_km"]
-        if np.isscalar(rng_km):
-            rng_km = (float(rng_km),) * K
-        return GeometryConfig(
-            side_km=float(section["side_km"]),
-            range_km=tuple(float(r) for r in rng_km),
-            placement=str(section["placement"]),
-            n_slots=n_slots,
-            seed=seed,
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
+        geometry = GeometryConfig(**section)
+    except ValueError as exc:
         errors.append(f"geometry: {exc}")
         return None
+    if len(geometry.range_km) != K:
+        errors.append(f"geometry.range_km needs {K} entries, got {len(geometry.range_km)}")
+    return geometry
 
 
 def _section(doc, name, errors, default=None):
@@ -81,28 +71,6 @@ def _section(doc, name, errors, default=None):
         errors.append(f"'{name}' section must be a JSON object, got {type(section).__name__}")
         return None
     return section
-
-
-def _count(value, name, errors):
-    """value if it is a nonnegative JSON integer (not a bool); else records an error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        errors.append(f"{name} must be a nonnegative integer, got {value!r}")
-        return None
-    return value
-
-
-def _numbers(value, name, errors) -> bool:
-    """Whether value is a JSON number or nested lists of them (no bool, no string);
-    else records an error. An explicit stack walks any nesting depth."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(reversed(item))   # the first bad entry in document order is named
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            errors.append(f"{name} must be a JSON number or nested lists of them, got {item!r}")
-            return False
-    return True
 
 
 def load_config(path=None) -> LoadedConfig:
@@ -131,17 +99,10 @@ def _parse(doc: dict, source) -> LoadedConfig:
     game = doc.get("game")
     encounter = _section(doc, "encounter", errors, default={})
     geo_section = _section(doc, "geometry", errors)
-    K = M = None
-    numeric = False
     if not isinstance(game, dict):
         errors.append(f"{source}: missing or malformed 'game' section")
     elif missing := [k for k in _BUILTIN["game"] if k not in game]:
         errors.append(f"{source}: 'game' section missing keys {missing}")
-    else:
-        K, M = _count(game["K"], "game.K", errors), _count(game["M"], "game.M", errors)
-        # a list, not a generator: every parameter's error is recorded
-        numeric = all([_numbers(game[k], f"game.{k}", errors) for k in _BUILTIN["game"]
-                       if k not in ("K", "M")])
 
     from_geometry = False
     enc = 0.0   # placeholder until resolve_encounter runs
@@ -150,17 +111,13 @@ def _parse(doc: dict, source) -> LoadedConfig:
         if not isinstance(from_geometry, bool):
             errors.append(f"encounter.from_geometry must be true or false, got {from_geometry!r}")
             from_geometry = False
-        if "matrix" not in encounter:
-            if not from_geometry:
-                errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
-        elif _numbers(encounter["matrix"], "encounter.matrix", errors):
-            try:
-                enc = np.asarray(encounter["matrix"], dtype=np.float64)
-            except (ValueError, TypeError, OverflowError) as exc:
-                errors.append(f"encounter.matrix is not a numeric matrix: {exc}")
+        if "matrix" in encounter:
+            enc = encounter["matrix"]
+        elif not from_geometry:
+            errors.append("encounter section needs either 'matrix' or 'from_geometry': true")
     if geo_section is None and from_geometry:
         errors.append("encounter.from_geometry requires a 'geometry' section")
-    if K is None or M is None or not numeric:
+    if not isinstance(game, dict) or missing:
         raise ConfigError(errors)
 
     try:
@@ -168,12 +125,9 @@ def _parse(doc: dict, source) -> LoadedConfig:
     except ConfigError as exc:
         raise ConfigError(errors + exc.errors) from exc
     except MemoryError as exc:
-        raise ConfigError(errors + [f"game section: K={K}, M={M} is too large to build"]) from exc
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(errors + [f"game section: {exc}"]) from exc
-    geometry = _parse_geometry(geo_section or {}, K, errors)
-    if geometry is not None and len(geometry.range_km) != K:
-        errors.append(f"geometry.range_km needs {K} entries, got {len(geometry.range_km)}")
+        raise ConfigError(errors + [f"game section: K={game['K']}, M={game['M']} is too large "
+                                    "to build"]) from exc
+    geometry = _parse_geometry(geo_section or {}, cfg.K, errors)
     if errors:
         raise ConfigError(errors)
     return LoadedConfig(game=cfg, geometry=geometry, encounter_from_geometry=from_geometry)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import _as_array, _integer
+
 __all__ = [
     "GRID_CELLS",
     "PLACEMENTS",
@@ -45,18 +47,24 @@ class GeometryConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "side_km", float(self.side_km))
-        object.__setattr__(self, "range_km", tuple(float(r) for r in self.range_km))
-        if not (math.isfinite(self.side_km) and self.side_km > 0.0):
-            raise ValueError("side_km must be positive and finite")
-        if not all(math.isfinite(r) and r >= 0.0 for r in self.range_km):
-            raise ValueError("transmission ranges must be nonnegative and finite")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        side, ranges = _as_array("side_km", self.side_km), _as_array("range_km", self.range_km)
+        errors = [entry for entry in (side, ranges) if isinstance(entry, str)]
+        if not isinstance(side, str) and not (side.ndim == 0 and 0.0 < side < math.inf):
+            errors.append("side_km must be positive and finite")
+        if not isinstance(ranges, str) and ranges.ndim != 1:
+            errors.append(f"range_km must be a sequence of ranges, got {self.range_km!r}")
+        elif not isinstance(ranges, str) and not ((ranges >= 0.0) & (ranges < math.inf)).all():
+            errors.append("transmission ranges must be nonnegative and finite")
+        if not (_integer(self.n_slots) and self.n_slots >= 1):
+            errors.append(f"n_slots must be a positive integer, got {self.n_slots!r}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            errors.append(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.placement not in PLACEMENTS:
-            raise ValueError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
+            errors.append(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
+        if errors:
+            raise ValueError("; ".join(errors))
+        object.__setattr__(self, "side_km", float(side))
+        object.__setattr__(self, "range_km", tuple(ranges.tolist()))
 
 
 def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
@@ -75,8 +83,8 @@ def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
 
 def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
     """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
-    CHUNK_SLOTS rows, or fewer (but at least 1,024) when a block's (M, K, slots)
-    distance block would pass 2**22 RSU-vehicle pairs."""
+    CHUNK_SLOTS rows, or fewer (but at least 1,024) when rows times M * K would pass
+    2**22: that bounds a wide game's chunk in the placement estimator and the slot simulator."""
     rng = np.random.default_rng(seed)
     step = min(CHUNK_SLOTS, max(1024, (1 << 22) // max(1, M * K)))
     for start in range(0, n_slots, step):
@@ -111,22 +119,30 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
     for g in geos:
         if len(g.range_km) != K:
             raise ValueError(f"range_km has {len(g.range_km)} transmission ranges, expected {K}")
-    range_sq = [np.asarray(g.range_km, dtype=np.float64) ** 2 for g in geos]
+    range_sq = [np.asarray(g.range_km, dtype=np.float64)[:, None] ** 2 for g in geos]
     counts = np.zeros((len(geos), M, K), dtype=np.int64)
     for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
         # (2, nodes, slots): contiguous x and y rows, so each step runs over whole rows
         pos = np.ascontiguousarray(u.reshape(u.shape[0], -1, 2).transpose(2, 1, 0))
+        del u   # free the draw before the work below
         if geo.placement == "grid":
             pos = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1) + 0.5
             pos *= geo.side_km / GRID_CELLS
         else:
-            pos = pos * geo.side_km
+            pos *= geo.side_km
         x, y = pos
-        dist_sq = (x[K:, None] - x[None, :K]) ** 2   # (M, K, slots)
-        dist_sq += (y[K:, None] - y[None, :K]) ** 2
-        for count, r_sq in zip(counts, range_sq):
-            count += (dist_sq <= r_sq[:, None]).sum(axis=2)
-        del u, pos, x, y, dist_sq   # free this chunk before the next is drawn
+        # one RSU at a time: squared distances to every vehicle, in two (K, slots) buffers
+        d, dy = np.empty((2, K, pos.shape[2]))
+        near = np.empty(d.shape, dtype=bool)
+        for j in range(M):
+            np.subtract(x[K + j], x[:K], out=d)
+            d *= d
+            np.subtract(y[K + j], y[:K], out=dy)
+            dy *= dy
+            d += dy
+            for g, r_sq in enumerate(range_sq):
+                counts[g, j] += np.count_nonzero(np.less_equal(d, r_sq, out=near), axis=1)
+        del pos, x, y, d, dy, near   # free this chunk before the next is drawn
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)

@@ -70,7 +70,7 @@ class GameConfig:
     mu: np.ndarray = 1.0      # RSU weight on cost
 
     def __post_init__(self) -> None:
-        arrays = {name: np.asarray(getattr(self, name), dtype=np.float64) for name in _SHAPES}
+        arrays = {name: _as_array(name, getattr(self, name)) for name in _SHAPES}
         errors = _violations(self.K, self.M, arrays)
         if errors:
             raise ConfigError(errors)
@@ -122,18 +122,47 @@ _SHAPES = {
 }
 
 
+def _integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _as_array(name, value):
+    """value as a float64 array if it is a real number (no bool), nested lists or tuples of
+    them or a numeric ndarray (checked by dtype alone); else the entry naming the first bad
+    item in document order, or why the lists form no array. A stack walks any depth."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            if not {float, int}.issuperset(map(type, item)):   # a list of plain numbers is done
+                stack.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float, np.integer, np.floating)):
+            if not (isinstance(item, np.ndarray) and item.dtype.kind in "iuf"):
+                return f"{name}: entries must be real numbers, got {item!r}"
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        return f"{name}: an integer entry is past the float range"
+    except ValueError as exc:   # ragged, or nested past numpy's dimension limit
+        return f"{name}: nested lists do not form an array: {exc}"
+
+
 def _violations(K, M, arrays) -> list[str]:
-    """Every violation in K, M and the parameter arrays, before any array spreads."""
+    """Every violation in K, M and the parameter arrays (or entries from _as_array), before
+    any array spreads."""
     errors = [f"{name}: count must be an integer, got {n!r}" for name, n in (("K", K), ("M", M))
-              if isinstance(n, bool) or not isinstance(n, (int, np.integer))]
+              if not _integer(n)]
     if errors:   # every shape depends on the counts
-        return errors
+        return errors + [arr for arr in arrays.values() if isinstance(arr, str)]
     if K < 1:
         errors.append("K: need at least one vehicle")
     if M < 0:
         errors.append("M: RSU count must be nonnegative")
     for name, shape in _SHAPES.items():
         arr = arrays[name]
+        if isinstance(arr, str):
+            errors.append(arr)
+            continue
         expected = shape(K, M)
         # the shape rule: the full shape, a scalar, or [] for a shape with a zero dimension
         if arr.shape not in (expected, ()) and not (arr.shape == (0,) and 0 in expected):

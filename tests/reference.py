@@ -19,7 +19,9 @@ vanetgame.analysis.run_identity_checks, which must return equal results.
 
 `slot_counters` is a plain-Python slot loop, the reference for the bit-packed
 kernel in vanetgame.slotsim: on the same uniforms their event counters agree
-exactly.
+exactly. `placement_counts` is a plain loop over slots, RSUs and vehicles, the
+reference for the per-RSU buffers of vanetgame.geometry.estimate_encounter_matrix:
+on the same uniforms their encounter counts agree exactly.
 
 `ExactConfig` is a GameConfig whose parameters are `fractions.Fraction` object
 arrays, on which the coalition table and the core sweep run exactly.
@@ -39,6 +41,7 @@ from conftest import COUNTERS
 from vanetgame.analysis import (_CHECK_STRUCTURES, CheckResult, _uniformized,
                                 vehicle_coalition_profitability)
 from vanetgame.analytic import ABS_TOL, PayoffReport, _reports, oracle_relay_mean
+from vanetgame.geometry import GRID_CELLS
 from vanetgame.model import (_SHAPES, GameConfig, canonical_structure, check_structure,
                              iter_partitions, normalize_structure, split_members)
 
@@ -204,6 +207,32 @@ def slot_counters(cs, cfg, n_slots, seed):
                 counts["relays_success" if success else "relays_fail"][met[pick], sched] += 1
             else:
                 counts["success_no_relay" if success else "fail_no_relay"][sched] += 1
+    return counts
+
+
+def placement_counts(geo, K, M, ranges):
+    """(M, K) encounter counts per range vector, on the uniforms the estimator draws.
+
+    Row t of default_rng(geo.seed).random((n_slots, 2 * (K + M))) places node n
+    (vehicles 0..K-1, then RSUs) at x = row[2n], y = row[2n + 1], scaled to the
+    square or snapped to the center of its grid cell first.
+    """
+    u = np.random.default_rng(geo.seed).random((geo.n_slots, 2 * (K + M)))
+    counts = [[[0] * K for _ in range(M)] for _ in ranges]
+    for t in range(geo.n_slots):
+        pos = []
+        for value in u[t].tolist():
+            if geo.placement == "grid":
+                cell = min(int(value * GRID_CELLS), GRID_CELLS - 1)
+                pos.append((cell + 0.5) * (geo.side_km / GRID_CELLS))
+            else:
+                pos.append(value * geo.side_km)
+        for j in range(M):
+            xr, yr = pos[2 * (K + j)], pos[2 * (K + j) + 1]
+            for i in range(K):
+                dx, dy = xr - pos[2 * i], yr - pos[2 * i + 1]
+                for g, r in enumerate(ranges):
+                    counts[g][j][i] += dx * dx + dy * dy <= r[i] * r[i]
     return counts
 
 

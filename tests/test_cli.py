@@ -482,35 +482,38 @@ def _malformed(edit):
     (_malformed(lambda d: d.update(encounter=[[0.5, 0.5], [0.5, 0.5]])),
      "'encounter' section must be a JSON object"),
     (_malformed(lambda d: d.update(geometry=[1.0])), "'geometry' section must be a JSON object"),
-    (_malformed(lambda d: d["game"].update(K="x")), "game.K must be a nonnegative integer"),
+    (_malformed(lambda d: d["game"].update(K="x")),
+     "config error: K: count must be an integer, got 'x'\n"),
     (_malformed(lambda d: d.update(encounter={"matrix": "ab"})),
-     "encounter.matrix must be a JSON number"),
+     "config error: enc: entries must be real numbers, got 'ab'\n"),
     (_malformed(lambda d: d.update(encounter={"matrix": [[0.5, "0.5"], [0.5, 0.5]]})),
-     "encounter.matrix must be a JSON number"),
+     "config error: enc: entries must be real numbers, got '0.5'\n"),
     (_malformed(lambda d: d.update(encounter={"matrix": [[0.5, True], [0.5, 0.5]]})),
-     "encounter.matrix must be a JSON number"),
-    (_malformed(lambda d: d["game"].update(p=["0.6", True])), "game.p must be a JSON number"),
-    (_malformed(lambda d: d["game"].update(alpha=True)), "game.alpha must be a JSON number"),
+     "config error: enc: entries must be real numbers, got True\n"),
+    (_malformed(lambda d: d["game"].update(p=["0.6", True])),
+     "config error: p: entries must be real numbers, got '0.6'\n"),
+    (_malformed(lambda d: d["game"].update(alpha=True)),
+     "config error: alpha: entries must be real numbers, got True\n"),
     (_malformed(lambda d: d["game"].update(delta=[[0.5, 0.5], [0.5, [None]]])),
-     "game.delta must be a JSON number"),
+     "config error: delta: entries must be real numbers, got None\n"),
     (_malformed(lambda d: d["geometry"].update(side_km="1.0")),
-     "geometry.side_km must be a JSON number"),
+     "config error: geometry: side_km: entries must be real numbers, got '1.0'\n"),
     (_malformed(lambda d: d["geometry"].update(range_km=True)),
-     "geometry.range_km must be a JSON number"),
+     "config error: geometry: range_km: entries must be real numbers, got True\n"),
     (_malformed(lambda d: d["geometry"].update(range_km=[0.2, "0.2"])),
-     "geometry.range_km must be a JSON number"),
+     "config error: geometry: range_km: entries must be real numbers, got '0.2'\n"),
     (_malformed(lambda d: d.update(encounter=None)), "'encounter' section must be a JSON object"),
     (_malformed(lambda d: d["geometry"].update(n_slots=1.9)),
-     "geometry.n_slots must be a nonnegative integer"),
+     "config error: geometry: n_slots must be a positive integer, got 1.9\n"),
     (_malformed(lambda d: d["geometry"].update(n_slots=True)),
-     "geometry.n_slots must be a nonnegative integer"),
+     "config error: geometry: n_slots must be a positive integer, got True\n"),
     (_malformed(lambda d: d["geometry"].update(seed="7")),
-     "geometry.seed must be a nonnegative integer"),
+     "config error: geometry: seed must be a nonnegative integer, got '7'\n"),
     (_malformed(lambda d: d["geometry"].update(seed=2.5)),
-     "geometry.seed must be a nonnegative integer"),
+     "config error: geometry: seed must be a nonnegative integer, got 2.5\n"),
     # json.dumps writes inf as Infinity, which loads as the same value as 1e400
     (_malformed(lambda d: d["geometry"].update(n_slots=float("inf"))),
-     "geometry.n_slots must be a nonnegative integer"),
+     "config error: geometry: n_slots must be a positive integer, got inf\n"),
     # json.dumps writes NaN and Infinity, which json.loads reads back
     (_malformed(lambda d: d["geometry"].update(side_km=float("nan"))),
      "side_km must be positive and finite"),
@@ -522,7 +525,7 @@ def _malformed(edit):
     (_malformed(lambda d: d["game"].update(p=[0.6, float("nan")])),
      "config error: p: non-finite entries\n"),
     (_malformed(lambda d: d["encounter"].update(matrix=[[0.5, 0.5], [0.5]])),
-     "config error: encounter.matrix is not a numeric matrix"),
+     "config error: enc: nested lists do not form an array: "),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
         "string-matrix-entry", "bool-matrix-entry", "string-p", "bool-alpha", "null-delta",
         "string-side_km", "bool-range_km", "string-range_km-entry", "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
@@ -625,7 +628,7 @@ def test_core_names_an_rsu_weight_witness(tmp_path, capsys):
     # deep, but within what the JSON decoder takes: the value checks walk it without recursion
     ('{"game": {"K": 2, "M": 2, "p": %s0.6%s, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5, '
      '"cost_rcv": 0.2, "alpha": 10, "beta": 1, "gamma": 1, "mu": 1}}' % ("[" * 900, "]" * 900),
-     "config error: game section"),
+     "config error: p: nested lists do not form an array: "),
 ], ids=["deep-document", "deep-p"])
 def test_deeply_nested_config_exits_3(tmp_path, capsys, text, message):
     deep = tmp_path / "deep.json"
@@ -638,7 +641,7 @@ def test_deeply_nested_config_exits_3(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("slots", ["0", "-5"])
 def test_encounter_nonpositive_slots_exit_3(capsys, slots):
     assert main(["encounter", "--slots", slots, "--d-sweep", "0.2"]) == 3
-    assert "n_slots must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: n_slots must be a positive integer, got {slots}\n"
 
 
 @pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("encounter", "-3")])

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry
 from vanetgame.configio import load_config
 from vanetgame.geometry import PLACEMENTS
@@ -109,24 +110,37 @@ def _estimate_peak(*args, **kwargs):
 def test_wide_estimate_memory_is_bounded():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
     peak = _estimate_peak(geo, 20, 20)
-    assert peak < 100e6, peak
+    assert peak < 25e6, peak
 
 
 def test_wide_sweep_memory_is_bounded():
     # one comparison block at a time: five ranges cost no more than one
     geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
     peak = _estimate_peak(geo, 20, 20, ranges=[(d,) * 20 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
-    assert peak < 100e6, peak
+    assert peak < 25e6, peak
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_sweep_holds_one_chunk_at_a_time(placement):
-    # each loop body frees its chunk, positions and distances before the next
-    # chunk is drawn: two live chunks of K = 4, M = 8 peak at about 17.5 MB
+    # each loop body frees its chunk before the next is drawn, and distances are built one
+    # RSU at a time: K = 4, M = 8 peaks at about 6.3 MB continuous and 9.5 MB on the grid
     loaded = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json")
     geo = dataclasses.replace(loaded.geometry, placement=placement, n_slots=200_000)
     peak = _estimate_peak(geo, 4, 8, ranges=[(d,) * 4 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
-    assert peak < 16.5e6, peak
+    assert peak < 11e6, peak
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("K, M", [(K, M) for K in (1, 3) for M in (0, 1, 5)])
+def test_counts_match_the_reference_placement_loop(monkeypatch, placement, K, M):
+    # unequal per-vehicle ranges, two vectors at once, and 64-row chunks that 300 slots cross
+    monkeypatch.setattr(geometry, "CHUNK_SLOTS", 64)
+    geo = GeometryConfig(side_km=1.5, range_km=(0.3, 0.9, 0.0)[:K], placement=placement,
+                         n_slots=300, seed=17)
+    ranges = [(0.3, 0.9, 0.0)[:K], (1.2, 0.15, 0.6)[:K]]
+    estimates = estimate_encounter_matrix(geo, K, M, ranges=ranges)
+    for est, want in zip(estimates, reference.placement_counts(geo, K, M, ranges)):
+        assert np.array_equal(est.matrix, np.array(want, float).reshape(M, K) / geo.n_slots)
 
 
 def test_zero_range_never_encounters():

@@ -246,6 +246,39 @@ def test_a_count_that_is_no_integer_is_a_config_error(name, count):
         f"{name}: count must be an integer, got {count!r}"]
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"p": ["0.6", True]}, "p: entries must be real numbers, got '0.6'"),
+    ({"p": "0.5"}, "p: entries must be real numbers, got '0.5'"),
+    ({"alpha": True}, "alpha: entries must be real numbers, got True"),
+    ({"p": "abc"}, "p: entries must be real numbers, got 'abc'"),
+    ({"p": {"a": 1}}, "p: entries must be real numbers, got {'a': 1}"),
+    ({"enc": [[0.5, 0.5], [0.5]]}, "enc: nested lists do not form an array: "),
+    ({"p": 10 ** 400}, "p: an integer entry is past the float range"),
+    ({"gamma": np.array([True])}, "gamma: entries must be real numbers, got array([ True])"),
+], ids=["string-and-bool-p", "string-p", "bool-alpha", "word-p", "dict-p", "ragged-enc",
+        "huge-int-p", "bool-array-gamma"])
+def test_a_parameter_that_is_no_real_array_is_a_config_error(change, message):
+    # the rules a config file meets hold for every caller, with one entry per bad field
+    params = {"K": 2, "M": 1, "p": 0.5, "enc": 0.5, "delta": 0.5, "price": 1.0,
+              "cost_fwd": 0.1, "cost_rcv": 0.1, **change}
+    with pytest.raises(ConfigError) as err:
+        GameConfig(**params)
+    assert len(err.value.errors) == 1 and err.value.errors[0].startswith(message), err.value
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_slots": True, "seed": True, "side_km": "1", "range_km": 0.2},
+    {"n_slots": 2.5, "seed": 1.5, "side_km": None, "range_km": (True,)},
+    {"n_slots": 0, "seed": -1, "side_km": float("nan"), "range_km": ("0.2",),
+     "placement": "hexagons"},
+], ids=["bools-and-strings", "floats-and-none", "out-of-range"])
+def test_a_geometry_config_names_every_bad_field(bad):
+    with pytest.raises(ValueError) as err:
+        GeometryConfig(**bad)
+    named = [entry.split(" ")[0].rstrip(":") for entry in str(err.value).split("; ")]
+    assert sorted(named) == sorted(bad), err.value
+
+
 def test_a_huge_vehicle_count_builds_nothing_of_its_size():
     tracemalloc.start()
     try:
