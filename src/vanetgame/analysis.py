@@ -153,12 +153,12 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     grand, bar = grand[:, None], np.asarray(x)[:, None]
     gain_witness = preference_witness = best = None
     q, t = cfg.enc.T[:, :, None], np.arange(cfg.M)[:, None]
-    h = np.array([_brackets(qi) for qi in cfg.enc.T])
+    h = _brackets(cfg.enc.T)
     size = min(1 << n, _BLOCK_MASKS)
     width = min(size, 1 << K)   # a block is a grid: RSU sets x vehicle subsets of width
     for base in range(0, 1 << n, size):
         masks = np.arange(base, base + size)
-        member = np.array([masks >> k & 1 for k in range(n)], dtype=bool)
+        member = masks & (1 << np.arange(n))[:, None] != 0
         grid = member.reshape(n, -1, width)
         pr = q * h[:, masks[::width] >> K & ~(1 << t)] * grid[K:, :, 0]   # P(t relays i | R)
         payoff = _table(cfg, grid[:K, :1], grid[K:, :, :1], pr[..., None])[-1].reshape(n, size)
@@ -289,12 +289,11 @@ def _check_partitions(n: int) -> list:
 
 
 def _fold(op, start: float, mask, terms) -> np.ndarray:
-    """op(acc, term) over each entry's member terms, row by row from start, the rows of
-    mask and terms broadcasting: a Python sum (start 0.0) or product (1.0) in id order."""
-    acc = np.full(np.broadcast_shapes(np.shape(mask)[1:], np.shape(terms)[1:]), start)
-    for held, term in zip(mask, terms):
-        acc = np.where(held, op(acc, term), acc)
-    return acc
+    """op(acc, term) over each entry's member terms, players first (mask and terms have as
+    many axes): a Python sum (start 0.0) or product (1.0) in id order, one accumulate over a
+    start row and terms that are start off the mask (x + 0.0 is x in a sum from +0.0)."""
+    rows = np.where(mask, terms, start)
+    return op.accumulate(np.concatenate((np.full((1, *rows.shape[1:]), start), rows)))[-1]
 
 
 def _gap(mask, a, b) -> np.ndarray:
@@ -338,7 +337,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     has_vehicle, has_rsu = veh.any(axis=0), rsu.any(axis=0)
 
     share_gap = _gap(has_vehicle, _fold(np.add, 0.0, veh, share[:, :C]),
-                     1.0 - _fold(np.multiply, 1.0, veh, 1.0 - cfg.p))
+                     1.0 - _fold(np.multiply, 1.0, veh, (1.0 - cfg.p)[:, None]))
     # (RSU, vehicle, coalition) arrays: every vehicle's sums over the coalition's RSUs at once
     served, in_rsu, relay = veh & has_rsu, rsu[:, None], pr[:, :, :C].transpose(1, 0, 2)
     with np.errstate(divide="ignore"):   # P(any encounter) without cancellation; q = 1 adds -inf

@@ -58,23 +58,23 @@ def _bracket(coef: np.ndarray) -> np.ndarray:
 
 
 def _brackets(q: np.ndarray) -> np.ndarray:
-    """E[1/(B+1)] for the number B of RSUs in R that meet one vehicle, for every
-    RSU subset R (bit t: encounter probability q[t]). The coefficients of the
-    low RSUs' subsets double one RSU at a time, and each block sharing its high
-    RSUs adds those after them: every subset adds its RSUs in ascending order."""
-    M = len(q)
+    """E[1/(B+1)] for the number B of RSUs in R that meet a vehicle, for every RSU subset
+    R (bit t: encounter probability q[..., t]) and each row of q (..., M): (..., 2^M). The
+    low RSUs' coefficients, from P(B = 0) = 1 of q's type, double one RSU at a time, and each
+    block sharing its high RSUs adds those after them: a subset adds its RSUs in ascending order."""
+    M = q.shape[-1]
     low = min(M, _COEF_BITS)
-    coef = np.eye(1, M + 1, dtype=q.dtype) * q.sum() ** 0   # no RSU: P(B = 0) = 1 of q's type
+    coef = np.eye(1, M + 1, dtype=q.dtype) * q.sum(-1, keepdims=True)[..., None] ** 0
     for t in range(low):   # rows R | 1 << t follow rows R
-        coef = np.concatenate([coef, _extend(coef, q[t])])
+        coef = np.concatenate([coef, _extend(coef, q[..., t, None, None])], axis=-2)
     h = []
     for high in range(1 << (M - low)):
         rows = coef
         for t in range(low, M):
             if high >> (t - low) & 1:
-                rows = _extend(rows, q[t])
+                rows = _extend(rows, q[..., t, None, None])
         h.append(_bracket(rows))
-    return np.concatenate(h)
+    return np.concatenate(h, axis=-1)
 
 
 def _relay_probs(q: np.ndarray, rsus: np.ndarray) -> np.ndarray:
@@ -132,33 +132,33 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
 @np.errstate(over="ignore", invalid="ignore")   # check reports a non-finite residual
 def _oracle_batch(q: np.ndarray, w: np.ndarray):
     """oracle_relay_mean of P (vehicle, coalition) pairs of n RSUs each at once, from
-    their encounter probabilities q and weights w (both (P, n)): values (P,) and
-    relay probabilities (P, n). Sets come in ascending mask order, at most
-    2^_ORACLE_BLOCK_BITS (pair, set) cells at a time; every product and sum runs
-    in ascending RSU and mask order (accumulate, never a pairwise sum).
-    """
+    their encounter probabilities q and weights w (both (P, n)): values (P,) and relay
+    probabilities (P, n), at most 2^_ORACLE_BLOCK_BITS (pair, set) cells at a time. Set
+    probabilities and weight sums double one low RSU at a time, and a block of sets takes
+    its high RSUs after them: products and sums in ascending RSU order. Sets add up in
+    ascending mask order (accumulate, never a pairwise sum), carried across blocks."""
     P, n = q.shape
-    # column 0 is a slot that no set holds, so each accumulation starts from 1.0 or 0.0
-    q = np.concatenate((np.zeros((P, 1)), q), axis=1)[..., None]
-    w = np.concatenate((np.zeros((P, 1)), w), axis=1)[..., None]
-    idle = 1.0 - q
-    flags = np.array([0] + [1 << k for k in range(n)]).reshape(n + 1, 1)
-    block = 1 << min(n, _ORACLE_BLOCK_BITS)
-    pairs = 1 << max(_ORACLE_BLOCK_BITS - n, 0)
-    value, chosen = np.zeros(P), np.zeros((P, n + 1))
-    for start in range(0, 1 << n, block):
-        bit = np.arange(start, start + block) & flags != 0
-        size = np.maximum(bit.sum(axis=0), 1)   # the empty set adds prob * 0.0 / 1
-        for part in (slice(first, first + pairs) for first in range(0, P, pairs)):
-            prob = np.multiply.accumulate(np.where(bit, q[part], idle[part]), axis=1)[:, -1]
-            wsum = np.add.accumulate(np.where(bit, w[part], 0.0), axis=1)[:, -1]
-            terms = prob * wsum / size
-            terms[:, 0] += value[part]   # the carry from the masks before this block
-            value[part] = np.add.accumulate(terms, axis=1)[:, -1]
-            terms = np.where(bit, (prob / size)[:, None], 0.0)
-            terms[..., 0] += chosen[part]
-            chosen[part] = np.add.accumulate(terms, axis=2)[..., -1]
-    return value, chosen[:, 1:]
+    low = min(n, _ORACLE_BLOCK_BITS)
+    bits = np.arange(1 << low) >> np.arange(low)[:, None] & 1   # low RSU t in each set of a block
+    holding = np.nonzero(bits)[1].reshape(low, (1 << low) >> 1).T   # column t: the sets holding t
+    value, chosen, pairs = np.zeros(P), np.zeros((P, n)), 1 << (_ORACLE_BLOCK_BITS - low)
+    for part in (slice(first, first + pairs) for first in range(0, P, pairs)):
+        prob, wsum = np.ones((1, len(q[part]))), np.zeros((1, len(q[part])))   # (sets, pairs)
+        for t in range(low):   # sets R | 1 << t follow sets R
+            prob = np.concatenate((prob * (1.0 - q[part, t]), prob * q[part, t]))
+            wsum = np.concatenate((wsum, wsum + w[part, t]))   # a sum from +0.0 is never -0.0
+        for high in range(1 << (n - low)):
+            held = [t for t in range(low, n) if high >> (t - low) & 1]
+            block, total = prob, sum((w[part, t] for t in held), wsum)
+            for t in range(low, n):
+                block = block * (q[part, t] if t in held else 1.0 - q[part, t])
+            count = np.maximum(bits.sum(axis=0)[:, None] + len(held), 1)   # the empty set adds 0.0
+            value[part] = np.add.accumulate(np.vstack((value[part], block * total / count)))[-1]
+            terms = np.vstack((chosen[None, part, :low], (block / count)[holding].swapaxes(1, 2)))
+            chosen[part, :low] = np.add.accumulate(terms)[-1]
+            for t in held:   # every set of the block holds RSU t
+                chosen[part, t] = np.add.accumulate(np.vstack((chosen[part, t], block / count)))[-1]
+    return value, chosen
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import uniform_chunks
-from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
+from .model import CoalitionStructure, GameConfig, _integer, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
@@ -206,10 +206,10 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
     errors = check_structure(cs, cfg.n_players)
     if errors:
         raise ValueError("invalid structure: " + "; ".join(errors))
-    if n_slots < 1:
-        raise ValueError("n_slots must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if not (_integer(n_slots) and n_slots >= 1):
+        raise ValueError(f"n_slots must be a positive integer, got {n_slots!r}")
+    if not (_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import pathlib
 import tracemalloc
 
@@ -525,3 +526,27 @@ def test_profitability_covers_vehicle_prefixes_beyond_the_sampled_partitions(mon
     cfg = resolve_encounter(load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json"))
     assert _profitability_detail_with_the_pair_flipped(monkeypatch, cfg) == (
         "checked over vehicle-only coalitions (coalition [1, 2])")
+
+
+@pytest.mark.parametrize("mask_shape, term_shape",
+                         [((6, 5, 4), (6, 5, 4)), ((6, 5, 1), (6, 1, 4)), ((0, 3), (0, 3))],
+                         ids=["same-shape", "broadcast", "no-players"])
+def test_fold_equals_a_python_loop_bit_for_bit(mask_shape, term_shape):
+    """Rows in ascending order, sums from 0.0 and products from 1.0, as a Python loop
+    adds and multiplies floats; masked-out NaN and inf terms raise no RuntimeWarning."""
+    rng = np.random.default_rng(len(mask_shape) + mask_shape[-1])
+    mask = rng.random(mask_shape) < 0.5
+    terms = rng.choice([-0.0, 0.0, 0.1, -2.5, 3.0, 1 / 3], term_shape)
+    mask[2:3] = False   # player 3 is a member nowhere: its NaN and inf terms must add nothing
+    terms[2:3] = rng.choice([np.nan, np.inf, -np.inf], terms[2:3].shape)
+    held, term = np.broadcast_arrays(mask, terms)
+    for op, start, python_op in ((np.add, 0.0, operator.add), (np.multiply, 1.0, operator.mul)):
+        want = np.full(held.shape[1:], start)
+        for index in np.ndindex(want.shape):
+            acc = start
+            for m, t in zip(held[(slice(None), *index)], term[(slice(None), *index)].tolist()):
+                acc = python_op(acc, t) if m else acc
+            want[index] = acc
+        assert analysis._fold(op, start, mask, terms).tobytes() == want.tobytes()
+    every = np.ones((2, 1), bool)   # a sum of -0.0 terms from 0.0 is +0.0, as in Python
+    assert analysis._fold(np.add, 0.0, every, np.full((2, 1), -0.0)).tobytes() == bytes(8)

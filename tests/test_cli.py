@@ -640,8 +640,9 @@ def test_deeply_nested_config_exits_3(tmp_path, capsys, text, message):
 
 @pytest.mark.parametrize("slots", ["0", "-5"])
 def test_encounter_nonpositive_slots_exit_3(capsys, slots):
-    assert main(["encounter", "--slots", slots, "--d-sweep", "0.2"]) == 3
-    assert capsys.readouterr().err == f"error: n_slots must be a positive integer, got {slots}\n"
+    for command in (["encounter", "--d-sweep", "0.2"], ["simulate"]):
+        assert main([*command, "--slots", slots]) == 3
+        assert capsys.readouterr().err == f"error: n_slots must be a positive integer, got {slots}\n"
 
 
 @pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("encounter", "-3")])

@@ -172,9 +172,18 @@ def test_zero_players_rejected():
      "^seed must be a nonnegative integer, got -3$"),
     (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 10, seed=-1),
      "^seed must be a nonnegative integer, got -1$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 10, seed=1.5),
+     "^seed must be a nonnegative integer, got 1.5$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, True, seed=1),
+     "^n_slots must be a positive integer, got True$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 2.5, seed=1),
+     "^n_slots must be a positive integer, got 2.5$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, "10", seed=1),
+     "^n_slots must be a positive integer, got '10'$"),
 ], ids=["profitability-empty", "oracle-non-vehicle", "config-negative-M",
         "structure-empty-block", "csv-zero-players", "csv-128-players", "unrank-zero-players",
-        "bell-negative", "geometry-negative-seed", "simulate-negative-seed"])
+        "bell-negative", "geometry-negative-seed", "simulate-negative-seed", "simulate-float-seed",
+        "simulate-bool-slots", "simulate-float-slots", "simulate-str-slots"])
 def test_library_errors_name_their_cause(default_cfg, call, message):
     with pytest.raises(ValueError, match=message):
         call(default_cfg)

@@ -308,17 +308,29 @@ def test_exact_verdict_equals_brute_force(cfg):
     assert verdict.membership.blocking == blocker
 
 
+# Eleven RSUs: the low ten share one coefficient block of _brackets and the eleventh
+# is added per block, so sets holding it take the high-RSU path
+ELEVEN_RSUS = [Fraction(a, b) for a, b in ((3, 10), (1, 3), (1, 1), (7, 10), (0, 1), (2, 3),
+                                           (1, 2), (1, 10), (9, 10), (1, 3), (3, 5))]
+
+
 def test_brackets_run_exactly_past_the_coefficient_block():
-    """Eleven RSUs: the low ten share one coefficient block and the eleventh is
-    added per block, so sets holding it take the high-RSU path."""
-    q = [Fraction(a, b) for a, b in ((3, 10), (1, 3), (1, 1), (7, 10), (0, 1), (2, 3),
-                                     (1, 2), (1, 10), (9, 10), (1, 3), (3, 5))]
+    q = ELEVEN_RSUS
     assert len(q) > analytic._COEF_BITS
     h = analytic._brackets(np.array(q, dtype=object))
     rng = np.random.default_rng(11)
     for mask in [0, 1, 1 << 10, (1 << 11) - 1, *rng.integers(0, 1 << 11, 12).tolist()]:
         _assert_exact(h[mask], reference.exact_bracket([q[t] for t in range(11) if mask >> t & 1]),
                       mask)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object])
+def test_brackets_of_many_vehicles_equal_one_call_per_vehicle(dtype):
+    """_brackets on a (K, M) array gives, row by row, the one-vehicle call's entries."""
+    q = np.array([ELEVEN_RSUS, ELEVEN_RSUS[::-1]], dtype=dtype)
+    batch = analytic._brackets(q)
+    assert batch.dtype == q.dtype and (batch == np.stack([analytic._brackets(row) for row in q])).all()
+    assert (analytic._brackets(q[:, :0]) == q.sum(axis=1, keepdims=True) ** 0).all()   # no RSU
 
 
 @pytest.mark.parametrize("block_masks", [None, 16])
