@@ -10,8 +10,8 @@ import numpy as np
 
 from .analytic import (ABS_TOL, _ORACLE_BLOCK_BITS, PayoffReport, _brackets, _oracle_batch,
                        _reports, _table, _tables, player_payoffs)
-from .model import (Coalition, GameConfig, _blocks_of, _label_blocks, check_structure,
-                    format_structure, normalize_structure, split_members)
+from .model import (Coalition, GameConfig, _blocks_of, _in_vehicle_block, _label_blocks,
+                    check_structure, format_structure, split_members)
 
 __all__ = [
     "structure_payoffs",
@@ -74,10 +74,10 @@ def vehicle_coalition_profitability(S, cfg: GameConfig) -> dict:
                          "condition is defined for vehicle-only coalitions")
     if not vehicles:
         raise ValueError("empty coalition")
-    negative = [i for i in vehicles if cfg.alpha[cfg.vrow(i)] < 0.0]
+    negative = [i for i in vehicles if cfg.alpha[i - 1] < 0.0]
     if negative:
         raise ValueError(f"negative throughput weight for players {negative}")
-    return {member: bool(math.prod(1.0 - cfg.p[cfg.vrow(v)] for v in vehicles if v > member)
+    return {member: bool(math.prod(1.0 - cfg.p[v - 1] for v in vehicles if v > member)
                          <= 1.0 + ABS_TOL)
             for member in vehicles}
 
@@ -278,14 +278,14 @@ def _uniformized(cfg: GameConfig) -> GameConfig:
                                price=np.repeat(cfg.price[:1, :], cfg.M, axis=0))
 
 
-def _check_partitions(n: int) -> list:
-    """The first _CHECK_STRUCTURES partitions of {1..n} in canonical order (all when fewer).
-    Bell(6) = 203 >= 64: from n = 6 on, the first 203 label rows are 6 players' after zeros."""
+def _check_partitions(n: int) -> np.ndarray:
+    """Label rows of the first _CHECK_STRUCTURES partitions of {1..n}, canonical order (all if
+    fewer). Bell(6) = 203 >= 64: from n = 6 on, the first 203 rows are 6 players' after zeros."""
     width = min(n, 6)
     rows = np.concatenate(list(_label_blocks(width)))[:_CHECK_STRUCTURES]
     labels = np.zeros((len(rows), n), np.min_scalar_type(-n))
     labels[:, n - width:] = rows
-    return [_blocks_of(row) for row in labels.tolist()]
+    return labels
 
 
 def _fold(op, start: float, mask, terms) -> np.ndarray:
@@ -301,12 +301,6 @@ def _gap(mask, a, b) -> np.ndarray:
     return np.where(mask, np.abs(a - b), 0.0)
 
 
-def _owners(cs, col: dict, n: int) -> list:
-    """The column of each player's coalition under cs (-1 where cs misses a player)."""
-    owner = {m: col[block] for block in cs for m in block}
-    return [owner.get(m, -1) for m in range(1, n + 1)]
-
-
 def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
@@ -320,11 +314,10 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     column, the vehicle prefixes {1..i} included. Used by the CLI `check` subcommand.
     """
     n, K = cfg.n_players, cfg.K
-    partitions = _check_partitions(n)
-    normalized = [normalize_structure(cs, K) for cs in partitions]
+    labels = _check_partitions(n)
+    partitions = [_blocks_of(row) for row in labels.tolist()]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
-    columns = list(dict.fromkeys([*coalitions, *(block for cs in normalized for block in cs),
-                                  *(frozenset((i,)) for i in cfg.vehicles),
+    columns = list(dict.fromkeys([*coalitions, *(frozenset((m,)) for m in range(1, n + 1)),
                                   *(frozenset(range(1, i + 1)) for i in cfg.vehicles)]))
     col = {S: c for c, S in enumerate(columns)}
     uni = _uniformized(cfg)
@@ -388,17 +381,18 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     else:
         results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
 
+    owner = np.array([[col[cs[lab]] for lab in row]   # _blocks_of orders blocks by label
+                      for cs, row in zip(partitions, labels.tolist())])
     players = np.arange(n)
-    owner = np.array([_owners(cs, col, n) for cs in partitions])
     vec = payoff[players, owner]   # row p: every player's payoff under partitions[p]
-    bad = ~member[:K].any(axis=0)[owner] & (vec != 0.0)
+    alone = payoff[players, [col[frozenset((m,))] for m in range(1, n + 1)]]
+    rsu_only = ~_in_vehicle_block(labels, K)
+    bad = rsu_only & (vec != 0.0)
     k = int(bad.argmax())   # row-major: the first structure, then its lowest-id player
     where = f" (coalition {sorted(columns[owner.flat[k]])})" if bad.flat[k] else ""
     results.append(CheckResult("RSU-only coalitions earn exactly zero", not where,
                                "checked over enumerated structures" + where))
-    owner = np.array([_owners(norm, col, n) for norm in normalized])
-    bad = (np.array([bool(check_structure(norm, n)) for norm in normalized])
-           | (payoff[players, owner] != vec).any(axis=1))
+    bad = (np.where(rsu_only, alone, vec) != vec).any(axis=1)   # RSU-only blocks split up
     p = int(bad.argmax())
     where = f" (structure {format_structure(partitions[p])})" if bad[p] else ""
     results.append(CheckResult("normalization preserves every payoff exactly", not where,
@@ -408,7 +402,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     if (cfg.alpha < 0.0).any():
         results.append(CheckResult(name, None, "skipped: needs nonnegative throughput weights"))
         return results
-    alone = payoff[np.arange(K), [col[frozenset((i,))] for i in cfg.vehicles]]
+    alone = alone[:K]
     direct = payoff[:K] >= (alone - ABS_TOL * np.maximum(1.0, np.abs(alone)))[:, None]
     where = ""
     vehicle_only = np.flatnonzero(member[:K].any(axis=0) & ~member[K:].any(axis=0)).tolist()

@@ -124,7 +124,7 @@ def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     _, rsus = split_members(S, cfg.K)
     if len(rsus) > _ORACLE_MAX_RSUS:
         raise ValueError(f"enumeration bound exceeded: {len(rsus)} RSUs > {_ORACLE_MAX_RSUS}")
-    q = np.array([[float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]])
+    q = np.array([[float(cfg.enc[j - cfg.K - 1, i - 1]) for j in rsus]])
     value, chosen = _oracle_batch(q, np.array([[float(weights[j]) for j in rsus]]))
     return float(value[0]), dict(zip(rsus, chosen[0].tolist()))
 

@@ -35,12 +35,12 @@ class LoadedConfig:
 
 
 # The built-in 2-vehicle / 2-RSU scenario as a config document. It is parsed
-# like a file, its scalars spread, and a file's geometry section falls back to
-# it key by key.
+# like a file, its scalars spread, a file's geometry section falls back to it
+# key by key, and it holds every key a file may use.
 _BUILTIN = {
     "game": {"K": 2, "M": 2, "p": 0.6, "delta": 0.5, "price": 1.5, "cost_fwd": 0.5,
              "cost_rcv": 0.2, "alpha": 10.0, "beta": 1.0, "gamma": 1.0, "mu": 1.0},
-    "encounter": {"matrix": 0.5},
+    "encounter": {"matrix": 0.5, "from_geometry": False},
     "geometry": {"side_km": 1.0, "placement": "continuous", "range_km": 0.2,
                  "n_slots": 1_000_000, "seed": 20_240_808},
 }
@@ -95,10 +95,13 @@ def load_config(path=None) -> LoadedConfig:
 
 def _parse(doc: dict, source) -> LoadedConfig:
     """The config one JSON document describes; `source` names the document in messages."""
-    errors = []
+    errors = [f"unknown section {name!r}" for name in doc if name not in _BUILTIN]
     game = doc.get("game")
     encounter = _section(doc, "encounter", errors, default={})
     geo_section = _section(doc, "geometry", errors)
+    for name, section in (("game", game), ("encounter", encounter), ("geometry", geo_section)):
+        if isinstance(section, dict):   # a key of no built-in section is a typo
+            errors += [f"{name}: unknown key {k!r}" for k in section if k not in _BUILTIN[name]]
     if not isinstance(game, dict):
         errors.append(f"{source}: missing or malformed 'game' section")
     elif missing := [k for k in _BUILTIN["game"] if k not in game]:

@@ -55,16 +55,21 @@ class GeometryConfig:
             errors.append(f"range_km must be a sequence of ranges, got {self.range_km!r}")
         elif not isinstance(ranges, str) and not ((ranges >= 0.0) & (ranges < math.inf)).all():
             errors.append("transmission ranges must be nonnegative and finite")
-        if not (_integer(self.n_slots) and self.n_slots >= 1):
-            errors.append(f"n_slots must be a positive integer, got {self.n_slots!r}")
-        if not (_integer(self.seed) and self.seed >= 0):
-            errors.append(f"seed must be a nonnegative integer, got {self.seed!r}")
+        errors += _run_errors(self.n_slots, self.seed)
         if self.placement not in PLACEMENTS:
             errors.append(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if errors:
             raise ValueError("; ".join(errors))
         object.__setattr__(self, "side_km", float(side))
         object.__setattr__(self, "range_km", tuple(ranges.tolist()))
+
+
+def _run_errors(n_slots, seed) -> list[str]:
+    """Every violation of the rule on a random run's slot count and seed."""
+    rules = ((n_slots, 1, "n_slots must be a positive integer"),
+             (seed, 0, "seed must be a nonnegative integer"))
+    return [f"{rule}, got {value!r}" for value, low, rule in rules
+            if not (_integer(value) and value >= low)]
 
 
 def analytic_pair_encounter(d: float, side: float = 1.0) -> float:

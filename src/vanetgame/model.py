@@ -90,14 +90,6 @@ class GameConfig:
     def vehicles(self) -> range:
         return range(1, self.K + 1)
 
-    def vrow(self, vehicle: int) -> int:
-        """0-based index of a vehicle id into the (K, ...) arrays."""
-        return vehicle - 1
-
-    def rrow(self, rsu: int) -> int:
-        """0-based index of an RSU id into the (M, ...) arrays."""
-        return rsu - self.K - 1
-
 
 class ConfigError(ValueError):
     """Invalid game config or config file; .errors carries the full violation list."""
@@ -245,6 +237,11 @@ def _blocks_of(labels) -> CoalitionStructure:
     return tuple(frozenset(b) for b in blocks)
 
 
+def _in_vehicle_block(labels, K: int):
+    """Each label row's players in a vehicle's block: vehicles 1..K hold labels 0..their max."""
+    return labels <= labels[:, :K].max(axis=1, keepdims=True)
+
+
 def iter_partitions(n_players: int):
     """Lazily yield every set partition of {1..n}, each once, in canonical order."""
     n = int(n_players)
@@ -332,8 +329,7 @@ def structure_csv_blocks(n_players: int, K: int):
     for labels in _label_blocks(n):
         rows = labels.shape[0]
         structure, top = _field(labels, tokens)
-        normalized, _ = _field(np.where(labels <= labels[:, :K].max(axis=1, keepdims=True),
-                                        labels, loose), tokens)
+        normalized, _ = _field(np.where(_in_vehicle_block(labels, K), labels, loose), tokens)
         mat = np.concatenate((
             _digits(np.arange(first, first + rows), id_width),
             structure, normalized, np.full((rows, 1), ord(","), np.uint8),

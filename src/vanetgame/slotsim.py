@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import uniform_chunks
-from .model import CoalitionStructure, GameConfig, _integer, canonical_structure, check_structure
+from .geometry import _run_errors, uniform_chunks
+from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
@@ -206,10 +206,9 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
     errors = check_structure(cs, cfg.n_players)
     if errors:
         raise ValueError("invalid structure: " + "; ".join(errors))
-    if not (_integer(n_slots) and n_slots >= 1):
-        raise ValueError(f"n_slots must be a positive integer, got {n_slots!r}")
-    if not (_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    errors = _run_errors(n_slots, seed)
+    if errors:
+        raise ValueError("; ".join(errors))
 
     K, M = cfg.K, cfg.M
     layout = _layout(cs, cfg)

@@ -47,10 +47,10 @@ from vanetgame.model import (_SHAPES, GameConfig, canonical_structure, check_str
 
 
 def _share(vehicles, i, cfg):
-    share = float(cfg.p[cfg.vrow(i)])
+    share = float(cfg.p[i - 1])
     for v in vehicles:
         if v < i:
-            share *= 1.0 - cfg.p[cfg.vrow(v)]
+            share *= 1.0 - cfg.p[v - 1]
     return float(share)
 
 
@@ -78,8 +78,8 @@ def relay_choice_probs(q):
 def _relay_terms(cfg, i, rsus):
     """(relay-choice vector, rate gain, fee, per-RSU (price, forwarding cost,
     expected receiving cost)) of vehicle i over the coalition's sorted RSUs."""
-    vi = cfg.vrow(i)
-    rows = [cfg.rrow(j) for j in rsus]
+    vi = i - 1
+    rows = [j - cfg.K - 1 for j in rsus]
     probs = relay_choice_probs([cfg.enc[r, vi] for r in rows])
     gain = fee = 0.0
     for r, pr in zip(rows, probs):
@@ -94,7 +94,7 @@ def player_payoffs(S, cfg):
     """The PayoffReport of coalition S, one vehicle at a time."""
     S = frozenset(S)
     vehicles, rsus = split_members(S, cfg.K)
-    idle_outside = [float(1.0 - cfg.p[cfg.vrow(v)]) for v in cfg.vehicles if v not in vehicles]
+    idle_outside = [float(1.0 - cfg.p[v - 1]) for v in cfg.vehicles if v not in vehicles]
     share, gain, fee, thr, pay, u_veh = {}, {}, {}, {}, {}, {}
     relay, rev, cst = {j: {} for j in rsus}, dict.fromkeys(rsus, 0.0), dict.fromkeys(rsus, 0.0)
     for i in vehicles:
@@ -105,12 +105,12 @@ def player_payoffs(S, cfg):
             t *= idle
         thr[i] = t
         pay[i] = s * fee[i]
-        u_veh[i] = float(cfg.alpha[cfg.vrow(i)]) * t - float(cfg.beta[cfg.vrow(i)]) * pay[i]
+        u_veh[i] = float(cfg.alpha[i - 1]) * t - float(cfg.beta[i - 1]) * pay[i]
         for j, pr, (price, fwd, rcv) in zip(rsus, probs, charges):
             relay[j][i] = pr
             rev[j] += s * pr * price
             cst[j] += s * (fwd * pr + rcv)
-    u_rsu = {j: float(cfg.gamma[cfg.rrow(j)]) * rev[j] - float(cfg.mu[cfg.rrow(j)]) * cst[j]
+    u_rsu = {j: float(cfg.gamma[j - cfg.K - 1]) * rev[j] - float(cfg.mu[j - cfg.K - 1]) * cst[j]
              for j in rsus}
     total = 0.0
     for u in (*u_veh.values(), *u_rsu.values()):
@@ -125,7 +125,7 @@ def oracle_relay_mean(S, i, weights, cfg):
     """(expected weight, {RSU: P(chosen)}) of vehicle i's uniform relay pick,
     one encounter set at a time in ascending mask order."""
     _, rsus = split_members(S, cfg.K)
-    q = [float(cfg.enc[cfg.rrow(j), cfg.vrow(i)]) for j in rsus]
+    q = [float(cfg.enc[j - cfg.K - 1, i - 1]) for j in rsus]
     w = [float(weights[j]) for j in rsus]
     n = len(rsus)
     value = 0.0
@@ -297,18 +297,18 @@ def identity_checks(cfg):
     def share_sum(S, rep, vehicles, rsus):
         if vehicles:
             yield (sum(rep.share[i] for i in vehicles),
-                   1.0 - _idle(cfg.p[cfg.vrow(i)] for i in vehicles))
+                   1.0 - _idle(cfg.p[i - 1] for i in vehicles))
 
     def relay_row_sum(S, rep, vehicles, rsus):
         for i in vehicles if rsus else ():
             yield (sum(rep.relay_prob[j][i] for j in rsus),
-                   _reach(cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus))
+                   _reach(cfg.enc[j - cfg.K - 1, i - 1] for j in rsus))
 
     def mean_vs_relay_prob(S, rep, vehicles, rsus):
         for i in vehicles if rsus else ():
-            yield rep.fee[i], sum(rep.relay_prob[j][i] * cfg.price[cfg.rrow(j), cfg.vrow(i)]
+            yield rep.fee[i], sum(rep.relay_prob[j][i] * cfg.price[j - cfg.K - 1, i - 1]
                                   for j in rsus)
-            yield rep.rate_gain[i], sum(rep.relay_prob[j][i] * cfg.delta[cfg.vrow(i), cfg.rrow(j)]
+            yield rep.rate_gain[i], sum(rep.relay_prob[j][i] * cfg.delta[i - 1, j - cfg.K - 1]
                                         for j in rsus)
 
     def payment_balance(S, rep, vehicles, rsus):
@@ -316,7 +316,7 @@ def identity_checks(cfg):
 
     def oracle_agreement(S, rep, vehicles, rsus):
         for i in vehicles if rsus and len(rsus) <= 12 else ():
-            weights = {j: float(cfg.delta[cfg.vrow(i), cfg.rrow(j)]) for j in rsus}
+            weights = {j: float(cfg.delta[i - 1, j - cfg.K - 1]) for j in rsus}
             value, chosen = oracle_relay_mean(S, i, weights, cfg)
             yield value, rep.rate_gain[i]
             for j in rsus:
@@ -325,9 +325,9 @@ def identity_checks(cfg):
     def simplified_forms(S, _, vehicles, rsus):
         rep = uni_reports[S]
         for i in vehicles:
-            reach = _reach(uni.enc[uni.rrow(j), uni.vrow(i)] for j in rsus)
-            d_i = float(uni.delta[uni.vrow(i), 0]) if rsus else 0.0
-            xi_i = float(uni.price[0, uni.vrow(i)]) if rsus else 0.0
+            reach = _reach(uni.enc[j - uni.K - 1, i - 1] for j in rsus)
+            d_i = float(uni.delta[i - 1, 0]) if rsus else 0.0
+            xi_i = float(uni.price[0, i - 1]) if rsus else 0.0
             yield rep.rate_gain[i], d_i * reach
             yield rep.fee[i], xi_i * reach
 
@@ -436,7 +436,7 @@ def exact_quantities(S, cfg) -> dict:
             clear[here[0]] += prob if len(here) == len(active) else zero
     relay = {(j, i): zero for j in rsus for i in vehicles}
     for i in vehicles:
-        q = [cfg.enc[cfg.rrow(j), cfg.vrow(i)] for j in rsus]
+        q = [cfg.enc[j - cfg.K - 1, i - 1] for j in rsus]
         for prob, pattern in _outcomes(q):
             met = [j for j, on in zip(rsus, pattern) if on]
             for j in met:
@@ -444,18 +444,18 @@ def exact_quantities(S, cfg) -> dict:
     out = {"share": share, "relay_prob": relay, "rate_gain": {}, "fee": {},
            "benefit": {}, "charge": {}, "payoff": {}}
     for i in vehicles:
-        v = cfg.vrow(i)
-        gain = sum((relay[j, i] * cfg.delta[v, cfg.rrow(j)] for j in rsus), zero)
-        fee = sum((relay[j, i] * cfg.price[cfg.rrow(j), v] for j in rsus), zero)
+        v = i - 1
+        gain = sum((relay[j, i] * cfg.delta[v, j - cfg.K - 1] for j in rsus), zero)
+        fee = sum((relay[j, i] * cfg.price[j - cfg.K - 1, v] for j in rsus), zero)
         out["rate_gain"][i], out["fee"][i] = gain, fee
         out["benefit"][i], out["charge"][i] = clear[i] * (1 + gain), share[i] * fee
         out["payoff"][i] = cfg.alpha[v] * out["benefit"][i] - cfg.beta[v] * out["charge"][i]
     for j in rsus:
-        r = cfg.rrow(j)
-        out["benefit"][j] = sum((share[i] * relay[j, i] * cfg.price[r, cfg.vrow(i)]
+        r = j - cfg.K - 1
+        out["benefit"][j] = sum((share[i] * relay[j, i] * cfg.price[r, i - 1]
                                  for i in vehicles), zero)
-        out["charge"][j] = sum((share[i] * (relay[j, i] * cfg.cost_fwd[r, cfg.vrow(i)]
-                                            + cfg.enc[r, cfg.vrow(i)] * cfg.cost_rcv[r, cfg.vrow(i)])
+        out["charge"][j] = sum((share[i] * (relay[j, i] * cfg.cost_fwd[r, i - 1]
+                                            + cfg.enc[r, i - 1] * cfg.cost_rcv[r, i - 1])
                                 for i in vehicles), zero)
         out["payoff"][j] = cfg.gamma[r] * out["benefit"][j] - cfg.mu[r] * out["charge"][j]
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import analysis, analytic
+from vanetgame import analysis, analytic, model
 from vanetgame.configio import load_config, resolve_encounter
 from vanetgame import (ABS_TOL, GameConfig, canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions,
@@ -497,14 +497,14 @@ def test_rsu_only_failure_names_the_coalition(monkeypatch, default_cfg):
 
 
 def test_normalization_failure_names_the_structure(monkeypatch, default_cfg):
-    def merged(cs, K):   # joins vehicles 1 and 2 in the all-singletons structure only
-        if cs == ALL_SINGLETONS:
-            return VEHICLE_PAIR
-        return normalize_structure(cs, K)
+    def unmarked(labels, K):   # the vehicle pair's block of 1,2|3|4 only counts as RSU-only
+        mask = model._in_vehicle_block(labels, K)
+        mask[(labels == [0, 0, 1, 2]).all(axis=1), :2] = False
+        return mask
 
-    monkeypatch.setattr(analysis, "normalize_structure", merged)
+    monkeypatch.setattr(analysis, "_in_vehicle_block", unmarked)
     assert _detail(default_cfg, "normalization preserves every payoff exactly") == (
-        "checked over enumerated structures (structure 1|2|3|4)")
+        "checked over enumerated structures (structure 1,2|3|4)")
 
 
 def _profitability_detail_with_the_pair_flipped(monkeypatch, cfg):

@@ -526,11 +526,15 @@ def _malformed(edit):
      "config error: p: non-finite entries\n"),
     (_malformed(lambda d: d["encounter"].update(matrix=[[0.5, 0.5], [0.5]])),
      "config error: enc: nested lists do not form an array: "),
+    (_malformed(lambda d: d["geometry"].update(placment="grid")),
+     "config error: geometry: unknown key 'placment'\n"),
+    (_malformed(lambda d: d["game"].update(alhpa=3)), "config error: game: unknown key 'alhpa'\n"),
+    (_malformed(lambda d: d.update(encouter={})), "config error: unknown section 'encouter'\n"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
         "string-matrix-entry", "bool-matrix-entry", "string-p", "bool-alpha", "null-delta",
         "string-side_km", "bool-range_km", "string-range_km-entry", "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
         "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km", "K-0", "nan-p",
-        "ragged-matrix"])
+        "ragged-matrix", "typo-geometry-key", "typo-game-key", "typo-section"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

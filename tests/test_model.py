@@ -93,7 +93,19 @@ def test_check_prefix_matches_the_reference_walker(n):
     # (int16 labels at n = 130)
     want = list(islice(reference.partitions(n), 64))
     assert list(islice(iter_partitions(n), 64)) == want
-    assert analysis._check_partitions(n) == want
+    assert [model._blocks_of(row) for row in analysis._check_partitions(n).tolist()] == want
+
+
+@pytest.mark.parametrize("n", [6, 12, 130])
+def test_rsu_only_blocks_split_up_are_the_normalized_structure(n):
+    # `check` normalizes its sample rows with the rule `enumerate` uses: every player outside
+    # a vehicle's block gets a key of its own, and the players sharing a key form a block
+    labels = analysis._check_partitions(n)
+    for K in sorted({1, 2, n // 2, n - 5, n - 1, n}):
+        keys = np.where(model._in_vehicle_block(labels, K), labels, np.arange(n, 2 * n))
+        for row, cs in zip(keys.tolist(), map(model._blocks_of, labels.tolist())):
+            split = [{m for m, key in enumerate(row, 1) if key == k} for k in set(row)]
+            assert canonical_structure(split) == normalize_structure(cs, K), (K, cs)
 
 
 def csv_body(n, K):
@@ -180,10 +192,13 @@ def test_zero_players_rejected():
      "^n_slots must be a positive integer, got 2.5$"),
     (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, "10", seed=1),
      "^n_slots must be a positive integer, got '10'$"),
+    (lambda cfg: simulate_slots((frozenset({1, 2, 3, 4}),), cfg, 0, seed=-1),
+     "^n_slots must be a positive integer, got 0; seed must be a nonnegative integer, got -1$"),
 ], ids=["profitability-empty", "oracle-non-vehicle", "config-negative-M",
         "structure-empty-block", "csv-zero-players", "csv-128-players", "unrank-zero-players",
         "bell-negative", "geometry-negative-seed", "simulate-negative-seed", "simulate-float-seed",
-        "simulate-bool-slots", "simulate-float-slots", "simulate-str-slots"])
+        "simulate-bool-slots", "simulate-float-slots", "simulate-str-slots",
+        "simulate-bad-slots-and-seed"])
 def test_library_errors_name_their_cause(default_cfg, call, message):
     with pytest.raises(ValueError, match=message):
         call(default_cfg)

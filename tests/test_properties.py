@@ -131,7 +131,7 @@ def _reference_analysis(cfg):
                         ok = (cfg.alpha[m - 1] * rep.throughput[m]
                               > cfg.beta[m - 1] * rep.payment[m])
                     else:
-                        r = cfg.rrow(m)
+                        r = m - cfg.K - 1
                         ok = cfg.gamma[r] * rep.revenue[m] > cfg.mu[r] * rep.cost[m]
                     if not ok:
                         gain = (m, S)
