@@ -11,8 +11,7 @@ from .analysis import (CheckResult, CoreConditions, CoreMembership, StabilityVer
                        core_membership, core_sufficient_conditions, run_identity_checks,
                        stability_verdict, structure_payoffs, structure_reports,
                        vehicle_coalition_profitability)
-from .analytic import (ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs,
-                       relay_choice_probs)
+from .analytic import ABS_TOL, PayoffReport, oracle_relay_mean, player_payoffs
 from .configio import ConfigError, LoadedConfig, load_config, resolve_encounter
 from .geometry import (EncounterEstimate, GeometryConfig, analytic_pair_encounter,
                        estimate_encounter_matrix)
@@ -53,7 +52,6 @@ __all__ = [
     "oracle_relay_mean",
     "parse_structure",
     "player_payoffs",
-    "relay_choice_probs",
     "resolve_encounter",
     "run_identity_checks",
     "simulate_slots",

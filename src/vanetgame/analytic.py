@@ -29,7 +29,6 @@ from .model import Coalition, GameConfig, split_members
 __all__ = [
     "ABS_TOL",
     "PayoffReport",
-    "relay_choice_probs",
     "oracle_relay_mean",
     "player_payoffs",
 ]
@@ -95,28 +94,13 @@ def _relay_probs(q: np.ndarray, rsus: np.ndarray) -> np.ndarray:
     return out
 
 
-def relay_choice_probs(q) -> list[float]:
-    """Probability that each RSU ends up as the relay, given encounter probabilities q.
-
-    RSU j wins the uniform pick against the B other encountered RSUs, so
-    P(j chosen) = q_j E[1/(B+1)]: q_j times the integral over [0, 1] of the
-    probability-generating function of the Poisson-binomial count B, whose
-    coefficients follow from the O(m^2) recursion of Hong (2013). O(m^3) in all.
-    """
-    q = [float(x) for x in q]
-    bad = [x for x in q if not 0.0 <= x <= 1.0]
-    if bad:
-        raise ValueError(f"encounter probabilities outside [0, 1]: {bad}")
-    return _relay_probs(np.reshape(q, (-1, 1)), np.ones((len(q), 1), dtype=bool))[:, 0].tolist()
-
-
 def oracle_relay_mean(S, i: int, weights, cfg: GameConfig):
     """Brute-force counterpart of the relay probabilities above, for validation.
 
     Enumerates all 2^(#RSUs) encounter sets directly and, inside each set,
     averages over the uniform relay choices. Returns the expected weight and
     the per-RSU probability of being the chosen relay. Kept deliberately
-    independent of relay_choice_probs and player_payoffs: the one-pair call of
+    independent of _relay_probs and player_payoffs: the one-pair call of
     _oracle_batch.
     """
     if i not in cfg.vehicles or i not in S:

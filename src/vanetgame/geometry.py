@@ -124,30 +124,33 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
     for g in geos:
         if len(g.range_km) != K:
             raise ValueError(f"range_km has {len(g.range_km)} transmission ranges, expected {K}")
-    range_sq = [np.asarray(g.range_km, dtype=np.float64)[:, None] ** 2 for g in geos]
-    counts = np.zeros((len(geos), M, K), dtype=np.int64)
-    for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
-        # (2, nodes, slots): contiguous x and y rows, so each step runs over whole rows
-        pos = np.ascontiguousarray(u.reshape(u.shape[0], -1, 2).transpose(2, 1, 0))
-        del u   # free the draw before the work below
-        if geo.placement == "grid":
-            pos = np.minimum((pos * GRID_CELLS).astype(np.int64), GRID_CELLS - 1) + 0.5
-            pos *= geo.side_km / GRID_CELLS
-        else:
-            pos *= geo.side_km
-        x, y = pos
-        # one RSU at a time: squared distances to every vehicle, in two (K, slots) buffers
-        d, dy = np.empty((2, K, pos.shape[2]))
-        near = np.empty(d.shape, dtype=bool)
-        for j in range(M):
-            np.subtract(x[K + j], x[:K], out=d)
-            d *= d
-            np.subtract(y[K + j], y[:K], out=dy)
-            dy *= dy
-            d += dy
-            for g, r_sq in enumerate(range_sq):
-                counts[g, j] += np.count_nonzero(np.less_equal(d, r_sq, out=near), axis=1)
-        del pos, x, y, d, dy, near   # free this chunk before the next is drawn
+    counts, buffers = np.zeros((len(geos), M, K), dtype=np.int64), None
+    with np.errstate(over="ignore"):   # in a huge square a distance or range is inf: still exact
+        range_sq = [np.asarray(g.range_km, dtype=np.float64)[:, None] ** 2 for g in geos]
+        for u in uniform_chunks(geo.seed, geo.n_slots, 2 * (K + M), K, M):
+            rows = u.shape[0]
+            # (2, nodes, slots) x and y rows, then per RSU (K, slots) squared distances d and dy
+            # and range test near; the first chunk is the longest, so its buffers serve them all
+            buffers = buffers or (np.empty((2, K + M, rows)), np.empty((2, K, rows)),
+                                  np.empty((K, rows), dtype=bool))
+            pos, (d, dy), near = (b[..., :rows] for b in buffers)
+            np.copyto(pos, u.reshape(rows, -1, 2).transpose(2, 1, 0))
+            del u   # free the draw before the next is drawn
+            if geo.placement == "grid":   # cell centres, in place: floor(10 u) capped at 9, + 0.5
+                np.minimum(np.floor(np.multiply(pos, GRID_CELLS, out=pos), out=pos),
+                           GRID_CELLS - 1, out=pos)
+                pos += 0.5
+            pos *= geo.side_km / (GRID_CELLS if geo.placement == "grid" else 1)
+            x, y = pos
+            for j in range(M):
+                np.subtract(x[K + j], x[:K], out=d)
+                d *= d
+                np.subtract(y[K + j], y[:K], out=dy)
+                dy *= dy
+                d += dy
+                for g, r_sq in enumerate(range_sq):
+                    np.less_equal(d, r_sq, out=near)
+                    counts[g, j] += [np.count_nonzero(row) for row in near]
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
     estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)

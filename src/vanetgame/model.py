@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def _blocks_of(labels) -> CoalitionStructure:
 
 def _in_vehicle_block(labels, K: int):
     """Each label row's players in a vehicle's block: vehicles 1..K hold labels 0..their max."""
-    return labels <= labels[:, :K].max(axis=1, keepdims=True)
+    return labels <= reduce(np.maximum, labels.T[:K])[:, None]
 
 
 def iter_partitions(n_players: int):
@@ -279,35 +279,43 @@ def _children(labels):
     return np.column_stack((labels[parent], label.astype(labels.dtype)))
 
 
-def _digits(values, width: int):
-    """ASCII digits of positive integers, right-aligned after zero bytes in `width` columns."""
-    digits = np.empty((values.size, width), np.uint8)
-    rest = values.copy()
-    for col in range(width - 1, -1, -1):   # a scalar divisor takes numpy's fast path
-        digits[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
-        rest //= 10
-    return digits
+def _digits(values, out) -> None:
+    """Write positive integers' ASCII digits into out's columns, right-aligned after zero bytes."""
+    for col in range(out.shape[1] - 1, -1, -1):   # one division, by a scalar: numpy's fast path
+        quot = values // 10
+        digit = values - quot * 10 + ord("0")
+        digit[values == 0] = 0
+        out[:, col], values = digit, quot
 
 
-def _field(keys, tokens):
-    """Each row's `,"1,3|2"` text as bytes in zero-padded uint32 cells, and its largest key.
+def _field(keys, tokens, out):
+    """Write each row's `,"1,3|2"` text into out's n + 1 uint32 cells; return its largest key.
 
     Players sorted by (key, id) form the blocks; cell m holds the m-th one's
     id bytes and, in its top byte, the `,` (same key), `|` or closing quote
-    after it. csv.writer quotes the field exactly when it holds a `,`.
+    after it. csv.writer quotes the field exactly when it holds a `,`. Each step
+    but the sort and the last copy runs over the flattened rows, not per short row.
     """
     rows, n = keys.shape
     shift = n.bit_length()
-    ranked = np.sort(keys.astype(np.int32) << shift | np.arange(n, dtype=np.int32), axis=1)
-    cells = np.empty((rows, n + 1), np.uint32)
-    cells[:, 1:] = tokens.take(ranked & ((1 << shift) - 1))
+    ranked = keys.astype(np.int32)
+    ranked <<= shift
+    ranked |= np.arange(n, dtype=np.int32)
+    ranked.sort(axis=1)
+    body = tokens.take((ranked & ((1 << shift) - 1)).astype(np.intp))   # intp: take's fast path
     ranked >>= shift
-    joined = ranked[:, 1:] == ranked[:, :-1]
-    cells[:, 1:-1] |= np.where(joined, np.uint32(ord(",") << 24), np.uint32(ord("|") << 24))
-    quote = np.where(joined.any(axis=1), ord('"'), 0).astype(np.uint32)
-    cells[:, 0] = ord(",") | quote << 8
-    cells[:, -1] |= quote << 24
-    return cells.astype("<u4", copy=False).view(np.uint8), ranked[:, -1]
+    flat = ranked.ravel()
+    joined = np.empty(flat.size, bool)   # entry k: player k and the next have one key
+    np.equal(flat[1:], flat[:-1], out=joined[:-1])
+    joined[n - 1::n] = False   # a row's last player against the next row's first
+    # a row is quoted when any of its first n - 1 columns is joined: n - 1 column passes
+    quote = ord('"') * reduce(np.logical_or, joined.reshape(rows, n).T[:-1], False)
+    sep = joined * np.uint32((ord(",") ^ ord("|")) << 24) ^ np.uint32(ord("|") << 24)
+    sep[n - 1::n] = quote << 24
+    body |= sep.reshape(rows, n)
+    out[:, 0] = ord(",") | quote << 8
+    out[:, 1:] = body
+    return ranked[:, -1]
 
 
 def structure_csv_blocks(n_players: int, K: int):
@@ -317,6 +325,7 @@ def structure_csv_blocks(n_players: int, K: int):
     (id, format_structure(cs), format_structure(normalize_structure(cs, K)), len(cs)).
     The blocks holding a vehicle are a prefix of the labels, so the normalized
     form keeps those labels and gives every other RSU a key of its own above n.
+    A row is uint32 cells: the id, both fields, `,size` and a newline, after zero bytes.
     """
     n = int(n_players)
     if not 1 <= n <= 127:   # int8 labels
@@ -324,18 +333,22 @@ def structure_csv_blocks(n_players: int, K: int):
     tokens = np.array([int.from_bytes(str(m).encode(), "little") for m in range(1, n + 1)],
                       np.uint32)
     loose = np.arange(n, 2 * n, dtype=np.int32)
-    id_width = len(str(bell_number(n)))
+    id_width, size_width = len(str(bell_number(n))), len(str(n))
+    lead, tail = -(-id_width // 4), -(-(size_width + 2) // 4)
     first = 1
     for labels in _label_blocks(n):
         rows = labels.shape[0]
-        structure, top = _field(labels, tokens)
-        normalized, _ = _field(np.where(_in_vehicle_block(labels, K), labels, loose), tokens)
-        mat = np.concatenate((
-            _digits(np.arange(first, first + rows), id_width),
-            structure, normalized, np.full((rows, 1), ord(","), np.uint8),
-            _digits(top + 1, len(str(n))), np.full((rows, 1), ord("\n"), np.uint8)), axis=1)
+        cells = np.zeros((rows, lead + 2 * n + 2 + tail), "<u4")
+        text = cells.view(np.uint8)
+        _digits(np.arange(first, first + rows), text[:, 4 * lead - id_width:4 * lead])
+        top = _field(labels, tokens, cells[:, lead:lead + n + 1])
+        _field(np.where(_in_vehicle_block(labels, K), labels, loose), tokens,
+               cells[:, lead + n + 1:-tail])
+        text[:, -size_width - 2] = ord(",")
+        _digits(top + 1, text[:, -size_width - 1:-1])
+        text[:, -1] = ord("\n")
         first += rows
-        yield mat.tobytes().translate(None, b"\0").decode("ascii")
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def enumerate_partitions(n_players: int) -> list[CoalitionStructure]:

@@ -3,6 +3,7 @@ import hashlib
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,16 +51,18 @@ def test_config_validation():
 
 
 def test_estimate_is_deterministic_bit_for_bit():
-    geo = GeometryConfig(side_km=1.0, range_km=(0.25, 0.25), n_slots=20_000, seed=99)
-    a = estimate_encounter_matrix(geo, 2, 2)
-    b = estimate_encounter_matrix(geo, 2, 2)
-    assert (a.matrix == b.matrix).all()
-    assert (a.stderr == b.stderr).all()
-    # chunking must not change the stream
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "CHUNK_SLOTS", 1_234)
-        c = estimate_encounter_matrix(geo, 2, 2)
-    assert (c.matrix == a.matrix).all()
+    for placement in PLACEMENTS:   # the grid snaps in place, in buffers sized by the first chunk
+        geo = GeometryConfig(side_km=1.0, range_km=(0.25, 0.25), placement=placement,
+                             n_slots=20_000, seed=99)
+        a = estimate_encounter_matrix(geo, 2, 2)
+        b = estimate_encounter_matrix(geo, 2, 2)
+        assert (a.matrix == b.matrix).all()
+        assert (a.stderr == b.stderr).all()
+        # chunking must not change the stream: 1,234-row chunks end in a shorter one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "CHUNK_SLOTS", 1_234)
+            c = estimate_encounter_matrix(geo, 2, 2)
+        assert (c.matrix == a.matrix).all()
 
 
 # sha256 of matrix then stderr bytes, frozen from the estimator that summed a
@@ -141,6 +144,19 @@ def test_counts_match_the_reference_placement_loop(monkeypatch, placement, K, M)
     estimates = estimate_encounter_matrix(geo, K, M, ranges=ranges)
     for est, want in zip(estimates, reference.placement_counts(geo, K, M, ranges)):
         assert np.array_equal(est.matrix, np.array(want, float).reshape(M, K) / geo.n_slots)
+
+
+def test_overflowing_distances_and_ranges_stay_exact_and_silent(capfd):
+    # a squared distance past the float range is inf, as is a squared range: both compare right
+    huge = GeometryConfig(side_km=1.3e154, range_km=(1e150, 1e150), n_slots=5_000, seed=1)
+    wide = GeometryConfig(side_km=1.0, range_km=(1.4e154, 0.0), n_slots=5_000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = estimate_encounter_matrix(huge, 2, 3)
+        near, = estimate_encounter_matrix(wide, 2, 3, ranges=[wide.range_km])
+    assert (far.matrix == 0.0).all()
+    assert (near.matrix[:, 0] == 1.0).all() and (near.matrix[:, 1] == 0.0).all()
+    assert capfd.readouterr().err == ""
 
 
 def test_zero_range_never_encounters():
