@@ -28,7 +28,8 @@ from . import __version__
 from .analysis import run_identity_checks, stability_verdict, structure_reports
 from .analytic import ABS_TOL
 from .configio import ConfigError, load_config, resolve_encounter
-from .geometry import PLACEMENTS, analytic_pair_encounter, estimate_encounter_matrix
+from .geometry import (PLACEMENTS, analytic_pair_encounter, estimate_encounter_matrix,
+                       grid_pair_encounter)
 from .model import (bell_number, format_structure, parse_structure, structure_csv_blocks,
                     unrank_partition)
 from .slotsim import simulate_slots
@@ -57,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vanetgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, seed=False, out=False):
+    def command(name, run, help, seed=False, out=False):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file (built-in config when omitted)")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="seed of the random draws")
@@ -66,30 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output CSV path")
         return p
 
-    command("enumerate", "list every coalition structure with ids", out=True)
+    command("enumerate", cmd_enumerate, "list every coalition structure with ids", out=True)
 
-    p = command("encounter", "estimate encounter probabilities over a range sweep",
+    p = command("encounter", cmd_encounter, "estimate encounter probabilities over a range sweep",
                 seed=True, out=True)
     p.add_argument("--d-sweep", type=_sweep, default=DEFAULT_SWEEP,
                    help="comma-separated transmission ranges in km")
     p.add_argument("--slots", type=int, default=None, help="placement slots per range")
     p.add_argument("--placement", choices=PLACEMENTS, default=None)
 
-    p = command("payoffs", "closed-form per-player quantities for a structure", out=True)
+    p = command("payoffs", cmd_payoffs, "closed-form per-player quantities for a structure",
+                out=True)
     p.add_argument("--structure", default=None,
                    help="canonical id or explicit blocks like '1,2|3|4' (default: grand coalition)")
     p.add_argument("--d-sweep", type=_sweep, default=None,
                    help="derive symmetric encounter matrices from these ranges; "
                         "omitted: use the config's matrix")
 
-    command("core", "sufficient conditions and core membership of the grand vector")
+    command("core", cmd_core, "sufficient conditions and core membership of the grand vector")
 
-    p = command("simulate", "slot simulation vs closed forms for a structure",
+    p = command("simulate", cmd_simulate, "slot simulation vs closed forms for a structure",
                 seed=True, out=True)
     p.add_argument("--structure", default=None)
     p.add_argument("--slots", type=int, default=1_000_000)
 
-    command("check", "run the exact-identity suite on the config")
+    command("check", cmd_check, "run the exact-identity suite on the config")
     return parser
 
 
@@ -182,6 +185,8 @@ def cmd_encounter(args, loaded) -> int:
     flags = {"placement": args.placement, "n_slots": args.slots, "seed": args.seed}
     geo = dataclasses.replace(loaded.geometry, **{k: v for k, v in flags.items() if v is not None})
     references = [analytic_pair_encounter(d, geo.side_km) for d in args.d_sweep]
+    law = grid_pair_encounter if geo.placement == "grid" else analytic_pair_encounter
+    z_reference = {d: law(d, geo.side_km) for d in args.d_sweep}   # the placement's own law
     start = time.perf_counter()
     estimates = estimate_encounter_matrix(geo, cfg.K, cfg.M,
                                           ranges=[(d,) * cfg.K for d in args.d_sweep])
@@ -191,8 +196,8 @@ def cmd_encounter(args, loaded) -> int:
             for j in range(cfg.M) for i in range(cfg.K)]
     _emit(args, _csv(("d_km", "vehicle", "rsu", "estimate", "stderr", "analytic"), rows),
           seed=geo.seed, slots=geo.n_slots, placement=geo.placement,
-          d_sweep=list(args.d_sweep), mplace_per_s=mplace_per_s,
-          **_max_abs_z(rows, 3))
+          d_sweep=list(args.d_sweep), mplace_per_s=mplace_per_s, max_abs_z_law=law.__name__,
+          **_max_abs_z([(*row[:5], z_reference[row[0]]) for row in rows], 3))
     return 0
 
 
@@ -279,20 +284,10 @@ def cmd_check(args, loaded) -> int:
     return 4 if any(res.passed is False for res in results) else 0
 
 
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "encounter": cmd_encounter,
-    "payoffs": cmd_payoffs,
-    "core": cmd_core,
-    "simulate": cmd_simulate,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = _COMMANDS[args.command](args, load_config(args.config or None))
+        status = args.run(args, load_config(args.config or None))
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -86,6 +86,14 @@ def analytic_pair_encounter(d: float, side: float = 1.0) -> float:
     return math.pi * x * x - (8.0 / 3.0) * x ** 3 + 0.5 * x ** 4
 
 
+def grid_pair_encounter(d: float, side: float = 1.0) -> float:
+    """Exact probability that two nodes at uniform GRID_CELLS x GRID_CELLS cell centres lie
+    within d, from the estimator's own float steps: the share of cell pairs within d."""
+    centres = (np.arange(GRID_CELLS) + 0.5) * (side / GRID_CELLS)
+    sq = ((centres[:, None] - centres) ** 2).ravel()
+    return float(np.count_nonzero(sq[:, None] + sq <= d * d)) / sq.size ** 2
+
+
 def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
     """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
     CHUNK_SLOTS rows, or fewer (but at least 1,024) when rows times M * K would pass

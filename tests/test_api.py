@@ -28,19 +28,44 @@ def test_every_name_in_all_resolves(name):
     assert not missing, f"{name}.__all__ lists names it does not define: {missing}"
 
 
+def test_no_two_modules_export_different_objects_under_one_name():
+    # the package star-imports every module, so a second object under one name would
+    # shadow the first without a word
+    exported = {}   # name: [(module, object), ...]
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            exported.setdefault(attr, []).append((name, getattr(module, attr)))
+    clashes = {attr: [name for name, _ in pairs] for attr, pairs in exported.items()
+               if any(obj is not pairs[0][1] for _, obj in pairs)}
+    assert not clashes, f"modules that export different objects under one name: {clashes}"
+    assert sorted(vanetgame.__all__) == sorted(["__version__", *exported])
+    moved = [attr for attr, pairs in exported.items()
+             if getattr(vanetgame, attr) is not pairs[0][1]]
+    assert not moved, f"vanetgame exports other objects than its modules under {moved}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
+    """A `from .x import *` counts as used only where the `__all__` expression reads
+    `x.__all__`, so the star import re-exports exactly what x declares."""
     tree = ast.parse(path.read_text())
     imported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(alias.asname or alias.name for alias in node.names)
+            imported.update(f"{node.module}.*" if alias.name == "*" else alias.asname or alias.name
+                            for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(elt.value for node in tree.body if isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-                for elt in node.value.elts)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            used.update(elt.value for elt in ast.walk(node.value)
+                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+            used.update(f"{elt.value.id}.*" for elt in ast.walk(node.value)
+                        if isinstance(elt, ast.Attribute) and elt.attr == "__all__"
+                        and isinstance(elt.value, ast.Name))
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
@@ -122,7 +147,7 @@ def test_source_stays_within_its_line_budget():
     # the ceiling on `wc -l src/vanetgame/*.py`: newline bytes, summed over the files
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (ROOT / "src" / "vanetgame").glob("*.py"))
-    assert lines <= 2051, f"src/vanetgame/*.py holds {lines} lines, over the 2,051 ceiling"
+    assert lines <= 2008, f"src/vanetgame/*.py holds {lines} lines, over the 2,008 ceiling"
 
 
 def test_no_source_line_is_over_100_characters():

@@ -192,11 +192,14 @@ def test_encounter_csv_is_byte_identical_across_runs(tmp_path, config_file):
     assert len(rows) == 1 + 2 * 4   # two sweep points, four pairs
 
 
-@pytest.mark.parametrize("flags, used", [
-    ([], (20_240_808, 2_000, "continuous")),   # the built-in seed, the file's slot count
-    (["--seed", "5", "--slots", "1000", "--placement", "grid"], (5, 1_000, "grid")),
+@pytest.mark.parametrize("flags, used, law", [
+    # the built-in seed, the file's slot count
+    ([], (20_240_808, 2_000, "continuous"), "analytic_pair_encounter"),
+    # z measures Monte Carlo error: against the grid's own law, not the continuous one
+    (["--seed", "5", "--slots", "1000", "--placement", "grid"], (5, 1_000, "grid"),
+     "grid_pair_encounter"),
 ], ids=["from-config", "from-flags"])
-def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
+def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used, law):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**shipped_doc(), "geometry": {"n_slots": 2_000}}))
     out = tmp_path / "enc.csv"
@@ -205,8 +208,10 @@ def test_encounter_manifest_records_what_the_run_used(tmp_path, flags, used):
     manifest = json.loads((tmp_path / "enc.csv.manifest.json").read_text())
     assert (manifest["seed"], manifest["slots"], manifest["placement"]) == used
     assert "geometry_seed" not in manifest and "n_slots" not in manifest
-    z = {(float(d), int(i), int(j)): abs(float(est) - float(ana)) / float(se)
-         for d, i, j, est, se, ana in read_csv(out)[1:] if float(se) > 0}
+    assert manifest["max_abs_z_law"] == law
+    reference = getattr(vanetgame.geometry, law)
+    z = {(float(d), int(i), int(j)): abs(float(est) - reference(float(d))) / float(se)
+         for d, i, j, est, se, _ in read_csv(out)[1:] if float(se) > 0}
     assert manifest["max_abs_z"] == max(z.values())
     assert manifest["max_abs_z_at"] == list(max(z, key=z.get))
     assert manifest["max_abs_z_p"] == pytest.approx(_sidak(max(z.values()), len(z)), rel=1e-9)
@@ -530,11 +535,16 @@ def _malformed(edit):
      "config error: geometry: unknown key 'placment'\n"),
     (_malformed(lambda d: d["game"].update(alhpa=3)), "config error: game: unknown key 'alhpa'\n"),
     (_malformed(lambda d: d.update(encouter={})), "config error: unknown section 'encouter'\n"),
+    (_malformed(lambda d: d["geometry"].update(range_km=[0.2, 0.2, 0.2])),
+     "config error: geometry.range_km needs 2 entries, got 3\n"),
+    (_malformed(lambda d: [d["game"].pop(key) for key in ("mu", "p")]),
+     "bad.json: 'game' section missing keys ['p', 'mu']\n"),
 ], ids=["list-document", "list-encounter", "list-geometry", "string-K", "string-matrix",
         "string-matrix-entry", "bool-matrix-entry", "string-p", "bool-alpha", "null-delta",
         "string-side_km", "bool-range_km", "string-range_km-entry", "null-encounter", "float-n_slots", "bool-n_slots", "string-seed", "float-seed",
         "inf-n_slots", "nan-side_km", "inf-side_km", "nan-range_km", "K-0", "nan-p",
-        "ragged-matrix", "typo-geometry-key", "typo-game-key", "typo-section"])
+        "ragged-matrix", "typo-geometry-key", "typo-game-key", "typo-section",
+        "long-range_km", "missing-game-keys"])
 def test_malformed_config_documents_exit_3(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -708,6 +718,8 @@ def test_bad_structure_spec_exits_3(tmp_path, capsys):
         ("+1,2|3,4", None, "non-integer member"),
         ("\uff11,2|3,4", None, "non-integer member"),
         ("\uff11", None, "non-integer member"),   # not a structure id either
+        ("1||2,3,4", None, "empty coalition"),
+        ("1,2|", None, "empty coalition"),
     ]:
         config = [] if players is None else ["--config", _scalar_config(tmp_path, *players)]
         assert main(["payoffs", *config, "--structure", spec]) == 3, (spec, players)

@@ -197,6 +197,38 @@ def test_grid_placement_runs_and_differs_from_continuous():
     assert not (est_c.matrix == est_g.matrix).all()
 
 
+def _grid_share_within(d, side):
+    """The share of (vehicle cell, RSU cell) pairs of the 10 x 10 grid whose centres lie
+    within d, by a plain loop over all 10^4 pairs in the estimator's float steps."""
+    centres = [(c + 0.5) * (side / 10) for c in range(10)]
+    cells = [(x, y) for x in centres for y in centres]
+    within = sum((xr - xv) * (xr - xv) + (yr - yv) * (yr - yv) <= d * d
+                 for xv, yv in cells for xr, yr in cells)
+    return within / len(cells) ** 2
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7, 3.0])
+def test_grid_law_counts_every_cell_pair(side):
+    step = side / 10
+    on_a_centre = (9 + 0.5) * step - (0 + 0.5) * step   # a pair with dy = 0 sits exactly here
+    for d in (0.0, 0.1 * side, 0.3 * side, on_a_centre, side):
+        assert geometry.grid_pair_encounter(d, side) == _grid_share_within(d, side), d
+    # the pairs at exactly `on_a_centre` count as within, as the estimator's <= counts them
+    below = math.nextafter(on_a_centre, 0.0)
+    assert geometry.grid_pair_encounter(below, side) < geometry.grid_pair_encounter(on_a_centre,
+                                                                                    side)
+    assert geometry.grid_pair_encounter(0.0, side) == 0.01   # the same cell, 100 of 10^4 pairs
+
+
+def test_grid_estimate_agrees_with_the_grid_law_not_the_continuous_one():
+    geo = GeometryConfig(side_km=1.0, range_km=(0.3, 0.3), n_slots=200_000, seed=12345,
+                         placement="grid")
+    est = estimate_encounter_matrix(geo, 2, 1)
+    assert geometry.grid_pair_encounter(0.3) == 0.2056
+    assert (np.abs(est.matrix - 0.2056) <= 4.0 * est.stderr).all()
+    assert (np.abs(est.matrix - analytic_pair_encounter(0.3)) > 4.0 * est.stderr).all()
+
+
 def test_range_count_must_match_vehicles():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=100, seed=0)
     with pytest.raises(ValueError, match="range_km"):

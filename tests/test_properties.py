@@ -459,6 +459,60 @@ def test_any_argv_exits_0_to_3_without_a_traceback(argv):
     assert "Traceback" not in err.getvalue()
 
 
+# What a mutation writes, over a key or into one array entry. json.dumps writes the
+# non-finite floats as NaN and Infinity, which the loader reads back.
+MUTANTS = (0, -1, 1e308, 5e-324, 2 ** 63, True, None, "0.5", [], [[]], {}, float("nan"),
+           float("inf"))
+# Every key a mutation may set. geometry.n_slots stays at 200, so that a run with
+# "from_geometry": true places few nodes.
+MUTABLE = [(name, key) for name, section in _DEFAULT.items() for key in section
+           if key != "n_slots"] + [("encounter", "from_geometry")]
+COMMANDS = (["core"], ["check"], ["payoffs"], ["payoffs", "--d-sweep", "0.1,0.3"],
+            ["simulate", "--slots", "200"], ["encounter", "--slots", "200"], ["enumerate"])
+STDERR_PREFIXES = ("config error:", "error:", "invariant breach:", "usage:", "vanetgame")
+
+
+@st.composite
+def mutated_documents(draw):
+    """The shipped config at 200 placement slots, with 1-3 keys or one array entry set to
+    one of MUTANTS."""
+    doc = shipped_doc()
+    doc["geometry"]["n_slots"] = 200
+    if draw(st.booleans()):
+        for name, key in draw(st.lists(st.sampled_from(MUTABLE), min_size=1, max_size=3)):
+            doc[name][key] = draw(st.sampled_from(MUTANTS))
+        return doc
+    name, key = draw(st.sampled_from([(name, key) for name, key in MUTABLE
+                                      if isinstance(doc[name].get(key), list)]))
+    holder, index = doc[name], key
+    while isinstance(holder[index], list):
+        holder, index = holder[index], draw(st.integers(0, len(holder[index]) - 1))
+    holder[index] = draw(st.sampled_from(MUTANTS))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents(), st.sampled_from(COMMANDS))
+def test_any_mutated_config_exits_by_the_contract_and_repeats(tmp_path_factory, doc, command):
+    """Exit 0 or 3 (4 only from `check`), no traceback or warning, each stderr line under a
+    documented prefix, and the same output when run again."""
+    config = tmp_path_factory.getbasetemp() / "mutated.json"
+    config.write_text(json.dumps(doc))
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*command, "--config", str(config)])
+        assert code in (0, 3) or (code, command) == (4, ["check"]), (doc, err.getvalue())
+        assert not caught, (doc, [str(w.message) for w in caught])
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(STDERR_PREFIXES) for line in lines), (doc, lines)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1], doc
+
+
 # Extreme but valid values: each parameter entry is drawn from one of these sets
 MAGNITUDES = (0.0, 5e-324, 1e-300, 0.5, 1.0, 1e150, 1e300, 1.7e308)   # rates, prices, costs
 PROBABILITIES = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0)
