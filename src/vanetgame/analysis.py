@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import (ABS_TOL, _ORACLE_BLOCK_BITS, PayoffReport, _brackets, _oracle_batch,
-                       _reports, _table, _tables, player_payoffs)
+                       _reports, _rsu_product, _table, _tables, _vehicle_rows, player_payoffs)
 from .model import (Coalition, GameConfig, _blocks_of, _in_vehicle_block, _label_blocks,
                     check_structure, format_structure, split_members)
 
@@ -97,10 +97,8 @@ class CoreConditions:
     weights_positive = property(lambda self: self.weight_witness is None)
     gains_strict = property(lambda self: self.gain_witness is None)
     grand_preferred = property(lambda self: self.preference_witness is None)
-
-    @property
-    def all_hold(self) -> bool:
-        return self.weights_positive and self.gains_strict and self.grand_preferred
+    all_hold = property(lambda self: self.weights_positive and self.gains_strict
+                        and self.grand_preferred)
 
 
 def _weight_witness(cfg: GameConfig) -> int | None:
@@ -136,24 +134,42 @@ def _first_offence(offends: np.ndarray, masks: np.ndarray, n: int):
     return int(offends[:, k].argmax()) + 1, _coalition(int(masks[k]), n)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a distance past the float range is far
+def _block_payoffs(cfg: GameConfig, veh, rsu, pr, *limits) -> np.ndarray:
+    """_table's payoffs (n, R, V) on a block's grid, from veh (K, 1, V), rsu (M, R, V) and pr
+    (K, M, R): the RSUs' from _rsu_product, but _table's in each column with a vehicle where a
+    member RSU's lies within its bound of 0 or of a limit (M, 1, 1), so all compare as _table's."""
+    share, *_, vehicles = _vehicle_rows(cfg, veh, pr[..., None])
+    rsus, bound = _rsu_product(cfg, share[:, 0], pr)
+    if not abs(vehicles.sum() + rsus.sum() + bound.sum()) < np.inf:
+        return _table(cfg, veh, rsu, pr[..., None])[-1]   # which raises if a member overflows
+    near = abs(rsus) <= bound
+    for limit in limits:
+        near |= abs(rsus - limit) <= bound
+    r, v = np.nonzero((near & rsu).any(axis=0) & veh.any(axis=0))
+    if r.size:
+        rsus[:, r, v] = _table(cfg, veh[:, 0, v], rsu[:, r, v], pr[:, :, r])[-1][cfg.K:]
+    return np.concatenate((vehicles, rsus))
+
+
 def _sweep(cfg: GameConfig, grand: np.ndarray, x):
     """The one pass over coalitions behind every core analysis.
 
-    Reads the payoffs of every coalition from the coalition table, in blocks of
-    ascending masks. Bit k of a mask is player k + 1, so the RSU set is
-    mask >> K: a block is a grid of RSU sets by vehicle subsets, and each RSU
-    set R's relay probabilities come once from _brackets over all 2^M RSU
-    subsets, 0 off R. Returns (gain witness, preference witness, blocker): the
-    first (player, coalition) violating condition 2 and condition 3 of
+    Reads the payoffs of every coalition in blocks of ascending masks, each block's
+    through _block_payoffs, whose decisions are _table's. Bit k of a mask is player
+    k + 1, so the RSU set is mask >> K: a block is a grid of RSU sets by vehicle
+    subsets, and each RSU set R's relay probabilities come once from _brackets over
+    all 2^M RSU subsets, 0 off R. Returns (gain witness, preference witness, blocker):
+    the first (player, coalition) violating condition 2 and condition 3 of
     core_sufficient_conditions among the proper coalitions, given the grand
     coalition's payoff vector, and the coalition with the lexicographically
     smallest sorted member tuple whose every member earns strictly more than x.
     """
     K, n = cfg.K, cfg.n_players
+    limits = (grand[K:, None, None], x[K:, None, None])[:1 + (x is not grand)]   # per RSU
     grand, bar = grand[:, None], np.asarray(x)[:, None]
     gain_witness = preference_witness = best = None
-    q, t = cfg.enc.T[:, :, None], np.arange(cfg.M)[:, None]
-    h = _brackets(cfg.enc.T)
+    q, t, h = cfg.enc.T[:, :, None], np.arange(cfg.M)[:, None], _brackets(cfg.enc.T)
     size = min(1 << n, _BLOCK_MASKS)
     width = min(size, 1 << K)   # a block is a grid: RSU sets x vehicle subsets of width
     for base in range(0, 1 << n, size):
@@ -161,7 +177,7 @@ def _sweep(cfg: GameConfig, grand: np.ndarray, x):
         member = masks & (1 << np.arange(n))[:, None] != 0
         grid = member.reshape(n, -1, width)
         pr = q * h[:, masks[::width] >> K & ~(1 << t)] * grid[K:, :, 0]   # P(t relays i | R)
-        payoff = _table(cfg, grid[:K, :1], grid[K:, :, :1], pr[..., None])[-1].reshape(n, size)
+        payoff = _block_payoffs(cfg, grid[:K, :1], grid[K:], pr, *limits).reshape(n, size)
         proper = masks != (1 << n) - 1
         if gain_witness is None:
             # weighted benefit minus weighted charge is > 0 exactly when the benefit
@@ -272,12 +288,6 @@ class CheckResult:
     detail: str
 
 
-def _uniformized(cfg: GameConfig) -> GameConfig:
-    """Copy of cfg with per-vehicle-uniform rate gains and fees."""
-    return dataclasses.replace(cfg, delta=np.repeat(cfg.delta[:, :1], cfg.M, axis=1),
-                               price=np.repeat(cfg.price[:1, :], cfg.M, axis=0))
-
-
 def _check_partitions(n: int) -> np.ndarray:
     """Label rows of the first _CHECK_STRUCTURES partitions of {1..n}, canonical order (all if
     fewer). Bell(6) = 203 >= 64: from n = 6 on, the first 203 rows are 6 players' after zeros."""
@@ -320,7 +330,8 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     columns = list(dict.fromkeys([*coalitions, *(frozenset((m,)) for m in range(1, n + 1)),
                                   *(frozenset(range(1, i + 1)) for i in cfg.vehicles)]))
     col = {S: c for c, S in enumerate(columns)}
-    uni = _uniformized(cfg)
+    uni = dataclasses.replace(cfg, delta=np.repeat(cfg.delta[:, :1], cfg.M, axis=1),
+                              price=np.repeat(cfg.price[:1, :], cfg.M, axis=0))   # uniform weights
     unit = bool((cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all())
     zero = (dataclasses.replace(cfg, price=np.zeros_like(cfg.price)),) if unit else ()
     member, pr, tables = _tables(columns, cfg, uni, *zero)

@@ -11,9 +11,10 @@ are pure and side-effect free.
 
 _table evaluates a batch of coalitions from membership rows and each vehicle's
 relay probabilities, all broadcast over the batch. These come from _brackets
-over all 2^M RSU subsets (the core sweep) or from _relay_probs over only the
-subsets that given coalitions need (polynomial in M); both add a subset's RSUs
-in ascending order, so they agree exactly. Each zero and one on this path is
+over all 2^M RSU subsets (the core sweep, which takes its RSU rows from one
+_rsu_product per block wherever they compare as _table's) or from _relay_probs over
+only the subsets that given coalitions need (polynomial in M); both add a subset's
+RSUs in ascending order, so they agree exactly. Each zero and one on this path is
 of the input's type, so float64 parameters keep their bits and object arrays
 of fractions.Fraction run exactly through the same lines.
 """
@@ -173,9 +174,24 @@ class PayoffReport:
     total_payoff: float
 
     def payoff_of(self, player: int) -> float:
-        if player in self.vehicle_payoff:
-            return self.vehicle_payoff[player]
-        return self.rsu_payoff[player]
+        return (self.vehicle_payoff if player in self.vehicle_payoff else self.rsu_payoff)[player]
+
+
+def _vehicle_rows(cfg: GameConfig, veh: np.ndarray, pr: np.ndarray):
+    """_table's vehicle rows (share, rate_gain, fee, benefit, charge, payoff), each (K, ...)."""
+    K, ax = cfg.K, (..., *[None] * (pr.ndim - 2))   # a parameter per player, against the batch
+    idle = (1 - cfg.p)[ax]   # a member defers to lower-id members; an outsider stays idle
+    defer, out, share = np.where(veh, idle, 1), np.where(veh, 1, idle), cfg.p[ax] * veh
+    for v in range(K - 1):   # P(i is the vehicle scheduled), 0 off the coalition
+        share[v + 1:] *= defer[v]
+    delta, price = cfg.delta.T[ax], cfg.price[ax]
+    gain = fee = np.zeros((K, *pr.shape[2:]), pr.dtype) * cfg.p[ax]   # a zero of p's type
+    for t in range(cfg.M):   # a float accumulator starts at +0.0, so adding 0 keeps its bits
+        gain, fee = gain + pr[:, t] * delta[t], fee + pr[:, t] * price[t]
+    benefit, charge = share * (1 + gain), share * fee
+    for v in range(K):
+        benefit *= out[v]
+    return share, gain, fee, benefit, charge, cfg.alpha[ax] * benefit - cfg.beta[ax] * charge
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the finiteness check names the overflow
@@ -191,32 +207,33 @@ def _table(cfg: GameConfig, veh: np.ndarray, rsu: np.ndarray, pr: np.ndarray):
     off the coalition being a factor 1 or an added zero of the input's type (three
     vehicle masks and pr), so each entry is one fixed sequence of operations.
     """
-    K, M = cfg.K, cfg.M
-    shape = np.broadcast_shapes(veh.shape[1:], rsu.shape[1:], pr.shape[2:])
-    ax = (..., *[None] * len(shape))   # a parameter per player, against the batch axes
-    idle = (1 - cfg.p)[ax]   # a member defers to lower-id members; an outsider stays idle
-    defer, out, share = np.where(veh, idle, 1), np.where(veh, 1, idle), cfg.p[ax] * veh
-    for v in range(K - 1):   # P(i is the vehicle scheduled), 0 off the coalition
-        share[v + 1:] *= defer[v]
-    delta, price, fwd = cfg.delta.T[ax], cfg.price[ax], cfg.cost_fwd[ax]
-    gain = fee = np.zeros((K, *pr.shape[2:]), pr.dtype) * cfg.p[ax]   # a zero of p's type
-    for t in range(M):   # a float accumulator starts at +0.0, so adding 0 keeps its bits
-        gain, fee = gain + pr[:, t] * delta[t], fee + pr[:, t] * price[t]
-    benefit, charge = np.zeros((K + M, *shape), pr.dtype), np.zeros((K + M, *shape), pr.dtype)
-    benefit[:K], charge[:K] = share * (1 + gain), share * fee
-    for v in range(K):
-        benefit[:K] *= out[v]
-    rcv = (cfg.enc * cfg.cost_rcv)[ax]
-    for i in range(K):
-        benefit[K:] += share[i] * pr[i] * price[:, i]
-        charge[K:] += share[i] * (fwd[:, i] * pr[i] + rcv[:, i])
-    w_benefit, w_charge = np.concatenate([cfg.alpha, cfg.gamma]), np.concatenate([cfg.beta, cfg.mu])
-    payoff = w_benefit[ax] * benefit - w_charge[ax] * charge
+    share, gain, fee, *vehicles = _vehicle_rows(cfg, veh, pr)
+    ax = (..., *[None] * (pr.ndim - 2))
+    price, fwd, rcv = cfg.price[ax], cfg.cost_fwd[ax], (cfg.enc * cfg.cost_rcv)[ax]
+    revenue = cost = np.zeros(pr.shape[1:], pr.dtype)   # the RSU half, over vehicles
+    for i in range(cfg.K):
+        revenue = revenue + share[i] * pr[i] * price[:, i]
+        cost = cost + share[i] * (fwd[:, i] * pr[i] + rcv[:, i])
+    rsus = revenue, cost, cfg.gamma[ax] * revenue - cfg.mu[ax] * cost
+    *rows, payoff = map(np.concatenate, zip(vehicles, rsus))
     # a finite total means every entry is finite; else the rows name the first member that is not
     for k, held in enumerate([] if abs(payoff.sum()) < np.inf else [*veh, *rsu]):
         if (held & ~(abs(payoff[k]) < np.inf)).any():   # NaN compares False
             raise ValueError(f"payoff of player {k + 1} in its coalition is not finite")
-    return share, gain, fee, benefit, charge, payoff
+    return share, gain, fee, *rows, payoff
+
+
+def _rsu_product(cfg: GameConfig, share: np.ndarray, pr: np.ndarray):
+    """_table's RSU payoffs (M, R, V) on a grid of RSU sets R by vehicle subsets V, from share
+    (K, V) and pr (K, M, R), as one product u_t(V, R) = sum_i share_i(V) A_it(R); and (M, 1, 1)
+    bounds on their distance from _table's in any order of the sums (README, "Core analysis")."""
+    (K, M, R), ku, w = pr.shape, (cfg.K + 5) * 2.0 ** -53, 1 + abs(cfg.gamma) + abs(cfg.mu)
+    mu, rcv = cfg.mu[:, None], cfg.enc * cfg.cost_rcv
+    a, c = (cfg.gamma[:, None] * cfg.price - mu * cfg.cost_fwd).T, (mu * rcv).T   # A = a pr - c
+    terms = (a[..., None] * pr - c[..., None]).reshape(K, -1)
+    twice_t = 2 * w * ((cfg.enc * (cfg.price + cfg.cost_fwd + cfg.cost_rcv)) @ cfg.p)   # pr <= enc
+    bound = 2 * ku / (1 - ku) * twice_t + (K + 1) * 2.0 ** -1072 * w * (1 + cfg.price.max(axis=1))
+    return (terms.T @ share).reshape(M, R, share.shape[1]), bound[:, None, None]
 
 
 def _tables(coalitions, cfg: GameConfig, *variants):

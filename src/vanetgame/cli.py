@@ -117,17 +117,10 @@ def _csv(header, rows: list):
 
 
 def _write_manifest(out_path, args, fields) -> None:
-    manifest = {
-        "tool": "vanetgame",
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "command": args.command,
-        "config": args.config,
-        "out": args.out,
-        **fields,
-    }
+    manifest = {"tool": "vanetgame", "version": __version__, "python": platform.python_version(),
+                "numpy": np.__version__, "command": args.command, "config": args.config,
+                "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "out": args.out, **fields}
     with open(str(out_path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -226,8 +219,7 @@ def cmd_payoffs(args, loaded) -> int:
         sweep["d_sweep"] = list(args.d_sweep)
         for d in args.d_sweep:
             q = analytic_pair_encounter(d, loaded.geometry.side_km)
-            cfg_d = dataclasses.replace(cfg, enc=q)
-            rows.extend(_payoff_rows(cs, cfg_d, d))
+            rows.extend(_payoff_rows(cs, dataclasses.replace(cfg, enc=q), d))
     _emit(args, _csv(("d_km", "player", "quantity", "value"), rows),
           structure=args.structure, structure_blocks=format_structure(cs), **sweep)
     return 0

@@ -38,8 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import COUNTERS
-from vanetgame.analysis import (_CHECK_STRUCTURES, CheckResult, _uniformized,
-                                vehicle_coalition_profitability)
+from vanetgame.analysis import _CHECK_STRUCTURES, CheckResult, vehicle_coalition_profitability
 from vanetgame.analytic import ABS_TOL, PayoffReport, _reports, oracle_relay_mean
 from vanetgame.geometry import GRID_CELLS
 from vanetgame.model import (_SHAPES, GameConfig, canonical_structure, check_structure,
@@ -287,7 +286,9 @@ def identity_checks(cfg):
     partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
     normalized = [normalize_structure(cs, cfg.K) for cs in partitions]
     coalitions = sorted({block for cs in partitions for block in cs}, key=sorted)
-    uni = _uniformized(cfg)
+    # per-vehicle-uniform rate gains and fees: each vehicle's first RSU's, at every RSU
+    uni = dataclasses.replace(cfg, delta=np.repeat(cfg.delta[:, :1], cfg.M, axis=1),
+                              price=np.repeat(cfg.price[:1, :], cfg.M, axis=0))
     evaluated = list({*coalitions, *(block for cs in normalized for block in cs),
                       *(frozenset((i,)) for i in cfg.vehicles),
                       *(frozenset(range(1, i + 1)) for i in cfg.vehicles)})

@@ -120,7 +120,8 @@ def test_readme_library_block_runs():
 def test_oracle_names_no_fast_path():
     """The brute-force relay oracle stays independent of the closed forms it checks."""
     tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())
-    fast = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_reports"}
+    fast = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_vehicle_rows",
+            "_rsu_product", "_reports"}
     for name in ("oracle_relay_mean", "_oracle_batch"):
         oracle, = (node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -133,7 +134,8 @@ def test_coalition_table_path_holds_no_float_constant():
     """Every zero, one and accumulator of the table path comes from its inputs: a
     float literal there would turn the results of a Fraction config into floats."""
     tree = ast.parse((ROOT / "src" / "vanetgame" / "analytic.py").read_text())
-    path = {"_extend", "_bracket", "_brackets", "_relay_probs", "_table", "_tables", "_reports"}
+    path = {"_extend", "_bracket", "_brackets", "_relay_probs", "_vehicle_rows", "_table",
+            "_tables", "_reports"}
     functions = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in path]
     assert {node.name for node in functions} == path
@@ -147,7 +149,7 @@ def test_source_stays_within_its_line_budget():
     # the ceiling on `wc -l src/vanetgame/*.py`: newline bytes, summed over the files
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (ROOT / "src" / "vanetgame").glob("*.py"))
-    assert lines <= 2008, f"src/vanetgame/*.py holds {lines} lines, over the 2,008 ceiling"
+    assert lines <= 2028, f"src/vanetgame/*.py holds {lines} lines, over the 2,028 ceiling"
 
 
 def test_no_source_line_is_over_100_characters():

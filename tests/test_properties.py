@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -115,35 +115,38 @@ def test_payments_equal_revenues_in_every_coalition(cfg):
         assert abs(paid - earned) <= ABS_TOL
 
 
-def _reference_analysis(cfg):
-    """Conditions 2 and 3 and the smallest blocker straight from the definitions."""
+def _reference_analysis(cfg, *xs):
+    """Conditions 2 and 3 and the smallest blocker straight from the definitions, then the
+    smallest blocker of each payoff vector in xs."""
     n = cfg.n_players
-    grand = reference.player_payoffs(frozenset(range(1, n + 1)), cfg)
+    reports = [reference.player_payoffs(S, cfg) for S in _coalitions(n)]
+    grand = reports[-1]
     gain = preference = None
-    blockers = []
-    for S in _coalitions(n):
-        rep = reference.player_payoffs(S, cfg)
-        members = sorted(S)
-        if len(S) < n:
-            if gain is None and any(m <= cfg.K for m in members):
-                for m in members:
-                    if m <= cfg.K:
-                        ok = (cfg.alpha[m - 1] * rep.throughput[m]
-                              > cfg.beta[m - 1] * rep.payment[m])
-                    else:
-                        r = m - cfg.K - 1
-                        ok = cfg.gamma[r] * rep.revenue[m] > cfg.mu[r] * rep.cost[m]
-                    if not ok:
-                        gain = (m, S)
-                        break
-            if preference is None:
-                for m in members:
-                    if not grand.payoff_of(m) > rep.payoff_of(m):
-                        preference = (m, S)
-                        break
-        if all(rep.payoff_of(m) > grand.payoff_of(m) for m in members):
-            blockers.append(tuple(members))
-    return gain, preference, (frozenset(min(blockers)) if blockers else None)
+    for rep in reports[:-1]:
+        S, members = rep.members, sorted(rep.members)
+        if gain is None and any(m <= cfg.K for m in members):
+            for m in members:
+                if m <= cfg.K:
+                    ok = (cfg.alpha[m - 1] * rep.throughput[m]
+                          > cfg.beta[m - 1] * rep.payment[m])
+                else:
+                    r = m - cfg.K - 1
+                    ok = cfg.gamma[r] * rep.revenue[m] > cfg.mu[r] * rep.cost[m]
+                if not ok:
+                    gain = (m, S)
+                    break
+        if preference is None:
+            for m in members:
+                if not grand.payoff_of(m) > rep.payoff_of(m):
+                    preference = (m, S)
+                    break
+
+    def blocker(x):
+        blockers = [tuple(sorted(rep.members)) for rep in reports
+                    if all(rep.payoff_of(m) > x[m - 1] for m in rep.members)]
+        return frozenset(min(blockers)) if blockers else None
+
+    return gain, preference, *map(blocker, [[grand.payoff_of(m) for m in range(1, n + 1)], *xs])
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,21 +165,37 @@ def test_fused_verdict_matches_separate_analyses(cfg):
 
 
 def _sweep_tables(cfg):
-    """(member, table) of every block of the core sweep, in order, as players x
-    coalitions."""
-    blocks = []
+    """Every block of the core sweep, in order, as players x coalitions: (member, the six
+    vehicle rows of _table's vehicle half, every payoff the sweep reads, the RSU product,
+    its bound, the block's flagged columns). A column is flagged when it holds a vehicle and
+    a member RSU whose product lies within its bound of 0 or of a limit."""
+    blocks, vehicle_rows, products = [], [], []
+    original = analysis._block_payoffs
 
-    def record(c, veh, rsu, pr):
-        table = analytic._table(c, veh, rsu, pr)
-        shape = table[-1].shape[1:]
-        member = np.concatenate([np.broadcast_to(veh, (c.K, *shape)),
-                                 np.broadcast_to(rsu, (c.M, *shape))])
-        blocks.append((member.reshape(c.n_players, -1),
-                       [np.broadcast_to(x, (len(x), *shape)).reshape(len(x), -1) for x in table]))
-        return table
+    def record_vehicles(*args):
+        vehicle_rows.append(analytic._vehicle_rows(*args))
+        return vehicle_rows[-1]
+
+    def record_product(*args):
+        products.append(analytic._rsu_product(*args))
+        return products[-1]
+
+    def record(c, veh, rsu, pr, *limits):
+        payoff = original(c, veh, rsu, pr, *limits)
+        K, (M, R, V) = c.K, rsu.shape
+        member = np.concatenate([np.broadcast_to(veh, (K, R, V)), rsu]).reshape(c.n_players, -1)
+        product, bound = products[-1]
+        near = np.any([abs(product - limit) <= bound for limit in (0, *limits)], axis=0)
+        flagged = (near & rsu).any(axis=0).reshape(-1) & member[:K].any(axis=0)
+        rows = [np.broadcast_to(x, (K, R, V)).reshape(K, -1) for x in vehicle_rows[-1]]
+        blocks.append((member, rows, payoff.reshape(c.n_players, -1), product.reshape(M, R * V),
+                       np.broadcast_to(bound, (M, R, V)).reshape(M, R * V), flagged))
+        return payoff
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_table", record)
+        mp.setattr(analysis, "_block_payoffs", record)
+        mp.setattr(analysis, "_vehicle_rows", record_vehicles)
+        mp.setattr(analysis, "_rsu_product", record_product)
         grand = structure_payoffs((frozenset(range(1, cfg.n_players + 1)),), cfg)
         analysis._sweep(cfg, grand, grand)
     return blocks
@@ -184,8 +203,9 @@ def _sweep_tables(cfg):
 
 def _assert_table_equals_reference(cfg, one_by_one=False):
     """Every report of a batch of all coalitions, each one-coalition report with
-    one_by_one, and every member entry of the sweep's table == the scalar
-    reference, exactly."""
+    one_by_one, and every vehicle entry of the sweep == the scalar reference, exactly.
+    Every member RSU's product lies within its bound of the reference, and the sweep reads
+    the reference in the flagged columns and the product elsewhere."""
     n, K = cfg.n_players, cfg.K
     coalitions = list(_coalitions(n))
     want = [reference.player_payoffs(S, cfg) for S in coalitions]
@@ -193,18 +213,21 @@ def _assert_table_equals_reference(cfg, one_by_one=False):
     if one_by_one:
         assert [player_payoffs(S, cfg) for S in coalitions] == want
     mask = 0   # the sweep's blocks cover masks 0 .. 2^n - 1 in ascending order
-    for member, table in _sweep_tables(cfg):
+    for member, rows, payoff, product, bound, flagged in _sweep_tables(cfg):
         for k in range(member.shape[1]):
             S = frozenset(m + 1 for m in range(n) if mask >> m & 1)
             assert [m + 1 for m in np.flatnonzero(member[:, k])] == sorted(S)
+            rep = want[mask - 1]
             for m in S:
-                got = tuple(row[m - 1, k] for row in (table if m <= K else table[3:]))
-                rep = want[mask - 1]
                 if m <= K:
+                    got = tuple(row[m - 1, k] for row in rows)
                     assert got == (rep.share[m], rep.rate_gain[m], rep.fee[m], rep.throughput[m],
                                    rep.payment[m], rep.vehicle_payoff[m]), (sorted(S), m)
+                    assert payoff[m - 1, k] == rep.vehicle_payoff[m]
                 else:
-                    assert got == (rep.revenue[m], rep.cost[m], rep.rsu_payoff[m]), (sorted(S), m)
+                    t, u = m - K - 1, rep.rsu_payoff[m]
+                    assert abs(product[t, k] - u) <= bound[t, k], (sorted(S), m)
+                    assert payoff[m - 1, k] == (u if flagged[k] else product[t, k]), (sorted(S), m)
             mask += 1
     assert mask == 1 << n
 
@@ -266,8 +289,9 @@ def _assert_exact(got, want, where):
 @settings(max_examples=40, deadline=None)
 @given(exact_configs())
 def test_exact_table_equals_brute_force_expectations(cfg):
-    """On Fraction configs the batch table, the reports and every member entry of
-    the sweep's table are Fractions equal to expectations over slot outcomes."""
+    """On Fraction configs the batch table, the reports, every vehicle entry of the sweep,
+    every member RSU's product and every payoff the sweep reads are Fractions equal to
+    expectations over slot outcomes."""
     n, K = cfg.n_players, cfg.K
     coalitions = list(_coalitions(n))
     want = [reference.exact_quantities(S, cfg) for S in coalitions]
@@ -283,14 +307,18 @@ def test_exact_table_equals_brute_force_expectations(cfg):
     report = player_payoffs(coalitions[-1], cfg)
     _assert_exact(report.total_payoff, sum(want[-1]["payoff"].values()), "total")
     mask = 0   # the sweep's blocks cover masks 0 .. 2^n - 1 in ascending order
-    for member, block in _sweep_tables(cfg):
+    for member, rows, payoff, product, _, _ in _sweep_tables(cfg):
         for k in range(member.shape[1]):
             S = frozenset(m + 1 for m in range(n) if mask >> m & 1)
             assert [m + 1 for m in np.flatnonzero(member[:, k])] == sorted(S)
+            exact = want[mask - 1]
             for m in S:
-                for name, row in zip(names, block):
-                    if m <= K or name not in names[:3]:
-                        _assert_exact(row[m - 1, k], want[mask - 1][name][m], (mask, name, m))
+                if m <= K:
+                    for name, row in zip(names, rows):
+                        _assert_exact(row[m - 1, k], exact[name][m], (mask, name, m))
+                else:
+                    _assert_exact(product[m - K - 1, k], exact["payoff"][m], (mask, "product", m))
+                _assert_exact(payoff[m - 1, k], exact["payoff"][m], (mask, "payoff", m))
             mask += 1
     assert mask == 1 << n
 
@@ -306,6 +334,59 @@ def test_exact_verdict_equals_brute_force(cfg):
     assert verdict.conditions.gain_witness == gain
     assert verdict.conditions.preference_witness == preference
     assert verdict.membership.blocking == blocker
+
+
+def _tie_prone_config(rng):
+    """A float config of 1-4 vehicles and 0-4 RSUs with every entry on the grids of
+    exact_configs, where exact payoffs often tie."""
+    K, M = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+
+    def entries(values, *shape):
+        return np.array(values, dtype=np.float64)[rng.integers(0, len(values), shape)]
+
+    return GameConfig(
+        K, M, p=entries(GRID, K), enc=entries(GRID, M, K), delta=entries(AMOUNTS, K, M),
+        price=entries(AMOUNTS, M, K), cost_fwd=entries(AMOUNTS, M, K),
+        cost_rcv=entries(AMOUNTS, M, K), alpha=entries(EXACT_WEIGHTS, K),
+        beta=entries(EXACT_WEIGHTS, K), gamma=entries(EXACT_WEIGHTS, M),
+        mu=entries(EXACT_WEIGHTS, M))
+
+
+# A config on which an RSU's product once grouped mu * enc as one factor: 0.5 * 5e-324
+# underflows to 0, and cost_rcv = 1.7e308 scales the lost 2^-1075 to about 2e-16, far past
+# the bound; the grand coalition's RSU then read about 5e-18 against _table's -2.05e-16.
+# Vehicle 1 gains 0.1 from the RSU's relay, so it earns 0.55 in the grand coalition.
+UNDERFLOW_DOC = {"game": {"K": 2, "M": 1, "p": [0.5, 1.0], "delta": [[1e16], [0.0]],
+                          "alpha": [1.0, 1.0], "beta": [1.0, 1.0], "gamma": [1.0], "mu": [0.5],
+                          "price": [[1.0, 0.0]], "cost_fwd": [[0.0, 0.0]],
+                          "cost_rcv": [[0.0, 1.7e308]]},
+                 "encounter": {"matrix": [[1e-17, 5e-324]]}}
+
+
+def test_screened_sweep_decides_as_the_reference_on_tie_prone_configs():
+    """The witnesses and the blocker of the grand vector, and the blockers of x, the payoff
+    vector of a random structure, and of the grand vector with every vehicle's entry lowered
+    by 1 (which each RSU's grand payoff ties), equal _reference_analysis on UNDERFLOW_DOC and
+    on 1,500 tie-prone float configs. Without the screen (no column re-evaluated), or with a
+    zero bound, the sweep raises the invariant breach on 7 of these configs.
+    On UNDERFLOW_DOC, a near-tie decides core_membership: x ties the grand coalition's RSU
+    payoff, and its vehicles beat x only there, so that RSU decides between blockers
+    {1, 2, 3} and {2}."""
+    underflow = GameConfig(**UNDERFLOW_DOC["game"], enc=UNDERFLOW_DOC["encounter"]["matrix"])
+    x = np.array([0.52, 0.4, stability_verdict(underflow).payoff_vector[2]])
+    assert core_membership(x, underflow).blocking == _reference_analysis(underflow, x)[-1] == {2}
+    rng = np.random.default_rng(2)
+    for cfg in [underflow, *(_tie_prone_config(rng) for _ in range(1500))]:
+        n = cfg.n_players
+        labels = rng.integers(0, n, n).tolist()
+        x = structure_payoffs([frozenset(m + 1 for m in range(n) if labels[m] == b)
+                               for b in set(labels)], cfg)
+        verdict = stability_verdict(cfg)
+        lowered = verdict.payoff_vector - (np.arange(n) < cfg.K)
+        got = (verdict.conditions.gain_witness, verdict.conditions.preference_witness,
+               verdict.membership.blocking, core_membership(x, cfg).blocking,
+               core_membership(lowered, cfg).blocking)
+        assert got == _reference_analysis(cfg, x, lowered), cfg
 
 
 # Eleven RSUs: the low ten share one coefficient block of _brackets and the eleventh
@@ -335,24 +416,24 @@ def test_brackets_of_many_vehicles_equal_one_call_per_vehicle(dtype):
 
 @pytest.mark.parametrize("block_masks", [None, 16])
 def test_sweep_relay_input_is_zero_off_the_coalition(block_masks):
-    """The relay probabilities each sweep block hands _table: 0.0 for every RSU
+    """The relay probabilities each sweep block hands _block_payoffs: 0.0 for every RSU
     outside the row's RSU set R and, inside R, exactly _relay_probs on R."""
     cfg = random_config(np.random.default_rng(25), k_min=2, k_max=2, m_min=5, m_max=5)
     K, M = cfg.K, cfg.M
     blocks = []
+    original = analysis._block_payoffs
 
-    def record(c, veh, rsu, pr):
-        blocks.append((rsu, pr))
-        return analytic._table(c, veh, rsu, pr)
+    def record(c, veh, rsu, pr, *limits):
+        blocks.append((rsu[:, :, 0], pr))
+        return original(c, veh, rsu, pr, *limits)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_table", record)
+        mp.setattr(analysis, "_block_payoffs", record)
         if block_masks:
             mp.setattr(analysis, "_BLOCK_MASKS", block_masks)
         analysis.stability_verdict(cfg)
     rows = 0
     for rsu, pr in blocks:
-        rsu, pr = rsu.reshape(M, -1), pr.reshape(K, M, -1)
         for r in range(rsu.shape[1]):
             R = rsu[:, r]
             want = analytic._relay_probs(cfg.enc, np.repeat(R[:, None], K, axis=1)).T
@@ -435,6 +516,23 @@ ARGV_VALUES = ("nan", "NaN", "inf", "-inf", "1e308", "-1e308", "-7", "-1", "0", 
 SLOT_VALUES = ("0", "-1", "1", "7", "64", "nan", "inf", "1e308", "-1e308", "")
 
 
+STDERR_PREFIXES = ("config error:", "error:", "invariant breach:", "usage:", "vanetgame")
+
+
+def _keeps_stderr_prefixes(text):
+    """Every stderr line starts with one of STDERR_PREFIXES, or indents the continuation of
+    a `usage:` line that argparse wrapped."""
+    head = ""
+    for line in text.splitlines():
+        if line.startswith(" "):   # continues the line above it
+            ok = head.startswith("usage:")
+        else:
+            head, ok = line, line.startswith(STDERR_PREFIXES)
+        if not ok:
+            return False
+    return True
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
@@ -457,6 +555,7 @@ def test_any_argv_exits_0_to_3_without_a_traceback(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert _keeps_stderr_prefixes(err.getvalue()), (argv, err.getvalue())
 
 
 # What a mutation writes, over a key or into one array entry. json.dumps writes the
@@ -469,7 +568,6 @@ MUTABLE = [(name, key) for name, section in _DEFAULT.items() for key in section
            if key != "n_slots"] + [("encounter", "from_geometry")]
 COMMANDS = (["core"], ["check"], ["payoffs"], ["payoffs", "--d-sweep", "0.1,0.3"],
             ["simulate", "--slots", "200"], ["encounter", "--slots", "200"], ["enumerate"])
-STDERR_PREFIXES = ("config error:", "error:", "invariant breach:", "usage:", "vanetgame")
 
 
 @st.composite
@@ -563,6 +661,35 @@ def test_extreme_magnitudes_exit_cleanly_without_warnings(tmp_path_factory, doc)
             rows = list(csv.reader(fh))[1:]
         assert all(math.isfinite(float(est)) and math.isfinite(float(se))
                    for _, _, est, se, *_ in rows), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_documents(tuple(sorted(set(MAGNITUDES + MODERATE))), FINE_PROBABILITIES,
+                         WEIGHTS + MODERATE))
+@example(UNDERFLOW_DOC)
+def test_rsu_product_lies_within_its_bound_of_the_table(doc):
+    """On every member RSU entry of every coalition whose vehicles' payoffs are finite,
+    |_rsu_product - _table| <= its bound wherever both are finite, for magnitudes from
+    subnormal to near the float range; and an RSU with a finite bound has a finite payoff
+    in _table on every member."""
+    cfg = GameConfig(**doc["game"], enc=doc["encounter"]["matrix"])
+    K, M, coalitions = cfg.K, cfg.M, list(_coalitions(cfg.n_players))
+    member = np.array([[m in S for S in coalitions] for m in range(1, cfg.n_players + 1)])
+    pr = np.zeros((K, M, len(coalitions)))
+    i, c = np.nonzero(member[:K])
+    pr[i, :, c] = analytic._relay_probs(cfg.enc[:, i], member[K:, c]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        share, *_, vehicles = analytic._vehicle_rows(cfg, member[:K], pr)
+        product, bound = analytic._rsu_product(cfg, share, pr)
+        ok = ~(member[:K] & ~(abs(vehicles) < np.inf)).any(axis=0)
+        # RSU rows do not depend on rsu, which only names the members _table checks
+        payoff = analytic._table(cfg, member[:K, ok], np.zeros((M, ok.sum()), bool),
+                                 pr[:, :, ok])[-1][K:]
+        product, bound = np.diagonal(product, axis1=1, axis2=2)[:, ok], bound[:, 0]
+        held = member[K:, ok] & (abs(bound) < np.inf)
+        assert (abs(payoff) < np.inf)[held].all()
+        held &= abs(product) < np.inf
+        assert (abs(product - payoff) <= bound)[held].all()
 
 
 @settings(max_examples=30, deadline=None)
