@@ -307,21 +307,22 @@ def _fold(op, start: float, mask, terms) -> np.ndarray:
 
 
 def _gap(mask, a, b) -> np.ndarray:
-    """|a - b| where mask holds, else 0.0; a NaN stays NaN, so it fails its identity."""
-    return np.where(mask, np.abs(a - b), 0.0)
+    """[|a - b|, max(|a|, |b|)] where mask holds, else 0.0: a gap and its pass rule's scale, which
+    np.maximum and a max over later axes keep paired; a NaN stays NaN, so it fails its identity."""
+    return np.where(mask, [np.abs(a - b), np.maximum(np.abs(a), np.abs(b))], 0.0)
 
 
 def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
-    Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
-    players in canonical order (every partition when there are at most that
-    many) and reports one result per identity. Every quantity is a column of
-    one table per config (given, uniform-weight, zero-price), and a residual
-    identity's gap per coalition is the largest |a - b| over the pairs it
-    equates there; its result is the largest gap and the first coalition, in
-    sorted-member order, that reaches it. Profitability runs over every vehicle-only
-    column, the vehicle prefixes {1..i} included. Used by the CLI `check` subcommand.
+    Runs over every coalition of the first _CHECK_STRUCTURES partitions of all players in
+    canonical order (every partition when there are at most that many) and reports one result
+    per identity. Every quantity is a column of one table per config (given, uniform-weight,
+    zero-price). A residual identity's gap per coalition is the largest |a - b| over the pairs
+    it equates there, and it passes when each gap is at most ABS_TOL * max(1, s), s the largest
+    |term| it sums or subtracts there, and every s is finite; its result is the largest gap and
+    the first coalition, in sorted-member order, that reaches it. Profitability runs over every
+    vehicle-only column, the vehicle prefixes {1..i} included. Used by the CLI `check` subcommand.
     """
     n, K = cfg.n_players, cfg.K
     labels = _check_partitions(n)
@@ -356,7 +357,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     balance_gap = _gap(True, _fold(np.add, 0.0, veh, charge[:K, :C]),
                        _fold(np.add, 0.0, rsu, benefit[K:, :C]))
 
-    oracle_gap, rsu_count = np.zeros((C, K)), rsu.sum(axis=0)   # per (coalition, vehicle)
+    oracle_gap, rsu_count = np.zeros((2, C, K)), rsu.sum(axis=0)   # per (coalition, vehicle)
     checked = has_vehicle & has_rsu & (rsu_count <= _ORACLE_BLOCK_BITS)
     for size in sorted(set(rsu_count[checked].tolist())):   # one oracle pass per RSU count
         cols = np.flatnonzero(checked & (rsu_count == size))
@@ -366,31 +367,31 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
         value, chosen = _oracle_batch(cfg.enc[t, i[:, None]], cfg.delta[i[:, None], t])
         gap = _gap(True, np.column_stack((value, chosen)),
                    np.column_stack((gain[i, cols], pr[i[:, None], t, cols[:, None]])))
-        oracle_gap[cols, i] = gap.max(axis=1)
+        oracle_gap[:, cols, i] = gap.max(axis=2)
+    if unit:   # each fee goes from a member vehicle to a member RSU: it cancels from their sum
+        both = np.where(held[:, None], np.stack((payoff[:, :C], tables[2][-1][:, :C]), 1), 0.0)
+        fee_gap = np.maximum(balance_gap, _gap(True, *_fold(np.add, 0.0, True, both)))
+        fee_gap[1] = np.maximum(fee_gap[1], abs(both).max(axis=(0, 1)))   # the terms it sums
 
     identities = (
         ("scheduled-share total matches 1 - P(all idle)", share_gap),
-        ("relay-choice probabilities total P(any encounter)", row_gap.max(axis=0)),
-        ("fee and rate-gain match relay-probability sums", mean_gap.max(axis=0)),
+        ("relay-choice probabilities total P(any encounter)", row_gap.max(axis=1)),
+        ("fee and rate-gain match relay-probability sums", mean_gap.max(axis=1)),
         ("vehicle payments equal RSU revenues", balance_gap),
-        ("grouped sums match brute-force enumeration", oracle_gap.max(axis=1)),
-        ("uniform-weight closed forms match general formulas", simple_gap.max(axis=0)),
+        ("grouped sums match brute-force enumeration", oracle_gap.max(axis=2)),
+        ("uniform-weight closed forms match general formulas", simple_gap.max(axis=1)),
+        ("fees cancel out of every coalition's sum payoff", fee_gap if unit else None),
     )
     results: list[CheckResult] = []
-    for name, gaps in identities:
-        c = int(gaps.argmax())   # the first NaN, if any
-        worst = float(gaps[c])
+    for name, gap in identities:
+        if gap is None:
+            results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
+            continue
+        c = int(gap[0].argmax())   # the first NaN, if any
+        worst = float(gap[0, c])
         where = "" if worst <= 0.0 else f" (coalition {sorted(coalitions[c])})"
-        results.append(CheckResult(name, worst <= ABS_TOL, f"max residual {worst:.3e}{where}"))
-
-    name = "fees cancel out of every coalition's sum payoff"
-    if unit:
-        total_gap = _gap(True, _fold(np.add, 0.0, held, payoff[:, :C]),
-                         _fold(np.add, 0.0, held, tables[2][-1][:, :C]))
-        worst = float(np.maximum(total_gap, balance_gap).max())
-        results.append(CheckResult(name, worst <= ABS_TOL, f"max residual {worst:.3e}"))
-    else:
-        results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
+        passed = bool((gap[0] <= ABS_TOL * np.maximum(1.0, gap[1])).all() and gap[1].max() < np.inf)
+        results.append(CheckResult(name, passed, f"max residual {worst:.3e}{where}"))
 
     owner = np.array([[col[cs[lab]] for lab in row]   # _blocks_of orders blocks by label
                       for cs, row in zip(partitions, labels.tolist())])

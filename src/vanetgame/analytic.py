@@ -53,8 +53,9 @@ def _extend(coef: np.ndarray, q: float) -> np.ndarray:
 
 
 def _bracket(coef: np.ndarray) -> np.ndarray:
-    """E[1/(B+1)] from the coefficients on the last axis, summed in ascending b."""
-    return sum(coef[..., b] / (b + 1) for b in range(coef.shape[-1]))
+    """E[1/(B+1)] from the coefficients on the last axis, summed in ascending b, at most 1:
+    1 - q rounds to 1 in P(B = 0) at q < 2^-53, though P(B = 1) still gains q / 2."""
+    return np.minimum(sum(coef[..., b] / (b + 1) for b in range(coef.shape[-1])), 1)
 
 
 def _brackets(q: np.ndarray) -> np.ndarray:

@@ -139,17 +139,17 @@ def _emit(args, write, **fields) -> None:
 
 def _max_abs_z(rows, at: int) -> dict:
     """Manifest fields on rows (*where, estimate, stderr, exact, ...), where being the first
-    `at` columns: max_abs_z, the largest |estimate - exact| / stderr over the n_compared
-    rows with stderr > 0, the where of its first row (max_abs_z_at), its Sidak family-wise
-    p-value 1 - (1 - erfc(z / sqrt 2))^n_compared (max_abs_z_p), and zero_se_mismatches,
-    the rows with stderr 0 that miss exact by more than ABS_TOL."""
+    `at` columns: max_abs_z, the largest |estimate - exact| / stderr over the n_compared rows
+    with stderr > 0, the where of its first row (max_abs_z_at), its Sidak family-wise p-value
+    1 - (1 - erfc(z / sqrt 2))^n_compared (max_abs_z_p), and zero_se_mismatches, the rows with
+    stderr 0 that miss exact by over ABS_TOL s or have s = inf, s = max(1, |estimate|, |exact|)."""
     z, mismatches = [], 0
     for row in rows:
         est, se, ana = row[at:at + 3]
         if se > 0:
             z.append((abs(est - ana) / se, list(row[:at])))
         else:
-            mismatches += not abs(est - ana) <= ABS_TOL
+            mismatches += not abs(est - ana) <= ABS_TOL * max(1.0, abs(est), abs(ana)) < math.inf
     top, where = max(z, key=lambda item: item[0], default=(None, None))
     tail = None if top is None else math.erfc(top / math.sqrt(2))
     p = tail if tail is None or tail >= 1.0 else -math.expm1(len(z) * math.log1p(-tail))
@@ -160,9 +160,7 @@ def _max_abs_z(rows, at: int) -> dict:
 def cmd_enumerate(args, loaded) -> int:
     cfg = loaded.game
     if cfg.n_players > _STRUCTURE_ID_MAX_PLAYERS:
-        print(f"error: refusing to enumerate partitions of {cfg.n_players} players",
-              file=sys.stderr)
-        return 3
+        raise ValueError(f"refusing to enumerate partitions of {cfg.n_players} players")
 
     def write(fh) -> int:
         fh.write("id,structure,normalized,n_coalitions\n")

@@ -263,8 +263,14 @@ def _reach(rates) -> float:
 
 
 def _gap(pairs) -> float:
-    """Largest |a - b| over the (a, b) pairs an identity equates; 0.0 for none."""
-    return max(itertools.chain((0.0,), (abs(a - b) for a, b in pairs)))
+    """Largest |a - b| over the (a, b, *terms) tuples an identity equates; 0.0 for none."""
+    return max(itertools.chain((0.0,), (abs(a - b) for a, b, *_ in pairs)))
+
+
+def _scale(pairs) -> float:
+    """Largest |x| over every entry of the tuples, the sides a and b and the further terms
+    an identity sums: its pass rule's scale. 0.0 for none."""
+    return max(itertools.chain((0.0,), (abs(x) for pair in pairs for x in pair)))
 
 
 def _balance(rep: PayoffReport) -> tuple:
@@ -279,8 +285,10 @@ def identity_checks(cfg):
     Runs over every coalition of the first _CHECK_STRUCTURES partitions of all
     players in canonical order (every partition when there are at most that
     many) and reports one result per identity. A residual identity yields the
-    pairs it equates per coalition; its result is the largest gap and the first
-    coalition that reaches it.
+    pairs it equates per coalition, each followed by any further terms it sums;
+    its result is the largest gap and the first coalition that reaches it, and it
+    passes when every coalition's gap is at most ABS_TOL * max(1, that
+    coalition's _scale) and every such scale is finite.
     """
     n = cfg.n_players
     partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
@@ -332,6 +340,17 @@ def identity_checks(cfg):
             yield rep.rate_gain[i], d_i * reach
             yield rep.fee[i], xi_i * reach
 
+    unit = (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all()
+    if unit:
+        zero_cfg = dataclasses.replace(cfg, price=np.zeros_like(cfg.price))
+        zero = dict(zip(coalitions, _reports(coalitions, zero_cfg)))
+
+    def fee_cancellation(S, rep, vehicles, rsus):
+        rep0 = zero[S]
+        yield (rep.total_payoff, rep0.total_payoff,   # then the member payoffs summed
+               *(rep.payoff_of(m) for m in sorted(S)), *(rep0.payoff_of(m) for m in sorted(S)))
+        yield _balance(rep)
+
     identities = (
         ("scheduled-share total matches 1 - P(all idle)", share_sum),
         ("relay-choice probabilities total P(any encounter)", relay_row_sum),
@@ -339,27 +358,22 @@ def identity_checks(cfg):
         ("vehicle payments equal RSU revenues", payment_balance),
         ("grouped sums match brute-force enumeration", oracle_agreement),
         ("uniform-weight closed forms match general formulas", simplified_forms),
+        ("fees cancel out of every coalition's sum payoff", fee_cancellation if unit else None),
     )
     members = [(S, reports[S], *split_members(S, cfg.K)) for S in coalitions]
     results: list[CheckResult] = []
     for name, identity in identities:
-        worst, where = 0.0, ""
+        if identity is None:
+            results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
+            continue
+        worst, where, passed = 0.0, "", True
         for S, rep, vehicles, rsus in members:
-            gap = _gap(identity(S, rep, vehicles, rsus))
+            pairs = list(identity(S, rep, vehicles, rsus))
+            gap = _gap(pairs)
+            passed &= bool(gap <= ABS_TOL * max(1.0, _scale(pairs)) < math.inf)
             if gap > worst:
                 worst, where = gap, f" (coalition {sorted(S)})"
-        results.append(CheckResult(name, bool(worst <= ABS_TOL),
-                                   f"max residual {worst:.3e}{where}"))
-
-    name = "fees cancel out of every coalition's sum payoff"
-    if (cfg.beta == 1.0).all() and (cfg.gamma == 1.0).all():
-        zero = _reports(coalitions, dataclasses.replace(cfg, price=np.zeros_like(cfg.price)))
-        worst = _gap(pair for S, rep0 in zip(coalitions, zero)
-                     for pair in ((reports[S].total_payoff, rep0.total_payoff),
-                                  _balance(reports[S])))
-        results.append(CheckResult(name, bool(worst <= ABS_TOL), f"max residual {worst:.3e}"))
-    else:
-        results.append(CheckResult(name, None, "skipped: needs unit payment/revenue weights"))
+        results.append(CheckResult(name, passed, f"max residual {worst:.3e}{where}"))
 
     rsu_only_ok = True
     norm_ok = True

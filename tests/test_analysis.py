@@ -496,6 +496,36 @@ def test_rsu_only_failure_names_the_coalition(monkeypatch, default_cfg):
         "checked over enumerated structures (coalition [3, 4])")
 
 
+def test_fee_cancellation_failure_names_the_coalition(monkeypatch, default_cfg):
+    original = analytic._table
+
+    def shifted(c, veh, rsu, pr):   # at zero price, vehicle 1 earns 1e-9 more in {1, 3}
+        out = original(c, veh, rsu, pr)
+        if not c.price.any():
+            at = (np.concatenate([veh, rsu]).T == [True, False, True, False]).all(axis=1)
+            out[-1][0, at] += 1e-9
+        return out
+
+    monkeypatch.setattr(analytic, "_table", shifted)
+    assert _detail(default_cfg, "fees cancel out of every coalition's sum payoff").endswith(
+        " (coalition [1, 3])")
+
+
+def test_fee_cancellation_fails_a_sum_that_overflows():
+    # at zero price each vehicle earns -0.8e308, at price 0.4e308 each also pays 0.2e308 to
+    # its own RSU: the priced sum of the grand coalition overflows to -inf, the other is finite
+    cfg = model.GameConfig(2, 2, p=np.array([0.5, 1.0]), enc=np.eye(2),
+                           delta=np.eye(2) * 1.6e308, price=np.eye(2) * 0.4e308,
+                           cost_fwd=np.zeros((2, 2)), cost_rcv=np.zeros((2, 2)),
+                           alpha=-np.ones(2), beta=np.ones(2), gamma=np.ones(2), mu=np.ones(2))
+    name = "fees cancel out of every coalition's sum payoff"
+    with np.errstate(over="ignore"):
+        results = {r.name: r for r in analysis.run_identity_checks(cfg)}
+    assert results[name] == analysis.CheckResult(
+        name, False, "max residual inf (coalition [1, 2, 3, 4])")
+    assert {r.name: r for r in reference.identity_checks(cfg)}[name] == results[name]
+
+
 def test_normalization_failure_names_the_structure(monkeypatch, default_cfg):
     def unmarked(labels, K):   # the vehicle pair's block of 1,2|3|4 only counts as RSU-only
         mask = model._in_vehicle_block(labels, K)

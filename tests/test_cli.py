@@ -247,6 +247,13 @@ def test_max_abs_z_fields_on_hand_computed_rows():
     assert vanetgame.cli._max_abs_z([(1, "x", 1.0, 0.0, 1.0)], 2) == {
         "max_abs_z": None, "max_abs_z_at": None, "max_abs_z_p": None, "n_compared": 0,
         "zero_se_mismatches": 0}
+    # stderr 0: a miss is judged against ABS_TOL * max(1, |estimate|, |exact|)
+    big = 2.0 ** 40
+    rows = [(1, "x", big + 2 ** -12, 0.0, big), (1, "y", big * (1 + 1e-9), 0.0, big)]
+    assert vanetgame.cli._max_abs_z(rows, 2)["zero_se_mismatches"] == 1
+    # and an infinite scale misses whatever the gap: inf is never within inf of 1.0
+    rows = [(1, "x", math.inf, 0.0, 1.0), (1, "y", math.nan, 0.0, 1.0)]
+    assert vanetgame.cli._max_abs_z(rows, 2)["zero_se_mismatches"] == 2
 
 
 def test_encounter_manifest_reports_no_z_without_a_positive_stderr(tmp_path):
@@ -623,6 +630,19 @@ def test_nan_oracle_fails_its_identity_by_coalition(monkeypatch, capsys):
     assert main(["check"]) == 4
     out = capsys.readouterr().out
     assert ("[FAIL] grouped sums match brute-force enumeration: max residual nan "
+            "(coalition [1, 2, 3])") in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_infinite_oracle_fails_its_identity_by_coalition(monkeypatch, capsys):
+    # an infinite residual has an infinite scale, and the pass rule takes no infinite scale
+    def inf_oracle(q, w):
+        return np.full(q.shape[0], np.inf), np.full(q.shape, np.inf)
+
+    monkeypatch.setattr(vanetgame.analysis, "_oracle_batch", inf_oracle)
+    assert main(["check"]) == 4
+    out = capsys.readouterr().out
+    assert ("[FAIL] grouped sums match brute-force enumeration: max residual inf "
             "(coalition [1, 2, 3])") in out
     assert out.count("[FAIL]") == 1
 

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
@@ -16,12 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from vanetgame import analysis, analytic, geometry
+from vanetgame import analysis, analytic, geometry, model
 from vanetgame import (ABS_TOL, GameConfig, core_membership, core_sufficient_conditions,
-                       oracle_relay_mean, player_payoffs, simulate_slots,
-                       stability_verdict, structure_payoffs)
+                       oracle_relay_mean, player_payoffs, run_identity_checks,
+                       simulate_slots, stability_verdict, structure_payoffs)
 from vanetgame.cli import main
-from vanetgame.configio import ConfigError, load_config
+from vanetgame.configio import ConfigError, load_config, resolve_encounter
 from vanetgame.model import split_members
 from conftest import random_config, shipped_doc
 
@@ -352,6 +353,71 @@ def _tie_prone_config(rng):
         mu=entries(EXACT_WEIGHTS, M))
 
 
+# The amounts counted in money: every payoff is linear in them, so scaling them by a power
+# of two changes the unit of money and scales each payoff exactly
+MONEY = ("alpha", "price", "cost_fwd", "cost_rcv")
+K4M8 = resolve_encounter(load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json"))
+
+
+def _scaled(cfg, k):
+    """cfg with every amount of MONEY multiplied by 2^k."""
+    return dataclasses.replace(cfg, **{name: getattr(cfg, name) * 2.0 ** k for name in MONEY})
+
+
+@st.composite
+def grid_configs(draw):
+    """exact_configs as floats, the payment and revenue weights set to 1 in about half the
+    draws, so that fee cancellation runs. The smallest nonzero payoff term, a product of a
+    few grid entries, stays far above the subnormals at 2^-20, and the largest far below
+    the float range at 2^20."""
+    exact, unit = draw(exact_configs()), draw(st.booleans())
+    cfg = GameConfig(exact.K, exact.M, **{name: np.array(getattr(exact, name), dtype=float)
+                                          for name in model._SHAPES})
+    return dataclasses.replace(cfg, beta=1.0, gamma=1.0) if unit else cfg
+
+
+def _verdicts(cfg):
+    """Every PASS, FAIL or SKIP of check, every core line but the grand vector, and that vector."""
+    verdict = stability_verdict(cfg)
+    return ([r.passed for r in run_identity_checks(cfg)],
+            (verdict.conditions, verdict.membership), verdict.payoff_vector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_configs(), st.integers(-20, 20))
+@example(K4M8, 20)   # check failed three identities here with an absolute tolerance
+def test_check_and_core_verdicts_do_not_depend_on_the_unit_of_money(cfg, k):
+    """Metamorphic relation (Chen, Cheung and Yiu, 1998): money counted in units 2^k times
+    smaller leaves every check verdict and every core line but the grand vector unchanged,
+    and the grand vector scales exactly by 2^k."""
+    checks, core, grand = _verdicts(cfg)
+    checks_k, core_k, grand_k = _verdicts(_scaled(cfg, k))
+    assert checks_k == checks and core_k == core
+    assert (grand_k == grand * 2.0 ** k).all()
+
+
+def test_a_payment_moved_by_a_billionth_fails_at_every_scale(monkeypatch):
+    """Vehicle 1's payment in every coalition, moved by 1e-9 of itself, still fails the
+    payment identity at every scale 2^k, k = -20..20: the tolerance grows with the money it
+    is measured in, never past an error of that size. The money here is K4M8's counted in
+    micro-units (times 2^20), so k = -20 is K4M8 itself; a payment below about 1e-3 moved by
+    1e-9 of itself is within ABS_TOL, which the rule's floor of 1 accepts, as an absolute
+    tolerance did."""
+    original = analytic._table
+    for k in range(-20, 21):
+        cfg = _scaled(K4M8, 20 + k)
+
+        def moved(c, veh, rsu, pr):
+            out = original(c, veh, rsu, pr)
+            if c is cfg:   # not its uniform-weight or zero-price copy
+                out[4][0] *= 1.0 + 1e-9   # the charge row: vehicle 1's payment
+            return out
+
+        monkeypatch.setattr(analytic, "_table", moved)
+        passed = {r.name: r.passed for r in run_identity_checks(cfg)}
+        assert passed["vehicle payments equal RSU revenues"] is False, k
+
+
 # A config on which an RSU's product once grouped mu * enc as one factor: 0.5 * 5e-324
 # underflows to 0, and cost_rcv = 1.7e308 scales the lost 2^-1075 to about 2e-16, far past
 # the bound; the grand coalition's RSU then read about 5e-18 against _table's -2.05e-16.
@@ -403,6 +469,26 @@ def test_brackets_run_exactly_past_the_coefficient_block():
     for mask in [0, 1, 1 << 10, (1 << 11) - 1, *rng.integers(0, 1 << 11, 12).tolist()]:
         _assert_exact(h[mask], reference.exact_bracket([q[t] for t in range(11) if mask >> t & 1]),
                       mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(5e-324, 1e-15),
+                          st.sampled_from([5e-324, 2.0 ** -54, 3e-17])), min_size=1, max_size=12),
+       st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+@example([2.0 ** -54] * 12, [])   # 3,302 of the 4,096 brackets were up to 4.4e-16 above 1
+def test_brackets_stay_at_most_one_and_relay_probabilities_at_most_q(q, masks):
+    """E[1/(B+1)] <= 1 over every RSU subset, and the relay probabilities q h of _relay_probs
+    on the full set and on some random ones are at most q and exactly _brackets' q h."""
+    q, M = np.array(q, dtype=np.float64), len(q)
+    h = analytic._brackets(q)
+    assert (h <= 1.0).all()
+    masks = [(1 << M) - 1, *(m % (1 << M) for m in masks)]
+    rsus = np.array([[m >> t & 1 for m in masks] for t in range(M)], dtype=bool)
+    pr = analytic._relay_probs(np.repeat(q[:, None], len(masks), axis=1), rsus)
+    assert (pr <= q[:, None]).all()
+    for c, m in enumerate(masks):
+        want = [q[t] * h[m & ~(1 << t)] if m >> t & 1 else 0.0 for t in range(M)]
+        assert pr[:, c].tolist() == want, m
 
 
 @pytest.mark.parametrize("dtype", [np.float64, object])
