@@ -312,6 +312,7 @@ def _gap(mask, a, b) -> np.ndarray:
     return np.where(mask, [np.abs(a - b), np.maximum(np.abs(a), np.abs(b))], 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # non-finite gaps fail: no warning
 def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
     """Exercise the exact identities tying the closed-form quantities together.
 
@@ -345,8 +346,7 @@ def run_identity_checks(cfg: GameConfig) -> list[CheckResult]:
                      1.0 - _fold(np.multiply, 1.0, veh, (1.0 - cfg.p)[:, None]))
     # (RSU, vehicle, coalition) arrays: every vehicle's sums over the coalition's RSUs at once
     served, in_rsu, relay = veh & has_rsu, rsu[:, None], pr[:, :, :C].transpose(1, 0, 2)
-    with np.errstate(divide="ignore"):   # P(any encounter) without cancellation; q = 1 adds -inf
-        reach = -np.expm1(_fold(np.add, 0.0, in_rsu, np.log1p(-cfg.enc[:, :, None])))
+    reach = -np.expm1(_fold(np.add, 0.0, in_rsu, np.log1p(-cfg.enc[:, :, None])))   # q = 1: -inf
     row_gap = _gap(served, _fold(np.add, 0.0, in_rsu, relay), reach)
     fee_sum, gain_sum = (_fold(np.add, 0.0, in_rsu, relay * w[..., None])
                          for w in (cfg.price, cfg.delta.T))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _run_errors, uniform_chunks
-from .model import CoalitionStructure, GameConfig, canonical_structure, check_structure
+from .model import GameConfig, canonical_structure, check_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
@@ -54,7 +54,6 @@ SEL = np.argsort(BITS == 0, axis=1, kind="stable")
 class EmpiricalReport:
     """Sample means, standard errors, and raw event counts of one run."""
 
-    structure: CoalitionStructure
     n_slots: int
     seed: int
     # per vehicle (K,)
@@ -239,5 +238,4 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
         means, ses = _mean_se(n_all, value, n_slots)
         for (field, _), mean, se in zip(fields, np.split(means, 3), np.split(ses, 3)):
             estimates[field], estimates[field + "_se"] = mean, se
-    return EmpiricalReport(structure=canonical_structure(cs), n_slots=n_slots, seed=seed,
-                           **estimates, **counts)
+    return EmpiricalReport(n_slots=n_slots, seed=seed, **estimates, **counts)

@@ -39,7 +39,7 @@ import numpy as np
 
 from conftest import COUNTERS
 from vanetgame.analysis import _CHECK_STRUCTURES, CheckResult, vehicle_coalition_profitability
-from vanetgame.analytic import ABS_TOL, PayoffReport, _reports, oracle_relay_mean
+from vanetgame.analytic import ABS_TOL, PayoffReport, _reports
 from vanetgame.geometry import GRID_CELLS
 from vanetgame.model import (_SHAPES, GameConfig, canonical_structure, check_structure,
                              iter_partitions, normalize_structure, split_members)
@@ -262,15 +262,21 @@ def _reach(rates) -> float:
     return float(-np.expm1(out))
 
 
+def _largest(values) -> float:
+    """Largest of values from 0.0, NaN when any is NaN (as numpy's max)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def _gap(pairs) -> float:
     """Largest |a - b| over the (a, b, *terms) tuples an identity equates; 0.0 for none."""
-    return max(itertools.chain((0.0,), (abs(a - b) for a, b, *_ in pairs)))
+    return _largest(abs(a - b) for a, b, *_ in pairs)
 
 
 def _scale(pairs) -> float:
-    """Largest |x| over every entry of the tuples, the sides a and b and the further terms
-    an identity sums: its pass rule's scale. 0.0 for none."""
-    return max(itertools.chain((0.0,), (abs(x) for pair in pairs for x in pair)))
+    """Its pass rule's scale: max(1, largest |x| over every entry of the tuples, the sides a
+    and b and the further terms an identity sums)."""
+    return _largest((1.0, *(abs(x) for pair in pairs for x in pair)))
 
 
 def _balance(rep: PayoffReport) -> tuple:
@@ -286,9 +292,10 @@ def identity_checks(cfg):
     players in canonical order (every partition when there are at most that
     many) and reports one result per identity. A residual identity yields the
     pairs it equates per coalition, each followed by any further terms it sums;
-    its result is the largest gap and the first coalition that reaches it, and it
-    passes when every coalition's gap is at most ABS_TOL * max(1, that
-    coalition's _scale) and every such scale is finite.
+    its result is the largest gap and the first coalition that reaches it (the
+    first NaN gap, if any), and it passes when every coalition's gap is at most
+    ABS_TOL * that coalition's _scale and every such scale is finite, which no
+    NaN gap or scale is.
     """
     n = cfg.n_players
     partitions = list(itertools.islice(iter_partitions(n), _CHECK_STRUCTURES))
@@ -370,8 +377,8 @@ def identity_checks(cfg):
         for S, rep, vehicles, rsus in members:
             pairs = list(identity(S, rep, vehicles, rsus))
             gap = _gap(pairs)
-            passed &= bool(gap <= ABS_TOL * max(1.0, _scale(pairs)) < math.inf)
-            if gap > worst:
+            passed &= bool(gap <= ABS_TOL * _scale(pairs) < math.inf)
+            if not (gap <= worst or math.isnan(worst)):   # the first NaN stays the witness
                 worst, where = gap, f" (coalition {sorted(S)})"
         results.append(CheckResult(name, passed, f"max residual {worst:.3e}{where}"))
 

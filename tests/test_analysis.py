@@ -287,11 +287,9 @@ def test_non_finite_payoffs_are_rejected():
     # valid parameters whose products overflow, so payoffs would be inf or NaN
     cfg = GameConfig(2, 2, p=0.6, enc=0.5, delta=1e308, price=1e308, cost_fwd=0.5,
                      cost_rcv=0.2, alpha=1e308, beta=1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for analyse in (stability_verdict, run_identity_checks,
-                        lambda c: structure_payoffs(GRAND, c)):
-            with pytest.raises(ValueError, match="payoff of player 1 in its coalition is not "):
-                analyse(cfg)
+    for analyse in (stability_verdict, run_identity_checks, lambda c: structure_payoffs(GRAND, c)):
+        with pytest.raises(ValueError, match="payoff of player 1 in its coalition is not "):
+            analyse(cfg)
 
 
 def test_membership_dimension_check(default_cfg):
@@ -446,6 +444,17 @@ def test_identity_checks_equal_the_report_based_reference():
         assert run_identity_checks(cfg) == reference.identity_checks(cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_identity_checks_equal_the_reference_on_a_non_finite_oracle(monkeypatch, bad):
+    # both oracles return `bad`: a NaN residual fails and names its coalition in both
+    monkeypatch.setattr(analysis, "_oracle_batch",
+                        lambda q, w: (np.full(q.shape[0], bad), np.full(q.shape, bad)))
+    monkeypatch.setattr(reference, "oracle_relay_mean",
+                        lambda S, i, weights, cfg: (bad, dict.fromkeys(weights, bad)))
+    cfg = resolve_encounter(load_config(None))
+    assert run_identity_checks(cfg) == reference.identity_checks(cfg)
+
+
 @pytest.mark.parametrize("q, d", [(3e-17, 1e5), (1e-300, 1.7e308)])
 def test_reach_identities_hold_to_a_few_ulps_at_tiny_encounter_probabilities(q, d):
     # P(any encounter) = 1 - (1 - q) rounds to 0.0 here, 100% off the quantity
@@ -519,8 +528,7 @@ def test_fee_cancellation_fails_a_sum_that_overflows():
                            cost_fwd=np.zeros((2, 2)), cost_rcv=np.zeros((2, 2)),
                            alpha=-np.ones(2), beta=np.ones(2), gamma=np.ones(2), mu=np.ones(2))
     name = "fees cancel out of every coalition's sum payoff"
-    with np.errstate(over="ignore"):
-        results = {r.name: r for r in analysis.run_identity_checks(cfg)}
+    results = {r.name: r for r in analysis.run_identity_checks(cfg)}
     assert results[name] == analysis.CheckResult(
         name, False, "max residual inf (coalition [1, 2, 3, 4])")
     assert {r.name: r for r in reference.identity_checks(cfg)}[name] == results[name]

@@ -7,7 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -724,8 +727,27 @@ def extreme_documents(draw, magnitudes=MAGNITUDES, probabilities=PROBABILITIES,
     return {"game": game, "encounter": {"matrix": entries(probabilities, M, K)}}
 
 
+# Valid configs whose fee-cancellation sums overflow: the 2 + 2 one makes an infinite residual,
+# the 3 + 2 one also inf - inf, a NaN residual; `check` fails each and names [1, 2, 3, 4]
+FEE_OVERFLOW_DOCS = (
+    {"game": {"K": 2, "M": 2, "p": [0.5, 1.0], "delta": [[1.6e308, 0.0], [0.0, 1.6e308]],
+              "price": [[0.4e308, 0.0], [0.0, 0.4e308]], "cost_fwd": 0.0, "cost_rcv": 0.0,
+              "alpha": [-1.0, -1.0], "beta": 1.0, "gamma": 1.0, "mu": 1.0},
+     "encounter": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+    {"game": {"K": 3, "M": 2, "p": [0.0, 0.5, 0.5],
+              "delta": [[1.0, 0.5], [5e-324, 1.7e308], [1.6e308, 5e-324]],
+              "alpha": [2.0, -1.0, -1.0], "beta": [1.0, 1.0, 1.0], "gamma": [1.0, 1.0],
+              "mu": [2.0, 2.0], "price": [[1.7e308, 1e300, 1.6e308], [5e-324, 4e307, 1e300]],
+              "cost_fwd": [[5e-324, 1.7e308, 5e-324], [8e307, 0.5, 4e307]],
+              "cost_rcv": [[1.0, 1.6e308, 1e300], [4e307, 1.6e308, 8e307]]},
+     "encounter": {"matrix": [[1e-17, 0.5, 1.0], [0.0, 0.5, 1e-17]]}},
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(extreme_documents())
+@example(FEE_OVERFLOW_DOCS[0])
+@example(FEE_OVERFLOW_DOCS[1])
 def test_extreme_magnitudes_exit_cleanly_without_warnings(tmp_path_factory, doc):
     base = tmp_path_factory.getbasetemp()
     config, out = base / "extreme.json", base / "extreme.csv"
@@ -747,6 +769,27 @@ def test_extreme_magnitudes_exit_cleanly_without_warnings(tmp_path_factory, doc)
             rows = list(csv.reader(fh))[1:]
         assert all(math.isfinite(float(est)) and math.isfinite(float(se))
                    for _, _, est, se, *_ in rows), rows
+
+
+@pytest.mark.parametrize("doc, residual", zip(FEE_OVERFLOW_DOCS, ("inf", "nan")),
+                         ids=["inf-residual", "nan-residual"])
+def test_no_command_prints_a_traceback_with_warnings_as_errors(tmp_path, doc, residual):
+    """Under `python -W error` each command exits 0, 3 or 4 without a traceback, and `check`
+    reports the overflow by its FAIL line alone: exit 4 and nothing on stderr."""
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(analysis.__file__).parents[1])}
+    for argv in (["check"], ["core"], ["payoffs"], ["simulate", "--slots", "300"],
+                 ["encounter", "--slots", "2000"]):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "vanetgame.cli", *argv,
+                               "--config", str(config)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode in (0, 3, 4), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        if argv == ["check"]:
+            assert (proc.returncode, proc.stderr) == (4, "")
+            assert ("[FAIL] fees cancel out of every coalition's sum payoff: max residual "
+                    f"{residual} (coalition [1, 2, 3, 4])\n") in proc.stdout
 
 
 @settings(max_examples=150, deadline=None)
