@@ -11,7 +11,7 @@ import numpy as np
 from .analytic import (ABS_TOL, _ORACLE_BLOCK_BITS, PayoffReport, _brackets, _oracle_batch,
                        _reports, _rsu_product, _table, _tables, _vehicle_rows, player_payoffs)
 from .model import (Coalition, GameConfig, _blocks_of, _in_vehicle_block, _label_blocks,
-                    check_structure, format_structure, split_members)
+                    _require_structure, format_structure, split_members)
 
 __all__ = [
     "structure_payoffs",
@@ -37,9 +37,7 @@ _CHECK_STRUCTURES = 64
 
 def structure_reports(cs, cfg: GameConfig) -> list[PayoffReport]:
     """Per-coalition payoff reports for a full structure."""
-    errors = check_structure(cs, cfg.n_players)
-    if errors:
-        raise ValueError("invalid structure: " + "; ".join(errors))
+    _require_structure(cs, cfg.n_players)
     return _reports(cs, cfg)
 
 

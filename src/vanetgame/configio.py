@@ -140,5 +140,6 @@ def resolve_encounter(loaded: LoadedConfig) -> GameConfig:
     """The game, its encounter matrix estimated from geometry when the file asked for it."""
     if not loaded.encounter_from_geometry:
         return loaded.game
-    est = estimate_encounter_matrix(loaded.geometry, loaded.game.K, loaded.game.M)
+    est, = estimate_encounter_matrix(loaded.geometry, loaded.game.K, loaded.game.M,
+                                     ranges=[loaded.geometry.range_km])
     return replace(loaded.game, enc=est.matrix)

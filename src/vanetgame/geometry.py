@@ -110,25 +110,21 @@ class EncounterEstimate:
 
     matrix: np.ndarray   # (M, K)
     stderr: np.ndarray   # (M, K)
-    n_slots: int
-    seed: int
 
 
 def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
-                              ranges=None) -> EncounterEstimate | list[EncounterEstimate]:
+                              ranges) -> list[EncounterEstimate]:
     """Estimate the (M, K) encounter matrix by redrawing placements per slot.
 
     Positions are drawn vehicle 1..K then RSU 1..M, x before y, from a PCG64
     stream seeded with geo.seed, so results are bit-for-bit reproducible for
-    a given config. Vehicle i's range is geo.range_km[i-1]. Standard errors
-    are binomial: sqrt(p*(1-p)/n).
+    a given config. Standard errors are binomial: sqrt(p*(1-p)/n).
 
-    With `ranges`, a sequence of per-vehicle range vectors, one draw serves
-    them all: the result is a list of one EncounterEstimate per vector, each
-    equal to the estimate of geo with that vector as its range_km. Without
-    it, the result is the one estimate of geo.range_km.
+    One draw serves every per-vehicle range vector in `ranges` (vehicle i's range
+    is entry i-1): the result is a list of one EncounterEstimate per vector, in
+    order, each equal to the estimate of geo with that vector as its range_km.
     """
-    geos = [geo] if ranges is None else [replace(geo, range_km=r) for r in ranges]
+    geos = [replace(geo, range_km=r) for r in ranges]
     for g in geos:
         if len(g.range_km) != K:
             raise ValueError(f"range_km has {len(g.range_km)} transmission ranges, expected {K}")
@@ -161,6 +157,4 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
                     counts[g, j] += [np.count_nonzero(row) for row in near]
     phat = counts / float(geo.n_slots)
     stderr = np.sqrt(phat * (1.0 - phat) / float(geo.n_slots))
-    estimates = [EncounterEstimate(matrix=m, stderr=s, n_slots=geo.n_slots, seed=geo.seed)
-                 for m, s in zip(phat, stderr)]
-    return estimates[0] if ranges is None else estimates
+    return [EncounterEstimate(matrix=m, stderr=s) for m, s in zip(phat, stderr)]

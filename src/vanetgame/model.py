@@ -197,6 +197,12 @@ def check_structure(cs, n_players: int) -> list[str]:
     return errors
 
 
+def _require_structure(cs, n_players: int, prefix: str = "invalid structure: ") -> None:
+    """Raise ValueError(prefix + every violated coalition-structure invariant), if any."""
+    if errors := check_structure(cs, n_players):
+        raise ValueError(prefix + "; ".join(errors))
+
+
 def canonical_structure(blocks) -> CoalitionStructure:
     """Order coalitions by their smallest member."""
     return tuple(sorted((frozenset(b) for b in blocks), key=min))
@@ -220,9 +226,7 @@ def parse_structure(text: str, n_players: int) -> CoalitionStructure:
                              f"player {repeated} appears more than once")
         blocks.append(frozenset(members))
     cs = canonical_structure(blocks)
-    errors = check_structure(cs, n_players)
-    if errors:
-        raise ValueError(f"bad structure spec {text!r}: " + "; ".join(errors))
+    _require_structure(cs, n_players, f"bad structure spec {text!r}: ")
     return cs
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _run_errors, uniform_chunks
-from .model import GameConfig, canonical_structure, check_structure
+from .model import GameConfig, _require_structure, canonical_structure
 
 __all__ = ["EmpiricalReport", "simulate_slots"]
 
@@ -202,9 +202,7 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
     slot row draws K activity uniforms, then one encounter uniform per RSU,
     then one selection uniform per vehicle-containing coalition.
     """
-    errors = check_structure(cs, cfg.n_players)
-    if errors:
-        raise ValueError("invalid structure: " + "; ".join(errors))
+    _require_structure(cs, cfg.n_players)
     errors = _run_errors(n_slots, seed)
     if errors:
         raise ValueError("; ".join(errors))

@@ -251,7 +251,7 @@ def test_ac08_geometric_encounter_estimates():
     for d in D_SWEEP:
         geo = GeometryConfig(side_km=1.0, range_km=(d, d), n_slots=1_000_000,
                              seed=20_240_808)
-        est = estimate_encounter_matrix(geo, 2, 2)
+        est, = estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
         estimates[d] = est
         want = analytic_pair_encounter(d, 1.0)
         for j in range(2):

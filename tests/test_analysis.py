@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import analysis, analytic, model
+from vanetgame import analysis, analytic, geometry, model
 from vanetgame.configio import load_config, resolve_encounter
 from vanetgame import (ABS_TOL, GameConfig, canonical_structure, core_membership,
                        core_sufficient_conditions, enumerate_partitions,
@@ -309,6 +309,7 @@ def test_core_results_hold_only_their_witnesses(default_cfg):
     assert [f.name for f in dataclasses.fields(analysis.CoreConditions)] == [
         "weight_witness", "gain_witness", "preference_witness"]
     assert [f.name for f in dataclasses.fields(analysis.CoreMembership)] == ["blocking"]
+    assert [f.name for f in dataclasses.fields(geometry.EncounterEstimate)] == ["matrix", "stderr"]
     verdict = stability_verdict(default_cfg)
     cond = verdict.conditions
     assert (cond.weights_positive, cond.gains_strict, cond.grand_preferred) == (True, True, False)

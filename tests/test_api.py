@@ -149,7 +149,7 @@ def test_source_stays_within_its_line_budget():
     # the ceiling on `wc -l src/vanetgame/*.py`: newline bytes, summed over the files
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (ROOT / "src" / "vanetgame").glob("*.py"))
-    assert lines <= 2026, f"src/vanetgame/*.py holds {lines} lines, over the 2,026 ceiling"
+    assert lines <= 2021, f"src/vanetgame/*.py holds {lines} lines, over the 2,021 ceiling"
 
 
 def test_no_source_line_is_over_100_characters():

@@ -54,14 +54,14 @@ def test_estimate_is_deterministic_bit_for_bit():
     for placement in PLACEMENTS:   # the grid snaps in place, in buffers sized by the first chunk
         geo = GeometryConfig(side_km=1.0, range_km=(0.25, 0.25), placement=placement,
                              n_slots=20_000, seed=99)
-        a = estimate_encounter_matrix(geo, 2, 2)
-        b = estimate_encounter_matrix(geo, 2, 2)
+        a, = estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
+        b, = estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
         assert (a.matrix == b.matrix).all()
         assert (a.stderr == b.stderr).all()
         # chunking must not change the stream: 1,234-row chunks end in a shorter one
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "CHUNK_SLOTS", 1_234)
-            c = estimate_encounter_matrix(geo, 2, 2)
+            c, = estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
         assert (c.matrix == a.matrix).all()
 
 
@@ -78,7 +78,7 @@ ESTIMATE_SHA256 = {
 def test_estimate_matches_frozen_hash(placement):
     geo = GeometryConfig(side_km=1.0, range_km=(0.1, 0.3, 0.5), placement=placement,
                          n_slots=70_000, seed=21)
-    est = estimate_encounter_matrix(geo, 3, 5)
+    est, = estimate_encounter_matrix(geo, 3, 5, ranges=[geo.range_km])
     digest = hashlib.sha256(est.matrix.tobytes() + est.stderr.tobytes()).hexdigest()
     assert digest == ESTIMATE_SHA256[placement]
 
@@ -112,7 +112,7 @@ def _estimate_peak(*args, **kwargs):
 
 def test_wide_estimate_memory_is_bounded():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2,) * 20, n_slots=100_000, seed=3)
-    peak = _estimate_peak(geo, 20, 20)
+    peak = _estimate_peak(geo, 20, 20, ranges=[geo.range_km])
     assert peak < 25e6, peak
 
 
@@ -152,7 +152,7 @@ def test_overflowing_distances_and_ranges_stay_exact_and_silent(capfd):
     wide = GeometryConfig(side_km=1.0, range_km=(1.4e154, 0.0), n_slots=5_000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        far = estimate_encounter_matrix(huge, 2, 3)
+        far, = estimate_encounter_matrix(huge, 2, 3, ranges=[huge.range_km])
         near, = estimate_encounter_matrix(wide, 2, 3, ranges=[wide.range_km])
     assert (far.matrix == 0.0).all()
     assert (near.matrix[:, 0] == 1.0).all() and (near.matrix[:, 1] == 0.0).all()
@@ -161,26 +161,26 @@ def test_overflowing_distances_and_ranges_stay_exact_and_silent(capfd):
 
 def test_zero_range_never_encounters():
     geo = GeometryConfig(side_km=1.0, range_km=(0.0,), n_slots=5_000, seed=1)
-    est = estimate_encounter_matrix(geo, 1, 3)
+    est, = estimate_encounter_matrix(geo, 1, 3, ranges=[geo.range_km])
     assert (est.matrix == 0.0).all()
 
 
 def test_range_covering_diagonal_always_encounters():
     geo = GeometryConfig(side_km=1.0, range_km=(math.sqrt(2.0),), n_slots=5_000, seed=1)
-    est = estimate_encounter_matrix(geo, 1, 3)
+    est, = estimate_encounter_matrix(geo, 1, 3, ranges=[geo.range_km])
     assert (est.matrix == 1.0).all()
 
 
 def test_estimate_matches_closed_form():
     geo = GeometryConfig(side_km=1.0, range_km=(0.3, 0.3), n_slots=200_000, seed=12345)
-    est = estimate_encounter_matrix(geo, 2, 1)
+    est, = estimate_encounter_matrix(geo, 2, 1, ranges=[geo.range_km])
     want = analytic_pair_encounter(0.3, 1.0)
     assert (np.abs(est.matrix - want) <= 3.0 * est.stderr).all()
 
 
 def test_per_vehicle_ranges_are_respected():
     geo = GeometryConfig(side_km=1.0, range_km=(0.1, 0.45), n_slots=100_000, seed=5)
-    est = estimate_encounter_matrix(geo, 2, 1)
+    est, = estimate_encounter_matrix(geo, 2, 1, ranges=[geo.range_km])
     lo = analytic_pair_encounter(0.1, 1.0)
     hi = analytic_pair_encounter(0.45, 1.0)
     assert abs(est.matrix[0, 0] - lo) <= 3.0 * est.stderr[0, 0]
@@ -191,8 +191,8 @@ def test_grid_placement_runs_and_differs_from_continuous():
     cont = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=50_000, seed=7)
     grid = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=50_000, seed=7,
                           placement="grid")
-    est_c = estimate_encounter_matrix(cont, 2, 2)
-    est_g = estimate_encounter_matrix(grid, 2, 2)
+    est_c, = estimate_encounter_matrix(cont, 2, 2, ranges=[cont.range_km])
+    est_g, = estimate_encounter_matrix(grid, 2, 2, ranges=[grid.range_km])
     assert ((0.0 <= est_g.matrix) & (est_g.matrix <= 1.0)).all()
     assert not (est_c.matrix == est_g.matrix).all()
 
@@ -223,7 +223,7 @@ def test_grid_law_counts_every_cell_pair(side):
 def test_grid_estimate_agrees_with_the_grid_law_not_the_continuous_one():
     geo = GeometryConfig(side_km=1.0, range_km=(0.3, 0.3), n_slots=200_000, seed=12345,
                          placement="grid")
-    est = estimate_encounter_matrix(geo, 2, 1)
+    est, = estimate_encounter_matrix(geo, 2, 1, ranges=[geo.range_km])
     assert geometry.grid_pair_encounter(0.3) == 0.2056
     assert (np.abs(est.matrix - 0.2056) <= 4.0 * est.stderr).all()
     assert (np.abs(est.matrix - analytic_pair_encounter(0.3)) > 4.0 * est.stderr).all()
@@ -232,13 +232,13 @@ def test_grid_estimate_agrees_with_the_grid_law_not_the_continuous_one():
 def test_range_count_must_match_vehicles():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=100, seed=0)
     with pytest.raises(ValueError, match="range_km"):
-        estimate_encounter_matrix(geo, 3, 1)
+        estimate_encounter_matrix(geo, 3, 1, ranges=[geo.range_km])
 
 
 def test_range_vectors_are_checked_as_range_km_is():
     geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=100, seed=0)
     with pytest.raises(ValueError) as alone:
-        estimate_encounter_matrix(dataclasses.replace(geo, range_km=(0.1, 0.2, 0.3)), 2, 1)
+        estimate_encounter_matrix(geo, 2, 1, ranges=[(0.1, 0.2, 0.3)])
     with pytest.raises(ValueError) as swept:
         estimate_encounter_matrix(geo, 2, 1, ranges=[(0.1, 0.2), (0.1, 0.2, 0.3)])
     assert str(swept.value) == str(alone.value) == "range_km has 3 transmission ranges, expected 2"
@@ -257,10 +257,9 @@ def test_one_draw_serves_every_range_vector(placement):
     estimates = estimate_encounter_matrix(geo, 3, 4, ranges=ranges)
     assert len(estimates) == len(ranges)
     for r, est in zip(ranges, estimates):
-        alone = estimate_encounter_matrix(dataclasses.replace(geo, range_km=r), 3, 4)
+        alone, = estimate_encounter_matrix(geo, 3, 4, ranges=[r])
         assert np.array_equal(est.matrix, alone.matrix)
         assert np.array_equal(est.stderr, alone.stderr)
-        assert (est.n_slots, est.seed) == (alone.n_slots, alone.seed)
     assert (estimates[1].matrix[:, 2] == 1.0).all() and (estimates[2].matrix[:, :2] == 1.0).all()
     if placement == "continuous":   # on the grid, a zero range still meets a node in its cell
         assert (estimates[1].matrix[:, 0] == 0.0).all() and (estimates[2].matrix[:, 2] == 0.0).all()
