@@ -116,22 +116,18 @@ def _csv(header, rows: list):
     return write
 
 
-def _write_manifest(out_path, args, fields) -> None:
-    manifest = {"tool": "vanetgame", "version": __version__, "python": platform.python_version(),
-                "numpy": np.__version__, "command": args.command, "config": args.config,
-                "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "out": args.out, **fields}
-    with open(str(out_path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(args, write, **fields) -> None:
     """Stream write(fh) to --out, with a manifest of fields and the rows it wrote, or to stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             count = write(fh)
-        _write_manifest(args.out, args, {**fields, "rows": count})
+        manifest = {"tool": "vanetgame", "version": __version__, "command": args.command,
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                    "config": args.config, "out": args.out, **fields, "rows": count}
+        with open(args.out + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         print(f"wrote {count} rows to {args.out}")
     else:
         write(sys.stdout)

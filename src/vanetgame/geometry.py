@@ -28,7 +28,7 @@ GRID_CELLS = 10
 PLACEMENTS = ("continuous", "grid")
 
 # Most rows in one uniform_chunks block
-CHUNK_SLOTS = 16_384
+CHUNK_SLOTS = 8_192
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,19 @@ def grid_pair_encounter(d: float, side: float = 1.0) -> float:
 def uniform_chunks(seed: int, n_slots: int, width: int, K: int, M: int):
     """The rows of one default_rng(seed).random((n_slots, width)) draw, in blocks of
     CHUNK_SLOTS rows, or fewer (but at least 1,024) when rows times M * K would pass
-    2**22: that bounds a wide game's chunk in the placement estimator and the slot simulator."""
+    2**22: that bounds a wide game's chunk in the placement estimator and the slot simulator.
+    A worker thread draws the next block while the caller works on this one (random releases
+    the GIL), so a caller that drops each block before asking for the next holds two at once."""
+    from concurrent.futures import ThreadPoolExecutor   # here, not at import: it costs 6-19 ms
     rng = np.random.default_rng(seed)
     step = min(CHUNK_SLOTS, max(1024, (1 << 22) // max(1, M * K)))
-    for start in range(0, n_slots, step):
-        yield rng.random((min(step, n_slots - start), width))
+    with ThreadPoolExecutor(1) as pool:   # closing the generator joins the thread
+        ahead = pool.submit(rng.random, (min(step, n_slots), width))
+        for start in range(step, n_slots, step):
+            u = ahead.result()   # rebinding u frees the last block before the next draw
+            ahead = pool.submit(rng.random, (min(step, n_slots - start), width))
+            yield u
+        yield ahead.result()
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ def estimate_encounter_matrix(geo: GeometryConfig, K: int, M: int, *,
                                   np.empty((K, rows), dtype=bool))
             pos, (d, dy), near = (b[..., :rows] for b in buffers)
             np.copyto(pos, u.reshape(rows, -1, 2).transpose(2, 1, 0))
-            del u   # free the draw before the next is drawn
+            del u   # free the draw before the one after the next is drawn
             if geo.placement == "grid":   # cell centres, in place: floor(10 u) capped at 9, + 0.5
                 np.minimum(np.floor(np.multiply(pos, GRID_CELLS, out=pos), out=pos),
                            GRID_CELLS - 1, out=pos)

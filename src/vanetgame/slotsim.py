@@ -215,7 +215,7 @@ def simulate_slots(cs, cfg: GameConfig, n_slots: int, seed: int = 0) -> Empirica
 
     for u in uniform_chunks(seed, n_slots, K + M + len(layout), K, M):
         _count_chunk(u, cfg.p, layout, counts)
-        del u   # free this chunk before the next is drawn: one chunk is live at a time
+        del u   # free this chunk before the one after the next is drawn: two are live
 
     # the event table (module docstring): counts, benefit, charge, weights; a row per player
     relays, fee = counts["relays_success"] + counts["relays_fail"], cfg.price

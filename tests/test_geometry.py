@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pathlib
+import threading
 import tracemalloc
 import warnings
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import reference
-from vanetgame import GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry
+from vanetgame import (GeometryConfig, analytic_pair_encounter, estimate_encounter_matrix, geometry,
+                       simulate_slots, slotsim)
+from vanetgame.cli import main
 from vanetgame.configio import load_config
 from vanetgame.geometry import PLACEMENTS
 
@@ -101,6 +104,78 @@ def test_uniform_chunks_split_one_draw(n_slots, K, M, chunk, sizes):
     assert np.array_equal(np.concatenate(blocks), np.random.default_rng(5).random((n_slots, width)))
 
 
+GRAND = (frozenset({1, 2, 3, 4}),)   # the built-in game's grand coalition
+
+
+def _kernel_fails_on_its_second_block(monkeypatch, cfg):
+    live = []
+
+    def count(u, *args):
+        live.append(threading.active_count())
+        if len(live) == 2:   # while the third block is being drawn
+            raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(slotsim, "_count_chunk", count)
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        simulate_slots(GRAND, cfg, 5 * geometry.CHUNK_SLOTS, seed=1)
+    return live[0]
+
+
+def _generator_closed_after_one_block(monkeypatch, cfg):
+    chunks = geometry.uniform_chunks(1, 5 * geometry.CHUNK_SLOTS, 4, 2, 2)
+    next(chunks)
+    live = threading.active_count()
+    chunks.close()
+    return live
+
+
+def _complete_estimate(monkeypatch, cfg):
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=5 * geometry.CHUNK_SLOTS)
+    estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
+
+
+@pytest.mark.parametrize("run", [_kernel_fails_on_its_second_block,
+                                 _generator_closed_after_one_block, _complete_estimate])
+def test_no_drawing_thread_outlives_its_loop(monkeypatch, default_cfg, run):
+    # the draw ahead runs on one worker thread, which lives while the loop does
+    before = threading.active_count()
+    live = run(monkeypatch, default_cfg)
+    assert threading.active_count() == before
+    assert live in (None, before + 1), live
+
+
+@pytest.mark.parametrize("failing_draw", [1, 2], ids=["first-draw", "later-draw"])
+@pytest.mark.parametrize("loop", ["simulate_slots", "estimate_encounter_matrix", "main"])
+def test_a_draw_error_reaches_the_caller_unchanged(monkeypatch, default_cfg, loop, failing_draw):
+    # the exception a draw raises on the worker thread is the one the loop raises, so
+    # main maps it as it would an error raised in its own thread
+    error, real = MemoryError("x"), np.random.default_rng
+
+    class FailingRng:   # the real stream until draw number failing_draw, which raises error
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), 0
+
+        def random(self, size):
+            self.draws += 1
+            if self.draws == failing_draw:
+                raise error
+            return self.rng.random(size)
+
+    monkeypatch.setattr(geometry.np.random, "default_rng", FailingRng)
+    n_slots = 3 * geometry.CHUNK_SLOTS
+    geo = GeometryConfig(side_km=1.0, range_km=(0.2, 0.2), n_slots=n_slots)
+    before = threading.active_count()
+    with pytest.raises(MemoryError) as caught:
+        if loop == "simulate_slots":
+            simulate_slots(GRAND, default_cfg, n_slots, seed=1)
+        elif loop == "estimate_encounter_matrix":
+            estimate_encounter_matrix(geo, 2, 2, ranges=[geo.range_km])
+        else:
+            main(["simulate", "--slots", str(n_slots)])
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
 def _estimate_peak(*args, **kwargs):
     tracemalloc.start()
     try:
@@ -125,8 +200,8 @@ def test_wide_sweep_memory_is_bounded():
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_sweep_holds_one_chunk_at_a_time(placement):
-    # each loop body frees its chunk before the next is drawn, and distances are built one
-    # RSU at a time: K = 4, M = 8 peaks at about 6.3 MB continuous and 9.5 MB on the grid
+    # each loop body frees its chunk before the one after the next is drawn, and distances are
+    # built one RSU at a time: K = 4, M = 8 peaks at about 5.3 MB with either placement
     loaded = load_config(pathlib.Path(__file__).parent / "data" / "core_k4m8.json")
     geo = dataclasses.replace(loaded.geometry, placement=placement, n_slots=200_000)
     peak = _estimate_peak(geo, 4, 8, ranges=[(d,) * 4 for d in (0.1, 0.2, 0.3, 0.4, 0.5)])
